@@ -10,13 +10,12 @@ that only samples the state when a comparison-function test fails.
 
 __version__ = "0.1.0"
 
-from .poly import Variable, Polynomial, PolyMatrix, monomial_basis, parse_poly
+from .poly import Variable, Polynomial, monomial_basis, parse_poly
 from .sdp import SdpProblem, SdpSolution, SolveOptions, solve_sdp, validate_solution
 
 __all__ = [
     "Variable",
     "Polynomial",
-    "PolyMatrix",
     "monomial_basis",
     "parse_poly",
     "SdpProblem",

@@ -90,6 +90,20 @@ class RegressorBases:
             raise ValueError(f"expected input of length {self.m}, got {u.shape}")
         return np.concatenate([self.z_at(x), self.w_at(x) @ u])
 
+    def to_json_dict(self) -> dict:
+        return {
+            "variables": [v.name for v in self.vars],
+            "Z_basis": [p.to_string() for p in self.Z],
+            "W_basis": [[p.to_string() for p in row] for row in self.W],
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "RegressorBases":
+        vs = variables(d["variables"])
+        Z = [parse_poly(s, vs) for s in d["Z_basis"]]
+        W = [[parse_poly(s, vs) for s in row] for row in d["W_basis"]]
+        return cls(vs, Z, W)
+
 
 class Sample(NamedTuple):
     t: float
@@ -136,9 +150,7 @@ class Dataset:
     def to_json_dict(self) -> dict:
         return {
             "delta": self.delta,
-            "variables": [v.name for v in self.bases.vars],
-            "Z_basis": [p.to_string() for p in self.bases.Z],
-            "W_basis": [[p.to_string() for p in row] for row in self.bases.W],
+            **self.bases.to_json_dict(),
             "samples": [
                 {"t": s.t, "u": s.u.tolist(), "x": s.x.tolist(), "xdot": s.xdot.tolist()}
                 for s in self.samples
@@ -150,15 +162,12 @@ class Dataset:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
-        vs = variables(d["variables"])
-        Z = [parse_poly(s, vs) for s in d["Z_basis"]]
-        W = [[parse_poly(s, vs) for s in row] for row in d["W_basis"]]
         samples = [
             Sample(float(s["t"]), np.array(s["u"], dtype=float),
                    np.array(s["x"], dtype=float), np.array(s["xdot"], dtype=float))
             for s in d["samples"]
         ]
-        return cls(RegressorBases(vs, Z, W), float(d["delta"]), samples)
+        return cls(RegressorBases.from_json_dict(d), float(d["delta"]), samples)
 
     @classmethod
     def from_json(cls, s: str) -> "Dataset":
@@ -249,17 +258,15 @@ class ConsistencyEllipsoid:
 
     Membership of [A B] with zeta = [A B]^T is the matrix inequality
     B_bar^T A_bar^{-1} B_bar + B_bar^T zeta + zeta^T B_bar + zeta^T A_bar zeta <= I,
-    equivalently zeta = zeta_bar + A_bar^{-1/2} U Q_bar^{1/2} with ||U|| <= 1.
+    equivalently zeta = zeta_bar + A_bar^{-1/2} U with ||U|| <= 1.
     """
 
     A_bar: np.ndarray          # (N+M, N+M), symmetric positive definite
     B_bar: np.ndarray          # (N+M, n)
     zeta_bar: np.ndarray       # (N+M, n), center -A_bar^{-1} B_bar
-    Q_bar: np.ndarray          # (n, n), identity by construction
     A_bar_inv_sqrt: np.ndarray  # (N+M, N+M), symmetric PSD
     tau: np.ndarray = field(default_factory=lambda: np.zeros(0))
     history: list = field(default_factory=list)
-    dataset_hash: str = ""
     bases: "RegressorBases | None" = None
 
     def to_json_dict(self) -> dict:
@@ -270,12 +277,9 @@ class ConsistencyEllipsoid:
             "A_bar_inv_sqrt": self.A_bar_inv_sqrt.tolist(),
             "tau": self.tau.tolist(),
             "fit_logdets": [h["best_logdet"] for h in self.history],
-            "dataset_hash": self.dataset_hash,
         }
         if self.bases is not None:
-            d["variables"] = [v.name for v in self.bases.vars]
-            d["Z_basis"] = [p.to_string() for p in self.bases.Z]
-            d["W_basis"] = [[p.to_string() for p in row] for row in self.bases.W]
+            d.update(self.bases.to_json_dict())
         return d
 
     def to_json(self) -> str:
@@ -286,14 +290,8 @@ class ConsistencyEllipsoid:
         ell = ellipsoid_params(np.array(d["A_bar"], dtype=float),
                                np.array(d["B_bar"], dtype=float))
         ell.tau = np.array(d.get("tau", []), dtype=float)
-        ell.dataset_hash = d.get("dataset_hash", "")
         if "Z_basis" in d:
-            vs = variables(d["variables"])
-            ell.bases = RegressorBases(
-                vs,
-                [parse_poly(s, vs) for s in d["Z_basis"]],
-                [[parse_poly(s, vs) for s in row] for row in d["W_basis"]],
-            )
+            ell.bases = RegressorBases.from_json_dict(d)
         return ell
 
     @classmethod
@@ -330,7 +328,6 @@ def ellipsoid_params(A_bar: np.ndarray, B_bar: np.ndarray) -> ConsistencyEllipso
         A_bar=As,
         B_bar=B_bar,
         zeta_bar=zeta_bar,
-        Q_bar=np.eye(B_bar.shape[1]),
         A_bar_inv_sqrt=inv_sqrt,
     )
 

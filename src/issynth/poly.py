@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -97,9 +97,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def copy(self) -> "Polynomial":
-        return Polynomial(self.vars, dict(self.terms))
 
     def constant_term(self) -> float:
         return self.terms.get(tuple([0] * len(self.vars)), 0.0)
@@ -342,6 +339,14 @@ def monomial_basis(
     return [Polynomial.monomial(vars, e) for e in exps_list]
 
 
+def squared_norm(vars: tuple[Variable, ...]) -> Polynomial:
+    """The polynomial sum of v^2 over every variable v in `vars`."""
+    out = Polynomial.zero(vars)
+    for v in vars:
+        out = out + Polynomial.from_var(vars, v) ** 2
+    return out
+
+
 _TOKEN_RE = re.compile(
     r"""\s*(?:
         (?P<float>[0-9]*\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?)
@@ -419,80 +424,3 @@ def parse_poly(text: str, vars: tuple[Variable, ...]) -> Polynomial:
             raise ValueError("empty term in polynomial")
         result = result + Polynomial.monomial(vars, exps, coeff)
     return result
-
-
-class PolyMatrix:
-    """Dense matrix of polynomials sharing one variable tuple."""
-
-    def __init__(self, entries: Sequence[Sequence[Polynomial]], symmetric: bool = False):
-        if not entries or not entries[0]:
-            raise ValueError("PolyMatrix needs at least one entry")
-        self.rows = len(entries)
-        self.cols = len(entries[0])
-        vars0 = entries[0][0].vars
-        self.entries = []
-        for r in entries:
-            if len(r) != self.cols:
-                raise ValueError("ragged PolyMatrix rows")
-            for p in r:
-                if p.vars != vars0:
-                    raise ValueError("PolyMatrix entries use inconsistent variables")
-            self.entries.append(list(r))
-        self.vars = vars0
-        self.symmetric = symmetric
-        if symmetric and self.rows != self.cols:
-            raise ValueError("symmetric PolyMatrix must be square")
-
-    @classmethod
-    def zeros(cls, vars: tuple[Variable, ...], rows: int, cols: int, symmetric: bool = False):
-        z = Polynomial.zero(vars)
-        return cls([[z for _ in range(cols)] for _ in range(rows)], symmetric=symmetric)
-
-    def __getitem__(self, idx: tuple[int, int]) -> Polynomial:
-        return self.entries[idx[0]][idx[1]]
-
-    def __setitem__(self, idx: tuple[int, int], p: Polynomial) -> None:
-        if p.vars != self.vars:
-            raise ValueError("entry variables do not match matrix variables")
-        self.entries[idx[0]][idx[1]] = p
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            symmetric=self.symmetric,
-        )
-
-    def asymmetry(self) -> float:
-        """Largest coefficient difference between M and its transpose."""
-        worst = 0.0
-        for i in range(self.rows):
-            for j in range(self.cols):
-                d = self.entries[i][j] - self.entries[j][i] if self.rows == self.cols else None
-                if d is None:
-                    return float("inf")
-                if d.terms:
-                    worst = max(worst, max(abs(c) for c in d.terms.values()))
-        return worst
-
-    def symmetrized(self, tol: float = 1e-10) -> "PolyMatrix":
-        """Return (M + M^T)/2; asymmetry beyond tol is an error."""
-        if self.rows != self.cols:
-            raise ValueError("cannot symmetrize a non-square matrix")
-        a = self.asymmetry()
-        if a > tol:
-            raise ValueError(f"matrix asymmetry {a:.3e} exceeds tolerance {tol:.1e}")
-        out = PolyMatrix.zeros(self.vars, self.rows, self.cols, symmetric=True)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = (self.entries[i][j] + self.entries[j][i]) * 0.5
-        return out
-
-    def eval(self, point: Sequence[float]) -> np.ndarray:
-        out = np.empty((self.rows, self.cols))
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self.entries[i][j].eval(point)
-        return out
-
-    def max_degree(self) -> int:
-        return max(p.degree() for row in self.entries for p in row)

@@ -98,23 +98,21 @@ class SdpProblem:
         self._rhs: list[float] = []
         self._c_psd: dict[int, float] = {}
         self._c_free: dict[int, float] = {}
-        self._block_offsets: list[int] = []
-        self._frozen = False
+        # svec start of every block, then the total svec length
+        self._block_offsets: list[int] = [0]
 
     # -- construction -------------------------------------------------
 
     def add_block(self, dim: int, name: str = "") -> int:
-        if self._frozen:
-            raise RuntimeError("problem already frozen")
         if dim < 1:
             raise ValueError("block dimension must be >= 1")
-        self.block_dims.append(int(dim))
+        dim = int(dim)
+        self.block_dims.append(dim)
+        self._block_offsets.append(self._block_offsets[-1] + svec_dim(dim))
         self.block_names.append(name or f"block{len(self.block_dims) - 1}")
         return len(self.block_dims) - 1
 
     def add_free(self, name: str = "") -> int:
-        if self._frozen:
-            raise RuntimeError("problem already frozen")
         self.free_names.append(name or f"free{len(self.free_names)}")
         return len(self.free_names) - 1
 
@@ -122,7 +120,7 @@ class SdpProblem:
         d = self.block_dims[block]
         if not (0 <= i <= j < d):
             raise IndexError(f"entry ({i},{j}) outside upper triangle of dim {d}")
-        off = sum(svec_dim(dd) for dd in self.block_dims[:block])
+        off = self._block_offsets[block]
         # row-major upper triangle: entry (i,j) sits after full rows 0..i-1
         k = i * d - i * (i - 1) // 2 + (j - i)
         factor = 1.0 if i == j else 1.0 / np.sqrt(2.0)
@@ -135,8 +133,6 @@ class SdpProblem:
         rhs: float = 0.0,
     ) -> int:
         """Add equality  sum coeff*G_block[i,j] + sum coeff*v_idx = rhs."""
-        if self._frozen:
-            raise RuntimeError("problem already frozen")
         prow: dict[int, float] = {}
         for blk, i, j, coeff in psd_entries:
             if i > j:
@@ -166,7 +162,7 @@ class SdpProblem:
 
     @property
     def n_psd(self) -> int:
-        return sum(svec_dim(d) for d in self.block_dims)
+        return self._block_offsets[-1]
 
     @property
     def n_free(self) -> int:
@@ -179,26 +175,21 @@ class SdpProblem:
     def arrays(self):
         """Assemble (A_psd csr, A_free csr, b, c_psd, c_free)."""
         m = self.n_rows
-        data, indices, indptr = [], [], [0]
-        for row in self._rows_psd:
-            for k, v in row:
-                indices.append(k)
-                data.append(v)
-            indptr.append(len(data))
-        A_psd = sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-            shape=(m, self.n_psd),
-        )
-        data, indices, indptr = [], [], [0]
-        for row in self._rows_free:
-            for k, v in row:
-                indices.append(k)
-                data.append(v)
-            indptr.append(len(data))
-        A_free = sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-            shape=(m, self.n_free),
-        )
+
+        def csr(rows, n_cols):
+            data, indices, indptr = [], [], [0]
+            for row in rows:
+                for k, v in row:
+                    indices.append(k)
+                    data.append(v)
+                indptr.append(len(data))
+            return sp.csr_matrix(
+                (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
+                shape=(m, n_cols),
+            )
+
+        A_psd = csr(self._rows_psd, self.n_psd)
+        A_free = csr(self._rows_free, self.n_free)
         b = np.array(self._rhs)
         c_psd = np.zeros(self.n_psd)
         for k, v in self._c_psd.items():
@@ -209,11 +200,8 @@ class SdpProblem:
         return A_psd, A_free, b, c_psd, c_free
 
     def block_slices(self) -> list[slice]:
-        out, off = [], 0
-        for d in self.block_dims:
-            out.append(slice(off, off + svec_dim(d)))
-            off += svec_dim(d)
-        return out
+        offs = self._block_offsets
+        return [slice(a, b) for a, b in zip(offs, offs[1:])]
 
     # -- serialization ------------------------------------------------
 
@@ -235,8 +223,8 @@ class SdpProblem:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SdpProblem":
         p = cls()
-        p.block_dims = [int(x) for x in d["block_dims"]]
-        p.block_names = list(d["block_names"])
+        for dim, name in zip(d["block_dims"], d["block_names"]):
+            p.add_block(int(dim), name)
         p.free_names = list(d["free_names"])
         p._rows_psd = [[(int(k), float(v)) for k, v in row] for row in d["rows_psd"]]
         p._rows_free = [[(int(k), float(v)) for k, v in row] for row in d["rows_free"]]
@@ -309,7 +297,6 @@ class SolveOptions:
     min_step: float = MIN_STEP
     infeas_ratio: float = INFEAS_RATIO
     init_scale: float = 1.0
-    verbose: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +521,6 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         if best is None or score < best[0]:
             best = (score, [Xk / tau for Xk in X], xfhat.copy(), yhat.copy(),
                     [Zk / tau for Zk in Z], pres, dres, gap, pobj)
-
-        if opts.verbose:
-            print(f"  it {it:3d}  mu {mu:9.2e}  pres {pres:8.1e}  dres {dres:8.1e} "
-                  f"gap {gap:8.1e}  tau {tau:8.1e}  kappa {kappa:8.1e}")
 
         if max(pres, dres, gap) <= opts.tol:
             status, msg = "optimal", f"converged in {it} iterations"

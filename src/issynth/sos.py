@@ -91,9 +91,6 @@ class AffinePoly:
             d = max(d, p.degree())
         return d
 
-    def coeff_indices(self) -> set[int]:
-        return set(self.lin)
-
     # -- arithmetic (affine in the decision variables) ------------------
 
     def _binary(self, other: Expr, sign: float) -> "AffinePoly":
@@ -182,7 +179,6 @@ class _GramConstraint:
     blocks: list[list[tuple[int, ...]]]  # per block, list of exponent tuples
     margin: Optional[int]        # coeff var index added to the Gram diagonal
     margin_mask: Optional[list[list[bool]]]  # which diagonal entries get it
-    trace_cap: Optional[float]
     meta: dict
 
 
@@ -195,6 +191,10 @@ class _LinearConstraint:
 
 class SosCertificateError(ValueError):
     pass
+
+
+# largest coefficient difference M[i][j] - M[j][i] a matrix SOS target may have
+SYM_TOL = 1e-10
 
 
 class SosProgram:
@@ -233,14 +233,11 @@ class SosProgram:
 
     def add_scalar_sos(self, expr: Expr, basis: Sequence[Polynomial] | None = None,
                        margin: CoeffVar | None = None,
-                       margin_skip_constant: bool = False,
-                       trace_cap: float | None = None,
                        name: str = "") -> int:
         """Constrain expr to be a sum of squares over the monomial basis.
 
-        margin_skip_constant leaves the constant basis element out of the
-        margin shift; needed when the target vanishes at the origin, where a
-        full-diagonal shift would pin the margin at zero.
+        With a margin t, the Gram matrix minus t*I must be PSD: the shift
+        covers the whole diagonal.
         """
         self._compiled = None
         if isinstance(expr, (float, int)):
@@ -253,16 +250,12 @@ class SosProgram:
             half = (max(target.degree(), 0) + 1) // 2
             basis = monomial_basis(vars, half)
         exps = [_mono_exps(b, vars) for b in basis]
-        mask = None
-        if margin is not None and margin_skip_constant:
-            mask = [[any(e) for e in exps]]
         con = _GramConstraint(
             name=name or f"sos{len(self._grams)}",
             target=target,
             blocks=[exps],
             margin=margin.index if margin else None,
-            margin_mask=mask,
-            trace_cap=trace_cap,
+            margin_mask=None,
             meta={"kind": "scalar", "vars": vars, "basis": [list(e) for e in exps]},
         )
         self._grams.append(con)
@@ -273,8 +266,6 @@ class SosProgram:
                        cliques: Sequence[Sequence[tuple[int, int]]] | None = None,
                        margin: CoeffVar | None = None,
                        margin_skip_constant: bool = False,
-                       trace_cap: float | None = None,
-                       sym_tol: float = 1e-10,
                        name: str = "") -> int:
         """Constrain a symmetric polynomial matrix to admit an SOS Gram form.
 
@@ -282,10 +273,12 @@ class SosProgram:
         attached to row i (one shared basis when a single list is more
         convenient is expressed by repeating it).  cliques optionally split
         the Gram into overlapping blocks, each a list of (row, basis_pos)
-        pairs into the corresponding z_bases row.  margin_skip_constant
-        exempts basis elements that are constant in the matrix variables
-        (the row selector times 1), where structural zeros of the target
-        would otherwise force the margin nonpositive.
+        pairs into the corresponding z_bases row.  Entries must agree with
+        their transposes to SYM_TOL.  A margin t shifts the whole Gram
+        diagonal; margin_skip_constant exempts basis elements that are
+        constant in the matrix variables (the row selector times 1), where
+        structural zeros of the target would otherwise force the margin
+        nonpositive.
         """
         self._compiled = None
         n = len(entries)
@@ -308,7 +301,7 @@ class SosProgram:
                 err = max((abs(c) for c in d.const.terms.values()), default=0.0)
                 for p in d.lin.values():
                     err = max(err, max((abs(c) for c in p.terms.values()), default=0.0))
-                if err > sym_tol:
+                if err > SYM_TOL:
                     raise ValueError(f"matrix asymmetry {err:.2e} at entry ({i},{j})")
 
         # internal quadratic-form variables, one per matrix row
@@ -359,7 +352,6 @@ class SosProgram:
             blocks=blocks,
             margin=margin.index if margin else None,
             margin_mask=mask,
-            trace_cap=trace_cap,
             meta={
                 "kind": "matrix",
                 "vars": base_vars,
@@ -440,14 +432,6 @@ class SosProgram:
             for exps in sorted(set(rows) | set(rhs_map), key=grlex_key):
                 psd, free = rows.get(exps, ([], {}))
                 prob.add_row(psd, sorted(free.items()), rhs_map.get(exps, 0.0))
-
-            if con.trace_cap is not None:
-                slack = prob.add_block(1, f"{con.name}.trace_slack")
-                psd = [(slack, 0, 0, 1.0)]
-                for bi, blk in enumerate(con.blocks):
-                    blkid = gram_blocks[gi][bi]
-                    psd.extend((blkid, a, a, 1.0) for a in range(len(blk)))
-                prob.add_row(psd, rhs=float(con.trace_cap))
             row_families.append((con.name, family_start, prob.n_rows))
 
         linear_start = prob.n_rows

@@ -24,12 +24,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .consistency import ConsistencyEllipsoid, RegressorBases
-from .poly import Polynomial, Variable, monomial_basis, parse_poly, variables
+from .poly import Polynomial, monomial_basis, parse_poly, squared_norm, variables
 from .sdp import SolveOptions
 from .sos import AffinePoly, CoeffVar, SosProgram
 from . import verify as _verify
@@ -37,27 +37,6 @@ from . import verify as _verify
 
 class SynthesisError(RuntimeError):
     pass
-
-
-R_VAR = variables(["r"])
-
-
-def build_classKinf(coeffs: Sequence[float], epsilon: float) -> Polynomial:
-    """Polynomial sum_k c_k r^(2k); valid class Kinf when the gates hold.
-
-    Rejects any negative coefficient and coefficient sums below epsilon,
-    which are exactly the hypotheses making the function class Kinf.
-    """
-    cs = [float(c) for c in coeffs]
-    if not cs:
-        raise ValueError("at least one coefficient is required")
-    if min(cs) < 0.0:
-        raise ValueError(f"negative coefficient {min(cs)} in class-Kinf template")
-    if sum(cs) < epsilon:
-        raise ValueError(
-            f"coefficient sum {sum(cs)} below epsilon {epsilon}; function "
-            "would not be class Kinf")
-    return Polynomial(R_VAR, {(2 * (k + 1),): c for k, c in enumerate(cs)})
 
 
 @dataclass
@@ -117,15 +96,10 @@ class SynthesisResult:
     margin: float = 0.0
     ellipsoid_hash: str = ""
 
-    def alpha_polys(self) -> tuple[Polynomial, ...]:
-        return tuple(build_classKinf(c, self.epsilon) for c in self.alpha)
-
     def to_json_dict(self) -> dict:
         return {
-            "variables": [v.name for v in self.bases.vars],
+            **self.bases.to_json_dict(),
             "error_variables": [v.name for v in self.lam.vars[self.bases.n:]],
-            "Z_basis": [p.to_string() for p in self.bases.Z],
-            "W_basis": [[p.to_string() for p in row] for row in self.bases.W],
             "k": [p.to_string() for p in self.k],
             "V": self.V.to_string(),
             "lambda": self.lam.to_string(),
@@ -142,13 +116,9 @@ class SynthesisResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SynthesisResult":
-        xv = variables(d["variables"])
+        bases = RegressorBases.from_json_dict(d)
+        xv = bases.vars
         xev = variables(d["variables"] + d["error_variables"])
-        bases = RegressorBases(
-            xv,
-            [parse_poly(s, xv) for s in d["Z_basis"]],
-            [[parse_poly(s, xv) for s in row] for row in d["W_basis"]],
-        )
         return cls(
             bases=bases,
             k=tuple(parse_poly(s, xv) for s in d["k"]),
@@ -169,11 +139,6 @@ class SynthesisResult:
 
 # ---------------------------------------------------------------------------
 # program assembly
-
-
-def _sym_sqrt(M: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(0.5 * (M + M.T))
-    return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
 
 
 def _alpha_template(prog: SosProgram, prefix: str, n_terms: int,
@@ -234,13 +199,9 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
     legend: dict = {"mode": mode, "xvars": xvars, "xevars": xevars}
 
     # squared norms feeding the class-Kinf templates
-    sq_x = Polynomial.zero(xvars)
-    for v in xvars:
-        sq_x = sq_x + Polynomial.from_var(xvars, v) ** 2
+    sq_x = squared_norm(xvars)
     sq_x_xe = sq_x.extend(xevars)
-    sq_e = Polynomial.zero(xevars)
-    for i in range(n):
-        sq_e = sq_e + Polynomial.from_var(xevars, xevars[n + i]) ** 2
+    sq_e = squared_norm(variables(e_names)).extend(xevars)
 
     a3, c3 = _alpha_template(prog, "a3_", cfg.N3, sq_x_xe)
     a4, c4 = _alpha_template(prog, "a4_", cfg.N4, sq_e)
@@ -317,9 +278,8 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
     a3_xe = AffinePoly.promote(a3, xevars)
     a4_xe = AffinePoly.promote(a4, xevars)
 
-    zeta = ell.zeta_bar            # (p, n)
-    Q_sqrt = _sym_sqrt(ell.Q_bar)  # (n, n)
-    Ainv = ell.A_bar_inv_sqrt      # (p, p)
+    zeta = ell.zeta_bar        # (p, n)
+    Ainv = ell.A_bar_inv_sqrt  # (p, p)
 
     # dissipation block matrix, negated into the SOS slot
     d = 1 + n + p
@@ -333,12 +293,7 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         s00 = s00 - grad_V[l] * zphi
     S[0][0] = s00
     for i in range(n):
-        entry = AffinePoly.promote(0.0, xevars)
-        for l in range(n):
-            if Q_sqrt[i, l]:
-                entry = entry - grad_V[l] * float(Q_sqrt[i, l])
-        S[1 + i][0] = entry
-        S[0][1 + i] = entry
+        S[1 + i][0] = S[0][1 + i] = grad_V[i] * -1.0
     for a in range(p):
         entry = AffinePoly.promote(0.0, xevars)
         for b in range(p):
@@ -499,12 +454,16 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
     single-purpose programs are tiny and well scaled, so their Grams come
     back orders of magnitude tighter.  alpha1 is pushed up (largest lower
     envelope), alpha2 down (smallest upper envelope); the multiplier floor
-    slot is re-certified against the chopped lambda.
+    slot is re-certified against the chopped lambda, which therefore must
+    have even degree.
     """
+    deg_lam = lam.degree()
+    if deg_lam > 0 and deg_lam % 2:
+        raise SynthesisError(
+            f"chopped multiplier lambda has odd degree {deg_lam}, so "
+            "lambda - epsilon cannot be a sum of squares")
     eps_row = _eps_row(cfg.epsilon)
-    sq_x = Polynomial.zero(xvars)
-    for v in xvars:
-        sq_x = sq_x + Polynomial.from_var(xvars, v) ** 2
+    sq_x = squared_norm(xvars)
     sb = monomial_basis(
         xvars, max(1, (max(V.degree(), 2 * cfg.N1, 2 * cfg.N2) + 1) // 2),
         include_constant=False)
@@ -676,22 +635,3 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         raise SynthesisError(
             f"verification failed on a solver-accepted result: {lines}")
     return res
-
-
-def scale_lyapunov(res: SynthesisResult, gamma: float) -> SynthesisResult:
-    """Scale (V, lambda, all alphas) jointly by gamma > 0.
-
-    The sandwich and dissipation constraints are jointly homogeneous in
-    these quantities, so feasibility is preserved for any positive gamma;
-    certificates are dropped because their targets pick up the unscaled
-    epsilon offset.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    return SynthesisResult(
-        bases=res.bases, k=res.k, V=res.V * gamma,
-        alpha=tuple(np.asarray(c, dtype=float) * gamma for c in res.alpha),
-        lam=res.lam * gamma, epsilon=res.epsilon, certificates={},
-        history=list(res.history), margin=res.margin * gamma,
-        ellipsoid_hash=res.ellipsoid_hash,
-    )

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .consistency import ConsistencyEllipsoid, RegressorBases
-from .poly import Polynomial
+from .poly import Polynomial, squared_norm
 
 
 @dataclass
@@ -50,8 +50,10 @@ class VerificationReport:
 
     def summary(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
+        reason = self.details.get("reason")
         return (f"{flag} {self.name}: worst {self.worst:.3e} "
-                f"(tol {self.tol:.1e}, {self.n_samples} samples)")
+                f"(tol {self.tol:.1e}, {self.n_samples} samples)"
+                + (f": {reason}" if reason else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +101,24 @@ def _eval_stack(polys: Sequence[Polynomial], pts: np.ndarray) -> np.ndarray:
     return np.column_stack([p.eval_many(pts) for p in polys])
 
 
+def _phi_values(bases: RegressorBases, k: Sequence[Polynomial],
+                X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """phi = [Z(x); W(x) k(x + e)] at every point, shape (P, N+M)."""
+    Z = _eval_stack(bases.Z, X)
+    kv = _eval_stack(k, X + E)
+    Wv = np.stack([_eval_stack(row, X) for row in bases.W], axis=1)  # (P, M, m)
+    return np.hstack([Z, np.einsum("pij,pj->pi", Wv, kv)])
+
+
+def _multiplier_values(lam: Polynomial, XE: np.ndarray, n: int) -> np.ndarray:
+    """lambda at stacked (x, e) points; lambda may live in x or in (x, e)."""
+    if len(lam.vars) == 2 * n:
+        return lam.eval_many(XE)
+    if len(lam.vars) == n:
+        return lam.eval_many(XE[:, :n])
+    raise ValueError("multiplier must live in the x or stacked (x, e) variables")
+
+
 # ---------------------------------------------------------------------------
 # instance evaluation: the dissipation matrix and its scalar Schur form
 
@@ -113,20 +133,9 @@ def _instance_arrays(ell: ConsistencyEllipsoid, bases: RegressorBases,
     if XE.ndim != 2 or XE.shape[1] != 2 * n:
         raise ValueError(f"points must be (P, {2 * n}), got {XE.shape}")
     X, E = XE[:, :n], XE[:, n:]
-    P = XE.shape[0]
     gradV = _eval_stack(V.grad(), X)
-    Z = _eval_stack(bases.Z, X)
-    # u = k(x + e), applied through the input basis W(x)
-    kv = _eval_stack(k, X + E)
-    Wv = np.stack([_eval_stack(row, X) for row in bases.W], axis=1)  # (P, M, m)
-    Wk = np.einsum("pij,pj->pi", Wv, kv)
-    phi = np.hstack([Z, Wk])
-    if len(lam.vars) == 2 * n:
-        lam_vals = lam.eval_many(XE)
-    elif len(lam.vars) == n:
-        lam_vals = lam.eval_many(X)
-    else:
-        raise ValueError("multiplier must live in the x or stacked (x, e) variables")
+    phi = _phi_values(bases, k, X, E)
+    lam_vals = _multiplier_values(lam, XE, n)
     a3 = alpha_values(alpha3, np.sum(X * X, axis=1))
     a4 = alpha_values(alpha4, np.sum(E * E, axis=1))
     s00 = np.einsum("pn,pn->p", gradV, phi @ ell.zeta_bar) + a3 - a4
@@ -143,14 +152,12 @@ def theorem1_matrix_values(ell: ConsistencyEllipsoid, bases: RegressorBases,
     p = bases.N + bases.M
     X, E, gradV, phi, lam_vals, s00 = _instance_arrays(
         ell, bases, V, k, lam, alpha3, alpha4, XE)
-    Q_sqrt = _sym_sqrt(ell.Q_bar)
-    col_q = gradV @ Q_sqrt.T
     col_a = lam_vals[:, None] * (phi @ ell.A_bar_inv_sqrt)
     d = 1 + n + p
     M = np.zeros((XE.shape[0], d, d))
     M[:, 0, 0] = s00
-    M[:, 1:1 + n, 0] = col_q
-    M[:, 0, 1:1 + n] = col_q
+    M[:, 1:1 + n, 0] = gradV
+    M[:, 0, 1:1 + n] = gradV
     M[:, 1 + n:, 0] = col_a
     M[:, 0, 1 + n:] = col_a
     idx = np.arange(1, d)
@@ -165,8 +172,7 @@ def f8_values(ell: ConsistencyEllipsoid, bases: RegressorBases,
     """Scalar Schur-complement form of the dissipation matrix."""
     X, E, gradV, phi, lam_vals, s00 = _instance_arrays(
         ell, bases, V, k, lam, alpha3, alpha4, XE)
-    Q_sqrt = _sym_sqrt(ell.Q_bar)
-    qq = np.sum((gradV @ Q_sqrt.T) ** 2, axis=1)
+    qq = np.sum(gradV ** 2, axis=1)
     aa = np.sum((phi @ ell.A_bar_inv_sqrt) ** 2, axis=1)
     if np.any(lam_vals <= 0.0):
         bad = int(np.argmin(lam_vals))
@@ -239,11 +245,21 @@ def check_schur_equiv(ell: ConsistencyEllipsoid, bases: RegressorBases,
     At every sampled (x, e) the matrix is negative semidefinite exactly when
     the scalar form is nonpositive (the multiplier must be positive there).
     Disagreement strength is min(|scalar|, |max eig|), so near-zero pairs
-    straddling zero within tol do not count.
+    straddling zero within tol do not count.  A multiplier that is not
+    positive at some sample leaves the scalar form undefined; the report
+    then fails with the smallest lambda and its point.
     """
     rng = rng or np.random.default_rng(0)
     n = bases.n
     XE = rng.uniform(-box, box, size=(n_samples, 2 * n))
+    lam_vals = _multiplier_values(lam, XE, n)
+    if n_samples and lam_vals.min() <= 0.0:
+        i = int(np.argmin(lam_vals))
+        return VerificationReport(
+            name="schur_equivalence", worst=np.inf, tol=tol,
+            n_samples=n_samples, witness=XE[i].tolist(),
+            details={"reason": f"multiplier not positive (lambda = {lam_vals[i]:.3e})",
+                     "lambda_min": float(lam_vals[i])})
     f8 = f8_values(ell, bases, V, k, lam, alpha3, alpha4, XE)
     M = theorem1_matrix_values(ell, bases, V, k, lam, alpha3, alpha4, XE)
     eigs = np.linalg.eigvalsh(M)[:, -1]
@@ -269,7 +285,7 @@ def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
                               tol: float = 1e-6) -> VerificationReport:
     """Robust dissipation inequality over sampled members of the ellipsoid.
 
-    For [A B] = (zeta_bar + A_bar^{-1/2} Upsilon Q_bar^{1/2})^T with
+    For [A B] = (zeta_bar + A_bar^{-1/2} Upsilon)^T with
     ||Upsilon|| <= 1 (zero, boundary, and interior samples), checks
     <grad V(x), A Z(x) + B W(x) k(x+e)> + alpha3(|x|) - alpha4(|e|) <= tol.
     The true coefficient pair is checked too when given.
@@ -281,14 +297,10 @@ def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
     XE[0] = 0.0  # the origin is the structural equality case
     X, E = XE[:, :n], XE[:, n:]
     gradV = _eval_stack(res.V.grad(), X)
-    Z = _eval_stack(bases.Z, X)
-    kv = _eval_stack(res.k, X + E)
-    Wv = np.stack([_eval_stack(row, X) for row in bases.W], axis=1)
-    phi = np.hstack([Z, np.einsum("pij,pj->pi", Wv, kv)])
+    phi = _phi_values(bases, res.k, X, E)
     margin = (alpha_values(res.alpha[2], np.sum(X * X, axis=1))
               - alpha_values(res.alpha[3], np.sum(E * E, axis=1)))
 
-    Q_sqrt = _sym_sqrt(ell.Q_bar)
     worst = -np.inf
     witness = None
     true_worst = None
@@ -299,7 +311,7 @@ def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
         return float(vals[i]), i
 
     for ui, U in enumerate(_upsilon_set(rng, p, n, n_upsilon)):
-        zeta = ell.zeta_bar + ell.A_bar_inv_sqrt @ U @ Q_sqrt
+        zeta = ell.zeta_bar + ell.A_bar_inv_sqrt @ U
         val, i = eval_zeta(zeta)
         if val > worst:
             worst = val
@@ -424,10 +436,7 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
         diff = total - target.extend(vs)
         return max((abs(c) for c in diff.terms.values()), default=0.0)
 
-    xvars = res.V.vars
-    sq = Polynomial.zero(xvars)
-    for v in xvars:
-        sq = sq + Polynomial.from_var(xvars, v) ** 2
+    sq = squared_norm(res.V.vars)
     a1 = alpha_poly_in(res.alpha[0], sq)
     a2 = alpha_poly_in(res.alpha[1], sq)
     checks = {

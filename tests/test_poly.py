@@ -7,10 +7,10 @@ import pytest
 
 from issynth.poly import (
     Polynomial,
-    PolyMatrix,
     Variable,
     monomial_basis,
     parse_poly,
+    squared_norm,
     variables,
 )
 
@@ -229,29 +229,5 @@ class TestTextAndJson:
         assert Polynomial.from_json(p.to_json()) == p
 
 
-class TestPolyMatrix:
-    def test_symmetrize_and_asymmetry(self, xy):
-        a = parse_poly("x1^2", xy)
-        b = parse_poly("x1*x2", xy)
-        m = PolyMatrix([[a, b], [b + 1e-12, a]])
-        s = m.symmetrized(tol=1e-10)
-        assert s.symmetric
-        assert s[0, 1] == s[1, 0]
-
-    def test_asymmetry_error(self, xy):
-        a = parse_poly("x1", xy)
-        b = parse_poly("x2", xy)
-        m = PolyMatrix([[a, a], [b, a]])
-        with pytest.raises(ValueError, match="asymmetry"):
-            m.symmetrized(tol=1e-10)
-
-    def test_eval(self, xy):
-        m = PolyMatrix([[parse_poly("x1", xy), parse_poly("x2", xy)]])
-        out = m.eval([2.0, -3.0])
-        assert out.shape == (1, 2)
-        assert out[0, 0] == 2.0 and out[0, 1] == -3.0
-
-    def test_inconsistent_vars_rejected(self, xy):
-        other = variables(["z"])
-        with pytest.raises(ValueError):
-            PolyMatrix([[parse_poly("x1", xy), parse_poly("z", other)]])
+def test_squared_norm(xy):
+    assert squared_norm(xy) == parse_poly("x1^2 + x2^2", xy)

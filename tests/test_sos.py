@@ -168,13 +168,13 @@ class TestMargin:
         # reported Gram includes the shift, so its smallest eigenvalue is t
         assert abs(sol.gram_min_eig(h) - sol.coeff(t)) <= 1e-6
 
-    def test_margin_with_trace_cap(self, xv):
+    def test_margin_on_full_diagonal(self, xv):
         # x^4 + 1 over {1, x, x^2}: rows force H00 = H22 = 1 - t and
         # 2*H02 + H11 = -t; best PSD choice H11 = 0, H02 = -t/2 needs
         # (1 - t) >= t/2, so t* = 2/3
         prog = SosProgram()
         t = prog.new_coeff("t")
-        prog.add_scalar_sos(parse_poly("x^4 + 1", xv), margin=t, trace_cap=1e6)
+        prog.add_scalar_sos(parse_poly("x^4 + 1", xv), margin=t)
         prog.set_objective([(t, 1.0)], "max")
         sol = prog.solve()
         assert sol.status == "optimal"

@@ -39,8 +39,7 @@ def zero_dynamics_instance():
     p = 3
     ell = ConsistencyEllipsoid(
         A_bar=np.eye(p), B_bar=np.eye(p), zeta_bar=np.zeros((p, 2)),
-        Q_bar=np.eye(2), A_bar_inv_sqrt=np.eye(p), tau=[], history=[],
-        dataset_hash="")
+        A_bar_inv_sqrt=np.eye(p), tau=[], history=[])
     xev = variables(["x1", "x2", "e1", "e2"])
     V = parse_poly("x1^2 + x2^2", xv)
     k = (parse_poly("-x1 - x2", xv),)
@@ -57,8 +56,7 @@ def scalar_instance(k_text="-x1", lam_const=10.0, A_scale=100.0):
     zeta_bar = np.array([[-1.0], [1.0]])
     ell = ConsistencyEllipsoid(
         A_bar=A_scale * np.eye(2), B_bar=np.eye(2), zeta_bar=zeta_bar,
-        Q_bar=np.eye(1), A_bar_inv_sqrt=np.eye(2) / np.sqrt(A_scale),
-        tau=[], history=[], dataset_hash="")
+        A_bar_inv_sqrt=np.eye(2) / np.sqrt(A_scale), tau=[], history=[])
     xev = variables(["x1", "e1"])
     res = SimpleNamespace(
         V=parse_poly("x1^2", xv),
@@ -185,6 +183,16 @@ def test_f8_rejects_nonpositive_multiplier():
     ell, bases, V, k, lam = zero_dynamics_instance()
     with pytest.raises(ValueError):
         f8_values(ell, bases, V, k, lam * -1.0, [1.0], [1.0], np.zeros((2, 4)))
+
+
+def test_schur_equiv_reports_nonpositive_multiplier():
+    ell, bases, V, k, lam = zero_dynamics_instance()
+    rep = check_schur_equiv(ell, bases, V, k, lam * -1.0, [1.0], [1.0],
+                            n_samples=50, rng=np.random.default_rng(5))
+    assert not rep.passed
+    assert rep.details["lambda_min"] == -1.0
+    assert len(rep.witness) == 4
+    assert "multiplier not positive" in rep.summary()
 
 
 # ---------------------------------------------------------------------------
