@@ -290,6 +290,7 @@ class ConsistencyEllipsoid:
         ell = ellipsoid_params(np.array(d["A_bar"], dtype=float),
                                np.array(d["B_bar"], dtype=float))
         ell.tau = np.array(d.get("tau", []), dtype=float)
+        ell.history = [{"best_logdet": v} for v in d.get("fit_logdets", [])]
         if "Z_basis" in d:
             ell.bases = RegressorBases.from_json_dict(d)
         return ell

@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for block-diagonal SDPs.
+"""Primal-dual interior-point solver for block-diagonal SDPs.
 
 Standard form:
 
@@ -14,15 +14,29 @@ matrix entries G[i,j], i <= j, of the symmetric blocks; the row functional
 is  sum_{i<=j} coeff * G[i,j].
 
 The solver is a homogeneous self-dual embedding with Nesterov-Todd scaling
-and a Mehrotra predictor-corrector, dense linear algebra throughout.  Free
-variables are handled by eliminating rows that touch only free variables up
-front and carrying the rest through an augmented Schur complement solve.
-Infeasibility is reported through the embedding's tau/kappa ratio test.
+and a Mehrotra predictor-corrector.  Free variables are handled by
+eliminating rows that touch only free variables up front and carrying the
+rest through an augmented Schur complement solve.  Infeasibility is
+reported through the embedding's tau/kappa ratio test.
+
+Every 1x1 block is one coordinate x_i >= 0 of a single nonnegative (LP)
+cone: its scaling is elementwise (H^-1 = diag(x/z)), its Schur term
+A_lp diag(x/z) A_lp^T is built sparse, and its step length is a min-ratio
+test.  A matrix block of dimension d keeps its NT scaling W = R R^T as the
+d x d factor R; H^-1 and W^-1 act through d x d products, and its Schur
+rows svec(R^T A_i R) are gathered from the rows of R over each row's few
+entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).
+Memory per iteration is O(m^2) for the Schur complement plus, per matrix
+block, O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2) for
+its scaling; nothing of order svec(d)^2 is formed.  Each solution carries a
+per-iteration trace with the residuals and the seconds of every phase.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,10 +59,16 @@ def svec_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@functools.lru_cache(maxsize=256)
 def svec_indices(d: int):
-    """Upper-triangle row/col indices and svec scale factors for dimension d."""
+    """Upper-triangle row/col indices and svec scale factors for dimension d.
+
+    Cached per d and shared by every caller, so the arrays are read-only.
+    """
     iu, ju = np.triu_indices(d)
     scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
+    for arr in (iu, ju, scale):
+        arr.flags.writeable = False
     return iu, ju, scale
 
 
@@ -65,21 +85,6 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
     S = S + S.T
     S[np.diag_indices(d)] *= 0.5
     return S
-
-
-def _congruence_matrix(Q: np.ndarray) -> np.ndarray:
-    """Matrix of the map svec(S) -> svec(Q S Q^T), columns over svec coords."""
-    d = Q.shape[0]
-    iu, ju, scale = svec_indices(d)
-    U = Q[:, iu]  # (d, nsvec) columns q_p
-    V = Q[:, ju]
-    # outer(q_p, q_q) for every svec coordinate
-    T = U[:, None, :] * V[None, :, :]
-    T = T + np.transpose(T, (1, 0, 2))
-    # smat puts v/sqrt2 on both off-diagonal slots, v on the diagonal
-    T *= np.where(iu == ju, 0.5, 1.0 / np.sqrt(2.0))[None, None, :]
-    K = T[iu, ju, :] * scale[:, None]
-    return K
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +258,9 @@ class SdpSolution:
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     message: str = ""
+    # one dict per iteration: mu, pres, dres, gap, tau, kappa, sigma, step and
+    # the seconds of each phase; left out of the JSON form
+    trace: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -300,13 +308,14 @@ class SolveOptions:
 
 
 # ---------------------------------------------------------------------------
-# Nesterov-Todd scaling per block
+# Nesterov-Todd scaling of the matrix blocks
 
 
 class _BlockScaling:
+    """NT scaling W = R R^T of one matrix block: W Z W = X, R^-1 X R^-T = R^T Z R = diag(lam)."""
+
     def __init__(self, X: np.ndarray, Z: np.ndarray):
         d = X.shape[0]
-        self.d = d
         self.Lx = np.linalg.cholesky(X)
         self.Lz = np.linalg.cholesky(Z)
         M = self.Lz.T @ self.Lx
@@ -316,8 +325,78 @@ class _BlockScaling:
         self.R = self.Lx @ Vt.T * s_isqrt[None, :]
         Lx_inv = sla.solve_triangular(self.Lx, np.eye(d), lower=True)
         self.Rinv = (np.sqrt(sv)[:, None] * Vt) @ Lx_inv
-        self.K = _congruence_matrix(self.R)        # W^T  : svec(R S R^T)
-        self.J = _congruence_matrix(self.Rinv.T)   # W^-1 : svec(R^-T S R^-1)
+
+
+def _congruence(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Q S Q^T, symmetrized."""
+    T = Q @ S @ Q.T
+    return 0.5 * (T + T.T)
+
+
+def _hinv_svec(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H^-1 v = svec(W S W) for S = smat(v), W = R R^T, by d x d products.
+
+    Both the middle factor R^T S R and the result are symmetrized; without
+    that the rounding asymmetry feeds back into the iterates: 8 of the 15
+    randomized test problems then need 18-28 iterations instead of 11-12
+    and end ``feasible``.
+    """
+    d = R.shape[0]
+    return svec(_congruence(R, _congruence(R.T, smat(v, d))))
+
+
+def _winv_svec(Rinv: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """svec(R^-T U R^-1): a scaled-space matrix U back in the space of Z."""
+    return svec(_congruence(Rinv.T, U))
+
+
+# elements (entries x svec coordinates) one chunk of a Schur-row gather holds:
+# 512 KiB temporaries stay in cache, which made the d = 45 gather of step V
+# about 1.7x faster than one unchunked pass, and bound memory for any d
+SCHUR_CHUNK = 1 << 16
+
+
+class _SchurRows:
+    """Rows b_i = svec(R^T A_i R) of the rows touching one matrix block.
+
+    M = B B^T is that block's share of the Schur complement.  A row's
+    matrix A_i has few entries, so R^T A_i R is a sum of rank-2 products
+    of rows of R, one per entry; they are summed per row with
+    ``np.add.reduceat`` over chunks of whole rows, which keeps temporaries
+    at O(SCHUR_CHUNK) instead of O(nnz * svec(d)).
+    """
+
+    def __init__(self, A_blk: sp.csr_matrix, d: int):
+        """``A_blk``: the block's columns of the rows touching it, no row empty."""
+        iu, ju, _ = svec_indices(d)
+        self.d = d
+        self.indptr = A_blk.indptr
+        self.p = iu[A_blk.indices]
+        self.q = ju[A_blk.indices]
+        # smat halves an off-diagonal svec value onto two slots through 1/sqrt2;
+        # the rank-2 product below counts a diagonal entry twice
+        self.coef = A_blk.data * np.where(self.p == self.q, 0.5, 1.0 / np.sqrt(2.0))
+        per_chunk = max(1, SCHUR_CHUNK // svec_dim(d))
+        starts = [0]
+        for r in range(1, A_blk.shape[0]):
+            if self.indptr[r + 1] - self.indptr[starts[-1]] > per_chunk:
+                starts.append(r)
+        self.bounds = list(zip(starts, starts[1:] + [A_blk.shape[0]]))
+
+    def rows(self, R: np.ndarray) -> np.ndarray:
+        iu, ju, scale = svec_indices(self.d)
+        RI = R[:, iu]
+        RJ = R[:, ju]
+        B = np.empty((len(self.indptr) - 1, len(iu)))
+        for r0, r1 in self.bounds:
+            e0, e1 = self.indptr[r0], self.indptr[r1]
+            p, q = self.p[e0:e1], self.q[e0:e1]
+            G = RI[p] * RJ[q]
+            G += RI[q] * RJ[p]
+            G *= self.coef[e0:e1, None]
+            B[r0:r1] = np.add.reduceat(G, self.indptr[r0:r1] - e0, axis=0)
+        B *= scale
+        return B
 
 
 def _max_step_psd(L: np.ndarray, Delta: np.ndarray) -> float:
@@ -329,6 +408,14 @@ def _max_step_psd(L: np.ndarray, Delta: np.ndarray) -> float:
     if wmin >= -1e-16:
         return np.inf
     return -1.0 / wmin
+
+
+def _max_step_lp(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest a with  x + a*dx >= 0  (the min-ratio test), x > 0."""
+    neg = dx < 0
+    if not np.any(neg):
+        return np.inf
+    return float((-x[neg] / dx[neg]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +517,6 @@ class _Preprocessed:
         return y
 
 
-def _block_structure(prob: SdpProblem, A_psd: sp.csr_matrix):
-    """Per-block CSR slices and the rows touching each block."""
-    A_csc = A_psd.tocsc()
-    slices = prob.block_slices()
-    out = []
-    for bi, sl in enumerate(slices):
-        sub = A_csc[:, sl]
-        rows = np.unique(sub.tocoo().row)
-        out.append((bi, sl, rows, sub.tocsr()[rows] if len(rows) else None))
-    return out
-
-
 def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """Solve the SDP; deterministic for identical problem data."""
     opts = opts or SolveOptions()
@@ -461,6 +536,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         )
 
     dims = prob.block_dims
+    slices = prob.block_slices()
     n_psd = prob.n_psd
     A = pre.A_psd
     Af = pre.A_free
@@ -469,34 +545,60 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
     cf = pre.c_free
     m = A.shape[0]
     nf = Af.shape[1]
-    struct = _block_structure(prob, A)
-    slices = prob.block_slices()
     nu = sum(dims)
+
+    # every 1x1 block is one coordinate of the nonnegative cone; the others
+    # are matrix blocks, each with the Schur-row pattern of the rows it touches
+    lp_blocks = [bi for bi, d in enumerate(dims) if d == 1]
+    mat_blocks = [bi for bi, d in enumerate(dims) if d > 1]
+    lp = np.array([slices[bi].start for bi in lp_blocks], dtype=np.int64)
+    A_csc = A.tocsc()
+    A_lp = A_csc[:, lp].tocsr()
+    schur_rows = []
+    for bi in mat_blocks:
+        sub = A_csc[:, slices[bi]].tocsr()
+        rows = np.flatnonzero(np.diff(sub.indptr))
+        schur_rows.append((rows, _SchurRows(sub[rows], dims[bi]) if len(rows) else None))
 
     # identity start
     s0 = opts.init_scale
-    X = [np.eye(d) * s0 for d in dims]
-    Z = [np.eye(d) * s0 for d in dims]
+    X = [np.eye(dims[bi]) * s0 for bi in mat_blocks]
+    Z = [np.eye(dims[bi]) * s0 for bi in mat_blocks]
+    x = np.full(len(lp), s0)
+    z = np.full(len(lp), s0)
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
-    def vec_x():
-        return np.concatenate([svec(Xk) for Xk in X]) if dims else np.zeros(0)
+    def to_vec(mats, v):
+        out = np.empty(n_psd)
+        out[lp] = v
+        for bi, Mk in zip(mat_blocks, mats):
+            out[slices[bi]] = svec(Mk)
+        return out
 
-    def vec_z():
-        return np.concatenate([svec(Zk) for Zk in Z]) if dims else np.zeros(0)
+    def to_mats(v):
+        return [smat(v[slices[bi]], dims[bi]) for bi in mat_blocks]
+
+    def to_blocks(mats, v):
+        out: list = [None] * len(dims)
+        for bi, Mk in zip(mat_blocks, mats):
+            out[bi] = 0.5 * (Mk + Mk.T)
+        for bi, vk in zip(lp_blocks, v):
+            out[bi] = np.array([[vk]])
+        return out
 
     xf = np.zeros(nf)
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.sqrt(np.linalg.norm(c) ** 2 + np.linalg.norm(cf) ** 2)
 
     best = None
+    trace: list[dict] = []
     status, msg = "numerical-failure", "iteration limit reached"
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        xv = vec_x()
-        zv = vec_z()
+        xv = to_vec(X, x)
+        zv = to_vec(Z, z)
         # residuals of the homogeneous model
         Rp = A @ xv + Af @ xf - b * tau
         Rd_psd = -(A.T @ y) + c * tau - zv
@@ -519,8 +621,12 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
-            best = (score, [Xk / tau for Xk in X], xfhat.copy(), yhat.copy(),
-                    [Zk / tau for Zk in Z], pres, dres, gap, pobj)
+            best = (score, [Xk / tau for Xk in X], x / tau, xfhat.copy(), yhat.copy(),
+                    [Zk / tau for Zk in Z], z / tau, pres, dres, gap, pobj)
+        entry = {"mu": mu, "pres": float(pres), "dres": float(dres), "gap": gap,
+                 "tau": tau, "kappa": kappa, "sigma": None, "step": None, "seconds": {}}
+        trace.append(entry)
+        seconds = entry["seconds"]
 
         if max(pres, dres, gap) <= opts.tol:
             status, msg = "optimal", f"converged in {it} iterations"
@@ -543,23 +649,28 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             status, msg = "numerical-failure", "tau collapsed without clean certificate"
             break
 
-        # NT scalings
+        # NT scalings: per matrix block, elementwise x/z on the nonnegative cone
+        t0 = time.perf_counter()
         try:
             scalings = [_BlockScaling(Xk, Zk) for Xk, Zk in zip(X, Z)]
         except np.linalg.LinAlgError:
             status, msg = "numerical-failure", "iterate left the cone"
             break
+        w_lp = x / z
+        t1 = time.perf_counter()
+        seconds["scaling"] = t1 - t0
 
-        # Schur complement  M = sum_blocks A_b (W^T W) A_b^T  (+ augmented free part)
+        # Schur complement  M = sum_blocks B_b B_b^T + A_lp diag(x/z) A_lp^T
         M = np.zeros((m, m))
-        Bmats = []
-        for (bi, sl, rows, Asub) in struct:
-            if Asub is None:
-                Bmats.append(None)
-                continue
-            Bsub = Asub @ scalings[bi].K  # rows: svec(R^T Ai R)...
-            Bmats.append((rows, Bsub))
-            M[np.ix_(rows, rows)] += Bsub @ Bsub.T
+        for (rows, sr), sc in zip(schur_rows, scalings):
+            if sr is not None:
+                B = sr.rows(sc.R)
+                M[np.ix_(rows, rows)] += B @ B.T
+        if len(lp):
+            S_lp = (A_lp @ sp.diags(w_lp) @ A_lp.T).tocoo()
+            M[S_lp.row, S_lp.col] += S_lp.data
+        t2 = time.perf_counter()
+        seconds["schur"] = t2 - t1
 
         jitter = 0.0
         base = np.trace(M) / max(m, 1)
@@ -584,12 +695,14 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
                 break
         else:
             MA, L_F = None, None
+        t3 = time.perf_counter()
+        seconds["factor"] = t3 - t2
 
         def apply_Hinv(v):
             out = np.empty_like(v)
-            for (bi, sl, rows, Asub) in struct:
-                Kb = scalings[bi].K
-                out[sl] = Kb @ (Kb.T @ v[sl])
+            out[lp] = w_lp * v[lp]
+            for bi, sc in zip(mat_blocks, scalings):
+                out[slices[bi]] = _hinv_svec(sc.R, v[slices[bi]])
             return out
 
         def solve_kkt(u_K, u_F, u_y):
@@ -598,10 +711,10 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             g = u_y - A @ Hi_uK
             h = -u_F
             if nf:
-                t1 = sla.cho_solve((L_M, True), g)
-                rhsF = Af.T @ t1 - h
+                g1 = sla.cho_solve((L_M, True), g)
+                rhsF = Af.T @ g1 - h
                 dxF = sla.cho_solve((L_F, True), rhsF)
-                dy = t1 - MA @ dxF
+                dy = g1 - MA @ dxF
             else:
                 dxF = np.zeros(0)
                 dy = sla.cho_solve((L_M, True), g)
@@ -612,22 +725,20 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         q_xK, q_xF, q_y = solve_kkt(-c, -cf, b)
         denom_base = float(kappa / tau + (b @ q_y - c @ q_xK - (cf @ q_xF if nf else 0.0)))
 
-        lam_all = [s.lam for s in scalings]
-
-        def direction(sigma, corr_mats, corr_tk):
+        def direction(sigma, corr_mats, corr_lp, corr_tk):
             eta = 1.0 - sigma
-            # d_c per block as matrices
-            rhs_u = np.empty(n_psd)
-            for (bi, sl, rows, Asub) in struct:
-                lam = lam_all[bi]
+            # W^-1 applied to the scaled complementarity residual, per block
+            rhs_u = -eta * Rd_psd
+            for k, (bi, sc) in enumerate(zip(mat_blocks, scalings)):
+                lam = sc.lam
                 Dc = -np.diag(lam**2)
                 if sigma:
                     Dc = Dc + sigma * mu * np.eye(len(lam))
                 if corr_mats is not None:
-                    Dc = Dc - corr_mats[bi]
+                    Dc = Dc - corr_mats[k]
                 Umat = 2.0 * Dc / (lam[:, None] + lam[None, :])
-                w_inv_u = scalings[bi].J @ svec(Umat)
-                rhs_u[sl] = -eta * Rd_psd[sl] + w_inv_u
+                rhs_u[slices[bi]] += _winv_svec(sc.Rinv, Umat)
+            rhs_u[lp] += (sigma * mu - x * z - corr_lp) / x
             u_F = -eta * Rd_free
             u_y = -eta * Rp
             d_tk = sigma * mu - tau * kappa - corr_tk
@@ -643,16 +754,13 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             # inexact near the optimum, and the complementarity error is
             # re-centered at the next iteration anyway
             dz = -(A.T @ dy) + c * dtau + eta * Rd_psd
-            dX_mats = [smat(dxK[sl], dims[bi]) for (bi, sl, _, _) in struct]
-            dZ_mats = [smat(dz[sl], dims[bi]) for (bi, sl, _, _) in struct]
             dkappa = (d_tk - kappa * dtau) / tau
-            return dX_mats, dxF, dy, dZ_mats, dtau, dkappa, dxK, dz
+            return dxF, dy, dtau, dkappa, dxK, dz, to_mats(dxK), to_mats(dz)
 
-        def max_step(dX_mats, dZ_mats, dtau, dkappa):
-            a = np.inf
-            for bi, (dXm, dZm) in enumerate(zip(dX_mats, dZ_mats)):
-                a = min(a, _max_step_psd(scalings[bi].Lx, dXm))
-                a = min(a, _max_step_psd(scalings[bi].Lz, dZm))
+        def max_step(dxK, dz, dX, dZ, dtau, dkappa):
+            a = min(_max_step_lp(x, dxK[lp]), _max_step_lp(z, dz[lp]))
+            for sc, dXm, dZm in zip(scalings, dX, dZ):
+                a = min(a, _max_step_psd(sc.Lx, dXm), _max_step_psd(sc.Lz, dZm))
             if dtau < 0:
                 a = min(a, -tau / dtau)
             if dkappa < 0:
@@ -660,9 +768,10 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             return a
 
         # predictor
-        aff = direction(0.0, None, 0.0)
-        dXa, dxFa, dya, dZa, dtaua, dkappaa, dxKa, dza = aff
-        a_aff = min(1.0, max_step(dXa, dZa, dtaua, dkappaa))
+        dxFa, dya, dtaua, dkappaa, dxKa, dza, dXa, dZa = direction(0.0, None, 0.0, 0.0)
+        t5 = time.perf_counter()
+        a_aff = min(1.0, max_step(dxKa, dza, dXa, dZa, dtaua, dkappaa))
+        t6 = time.perf_counter()
         mu_aff = (
             float((xv + a_aff * dxKa) @ (zv + a_aff * dza))
             + (tau + a_aff * dtaua) * (kappa + a_aff * dkappaa)
@@ -670,78 +779,85 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
         sigma = min(max(sigma, 1e-8), 1.0 - 1e-8)
 
-        # corrector terms (W^-T dx_aff) o (W dz_aff) per block
+        # corrector terms (W^-T dx_aff) o (W dz_aff): per matrix block, and
+        # dx o dz on the nonnegative cone
         corr_mats = []
-        for bi in range(len(dims)):
-            Rm, Rinv = scalings[bi].R, scalings[bi].Rinv
-            Xi = Rinv @ dXa[bi] @ Rinv.T
-            Om = Rm.T @ dZa[bi] @ Rm
+        for sc, dXm, dZm in zip(scalings, dXa, dZa):
+            Xi = sc.Rinv @ dXm @ sc.Rinv.T
+            Om = sc.R.T @ dZm @ sc.R
             corr_mats.append(0.5 * (Xi @ Om + Om @ Xi))
+        corr_lp = dxKa[lp] * dza[lp]
         corr_tk = dtaua * dkappaa
 
-        comb = direction(sigma, corr_mats, corr_tk)
-        dX, dxF, dy, dZ, dtau, dkappa, dxK, dz = comb
-        a = min(1.0, opts.step_fraction * max_step(dX, dZ, dtau, dkappa))
+        dxF, dy, dtau, dkappa, dxK, dz, dX, dZ = direction(sigma, corr_mats, corr_lp, corr_tk)
+        t7 = time.perf_counter()
+        a = min(1.0, opts.step_fraction * max_step(dxK, dz, dX, dZ, dtau, dkappa))
+        t8 = time.perf_counter()
+        seconds["directions"] = (t5 - t3) + (t7 - t6)
+        seconds["step_length"] = (t6 - t5) + (t8 - t7)
+        entry["sigma"] = sigma
+        entry["step"] = a
 
         if a < opts.min_step:
-            if best is not None and best[5] <= opts.tol and best[6] <= opts.tol:
+            if best is not None and best[7] <= opts.tol and best[8] <= opts.tol:
                 status, msg = "feasible", "stalled with feasible iterate, gap above tolerance"
             else:
                 status, msg = "numerical-failure", f"step length {a:.2e} below minimum"
             break
 
-        for bi in range(len(dims)):
-            X[bi] = X[bi] + a * dX[bi]
-            Z[bi] = Z[bi] + a * dZ[bi]
-            X[bi] = 0.5 * (X[bi] + X[bi].T)
-            Z[bi] = 0.5 * (Z[bi] + Z[bi].T)
+        for k, (dXk, dZk) in enumerate(zip(dX, dZ)):
+            X[k] = X[k] + a * dXk
+            Z[k] = Z[k] + a * dZk
+            X[k] = 0.5 * (X[k] + X[k].T)
+            Z[k] = 0.5 * (Z[k] + Z[k].T)
+        x = x + a * dxK[lp]
+        z = z + a * dz[lp]
         xf = xf + a * dxF if nf else xf
         y = y + a * dy
         tau += a * dtau
         kappa += a * dkappa
     else:
         it = opts.max_iter
-        if best is not None and best[5] <= opts.tol and best[6] <= opts.tol:
+        if best is not None and best[7] <= opts.tol and best[8] <= opts.tol:
             status, msg = "feasible", "iteration limit with feasible iterate"
 
     if status in ("infeasible", "unbounded"):
-        sol = SdpSolution(status=status, objective=None, iterations=it, message=msg)
+        sol = SdpSolution(status=status, objective=None, iterations=it, message=msg,
+                          trace=trace)
         sol.y = pre.recover_y(y, ray=True) if status == "infeasible" else np.zeros(prob.n_rows)
         if status == "unbounded":
-            sol.blocks = [Xk.copy() for Xk in X]
+            sol.blocks = to_blocks(X, x)
         return sol
 
     if status == "numerical-failure" and best is None:
-        return SdpSolution(status=status, objective=None, iterations=it, message=msg)
+        return SdpSolution(status=status, objective=None, iterations=it, message=msg,
+                           trace=trace)
 
     # a numerical break that leaves a feasible iterate is still usable: the
     # residuals certify feasibility, and a not-fully-closed duality gap only
     # means the objective value is approximate, which callers validating the
     # extracted point independently can live with
-    if status == "numerical-failure" and max(best[5], best[6]) <= 10.0 * opts.tol \
-            and best[7] <= max(10.0 * opts.tol, 1e-6):
+    if status == "numerical-failure" and max(best[7], best[8]) <= 10.0 * opts.tol \
+            and best[9] <= max(10.0 * opts.tol, 1e-6):
         status = "feasible"
-        msg = f"stalled near tolerance (gap {best[7]:.1e}): {msg}"
+        msg = f"stalled near tolerance (gap {best[9]:.1e}): {msg}"
 
     # report the best de-homogenized iterate
-    _, Xb, xfb, yb, Zb, pres, dres, gap, pobj = best
-    free_full = pre.recover_free(xfb)
-    y_full = pre.recover_y(yb)
-    min_eig = min(
-        (float(np.linalg.eigvalsh(Xk)[0]) for Xk in Xb), default=0.0
-    )
-    sol = SdpSolution(
+    _, Xb, xb, xfb, yb, Zb, zb, pres, dres, gap, pobj = best
+    blocks = to_blocks(Xb, xb)
+    min_eig = min((float(np.linalg.eigvalsh(Xk)[0]) for Xk in blocks), default=0.0)
+    return SdpSolution(
         status=status,
         objective=pobj + pre.obj_const,
-        blocks=[0.5 * (Xk + Xk.T) for Xk in Xb],
-        free=free_full,
-        y=y_full,
-        z_blocks=[0.5 * (Zk + Zk.T) for Zk in Zb],
+        blocks=blocks,
+        free=pre.recover_free(xfb),
+        y=pre.recover_y(yb),
+        z_blocks=to_blocks(Zb, zb),
         residuals={"primal_eq": float(pres), "min_eig": min_eig, "duality_gap": float(gap)},
         iterations=it,
         message=msg,
+        trace=trace,
     )
-    return sol
 
 
 def validate_solution(prob: SdpProblem, sol: SdpSolution) -> dict:

@@ -6,9 +6,10 @@ matrix inequality over the consistency ellipsoid.  V*k products make it
 bilinear, so it is solved by alternation: fix k and fit (V, lambda, alphas),
 then fix (V, lambda) and refit (k, alphas), for a configured number of
 rounds.  Each step maximizes a scalar margin added to the matrix slot's
-Gram diagonal; the margin value is recorded as a slack diagnostic, and a
-step is accepted only if the extracted tuple satisfies the matrix
-inequality pointwise on a sampled box.
+Gram diagonal.  A step whose margin comes back negative is rejected at
+once, because its Gram matrix is then not certified; otherwise the step is
+accepted only if the extracted tuple satisfies the matrix inequality
+pointwise on a sampled box.
 
 Scale note: the constraints are nearly homogeneous in (V, lambda, alphas,
 Grams), so without a normalization the solver parks the whole problem at
@@ -510,11 +511,12 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
 
     The first step fixes k = cfg.k_init and fits (V, lambda, alphas); the
     second fixes (V, lambda) and refits (k, alphas); rounds repeat the pair.
-    A first step that is infeasible, or whose extracted tuple fails the
-    sampled matrix check, raises; a later failure stops the loop and the
-    last accepted step is returned.  The returned tuple is re-verified by
-    the independent oracles before being handed back; verification failure
-    of a solver-accepted result is a hard error.
+    A first step that is infeasible, returns a negative Gram margin t, or
+    whose extracted tuple fails the sampled matrix check, raises; a later
+    failure stops the loop and the last accepted step is returned.  The
+    returned tuple is re-verified by the independent oracles before being
+    handed back; verification failure of a solver-accepted result is a hard
+    error.
     """
     if ell.bases is None:
         raise SynthesisError(
@@ -550,6 +552,13 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         t_val = float(sol.coeff(legend["t"]))
         rec["t"] = t_val
         rec["objective"] = None if sol.objective is None else -float(sol.objective)
+        if t_val < 0.0:
+            # the PSD block holds G - t*D, so t < 0 leaves the Gram matrix G
+            # itself uncertified; no envelope refit or box check can help
+            rec["status"] = "negative-margin"
+            rec["diagnostic"] = f"Gram margin t = {t_val:.6g} < 0"
+            history.append(rec)
+            return False
         # alpha extraction with gate repair: the coupled solve can leave a
         # sum a hair under the epsilon gate, so bump the r^2 coefficient
         eps_row = _eps_row(cfg.epsilon)
@@ -579,9 +588,9 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
             history.append(rec)
             return False
         alphas = (a1_new, a2_new, ext["a3"], ext["a4"])
-        # the Gram margin t is a slack diagnostic, not the acceptance test:
-        # the extracted tuple must satisfy the matrix inequality pointwise
-        # on the sample box
+        # t >= 0 certifies the Gram matrix, but the acceptance test is that
+        # the extracted tuple satisfies the matrix inequality pointwise on
+        # the sample box
         rng = np.random.default_rng(1000 * rnd + (0 if step == "V" else 1))
         XE = rng.uniform(-cfg.check_box, cfg.check_box,
                          size=(cfg.check_samples, 2 * ell.bases.n))

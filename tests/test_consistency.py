@@ -372,3 +372,15 @@ class TestEllipsoidBases:
     def test_absent_by_default(self, ellipsoid):
         assert ellipsoid.bases is None
         assert "Z_basis" not in ellipsoid.to_json_dict()
+
+
+def test_ellipsoid_json_keeps_fit_history():
+    # the synthesis result's ellipsoid_hash is taken over this JSON, so a
+    # reloaded ellipsoid must write the same bytes, fit history included
+    ell = ellipsoid_params(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.1], [-0.2]]))
+    ell.tau = np.array([0.3, 0.7])
+    ell.history = [{"iteration": 0, "best_logdet": 0.5596157879354227}]
+    s = ell.to_json()
+    again = type(ell).from_json(s)
+    assert again.history == [{"best_logdet": 0.5596157879354227}]
+    assert again.to_json() == s

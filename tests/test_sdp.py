@@ -2,18 +2,42 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import issynth.sdp as sdp
 from issynth.sdp import (
     SdpProblem,
     SdpSolution,
     SolveOptions,
-    _congruence_matrix,
+    _hinv_svec,
+    _SchurRows,
+    _winv_svec,
     smat,
     solve_sdp,
     svec,
     svec_dim,
+    svec_indices,
     validate_solution,
 )
+
+
+def _congruence_matrix(Q: np.ndarray) -> np.ndarray:
+    """Matrix of the map svec(S) -> svec(Q S Q^T), columns over svec coords.
+
+    O(d^4) in time and memory; the reference the solver's d x d products
+    are checked against.
+    """
+    d = Q.shape[0]
+    iu, ju, scale = svec_indices(d)
+    U = Q[:, iu]  # (d, nsvec) columns q_p
+    V = Q[:, ju]
+    # outer(q_p, q_q) for every svec coordinate
+    T = U[:, None, :] * V[None, :, :]
+    T = T + np.transpose(T, (1, 0, 2))
+    # smat puts v/sqrt2 on both off-diagonal slots, v on the diagonal
+    T *= np.where(iu == ju, 0.5, 1.0 / np.sqrt(2.0))[None, None, :]
+    K = T[iu, ju, :] * scale[:, None]
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +67,59 @@ class TestSvec:
             S = rng.standard_normal((d, d))
             S = S + S.T
             assert np.allclose(K @ svec(S), svec(Q @ S @ Q.T))
+
+
+def _factor_with_condition(rng, d, cond):
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return U @ np.diag(np.logspace(0.0, -np.log10(cond), d)) @ V.T
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestScalingProducts:
+    """The solver's d x d products against the O(d^4) congruence matrices."""
+
+    @pytest.mark.parametrize("cond", [1.0e1, 1.0e8])
+    def test_schur_rows_match_oracle(self, cond, monkeypatch):
+        rng = np.random.default_rng(21)
+        d = 12
+        n = svec_dim(d)
+        # every svec coordinate in exactly one row, 1-4 entries per row, as
+        # in SOS coefficient matching; plus a few denser rows
+        perm = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=n // 2, replace=False))
+        rows = [list(part) for part in np.split(perm, cuts)]
+        rows += [list(rng.choice(n, size=20, replace=False)) for _ in range(3)]
+        A = sp.csr_matrix(
+            (rng.standard_normal(sum(map(len, rows))),
+             np.concatenate(rows), np.cumsum([0] + [len(r) for r in rows])),
+            shape=(len(rows), n))
+        R = _factor_with_condition(rng, d, cond)
+        ref = A @ _congruence_matrix(R)
+        whole = _SchurRows(A, d).rows(R)
+        assert _rel_err(whole, ref) <= 1e-12
+        monkeypatch.setattr(sdp, "SCHUR_CHUNK", 3 * n)
+        chunked = _SchurRows(A, d)
+        assert len(chunked.bounds) > 5
+        assert np.array_equal(chunked.rows(R), whole)
+
+    @pytest.mark.parametrize("cond", [1.0e1, 1.0e8])
+    def test_hinv_and_winv_match_oracle(self, cond):
+        rng = np.random.default_rng(22)
+        d = 9
+        R = _factor_with_condition(rng, d, cond)
+        Rinv = np.linalg.inv(R)
+        K = _congruence_matrix(R)
+        J = _congruence_matrix(Rinv.T)
+        for _ in range(3):
+            S = rng.standard_normal((d, d))
+            S = S + S.T
+            v = svec(S)
+            assert _rel_err(_hinv_svec(R, v), K @ (K.T @ v)) <= 1e-12
+            assert _rel_err(_winv_svec(Rinv, S), J @ v) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +222,57 @@ class TestKnownProblems:
         # x0 can go to 0 (x1 absorbs the sum), G00 can go to 0 as well
         assert abs(sol.objective) <= 1e-6
 
+    def test_lp_only_known_optimum(self):
+        # min 2x0 + 3x1 + x2  s.t.  x0 + x1 + x2 = 4,  x0 - x2 = 1,  x >= 0:
+        # optimum x = (2.5, 0, 1.5), value 6.5, duals y = (1.5, 0.5)
+        p = SdpProblem()
+        x = [p.add_block(1) for _ in range(3)]
+        p.add_row(psd_entries=[(xi, 0, 0, 1.0) for xi in x], rhs=4.0)
+        p.add_row(psd_entries=[(x[0], 0, 0, 1.0), (x[2], 0, 0, -1.0)], rhs=1.0)
+        for xi, cost in zip(x, (2.0, 3.0, 1.0)):
+            p.set_objective_entry(xi, 0, 0, cost)
+        sol = solve_sdp(p)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - 6.5) <= 1e-7
+        assert np.allclose([B[0, 0] for B in sol.blocks], [2.5, 0.0, 1.5], atol=1e-7)
+        assert np.allclose(sol.y, [1.5, 0.5], atol=1e-7)
+        assert np.allclose([Z[0, 0] for Z in sol.z_blocks], [0.0, 1.5, 0.0], atol=1e-7)
+        assert validate_solution(p, sol)["ok"]
+
+    def test_lp_only_infeasible(self):
+        # x1 + x2 = -1 has no nonnegative solution, whatever x0 does
+        p = SdpProblem()
+        x = [p.add_block(1) for _ in range(3)]
+        p.add_row(psd_entries=[(x[0], 0, 0, 1.0), (x[1], 0, 0, 1.0)], rhs=1.0)
+        p.add_row(psd_entries=[(x[1], 0, 0, 1.0), (x[2], 0, 0, 1.0)], rhs=-1.0)
+        sol = solve_sdp(p)
+        assert sol.status == "infeasible"
+        # the dual ray y certifies it: A^T y <= 0 entrywise with b . y > 0
+        assert sol.y @ [1.0, -1.0] > 0
+
 
 # ---------------------------------------------------------------------------
 # randomized rounds
 
 
-def _random_feasible_sdp(rng, d, m, nf=0):
-    """Strictly feasible by construction: rhs evaluated at a PD interior point."""
+def _random_feasible_sdp(rng, d, m, nf=0, ns=0):
+    """Strictly feasible by construction: rhs evaluated at a PD interior point.
+
+    ``ns`` scalar (1x1) blocks join the rows, each row taking one of them.
+    With ns = 0 the random stream is the one drawn before scalar blocks
+    existed, so those problems are unchanged.
+    """
     p = SdpProblem()
     g = p.add_block(d)
+    scal = [p.add_block(1) for _ in range(ns)]
     for _ in range(nf):
         p.add_free()
     X0 = rng.standard_normal((d, d))
     X0 = X0 @ X0.T + d * np.eye(d)
     v0 = rng.standard_normal(nf)
+    s0 = rng.uniform(0.5, 2.0, ns) if ns else np.zeros(0)
     iu, ju = np.triu_indices(d)
-    for _ in range(m):
+    for r in range(m):
         nz = rng.choice(len(iu), size=min(6, len(iu)), replace=False)
         entries = [(g, int(iu[k]), int(ju[k]), float(rng.standard_normal())) for k in nz]
         fe = []
@@ -169,12 +281,19 @@ def _random_feasible_sdp(rng, d, m, nf=0):
             fe = [(j, float(rng.standard_normal()))]
         rhs = sum(c * X0[i, jj] for (_, i, jj, c) in entries)
         rhs += sum(c * v0[j] for j, c in fe)
+        if ns:
+            k = r % ns
+            cs = float(rng.standard_normal())
+            entries.append((scal[k], 0, 0, cs))
+            rhs += cs * s0[k]
         p.add_row(entries, fe, rhs)
     # PD objective keeps the problem bounded below
     C = rng.standard_normal((d, d))
     C = C @ C.T + d * np.eye(d)
     for i, j in zip(iu, ju):
         p.set_objective_entry(g, int(i), int(j), float(C[i, j] if i == j else 2 * C[i, j]))
+    for k in scal:
+        p.set_objective_entry(k, 0, 0, float(rng.uniform(0.5, 2.0)))
     return p
 
 
@@ -193,8 +312,31 @@ class TestRandomized:
             assert val["min_eig"] >= -1e-8, (trial, val)
             assert val["duality_gap"] <= 1e-6, (trial, val)
 
+    def test_mixed_cone_problems_solve(self):
+        rng = np.random.default_rng(43)
+        for trial in range(10):
+            d = int(rng.integers(3, 12))
+            m = int(rng.integers(2, svec_dim(d) // 2 + 2))
+            nf = int(rng.integers(0, 3))
+            ns = int(rng.integers(1, m + 3))
+            p = _random_feasible_sdp(rng, d, m, nf, ns)
+            sol = solve_sdp(p)
+            val = validate_solution(p, sol)
+            assert sol.status == "optimal", (trial, sol.status, sol.message)
+            assert [B.shape for B in sol.blocks] == [(dd, dd) for dd in p.block_dims]
+            assert [B.shape for B in sol.z_blocks] == [(dd, dd) for dd in p.block_dims]
+            assert val["primal_eq"] <= 1e-7, (trial, val)
+            assert val["min_eig"] >= -1e-8, (trial, val)
+            assert val["duality_gap"] <= 1e-6, (trial, val)
+
     def test_deterministic_reruns(self):
         p = _random_feasible_sdp(np.random.default_rng(7), 8, 10, 2)
+        s1 = solve_sdp(p).to_json()
+        s2 = solve_sdp(p).to_json()
+        assert s1 == s2
+
+    def test_deterministic_reruns_mixed_cone(self):
+        p = _random_feasible_sdp(np.random.default_rng(8), 8, 10, 2, ns=6)
         s1 = solve_sdp(p).to_json()
         s2 = solve_sdp(p).to_json()
         assert s1 == s2
@@ -220,6 +362,29 @@ class TestRandomized:
             p.add_row(psd_entries=[(g, int(i), int(j), 1.0)], rhs=0.1)
             sol = solve_sdp(p)
             assert sol.status == "infeasible", (d, sol.status, sol.message)
+
+
+# ---------------------------------------------------------------------------
+# solver trace
+
+
+def test_trace_has_one_entry_per_iteration():
+    p = _random_feasible_sdp(np.random.default_rng(5), 6, 8, 1, ns=4)
+    sol = solve_sdp(p)
+    assert sol.status == "optimal"
+    assert len(sol.trace) == sol.iterations
+    keys = {"mu", "pres", "dres", "gap", "tau", "kappa", "sigma", "step", "seconds"}
+    phases = {"scaling", "schur", "factor", "directions", "step_length"}
+    for e in sol.trace[:-1]:
+        assert set(e) == keys
+        assert set(e["seconds"]) == phases
+        assert all(t >= 0.0 for t in e["seconds"].values())
+        assert 0.0 < e["step"] <= 1.0 and 0.0 < e["sigma"] < 1.0
+    # the converged iteration computes residuals only
+    last = sol.trace[-1]
+    assert max(last["pres"], last["dres"], last["gap"]) <= 1e-8
+    assert last["sigma"] is None and last["step"] is None and last["seconds"] == {}
+    assert "trace" not in sol.to_json_dict()
 
 
 # ---------------------------------------------------------------------------

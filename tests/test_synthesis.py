@@ -1,19 +1,24 @@
 """Tests for the theorem-1 program assembly and the alternation's error paths.
 
-All of them build programs or run tiny solves only; none runs alternate.
+All but one build programs or run tiny solves only; the negative-margin
+test runs alternate up to its first step-V solve.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from issynth.consistency import ellipsoid_params
 from issynth.poly import Polynomial, parse_poly, variables
+from issynth import verify as _verify
 from issynth.simulate import khalil_system
 from issynth.synthesis import (
     SynthesisConfig,
     SynthesisError,
     SynthesisResult,
     _refit_envelopes,
+    alternate,
     assemble_theorem1,
 )
 
@@ -112,3 +117,16 @@ def test_result_json_roundtrip(k_lin):
     assert (back.epsilon, back.margin, back.ellipsoid_hash) == (1e-4, -0.25, "abc")
     assert back.certificates == res.certificates and back.history == res.history
     assert back.to_json() == res.to_json()
+
+
+def test_negative_margin_fails_before_the_box_check(khalil_ell, k_lin, monkeypatch):
+    # step V on this ellipsoid ends with t < 0: the Gram matrix is then not
+    # certified, so the step must be rejected without sampling the box
+    def no_box_check(*args, **kwargs):
+        raise AssertionError("box check ran on a negative margin")
+
+    monkeypatch.setattr(_verify, "theorem1_matrix_values", no_box_check)
+    with pytest.raises(SynthesisError, match="negative-margin") as err:
+        alternate(khalil_ell, SynthesisConfig(k_init=(k_lin,)))
+    t = float(re.search(r"t = (\S+) < 0", str(err.value)).group(1))
+    assert -0.6 < t < -0.5
