@@ -4,12 +4,15 @@ Samples (t, u, x, xdot) of an input-affine polynomial system
 
     xdot = A Z(x) + B W(x) u + d,    |d|^2 <= delta,
 
-constrain the unknown coefficient pair [A B].  Each sample induces a
-quadratic matrix inequality on [A B]; this module builds those per-sample
-forms, fits a matrix ellipsoid that contains every consistent [A B] by
-semidefinite programming with a linearized determinant objective, and
-exposes membership tests both for the exact per-sample sets and for the
-fitted ellipsoid.
+constrain the unknown coefficient pair [A B].  Each sample's quadratic
+matrix inequality on [A B] is fixed by its regressor xi = [Z(x); W(x) u],
+its derivative xdot and delta; this module stacks those rows, fits a
+matrix ellipsoid that contains every consistent [A B] by semidefinite
+programming with a linearized determinant objective, and exposes
+membership tests both for the exact per-sample sets and for the fitted
+ellipsoid.  The fit first checks excitation: unless the stacked regressors
+have full column rank N+M, some direction of [A B] is unconstrained and
+the fit raises ConsistencyError before any solve.
 """
 
 from __future__ import annotations
@@ -22,11 +25,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .poly import Polynomial, Variable, parse_poly, variables
-from .sdp import SdpProblem, SolveOptions, solve_sdp
+from .sdp import SdpProblem, solve_sdp
 
 
 class ConsistencyError(RuntimeError):
-    """Ellipsoid fit failed: infeasible, unbounded, or degenerate."""
+    """Ellipsoid fit failed.
+
+    The reason is too little excitation in the data (stacked regressors of
+    rank below N+M, found before any solve), or an infeasible, unbounded or
+    degenerate fit.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -178,74 +186,55 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# regressor matrices and per-sample data matrices
+# per-sample data
 
 
-class Regressors(NamedTuple):
-    Z0: np.ndarray  # (N, T), columns Z(x_i)
-    W0: np.ndarray  # (M, T), columns W(x_i) u_i
-    rank: int
-
-    @property
-    def full_row_rank(self) -> bool:
-        return self.rank == self.Z0.shape[0] + self.W0.shape[0]
-
-
-def build_regressors(ds: Dataset) -> Regressors:
-    """Column-stack the regressors of every sample and rank the result.
-
-    The rank of the stacked (N+M) x T matrix decides whether the ellipsoid
-    fit is guaranteed feasible; the threshold is 1e-9 relative to the
-    largest singular value.
-    """
-    if ds.T < 1:
-        raise ValueError("dataset has no samples")
-    b = ds.bases
-    Z0 = np.column_stack([b.z_at(s.x) for s in ds.samples])
-    W0 = np.column_stack([b.w_at(s.x) @ s.u for s in ds.samples])
-    sv = np.linalg.svd(np.vstack([Z0, W0]), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
-    return Regressors(Z0, W0, rank)
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products a_t b_t^T, stacked along the first axis."""
+    return np.einsum("ta,tb->tab", a, b)
 
 
 @dataclass(frozen=True)
 class DataMatrices:
-    """Per-sample quadratic-form matrices, stacked along the first axis.
+    """Raw sample rows: regressors xi_i = [Z(x_i); W(x_i) u_i] and derivatives.
 
-    The optional raw fields carry the regressors and derivatives the
-    matrices were built from; the ellipsoid fit uses them to precondition
-    its internal coordinates (the matrices alone define the constraint).
+    Sample i constrains zeta = [A B]^T by |xdot_i - zeta^T xi_i|^2 <= delta,
+    the quadratic matrix inequality with the per-sample matrices C, B, A
+    below.  The ellipsoid fit needs the stacked regressors to have full
+    column rank N+M (enough excitation); with fewer independent rows the
+    consistent set is unbounded and the fit raises ConsistencyError.
     """
 
-    C: np.ndarray  # (T, n, n), xdot xdot^T - delta I
-    B: np.ndarray  # (T, N+M, n), -[Z; Wu] xdot^T
-    A: np.ndarray  # (T, N+M, N+M), [Z; Wu] [Z; Wu]^T
-    xi: np.ndarray | None = None    # (T, N+M) raw regressors
-    xdot: np.ndarray | None = None  # (T, n) raw derivatives
-    delta: float | None = None
+    xi: np.ndarray    # (T, N+M)
+    xdot: np.ndarray  # (T, n)
+    delta: float
 
     def __len__(self) -> int:
-        return self.C.shape[0]
+        return self.xi.shape[0]
+
+    @property
+    def C(self) -> np.ndarray:
+        """(T, n, n): xdot xdot^T - delta I."""
+        return _outer_rows(self.xdot, self.xdot) - self.delta * np.eye(self.xdot.shape[1])
+
+    @property
+    def B(self) -> np.ndarray:
+        """(T, N+M, n): -xi xdot^T."""
+        return -_outer_rows(self.xi, self.xdot)
+
+    @property
+    def A(self) -> np.ndarray:
+        """(T, N+M, N+M): xi xi^T."""
+        return _outer_rows(self.xi, self.xi)
 
 
 def build_data_matrices(ds: Dataset) -> DataMatrices:
     if ds.delta <= 0.0:
         raise ValueError("data matrices need a strictly positive noise bound delta")
-    n = ds.bases.n
-    I = np.eye(n)
-    Cs, Bs, As, xis, xdots = [], [], [], [], []
-    for s in ds.samples:
-        xi = ds.bases.regressor(s.x, s.u)
-        Cs.append(np.outer(s.xdot, s.xdot) - ds.delta * I)
-        Bs.append(-np.outer(xi, s.xdot))
-        As.append(np.outer(xi, xi))
-        xis.append(xi)
-        xdots.append(s.xdot)
-    return DataMatrices(np.array(Cs), np.array(Bs), np.array(As),
-                        np.array(xis), np.array(xdots), ds.delta)
+    b = ds.bases
+    xi = np.array([b.regressor(s.x, s.u) for s in ds.samples]).reshape(ds.T, b.N + b.M)
+    xdot = np.array([s.xdot for s in ds.samples]).reshape(ds.T, b.n)
+    return DataMatrices(xi, xdot, ds.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +335,8 @@ def assemble_overapprox_lmi(
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (len(dm),):
         raise ValueError(f"expected {len(dm)} multipliers, got shape {tau.shape}")
-    n = dm.C.shape[1]
-    p = dm.A.shape[1]
+    n = dm.xdot.shape[1]
+    p = dm.xi.shape[1]
     tC = np.tensordot(tau, dm.C, axes=1)
     tB = np.tensordot(tau, dm.B, axes=1)
     tA = np.tensordot(tau, dm.A, axes=1)
@@ -364,8 +353,7 @@ def assemble_overapprox_lmi(
 
 
 def _fit_problem(
-    Cs: np.ndarray, Bs: np.ndarray, As: np.ndarray, W_obj: np.ndarray,
-    margin: float = 0.0,
+    Cs: np.ndarray, Bs: np.ndarray, As: np.ndarray, W_obj: np.ndarray, margin: float,
 ) -> SdpProblem:
     """One linearized fit step as an SDP over P = -S - margin*I >= 0 and the multipliers.
 
@@ -373,8 +361,7 @@ def _fit_problem(
     survives the round trip back to raw data units (the congruence blows
     constraint residuals up by 1/rho^2).  A_bar is P33 + margin*I.
     """
-    T = Cs.shape[0]
-    n = Cs.shape[1]
+    T, n = Cs.shape[:2]
     p = As.shape[1]
     prob = SdpProblem()
     P = prob.add_block(n + 2 * p, "neg_lmi")
@@ -409,66 +396,60 @@ def _fit_problem(
     return prob
 
 
-def _fit_coordinates(dm: DataMatrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Centered, noise-normalized coordinates for the fit SDP.
+def _fit_coordinates(dm: DataMatrices) -> tuple[DataMatrices, np.ndarray, float]:
+    """Centered, noise-normalized data for the fit SDP.
 
     The raw constraint set sits at distance O(|zeta|) from the origin with
     radius O(sqrt(delta)/|xi|); solving in those units pushes the shape
     matrix to 1/delta scale and breaks the interior-point solver.  We shift
     by the least-squares coefficient estimate zeta0 and rescale so every
-    slab becomes |r - zeta^T xi|^2 <= 1 with O(1) data.  The substitution
-    zeta -> zeta0 + rho * zeta is a congruence on the constraint, so the
-    multipliers transfer back exactly as tau = tau_tilde / delta.
+    slab becomes |r - zeta^T xi|^2 <= 1 with O(1) data, returned as unit-noise
+    sample rows.  The substitution zeta -> zeta0 + rho * zeta is a congruence
+    on the constraint, so the multipliers transfer back exactly as
+    tau = tau_tilde / delta.
     """
-    T, p = dm.xi.shape
-    n = dm.xdot.shape[1]
-    delta = float(dm.delta)
-    sqd = np.sqrt(delta)
+    sqd = np.sqrt(dm.delta)
     zeta0 = np.linalg.lstsq(dm.xi, dm.xdot, rcond=None)[0]  # (p, n)
     resid = (dm.xdot - dm.xi @ zeta0) / sqd                 # (T, n)
     s_xi = float(np.sqrt(np.mean(np.sum(dm.xi ** 2, axis=1))))
     s_xi = max(s_xi, 1e-30)
-    xi_t = dm.xi / s_xi
-    rho = sqd / s_xi
-    I = np.eye(n)
-    Cs = np.einsum("ta,tb->tab", resid, resid) - I[None, :, :]
-    Bs = -np.einsum("ta,tb->tab", xi_t, resid)
-    As = np.einsum("ta,tb->tab", xi_t, xi_t)
-    return Cs, Bs, As, zeta0, rho
+    return DataMatrices(dm.xi / s_xi, resid, 1.0), zeta0, sqd / s_xi
 
 
 def solve_overapprox(
-    dm: DataMatrices, iters: int = 5, opts: SolveOptions | None = None,
-    bases: RegressorBases | None = None,
+    dm: DataMatrices, iters: int = 5, bases: RegressorBases | None = None,
 ) -> ConsistencyEllipsoid:
     """Fit the consistency ellipsoid by iterated linearized determinant maximization.
 
-    Iteration j maximizes trace(A_prev^{-1} A_bar) subject to the data
-    constraint.  A_prev starts at the mean regressor outer product; a pure
-    trace objective (A_prev = I) collapses onto the dominant regressor
-    direction and gives a useless rank-one linearization point.  Every
-    solver-accepted candidate satisfies the constraint, so each is a valid
-    overapproximation; the best log-determinant candidate seen so far is
-    kept, which makes the reported per-iteration sequence nondecreasing.
-    Rejected steps halve the linearization move instead of terminating.
+    Before any solve the stacked regressors must have full column rank N+M
+    (rank counted above 1e-9 of the largest singular value); otherwise the
+    data leave some direction of [A B] unconstrained and ConsistencyError
+    names the rank and N+M.  Iteration j maximizes trace(A_prev^{-1} A_bar)
+    subject to the data constraint.  A_prev starts at the mean regressor
+    outer product; a pure trace objective (A_prev = I) collapses onto the
+    dominant regressor direction and gives a useless rank-one linearization
+    point.  Every solver-accepted candidate satisfies the constraint, so each
+    is a valid overapproximation; the best log-determinant candidate seen so
+    far is kept, which makes the reported per-iteration sequence
+    nondecreasing.  Rejected steps halve the linearization move instead of
+    terminating.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if opts is None:
-        opts = SolveOptions()
-    n = dm.C.shape[1]
-    p = dm.A.shape[1]
-    if dm.xi is not None and dm.xdot is not None and dm.delta:
-        Cs, Bs, As, zeta0, rho = _fit_coordinates(dm)
-        tau_scale = 1.0 / float(dm.delta)
-    else:
-        Cs, Bs, As = dm.C, dm.B, dm.A
-        zeta0, rho, tau_scale = np.zeros((p, n)), 1.0, 1.0
+    n = dm.xdot.shape[1]
+    p = dm.xi.shape[1]
+    sv = np.linalg.svd(dm.xi, compute_uv=False)
+    rank = int(np.count_nonzero(sv > 1e-9 * sv[0])) if sv.size else 0
+    if rank < p:
+        raise ConsistencyError(
+            f"too little excitation: stacked regressors have rank {rank} < N+M = {p}")
+    unit, zeta0, rho = _fit_coordinates(dm)
+    Cs, Bs, As = unit.C, unit.B, unit.A
 
     def to_original(A_t: np.ndarray, B_t: np.ndarray, tau_t: np.ndarray):
         A_bar = A_t / rho ** 2
         B_bar = B_t / rho - A_bar @ zeta0
-        return A_bar, B_bar, tau_t * tau_scale
+        return A_bar, B_bar, tau_t * (1.0 / dm.delta)
 
     def weight_at(lin: np.ndarray) -> np.ndarray:
         # ridge keeps the weight finite when the linearization point is flat
@@ -483,16 +464,13 @@ def solve_overapprox(
     def attempt(margin: float):
         def solve_step(W_obj: np.ndarray):
             prob = _fit_problem(Cs, Bs, As, W_obj, margin=margin)
-            sol = solve_sdp(prob, opts)
+            sol = solve_sdp(prob)
             if sol.status == "infeasible":
                 if margin > 0.0:
                     raise _MarginInfeasible
                 raise ConsistencyError("ellipsoid fit infeasible: no bounded consistent set")
             if sol.status == "unbounded":
-                raise ConsistencyError(
-                    "ellipsoid fit unbounded: insufficient data richness "
-                    "(stacked regressors are rank-deficient?)"
-                )
+                raise ConsistencyError("ellipsoid fit unbounded: shape matrix grows without limit")
             if sol.status not in ("optimal", "feasible"):
                 raise ConsistencyError(f"ellipsoid fit failed: {sol.message or sol.status}")
             Pm = sol.blocks[0]

@@ -8,7 +8,6 @@ term map.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -293,27 +292,6 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": [v.name for v in self.vars],
-            "terms": [
-                {"exponents": list(e), "coeff": c} for e, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Polynomial":
-        vs = variables(d["variables"])
-        terms = {tuple(t["exponents"]): float(t["coeff"]) for t in d["terms"]}
-        return cls(vs, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "Polynomial":
-        return cls.from_json_dict(json.loads(s))
 
 
 def monomial_basis(

@@ -122,6 +122,8 @@ class SdpProblem:
         return len(self.free_names) - 1
 
     def _svec_coord(self, block: int, i: int, j: int) -> tuple[int, float]:
+        if not 0 <= block < len(self.block_dims):
+            raise IndexError(f"block index {block} out of range")
         d = self.block_dims[block]
         if not (0 <= i <= j < d):
             raise IndexError(f"entry ({i},{j}) outside upper triangle of dim {d}")
@@ -130,6 +132,10 @@ class SdpProblem:
         k = i * d - i * (i - 1) // 2 + (j - i)
         factor = 1.0 if i == j else 1.0 / np.sqrt(2.0)
         return off + k, factor
+
+    def _check_free(self, idx: int) -> None:
+        if not 0 <= idx < len(self.free_names):
+            raise IndexError(f"free variable index {idx} out of range")
 
     def add_row(
         self,
@@ -146,8 +152,7 @@ class SdpProblem:
             prow[k] = prow.get(k, 0.0) + coeff * f
         frow: dict[int, float] = {}
         for idx, coeff in free_entries:
-            if not 0 <= idx < len(self.free_names):
-                raise IndexError(f"free variable index {idx} out of range")
+            self._check_free(idx)
             frow[idx] = frow.get(idx, 0.0) + coeff
         self._rows_psd.append(sorted(prow.items()))
         self._rows_free.append(sorted(frow.items()))
@@ -161,6 +166,7 @@ class SdpProblem:
         self._c_psd[k] = self._c_psd.get(k, 0.0) + coeff * f
 
     def set_objective_free(self, idx: int, coeff: float) -> None:
+        self._check_free(idx)
         self._c_free[idx] = self._c_free.get(idx, 0.0) + coeff
 
     # -- frozen arrays ------------------------------------------------
@@ -236,6 +242,15 @@ class SdpProblem:
         p._rhs = [float(x) for x in d["rhs"]]
         p._c_psd = {int(k): float(v) for k, v in d["c_psd"]}
         p._c_free = {int(k): float(v) for k, v in d["c_free"]}
+        if not len(p._rows_psd) == len(p._rows_free) == len(p._rhs):
+            raise ValueError("rows_psd, rows_free and rhs differ in length")
+        psd = [k for row in p._rows_psd for k, _ in row] + list(p._c_psd)
+        free = [k for row in p._rows_free for k, _ in row] + list(p._c_free)
+        for coords, n, what in ((psd, p.n_psd, "svec coordinate"),
+                                (free, p.n_free, "free index")):
+            bad = [k for k in coords if not 0 <= k < n]
+            if bad:
+                raise ValueError(f"{what} {bad[0]} outside [0, {n})")
         return p
 
     @classmethod

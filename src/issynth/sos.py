@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .poly import Polynomial, Variable, grlex_key, monomial_basis
-from .sdp import SdpProblem, SdpSolution, SolveOptions, solve_sdp
+from .sdp import SdpProblem, SdpSolution, solve_sdp
 
 Expr = Union["AffinePoly", Polynomial, float, int]
 
@@ -195,6 +195,8 @@ class SosCertificateError(ValueError):
 
 # largest coefficient difference M[i][j] - M[j][i] a matrix SOS target may have
 SYM_TOL = 1e-10
+# lowest Gram eigenvalue extract_certificate clips to zero instead of rejecting
+CERT_MIN_EIG_TOL = 1e-7
 
 
 class SosProgram:
@@ -265,7 +267,6 @@ class SosProgram:
                        z_bases: Sequence[Sequence[Polynomial]] | None = None,
                        cliques: Sequence[Sequence[tuple[int, int]]] | None = None,
                        margin: CoeffVar | None = None,
-                       margin_skip_constant: bool = False,
                        name: str = "") -> int:
         """Constrain a symmetric polynomial matrix to admit an SOS Gram form.
 
@@ -274,11 +275,10 @@ class SosProgram:
         convenient is expressed by repeating it).  cliques optionally split
         the Gram into overlapping blocks, each a list of (row, basis_pos)
         pairs into the corresponding z_bases row.  Entries must agree with
-        their transposes to SYM_TOL.  A margin t shifts the whole Gram
-        diagonal; margin_skip_constant exempts basis elements that are
-        constant in the matrix variables (the row selector times 1), where
-        structural zeros of the target would otherwise force the margin
-        nonpositive.
+        their transposes to SYM_TOL.  A margin t shifts the Gram diagonal
+        except at basis elements that are constant in the matrix variables
+        (the row selector times 1), where structural zeros of the target
+        would otherwise force the margin nonpositive.
         """
         self._compiled = None
         n = len(entries)
@@ -343,7 +343,7 @@ class SosProgram:
                 blocks.append([lift(z_exps[i][k], i) for (i, k) in cl])
 
         mask = None
-        if margin is not None and margin_skip_constant:
+        if margin is not None:
             # x-part of a lifted exponent tuple sits after the n row selectors
             mask = [[any(e[n:]) for e in blk] for blk in blocks]
         con = _GramConstraint(
@@ -464,9 +464,9 @@ class SosProgram:
         self._compiled = (prob, index)
         return self._compiled
 
-    def solve(self, opts: SolveOptions | None = None) -> "SosSolution":
+    def solve(self) -> "SosSolution":
         prob, index = self.compile()
-        sdp_sol = solve_sdp(prob, opts)
+        sdp_sol = solve_sdp(prob)
         return SosSolution(self, prob, index, sdp_sol)
 
 
@@ -534,18 +534,17 @@ class SosSolution:
 
 
 def extract_certificate(G: np.ndarray, basis_exps: Sequence[tuple[int, ...]],
-                        vars: tuple[Variable, ...],
-                        min_eig_tol: float = 1e-7) -> list[Polynomial]:
+                        vars: tuple[Variable, ...]) -> list[Polynomial]:
     """Factor a Gram matrix into explicit squares  sum_k p_k^2.
 
-    Eigenvalues in [-min_eig_tol, 0) are clipped to zero; anything lower
+    Eigenvalues in [-CERT_MIN_EIG_TOL, 0) are clipped to zero; anything lower
     raises, because the matrix is then not a certificate at this tolerance.
     """
     G = 0.5 * (G + G.T)
     w, V = np.linalg.eigh(G)
-    if w[0] < -min_eig_tol:
+    if w[0] < -CERT_MIN_EIG_TOL:
         raise SosCertificateError(
-            f"Gram matrix has eigenvalue {w[0]:.3e} below -{min_eig_tol:.1e}")
+            f"Gram matrix has eigenvalue {w[0]:.3e} below -{CERT_MIN_EIG_TOL:.1e}")
     polys = []
     scale = max(w[-1], 0.0)
     for k in range(len(w)):

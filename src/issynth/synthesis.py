@@ -31,7 +31,6 @@ import numpy as np
 
 from .consistency import ConsistencyEllipsoid, RegressorBases
 from .poly import Polynomial, monomial_basis, parse_poly, squared_norm, variables
-from .sdp import SolveOptions
 from .sos import AffinePoly, CoeffVar, SosProgram
 from . import verify as _verify
 
@@ -143,14 +142,22 @@ class SynthesisResult:
 
 
 def _alpha_template(prog: SosProgram, prefix: str, n_terms: int,
-                    sq: Polynomial) -> tuple[AffinePoly, list[CoeffVar]]:
-    """Template sum_k c_k (sq)^k with fresh nonnegative-to-be coefficients."""
+                    sq: Polynomial, epsilon: float) -> tuple[AffinePoly, list[CoeffVar]]:
+    """Template sum_k c_k (sq)^k with its class-Kinf gates.
+
+    The gates are c_k >= 0 and sum_k c_k >= _eps_row(epsilon): a small
+    headroom over epsilon so solver-accurate results still clear the exact
+    gate downstream.
+    """
     cs = prog.new_coeffs(prefix, n_terms)
     lin = {}
     power = sq
     for c in cs:
         lin[c.index] = power
         power = power * sq
+    for c in cs:
+        prog.add_linear([(c, 1.0)], 0.0, ">=")
+    prog.add_linear([(c, 1.0) for c in cs], _eps_row(epsilon), ">=")
     return AffinePoly(sq.vars, Polynomial.zero(sq.vars), lin), cs
 
 
@@ -204,29 +211,18 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
     sq_x_xe = sq_x.extend(xevars)
     sq_e = squared_norm(variables(e_names)).extend(xevars)
 
-    a3, c3 = _alpha_template(prog, "a3_", cfg.N3, sq_x_xe)
-    a4, c4 = _alpha_template(prog, "a4_", cfg.N4, sq_e)
-    legend["alpha_coeffs"] = {"a3": c3, "a4": c4}
-
-    # coefficient gates: nonnegative, sums at least epsilon (small headroom
-    # so solver-accurate results still clear the exact gate downstream);
     # alpha2 is fit after the solve, directly against the extracted V
-    eps_row = _eps_row(cfg.epsilon)
-    for cs in (c3, c4):
-        for c in cs:
-            prog.add_linear([(c, 1.0)], 0.0, ">=")
-        prog.add_linear([(c, 1.0) for c in cs], eps_row, ">=")
+    a3, c3 = _alpha_template(prog, "a3_", cfg.N3, sq_x_xe, cfg.epsilon)
+    a4, c4 = _alpha_template(prog, "a4_", cfg.N4, sq_e, cfg.epsilon)
+    legend["alpha_coeffs"] = {"a3": c3, "a4": c4}
 
     a1 = None
     if mode == "fit_V":
         # scale normalization, only meaningful while V is free: pin the
         # alpha1 sum so V is bounded below by a unit-scale class-Kinf
         # function, keeping the epsilon floors negligible
-        a1, c1 = _alpha_template(prog, "a1_", cfg.N1, sq_x)
+        a1, c1 = _alpha_template(prog, "a1_", cfg.N1, sq_x, cfg.epsilon)
         legend["alpha_coeffs"]["a1"] = c1
-        for c in c1:
-            prog.add_linear([(c, 1.0)], 0.0, ">=")
-        prog.add_linear([(c, 1.0) for c in c1], eps_row, ">=")
         eta = 1.0
         prog.add_linear([(c, 1.0) for c in c1], eta, "==")
         legend["eta"] = eta
@@ -327,7 +323,7 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
     t = prog.new_coeff("t_margin")
     legend["t"] = t
     h4 = prog.add_matrix_sos(S, z_bases=z_bases, cliques=[cliq1, cliq2],
-                             margin=t, margin_skip_constant=True, name="s4")
+                             margin=t, name="s4")
 
     legend["s_handles"] = {"s4": h4}
     if mode == "fit_V":
@@ -463,7 +459,6 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
         raise SynthesisError(
             f"chopped multiplier lambda has odd degree {deg_lam}, so "
             "lambda - epsilon cannot be a sum of squares")
-    eps_row = _eps_row(cfg.epsilon)
     sq_x = squared_norm(xvars)
     sb = monomial_basis(
         xvars, max(1, (max(V.degree(), 2 * cfg.N1, 2 * cfg.N2) + 1) // 2),
@@ -474,10 +469,7 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
     for name, prefix, n_terms, sense in (("s1", "a1_", cfg.N1, "max"),
                                          ("s2", "a2_", cfg.N2, "min")):
         prog = SosProgram()
-        a, cs = _alpha_template(prog, prefix, n_terms, sq_x)
-        for c in cs:
-            prog.add_linear([(c, 1.0)], 0.0, ">=")
-        prog.add_linear([(c, 1.0) for c in cs], eps_row, ">=")
+        a, cs = _alpha_template(prog, prefix, n_terms, sq_x, cfg.epsilon)
         Vp = AffinePoly.promote(V, xvars)
         target = (Vp - a) if name == "s1" else (a - Vp)
         h = prog.add_scalar_sos(target, basis=sb, name=name)
@@ -505,7 +497,6 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
 
 
 def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
-              opts: SolveOptions | None = None,
               verify_seed: int = 0) -> SynthesisResult:
     """Run the two-step alternation and return a fully verified result.
 
@@ -542,7 +533,7 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
             {"V": V_cur, "lambda": lam_cur}
         prog, legend = assemble_theorem1(ell, cfg, fixed)
         t0 = time.perf_counter()
-        sol = prog.solve(opts)
+        sol = prog.solve()
         rec = {"round": rnd, "step": step, "status": sol.status,
                "seconds": round(time.perf_counter() - t0, 3)}
         if sol.status not in ("optimal", "feasible"):

@@ -21,6 +21,21 @@ import numpy as np
 from .consistency import ConsistencyEllipsoid, RegressorBases
 from .poly import Polynomial, squared_norm
 
+# Pass thresholds of the checks.  They are constants, not parameters, so an
+# oracle cannot be loosened to make a run pass.
+LEMMA2_TOL = 1e-9
+SCHUR_EQUIV_TOL = 1e-8
+DISSIPATION_TOL = 1e-6
+SANDWICH_TOL = 1e-8
+MATRIX_TOL = 1e-6
+LAMBDA_FLOOR_TOL = 1e-7
+KINF_TOL = 1e-9
+# certificate reconstruction: scalar slots, Gram eigenvalue floors, and the
+# matrix slot, which inherits the coupled solve's row error
+CERT_RECON_TOL = 1e-6
+CERT_EIG_TOL = 1e-7
+CERT_MATRIX_TOL = 1e-4
+
 
 @dataclass
 class VerificationReport:
@@ -188,8 +203,7 @@ def f8_values(ell: ConsistencyEllipsoid, bases: RegressorBases,
 def check_lemma2_instance(C: np.ndarray, E: np.ndarray, G: np.ndarray,
                           F_bar: np.ndarray, lam: float,
                           n_samples: int = 100,
-                          rng: np.random.Generator | None = None,
-                          tol: float = 1e-9) -> VerificationReport:
+                          rng: np.random.Generator | None = None) -> VerificationReport:
     """Premise eigenvalue check plus sampled conclusion of the norm-bound lemma.
 
     Premise: C + lam E E^T + (1/lam) G^T F_bar G <= 0.  Conclusion, sampled
@@ -213,9 +227,9 @@ def check_lemma2_instance(C: np.ndarray, E: np.ndarray, G: np.ndarray,
 
     premise = C + lam * (E @ E.T) + (G.T @ F_bar @ G) / lam
     premise_eig = float(np.linalg.eigvalsh(premise)[-1])
-    if premise_eig > tol:
+    if premise_eig > LEMMA2_TOL:
         return VerificationReport(
-            name="lemma2_instance", worst=premise_eig, tol=tol, n_samples=0,
+            name="lemma2_instance", worst=premise_eig, tol=LEMMA2_TOL, n_samples=0,
             details={"stage": "premise", "premise_max_eig": premise_eig})
 
     m, nn = E.shape[1], G.shape[0]
@@ -229,7 +243,7 @@ def check_lemma2_instance(C: np.ndarray, E: np.ndarray, G: np.ndarray,
             worst = val
             witness = F.tolist()
     return VerificationReport(
-        name="lemma2_instance", worst=worst, tol=tol, n_samples=n_samples,
+        name="lemma2_instance", worst=worst, tol=LEMMA2_TOL, n_samples=n_samples,
         witness=witness,
         details={"stage": "conclusion", "premise_max_eig": premise_eig})
 
@@ -238,16 +252,15 @@ def check_schur_equiv(ell: ConsistencyEllipsoid, bases: RegressorBases,
                       V: Polynomial, k: Sequence[Polynomial], lam: Polynomial,
                       alpha3: Sequence[float], alpha4: Sequence[float],
                       n_samples: int = 1000, box: float = 2.0,
-                      rng: np.random.Generator | None = None,
-                      tol: float = 1e-8) -> VerificationReport:
+                      rng: np.random.Generator | None = None) -> VerificationReport:
     """Sign agreement between the block matrix and its scalar Schur form.
 
     At every sampled (x, e) the matrix is negative semidefinite exactly when
     the scalar form is nonpositive (the multiplier must be positive there).
     Disagreement strength is min(|scalar|, |max eig|), so near-zero pairs
-    straddling zero within tol do not count.  A multiplier that is not
-    positive at some sample leaves the scalar form undefined; the report
-    then fails with the smallest lambda and its point.
+    straddling zero within SCHUR_EQUIV_TOL do not count.  A multiplier that
+    is not positive at some sample leaves the scalar form undefined; the
+    report then fails with the smallest lambda and its point.
     """
     rng = rng or np.random.default_rng(0)
     n = bases.n
@@ -256,13 +269,14 @@ def check_schur_equiv(ell: ConsistencyEllipsoid, bases: RegressorBases,
     if n_samples and lam_vals.min() <= 0.0:
         i = int(np.argmin(lam_vals))
         return VerificationReport(
-            name="schur_equivalence", worst=np.inf, tol=tol,
+            name="schur_equivalence", worst=np.inf, tol=SCHUR_EQUIV_TOL,
             n_samples=n_samples, witness=XE[i].tolist(),
             details={"reason": f"multiplier not positive (lambda = {lam_vals[i]:.3e})",
                      "lambda_min": float(lam_vals[i])})
     f8 = f8_values(ell, bases, V, k, lam, alpha3, alpha4, XE)
     M = theorem1_matrix_values(ell, bases, V, k, lam, alpha3, alpha4, XE)
     eigs = np.linalg.eigvalsh(M)[:, -1]
+    tol = SCHUR_EQUIV_TOL
     disagree = ((f8 > tol) & (eigs < -tol)) | ((f8 < -tol) & (eigs > tol))
     strength = np.where(disagree, np.minimum(np.abs(f8), np.abs(eigs)), 0.0)
     worst = float(strength.max()) if n_samples else 0.0
@@ -271,7 +285,7 @@ def check_schur_equiv(ell: ConsistencyEllipsoid, bases: RegressorBases,
         i = int(np.argmax(strength))
         wit = XE[i].tolist()
     return VerificationReport(
-        name="schur_equivalence", worst=worst, tol=tol, n_samples=n_samples,
+        name="schur_equivalence", worst=worst, tol=SCHUR_EQUIV_TOL, n_samples=n_samples,
         witness=wit,
         details={"n_disagreements": int(disagree.sum()),
                  "scalar_range": [float(f8.min()), float(f8.max())]})
@@ -281,14 +295,14 @@ def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
                               box: float = 2.0, n_xe: int = 10_000,
                               n_upsilon: int = 100,
                               rng: np.random.Generator | None = None,
-                              AB_true: np.ndarray | None = None,
-                              tol: float = 1e-6) -> VerificationReport:
+                              AB_true: np.ndarray | None = None) -> VerificationReport:
     """Robust dissipation inequality over sampled members of the ellipsoid.
 
     For [A B] = (zeta_bar + A_bar^{-1/2} Upsilon)^T with
     ||Upsilon|| <= 1 (zero, boundary, and interior samples), checks
-    <grad V(x), A Z(x) + B W(x) k(x+e)> + alpha3(|x|) - alpha4(|e|) <= tol.
-    The true coefficient pair is checked too when given.
+    <grad V(x), A Z(x) + B W(x) k(x+e)> + alpha3(|x|) - alpha4(|e|) <= tol,
+    with tol = DISSIPATION_TOL.  The true coefficient pair is checked too
+    when given.
     """
     rng = rng or np.random.default_rng(0)
     bases: RegressorBases = res.bases
@@ -322,13 +336,12 @@ def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
         details["true_system_worst"] = true_worst
         worst = max(worst, true_worst)
     return VerificationReport(
-        name="dissipation_sampled", worst=worst, tol=tol,
+        name="dissipation_sampled", worst=worst, tol=DISSIPATION_TOL,
         n_samples=n_xe * n_upsilon, witness=witness, details=details)
 
 
 def check_sandwich(res, box: float = 3.0, n_samples: int = 10_000,
-                   rng: np.random.Generator | None = None,
-                   tol: float = 1e-8) -> VerificationReport:
+                   rng: np.random.Generator | None = None) -> VerificationReport:
     """alpha1(|x|) <= V(x) <= alpha2(|x|), absolute plus relative tolerance."""
     rng = rng or np.random.default_rng(0)
     n = len(res.V.vars)
@@ -341,7 +354,7 @@ def check_sandwich(res, box: float = 3.0, n_samples: int = 10_000,
     viol = np.maximum(a1 - v, v - a2) / (1.0 + np.abs(v))
     i = int(np.argmax(viol))
     return VerificationReport(
-        name="sandwich_bounds", worst=float(viol[i]), tol=tol,
+        name="sandwich_bounds", worst=float(viol[i]), tol=SANDWICH_TOL,
         n_samples=n_samples, witness=X[i].tolist())
 
 
@@ -351,8 +364,7 @@ def check_theorem1_matrix_sampled(ell: ConsistencyEllipsoid,
                                   alpha3: Sequence[float],
                                   alpha4: Sequence[float],
                                   n_samples: int = 1000, box: float = 2.0,
-                                  rng: np.random.Generator | None = None,
-                                  tol: float = 1e-6) -> VerificationReport:
+                                  rng: np.random.Generator | None = None) -> VerificationReport:
     """Max eigenvalue of the dissipation matrix over a sampled box."""
     rng = rng or np.random.default_rng(0)
     n = bases.n
@@ -362,14 +374,13 @@ def check_theorem1_matrix_sampled(ell: ConsistencyEllipsoid,
     eigs = np.linalg.eigvalsh(M)[:, -1]
     i = int(np.argmax(eigs))
     return VerificationReport(
-        name="dissipation_matrix_sampled", worst=float(eigs[i]), tol=tol,
+        name="dissipation_matrix_sampled", worst=float(eigs[i]), tol=MATRIX_TOL,
         n_samples=n_samples, witness=XE[i].tolist())
 
 
 def check_lambda_floor(res, n_samples: int = 2000, box: float = 2.0,
-                       rng: np.random.Generator | None = None,
-                       tol: float = 1e-7) -> VerificationReport:
-    """Multiplier stays above epsilon on samples: epsilon - lambda <= tol."""
+                       rng: np.random.Generator | None = None) -> VerificationReport:
+    """Multiplier floor on samples: epsilon - lambda <= LAMBDA_FLOOR_TOL."""
     rng = rng or np.random.default_rng(0)
     nv = len(res.lam.vars)
     XE = rng.uniform(-box, box, size=(n_samples, nv))
@@ -377,12 +388,12 @@ def check_lambda_floor(res, n_samples: int = 2000, box: float = 2.0,
     vals = res.lam.eval_many(XE)
     i = int(np.argmin(vals))
     return VerificationReport(
-        name="multiplier_floor", worst=float(res.epsilon - vals[i]), tol=tol,
-        n_samples=n_samples, witness=XE[i].tolist(),
+        name="multiplier_floor", worst=float(res.epsilon - vals[i]),
+        tol=LAMBDA_FLOOR_TOL, n_samples=n_samples, witness=XE[i].tolist(),
         details={"lambda_min": float(vals[i]), "epsilon": res.epsilon})
 
 
-def check_kinf_gates(res, tol: float = 1e-9) -> VerificationReport:
+def check_kinf_gates(res) -> VerificationReport:
     """Coefficient gates making all four comparison functions class Kinf."""
     worst = -np.inf
     details = {}
@@ -394,23 +405,20 @@ def check_kinf_gates(res, tol: float = 1e-9) -> VerificationReport:
         details[f"alpha{i}"] = {"min_coeff": float(c.min()) if c.size else None,
                                 "sum": float(c.sum())}
     return VerificationReport(
-        name="kinf_coefficient_gates", worst=worst, tol=tol,
+        name="kinf_coefficient_gates", worst=worst, tol=KINF_TOL,
         n_samples=4, details=details)
 
 
 def check_certificates(res, ell: ConsistencyEllipsoid,
-                       rng: np.random.Generator | None = None,
-                       tol_recon: float = 1e-6,
-                       tol_eig: float = 1e-7,
-                       tol_matrix: float = 1e-4) -> VerificationReport:
+                       rng: np.random.Generator | None = None) -> VerificationReport:
     """Gram certificates: eigenvalue floors plus reconstruction residuals.
 
     Scalar slots are compared coefficient-by-coefficient against their
-    defining identities at tol_recon.  The matrix slot stores PSD blocks
+    defining identities at CERT_RECON_TOL.  The matrix slot stores PSD blocks
     certifying s4 - margin * (masked diagonal), so its quadratic form is
     compared against the dissipation matrix with the margin term added
     back; that slot inherits the coupled solve's row error and gets the
-    looser tol_matrix, rescaled into the shared worst/tol report.
+    looser CERT_MATRIX_TOL, rescaled into the shared worst/tol report.
     """
     from .poly import variables
     from .sos import gram_polynomial
@@ -445,9 +453,9 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
         "s3": res.lam - Polynomial.constant(res.lam.vars, res.epsilon),
     }
     # eigenvalue deficits are rescaled onto the reconstruction tolerance so a
-    # single worst/tol pair decides the report: floor < -tol_eig means fail
+    # single worst/tol pair decides the report: floor < -CERT_EIG_TOL means fail
     def eig_deficit(floor: float) -> float:
-        return tol_recon + (-floor) - tol_eig
+        return CERT_RECON_TOL + (-floor) - CERT_EIG_TOL
 
     for name, target in checks.items():
         floor = gram_floor(name)
@@ -479,10 +487,10 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
     resid4 = float(np.max(np.abs(target_vals - gram_vals)) / scale)
     details["s4"] = {"min_eig": floor4, "reconstruction": resid4,
                      "margin": t_margin}
-    worst = max(worst, eig_deficit(floor4), resid4 * (tol_recon / tol_matrix))
+    worst = max(worst, eig_deficit(floor4), resid4 * (CERT_RECON_TOL / CERT_MATRIX_TOL))
 
     return VerificationReport(
-        name="certificate_reconstruction", worst=worst, tol=tol_recon,
+        name="certificate_reconstruction", worst=worst, tol=CERT_RECON_TOL,
         n_samples=P, details=details)
 
 

@@ -1,8 +1,11 @@
 """Tests for dataset handling, data matrices, and the consistency ellipsoid fit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from issynth import consistency
 from issynth.consistency import (
     ConsistencyError,
     DataMatrices,
@@ -11,7 +14,6 @@ from issynth.consistency import (
     Sample,
     assemble_overapprox_lmi,
     build_data_matrices,
-    build_regressors,
     ellipsoid_params,
     membership,
     membership_instantaneous,
@@ -123,28 +125,36 @@ class TestDataset:
 
 
 # ---------------------------------------------------------------------------
-# regressor rank
+# excitation: the fit refuses rank-deficient data before any solve
 
 
-class TestBuildRegressors:
-    def test_benchmark_data_has_full_row_rank(self, dataset):
-        reg = build_regressors(dataset)
-        assert reg.Z0.shape == (5, 50)
-        assert reg.W0.shape == (1, 50)
-        assert reg.rank == 6
-        assert reg.full_row_rank
+class TestExcitation:
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an SDP was solved on rank-deficient data")
+        monkeypatch.setattr(consistency, "solve_sdp", fail)
 
-    def test_single_sample_is_rank_deficient(self, khalil, dataset):
-        ds = Dataset(khalil.bases, dataset.delta, dataset.samples[:1])
-        reg = build_regressors(ds)
-        assert reg.rank <= 1
-        assert not reg.full_row_rank
+    @staticmethod
+    def fit(khalil, dataset, samples):
+        return solve_overapprox(
+            build_data_matrices(Dataset(khalil.bases, dataset.delta, samples)))
 
-    def test_duplicated_sample_is_rank_deficient(self, khalil, dataset):
-        ds = Dataset(khalil.bases, dataset.delta, [dataset.samples[0]] * 50)
-        reg = build_regressors(ds)
-        assert reg.rank <= 1
-        assert not reg.full_row_rank
+    def test_benchmark_data_has_full_column_rank(self, dmats):
+        assert dmats.xi.shape == (50, 6)
+        assert np.linalg.matrix_rank(dmats.xi) == 6
+
+    def test_single_sample_raises_before_solving(self, khalil, dataset, no_solve):
+        with pytest.raises(ConsistencyError, match=r"excitation.*rank 1 < N\+M = 6"):
+            self.fit(khalil, dataset, dataset.samples[:1])
+
+    def test_duplicated_sample_raises_before_solving(self, khalil, dataset, no_solve):
+        with pytest.raises(ConsistencyError, match=r"excitation.*rank 1 < N\+M = 6"):
+            self.fit(khalil, dataset, [dataset.samples[0]] * 50)
+
+    def test_four_samples_raise_before_solving(self, khalil, dataset, no_solve):
+        with pytest.raises(ConsistencyError, match=r"excitation.*rank 4 < N\+M = 6"):
+            self.fit(khalil, dataset, dataset.samples[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +180,12 @@ class TestDataMatrices:
         with pytest.raises(ValueError, match="delta"):
             build_data_matrices(Dataset(khalil.bases, 0.0, [s]))
 
+    def test_only_raw_rows_are_stored(self, dmats):
+        assert [f.name for f in dataclasses.fields(DataMatrices)] == ["xi", "xdot", "delta"]
+        i = 7
+        assert np.array_equal(dmats.A[i], np.outer(dmats.xi[i], dmats.xi[i]))
+        assert np.array_equal(dmats.B[i], -np.outer(dmats.xi[i], dmats.xdot[i]))
+
     def test_truth_satisfies_every_slab(self, khalil, dmats):
         # matrix slab form: C + zeta^T B + B^T zeta + zeta^T A zeta <= 0
         zeta = khalil.AB.T
@@ -186,8 +202,7 @@ class TestDataMatrices:
 class TestAssembleLmi:
     def test_zero_data_layout(self):
         n, p = 2, 6
-        dm = DataMatrices(C=np.zeros((0, n, n)), B=np.zeros((0, p, n)),
-                          A=np.zeros((0, p, p)))
+        dm = DataMatrices(xi=np.zeros((0, p)), xdot=np.zeros((0, n)), delta=1.0)
         S = assemble_overapprox_lmi(dm, np.eye(p), np.zeros((p, n)), np.zeros(0))
         want = np.zeros((n + 2 * p, n + 2 * p))
         want[:n, :n] = -np.eye(n)
@@ -249,10 +264,9 @@ class TestSolveOverapprox:
     def test_interval_instance_recovers_known_optimum(self):
         # two slabs |xdot - zeta| <= 1 around +-0.5: consistent set [-1/2, 1/2];
         # the symmetric-multiplier certificate tops out at A_bar = 4/3
-        Cs = np.array([[[0.25 - 1.0]], [[0.25 - 1.0]]])
-        Bs = np.array([[[-0.5]], [[0.5]]])
-        As = np.array([[[1.0]], [[1.0]]])
-        ell = solve_overapprox(DataMatrices(C=Cs, B=Bs, A=As), iters=3)
+        dm = DataMatrices(xi=np.array([[1.0], [1.0]]), xdot=np.array([[0.5], [-0.5]]),
+                          delta=1.0)
+        ell = solve_overapprox(dm, iters=3)
         assert abs(ell.A_bar[0, 0] - 4.0 / 3.0) < 1e-4
         assert abs(ell.zeta_bar[0, 0]) < 1e-6
         for z in (-0.5, 0.0, 0.5):

@@ -452,3 +452,65 @@ class TestEntryConvention:
         assert np.isclose(sol.objective, np.sum(C * sol.blocks[0]), atol=1e-6)
         # optimum of min <C, X> over trace(X)=1, X psd is the smallest eigenvalue
         assert abs(sol.objective - np.linalg.eigvalsh(C)[0]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# index validation
+
+
+class TestIndexValidation:
+    @staticmethod
+    def two_blocks():
+        p = SdpProblem()
+        p.add_block(2)
+        p.add_block(3)
+        p.add_free("v")
+        return p
+
+    @pytest.mark.parametrize("block", [-1, -2, 2])
+    def test_add_row_rejects_block_outside_range(self, block):
+        p = self.two_blocks()
+        with pytest.raises(IndexError, match="block index"):
+            p.add_row([(block, 0, 0, 1.0)])
+        assert p.n_rows == 0
+
+    @pytest.mark.parametrize("block", [-1, 2])
+    def test_objective_rejects_block_outside_range(self, block):
+        p = self.two_blocks()
+        with pytest.raises(IndexError, match="block index"):
+            p.set_objective_entry(block, 0, 0, 1.0)
+
+    @pytest.mark.parametrize("idx", [-1, 1])
+    def test_free_indices_checked(self, idx):
+        p = self.two_blocks()
+        with pytest.raises(IndexError, match="free variable"):
+            p.add_row(free_entries=[(idx, 1.0)])
+        with pytest.raises(IndexError, match="free variable"):
+            p.set_objective_free(idx, 1.0)
+
+    def _json_with(self, **changes):
+        p = self.two_blocks()
+        p.add_row([(0, 0, 0, 1.0)], [(0, 1.0)], rhs=1.0)
+        d = p.to_json_dict()
+        d.update(changes)
+        return d
+
+    @pytest.mark.parametrize("coord", [-1, 9])
+    def test_json_rejects_svec_coordinate_outside_range(self, coord):
+        with pytest.raises(ValueError, match="svec coordinate"):
+            SdpProblem.from_json_dict(self._json_with(rows_psd=[[[coord, 1.0]]]))
+        with pytest.raises(ValueError, match="svec coordinate"):
+            SdpProblem.from_json_dict(self._json_with(c_psd=[[coord, 1.0]]))
+
+    @pytest.mark.parametrize("idx", [-1, 1])
+    def test_json_rejects_free_index_outside_range(self, idx):
+        with pytest.raises(ValueError, match="free index"):
+            SdpProblem.from_json_dict(self._json_with(rows_free=[[[idx, 1.0]]]))
+        with pytest.raises(ValueError, match="free index"):
+            SdpProblem.from_json_dict(self._json_with(c_free=[[idx, 1.0]]))
+
+    def test_json_rejects_row_lists_of_unequal_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            SdpProblem.from_json_dict(self._json_with(rows_free=[]))
+        with pytest.raises(ValueError, match="differ in length"):
+            SdpProblem.from_json_dict(self._json_with(rhs=[1.0, 2.0]))

@@ -180,6 +180,19 @@ class TestMargin:
         assert sol.status == "optimal"
         assert abs(sol.coeff(t) - 2.0 / 3.0) <= 1e-6
 
+    def test_matrix_margin_skips_constant_elements(self, xv):
+        # [[1/4 + x^2]] over {q0, q0*x}: the margin shifts only the q0*x
+        # diagonal entry, so t* = 1; a full-diagonal shift would stop at 1/4
+        prog = SosProgram()
+        t = prog.new_coeff("t")
+        h = prog.add_matrix_sos([[parse_poly("0.25 + x^2", xv)]],
+                                z_bases=[monomial_basis(xv, 1)], margin=t)
+        prog.set_objective([(t, 1.0)], "max")
+        sol = prog.solve()
+        assert sol.status == "optimal"
+        assert abs(sol.coeff(t) - 1.0) <= 1e-6
+        assert sol.index["grams"][h]["margin_mask"] == [[False, True]]
+
 
 # ---------------------------------------------------------------------------
 # matrix SOS
