@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, Variable, parse_poly, variables
+from .poly import Polynomial, Variable, eval_all, parse_poly, variables
 from .sdp import SdpProblem, solve_sdp
 
 
@@ -79,24 +79,30 @@ class RegressorBases:
         self.N = len(self.Z)
         self.M = len(self.W)
         self.m = cols
+        # Z then W row by row: one eval_all call gives every entry
+        self._flat = self.Z + tuple(p for row in self.W for p in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegressorBases):
             return NotImplemented
         return self.vars == other.vars and self.Z == other.Z and self.W == other.W
 
+    def _w_matrix(self, vals: list[float]) -> np.ndarray:
+        return np.array(vals[self.N:]).reshape(self.M, self.m)
+
     def z_at(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([p.eval(x) for p in self.Z])
+        return np.array(eval_all(self._flat, x)[:self.N])
 
     def w_at(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([[p.eval(x) for p in row] for row in self.W])
+        return self._w_matrix(eval_all(self._flat, x))
 
     def regressor(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
         """Stacked regressor [Z(x); W(x) u] of length N+M."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
             raise ValueError(f"expected input of length {self.m}, got {u.shape}")
-        return np.concatenate([self.z_at(x), self.w_at(x) @ u])
+        vals = eval_all(self._flat, x)
+        return np.concatenate([np.array(vals[:self.N]), self._w_matrix(vals) @ u])
 
     def to_json_dict(self) -> dict:
         return {

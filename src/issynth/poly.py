@@ -4,6 +4,13 @@ Polynomials are dicts mapping exponent tuples to float coefficients over an
 ordered tuple of variables.  All arithmetic is exact up to float rounding;
 coefficients below ZERO_TOL are dropped so the zero polynomial has an empty
 term map.
+
+Point evaluation has one implementation, `eval_all`: several polynomials at
+one point, on Python floats, bitwise equal to the same term loop on float64
+scalars (see its docstring).  `eval_floats` is its loop without the point
+conversion and check, for callers that already hold Python floats;
+`Polynomial.eval` calls `eval_all` for one polynomial, and
+`Polynomial.eval_many` is the vectorized form for many points.
 """
 
 from __future__ import annotations
@@ -169,17 +176,7 @@ class Polynomial:
         return self.eval(point)
 
     def eval(self, point: Sequence[float]) -> float:
-        pt = np.asarray(point, dtype=float)
-        if pt.shape != (len(self.vars),):
-            raise ValueError(f"expected point of length {len(self.vars)}, got {pt.shape}")
-        total = 0.0
-        for exps, c in self.terms.items():
-            v = c
-            for xi, e in zip(pt, exps):
-                if e:
-                    v *= xi**e
-            total += v
-        return total
+        return eval_all((self,), point)[0]
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (npoints, nvars) array of points in one shot."""
@@ -292,6 +289,50 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _eval_terms(polys: Sequence[Polynomial], xs: list) -> list:
+    """The term loop of `eval_all`, on Python floats or float64 scalars."""
+    out = []
+    for p in polys:
+        total = 0.0
+        for exps, c in p.terms.items():
+            v = c
+            for xi, e in zip(xs, exps):
+                if e:
+                    v *= xi**e
+            total += v
+        out.append(total)
+    return out
+
+
+def eval_all(polys: Sequence[Polynomial], point: Sequence[float]) -> list[float]:
+    """Evaluate several polynomials at one point, as Python floats.
+
+    The point is converted once to a list of Python floats.  Each term is
+    then computed as ``c * x_i**e_i * ...`` over the nonzero exponents in
+    variable order and added in stored term order: the same IEEE operations
+    as on float64 scalars, both calling the C library's ``pow``, so results
+    are bitwise equal to a float64 evaluation.  Where a Python float power
+    overflows (it raises, float64 gives inf) the same loop is rerun on
+    float64 scalars, so inf and nan come out as float64 gives them, with
+    numpy's error state deciding whether the overflow warns.
+    """
+    pt = np.asarray(point, dtype=float)
+    n = len(pt) if pt.ndim == 1 else -1
+    for p in polys:
+        if len(p.vars) != n:
+            raise ValueError(f"expected point of length {len(p.vars)}, got {pt.shape}")
+    return eval_floats(polys, pt.tolist())
+
+
+def eval_floats(polys: Sequence[Polynomial], xs: list[float]) -> list[float]:
+    """`eval_all` on a point that already is a list of Python floats, one
+    per variable of every polynomial; neither is checked."""
+    try:
+        return _eval_terms(polys, xs)
+    except OverflowError:
+        return _eval_terms(polys, [np.float64(x) for x in xs])
 
 
 def monomial_basis(

@@ -5,18 +5,26 @@ piecewise-constant random excitation and records noisy derivative
 measurements; the closed-loop side runs a zero-order-hold controller whose
 updates are triggered by a comparison-function condition on the measurement
 error.
+
+Every RK4 stage evaluates the regressors through `poly.eval_all`, which
+works on Python floats and gives the same bits as a float64 evaluation.
+The event loop's controller uses it too; its comparison functions take the
+norm as a Python float and go straight to the loop, `poly.eval_floats`.
+Each of the three loops holds one numpy error state for its whole run
+(see `GroundTruthSystem.field_at`).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .consistency import Dataset, RegressorBases, Sample
-from .poly import Polynomial, parse_poly, variables
+from .poly import Polynomial, eval_all, eval_floats, parse_poly, variables
 
 ControlLaw = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, Sequence[float]]
 
@@ -51,9 +59,15 @@ class GroundTruthSystem:
 
     def field_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Noiseless state derivative; shares the regressor code path with
-        the membership tests so noiseless data reproduce it bitwise."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.AB @ self.bases.regressor(x, u)
+        the membership tests so noiseless data reproduce it bitwise.
+
+        Sets no numpy error state: an escaping state overflows to inf or
+        nan, and the caller decides whether that warns.  `integrate`,
+        `collect_dataset` and `event_triggered_run` each hold
+        ``np.errstate(over="ignore", invalid="ignore")`` around their whole
+        loop and stop on the first non-finite state.
+        """
+        return self.AB @ self.bases.regressor(x, u)
 
 
 def khalil_system() -> GroundTruthSystem:
@@ -140,7 +154,7 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
             x = _rk4_step(f, x, h)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 diverged = True
                 break
             times.append(j * h)
@@ -186,7 +200,7 @@ def collect_dataset(sys: GroundTruthSystem, cfg: ExperimentConfig) -> Dataset:
             samples.append(Sample(i * cfg.sample_spacing, u, x.copy(), xdot))
             for _ in range(substeps):
                 x = _rk4_step(lambda s: sys.field_at(s, u), x, hs)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise RuntimeError(
                     f"divergence during data collection after sample {i} "
                     f"(t = {i * cfg.sample_spacing:.6g})"
@@ -213,12 +227,17 @@ def _check_kinf(alpha: Polynomial, name: str) -> None:
         raise ValueError(f"{name} must have a positive coefficient sum")
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm as a Python float: the dot-then-sqrt numpy's 1-D norm does."""
+    return math.sqrt(x.dot(x))
+
+
 def _scalar_fn(alpha, name: str) -> Callable[[float], float]:
     if isinstance(alpha, Polynomial):
         if len(alpha.vars) != 1:
             raise ValueError(f"{name} must be a polynomial in a single variable")
         _check_kinf(alpha, name)
-        return lambda r: alpha.eval([r])
+        return lambda r: eval_floats((alpha,), [r])[0]
     if callable(alpha):
         return alpha
     raise TypeError(f"{name} must be a polynomial or a callable")
@@ -274,7 +293,7 @@ def event_triggered_run(
         raise ValueError(f"controller has {len(kf)} components, expected {sys.m}")
 
     def control_at(x: np.ndarray) -> np.ndarray:
-        return np.array([ki.eval(x) for ki in kf])
+        return np.array(eval_all(kf, x))
 
     steps = int(round(horizon / h))
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -284,7 +303,7 @@ def event_triggered_run(
     states = [x.copy()]
     inputs = [u.copy()]
     errors = [np.zeros(sys.n)]
-    a3s = [a3(float(np.linalg.norm(x)))]
+    a3s = [a3(_norm(x))]
     a4s = [a4(0.0)]
     flags = [1]
     event_times = [0.0]
@@ -294,13 +313,13 @@ def event_triggered_run(
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
             x = _rk4_step(lambda s: sys.field_at(s, u), x, h)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 diverged = True
                 break
             t = j * h
             e = held_x - x
-            v3 = a3(float(np.linalg.norm(x)))
-            v4 = a4(float(np.linalg.norm(e)))
+            v3 = a3(_norm(x))
+            v4 = a4(_norm(e))
             fired = 0
             if v4 > sigma * v3:
                 held_x = x.copy()

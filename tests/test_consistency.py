@@ -21,6 +21,7 @@ from issynth.consistency import (
 )
 from issynth.poly import Polynomial, parse_poly, variables
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
+from test_poly import float64_eval
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,37 @@ class TestRegressorBases:
     def test_input_length_checked(self, khalil):
         with pytest.raises(ValueError, match="input"):
             khalil.bases.regressor([1.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="point of length"):
+            khalil.bases.regressor([1.0, 1.0, 1.0], [1.0])
+
+    def test_regressor_bitwise_equal_to_float64_loop(self):
+        vs = variables(["x1", "x2"])
+        Z = [parse_poly(s, vs) for s in ("x1", "-0.3*x1^2*x2 + x2^7", "x1^3*x2^4 - 2*x1^5",
+                                         "1.7*x1*x2^6 + x2^2")]
+        W = [[parse_poly(s, vs) for s in row]
+             for row in (("1", "x1^2 - x2"), ("0.5*x1*x2^3", "2 - x1^7"), ("x2^4", "-x1"))]
+        b = RegressorBases(vs, Z, W)
+        rng = np.random.default_rng(23)
+
+        def want(x, u):
+            z = np.array([float64_eval(p, x) for p in Z])
+            w = np.array([[float64_eval(p, x) for p in row] for row in W])
+            return z, w, np.concatenate([z, w @ u])
+
+        for _ in range(1000):
+            x = rng.standard_normal(2) * 10.0 ** rng.integers(-2, 3, size=2)
+            u = rng.standard_normal(2)
+            z, w, reg = want(x, u)
+            assert b.regressor(x, u).tobytes() == reg.tobytes()
+            assert b.z_at(x).tobytes() == z.tobytes()
+            assert b.w_at(x).tobytes() == w.tobytes()
+        for x in ([1e200, -1e200], [-1e100, 1e60], [np.inf, 0.0]):
+            u = np.array([1.0, -1.0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                reg = want(x, u)[2]
+                got = b.regressor(x, u)
+            assert got.tobytes() == reg.tobytes()
+            assert not np.all(np.isfinite(got))
 
 
 # ---------------------------------------------------------------------------

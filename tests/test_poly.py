@@ -6,6 +6,8 @@ import pytest
 from issynth.poly import (
     Polynomial,
     Variable,
+    eval_all,
+    eval_floats,
     monomial_basis,
     parse_poly,
     squared_norm,
@@ -29,6 +31,27 @@ def random_poly(rng, vars, max_deg=4, n_terms=6, scale=2.0):
     for b in rng.choice(len(basis), size=min(n_terms, len(basis)), replace=False):
         p = p + basis[b] * float(rng.uniform(-scale, scale))
     return p
+
+
+def float64_eval(p, point):
+    """Reference evaluator: the term loop on numpy float64 scalars that
+    eval_all must reproduce bit for bit."""
+    pt = np.asarray(point, dtype=float)
+    if pt.shape != (len(p.vars),):
+        raise ValueError(f"expected point of length {len(p.vars)}, got {pt.shape}")
+    total = 0.0
+    for exps, c in p.terms.items():
+        v = c
+        for xi, e in zip(pt, exps):
+            if e:
+                v *= xi**e
+        total += v
+    return total
+
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns: tells -0.0 from 0.0 and compares nan."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def max_coeff_diff(a, b):
@@ -125,6 +148,44 @@ class TestEvaluation:
     def test_eval_shape_check(self, xy):
         with pytest.raises(ValueError):
             parse_poly("x1", xy).eval([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            eval_all((parse_poly("x1", xy),), [[1.0, 2.0]])
+
+
+class TestScalarEvaluator:
+    def test_bitwise_equal_to_float64_loop(self):
+        rng = np.random.default_rng(17)
+        xyz = variables(["x1", "x2", "x3"])
+        polys = [random_poly(rng, xyz, max_deg=7, n_terms=25, scale=3.0) for _ in range(4)]
+        polys.append(parse_poly("x1^7 - 2.5*x2^7 + x3^7 + x1^3*x2^4 - x1*x2^3*x3^3", xyz))
+        assert max(max(e) for p in polys for e in p.terms) == 7
+        for _ in range(1000):
+            pt = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4, size=3)
+            want = [float64_eval(p, pt) for p in polys]
+            got = eval_all(polys, pt)
+            assert all(type(v) is float for v in got)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+            assert all(same_bits(p.eval(list(pt)), w) for p, w in zip(polys, want))
+            assert all(same_bits(g, w) for g, w in zip(eval_floats(polys, pt.tolist()), want))
+
+    def test_overflow_gives_float64_inf_and_nan(self, xy):
+        polys = [parse_poly(s, xy) for s in ("x1^2", "-x1^3", "x1^2 - x2^2", "x1^2*x2", "x2 + 1")]
+        for pt in ([1e200, 1e200], [-1e200, 3.0], [1e200, -1e-200], [np.inf, 1.0], [np.nan, 1e200]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = [float64_eval(p, pt) for p in polys]
+                got = eval_all(polys, pt)
+                unchecked = eval_floats(polys, [float(v) for v in pt])
+            assert all(same_bits(g, w) for g, w in zip(got, want)), (pt, got, want)
+            assert all(same_bits(g, w) for g, w in zip(unchecked, want)), (pt, unchecked, want)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = eval_all(polys, [1e200, 1e200])
+        assert got[:2] == [np.inf, -np.inf] and np.isnan(got[2])
+        assert got[3:] == [np.inf, 1e200]
+
+    def test_overflow_warns_as_float64_does(self, xy):
+        p = parse_poly("x1^2", xy)
+        with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+            assert p.eval([1e200, 0.0]) == np.inf
 
 
 class TestGradient:

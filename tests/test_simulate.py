@@ -1,6 +1,7 @@
 """Tests for ground-truth integration, data collection, and event triggering."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,35 @@ class TestEventTriggeredRun:
     def test_dwell_is_at_least_one_step(self, khalil_trace):
         ts = np.asarray(khalil_trace.event_times)
         assert np.all(np.diff(ts) >= 1e-3 - 1e-12)
+
+    def test_finite_escape_returns_partial_trace(self):
+        # xdot = x^2 from x0 = 3 escapes at t = 1/3.  The last finite state
+        # is about 3e72: its r^8 overflows (the evaluator's float64 retry
+        # gives inf) and the next step's regressor overflows too.
+        sys = scalar_system(1.0, quadratic=True)
+        alpha = parse_poly("r^2 + r^8", variables(["r"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = event_triggered_run(sys, [Polynomial.zero(sys.bases.vars)], alpha, alpha,
+                                     0.5, x0=[3.0], horizon=1.0, h=1e-3)
+        assert tr.diverged and not tr.storm
+        assert len(tr.times) < 1001
+        assert np.all(np.isfinite(tr.states))
+        assert 1e39 < abs(tr.states[-1, 0]) < 1e150
+        assert tr.alpha3[-1] == np.inf
+
+    def test_storm_after_more_than_1000_consecutive_events(self):
+        # |e| is about 1e-3 |x| after every step, so 1e12 |e|^2 > 0.5 |x|^2
+        # fires each step: 1000 consecutive events are allowed, 1001 are not
+        sys = scalar_system(-1.0)
+        rv = variables(["r"])
+        a3 = parse_poly("r^2", rv)
+        a4 = parse_poly("1e12*r^2", rv)
+        k = [Polynomial.zero(sys.bases.vars)]
+        tr = event_triggered_run(sys, k, a3, a4, 0.5, x0=[1.0], horizon=1.0, h=1e-3)
+        assert tr.event_count == 1001 and not tr.storm
+        tr = event_triggered_run(sys, k, a3, a4, 0.5, x0=[1.0], horizon=1.2, h=1e-3)
+        assert tr.event_count == 1201 and tr.storm and not tr.diverged
 
 
 # ---------------------------------------------------------------------------
