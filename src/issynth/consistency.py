@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, Variable, eval_all, parse_poly, variables
+from .poly import Polynomial, Variable, eval_floats, parse_poly, variables
 from .sdp import SdpProblem, solve_sdp
 
 
@@ -79,7 +79,7 @@ class RegressorBases:
         self.N = len(self.Z)
         self.M = len(self.W)
         self.m = cols
-        # Z then W row by row: one eval_all call gives every entry
+        # Z then W row by row: one eval_floats call gives every entry
         self._flat = self.Z + tuple(p for row in self.W for p in row)
 
     def __eq__(self, other) -> bool:
@@ -87,22 +87,30 @@ class RegressorBases:
             return NotImplemented
         return self.vars == other.vars and self.Z == other.Z and self.W == other.W
 
-    def _w_matrix(self, vals: list[float]) -> np.ndarray:
-        return np.array(vals[self.N:]).reshape(self.M, self.m)
-
-    def z_at(self, x: Sequence[float]) -> np.ndarray:
-        return np.array(eval_all(self._flat, x)[:self.N])
-
-    def w_at(self, x: Sequence[float]) -> np.ndarray:
-        return self._w_matrix(eval_all(self._flat, x))
-
     def regressor(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
         """Stacked regressor [Z(x); W(x) u] of length N+M."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
             raise ValueError(f"expected input of length {self.m}, got {u.shape}")
-        vals = eval_all(self._flat, x)
-        return np.concatenate([np.array(vals[:self.N]), self._w_matrix(vals) @ u])
+        pt = np.asarray(x, dtype=float)
+        if pt.shape != (self.n,):
+            raise ValueError(f"expected point of length {self.n}, got {pt.shape}")
+        return np.array(self.regressor_floats(pt.tolist(), u.tolist()))
+
+    def regressor_floats(self, xs: list[float], us: list[float]) -> list[float]:
+        """`regressor` on lists of Python floats, unchecked.
+
+        With one input column, W(x) u is ``0.0 + w*u`` per row: what the
+        float64 matrix product gives, signed zeros included.  Wider W(x) u
+        stays a numpy product, whose BLAS summation order Python cannot
+        reproduce.
+        """
+        vals = eval_floats(self._flat, xs)
+        w = vals[self.N:]
+        if self.m == 1:
+            u = us[0]
+            return vals[:self.N] + [0.0 + wi * u for wi in w]
+        return vals[:self.N] + (np.array(w).reshape(self.M, self.m) @ np.array(us)).tolist()
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,23 +6,32 @@ coefficients below ZERO_TOL are dropped so the zero polynomial has an empty
 term map.
 
 Point evaluation has one implementation, `eval_all`: several polynomials at
-one point, on Python floats, bitwise equal to the same term loop on float64
-scalars (see its docstring).  `eval_floats` is its loop without the point
+one point, on Python floats, bitwise equal to the term loop on float64
+scalars (see its docstring).  Each polynomial runs its own kernel, a
+straight-line function compiled from its terms on first use
+(`_compile_kernel`).  `eval_floats` is `eval_all` without the point
 conversion and check, for callers that already hold Python floats;
 `Polynomial.eval` calls `eval_all` for one polynomial, and
 `Polynomial.eval_many` is the vectorized form for many points.
+
+numpy stays where Python floats cannot give float64's answer: a power that
+overflows raises on Python floats, so the kernels are rerun on float64
+scalars, which give inf or nan and warn as numpy's error state says.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 # Coefficients with |c| below this are treated as exact zeros.
 ZERO_TOL = 1e-14
+
+# Terms per statement in a compiled kernel (see _compile_kernel).
+_KERNEL_CHUNK = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -58,7 +67,10 @@ def grlex_key(exps: tuple[int, ...]) -> tuple:
 class Polynomial:
     """Immutable-by-convention sparse polynomial over a fixed variable tuple."""
 
-    __slots__ = ("vars", "terms")
+    # kernel: the compiled evaluator of `terms` (see _compile_kernel),
+    # filled on first read by __getattr__; equality, hashing and pickling
+    # leave it out
+    __slots__ = ("vars", "terms", "kernel")
 
     def __init__(self, vars: tuple[Variable, ...], terms: Mapping[tuple[int, ...], float]):
         self.vars = tuple(vars)
@@ -72,6 +84,19 @@ class Polynomial:
                 raise ValueError(f"bad exponent tuple {exps} for {n} variables")
             clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails, so at most once for kernel
+        if name != "kernel":
+            raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
+        self.kernel = _compile_kernel(len(self.vars), self.terms)
+        return self.kernel
+
+    def __getstate__(self):
+        return self.vars, self.terms
+
+    def __setstate__(self, state):
+        self.vars, self.terms = state
 
     # -- constructors -------------------------------------------------
 
@@ -88,10 +113,10 @@ class Polynomial:
         return cls(vars, {tuple(exps): c})
 
     @classmethod
-    def from_var(cls, vars: tuple[Variable, ...], v: Variable, c: float = 1.0) -> "Polynomial":
+    def from_var(cls, vars: tuple[Variable, ...], v: Variable) -> "Polynomial":
         exps = [0] * len(vars)
         exps[vars.index(v)] = 1
-        return cls(vars, {tuple(exps): c})
+        return cls(vars, {tuple(exps): 1.0})
 
     # -- basic queries ------------------------------------------------
 
@@ -291,32 +316,47 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _eval_terms(polys: Sequence[Polynomial], xs: list) -> list:
-    """The term loop of `eval_all`, on Python floats or float64 scalars."""
-    out = []
-    for p in polys:
-        total = 0.0
-        for exps, c in p.terms.items():
-            v = c
-            for xi, e in zip(xs, exps):
-                if e:
-                    v *= xi**e
-            total += v
-        out.append(total)
-    return out
+def _compile_kernel(n: int, terms: Mapping[tuple[int, ...], float]) -> Callable[..., float]:
+    """Straight-line function of n positional coordinates that evaluates
+    `terms` as ``0.0 + c0*x0**e0*x1**e1 + c1*...`` in stored term order,
+    leaving out zero exponents.
+
+    The coefficients are bound as closure values, never printed into the
+    source, so inf, nan and -0.0 keep their bits.  Sums of many terms are
+    split into statements of _KERNEL_CHUNK terms, which keeps the
+    left-to-right addition order and the parser's nesting depth small.
+    """
+    xs = [f"x{i}" for i in range(n)]
+    products = [
+        "*".join([f"c{j}"] + [f"{x}**{e}" for x, e in zip(xs, exps) if e])
+        for j, exps in enumerate(terms)
+    ]
+    body = ["t = 0.0"] + [
+        f"t = t + {' + '.join(products[k:k + _KERNEL_CHUNK])}"
+        for k in range(0, len(products), _KERNEL_CHUNK)
+    ]
+    src = (f"def make({', '.join(f'c{j}' for j in range(len(products)))}):\n"
+           f"    def kernel({', '.join(xs)}):\n"
+           + "".join(f"        {line}\n" for line in body)
+           + "        return t\n"
+           "    return kernel\n")
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["make"](*terms.values())
 
 
 def eval_all(polys: Sequence[Polynomial], point: Sequence[float]) -> list[float]:
     """Evaluate several polynomials at one point, as Python floats.
 
-    The point is converted once to a list of Python floats.  Each term is
-    then computed as ``c * x_i**e_i * ...`` over the nonzero exponents in
-    variable order and added in stored term order: the same IEEE operations
-    as on float64 scalars, both calling the C library's ``pow``, so results
-    are bitwise equal to a float64 evaluation.  Where a Python float power
-    overflows (it raises, float64 gives inf) the same loop is rerun on
-    float64 scalars, so inf and nan come out as float64 gives them, with
-    numpy's error state deciding whether the overflow warns.
+    The point is converted once to a list of Python floats and handed to
+    each polynomial's kernel (see `_compile_kernel`).  Each term is
+    ``c * x_i**e_i * ...`` over the nonzero exponents in variable order,
+    added in stored term order: the same IEEE operations as on float64
+    scalars, both calling the C library's ``pow``, so results are bitwise
+    equal to a float64 evaluation.  Where a Python float power overflows
+    (it raises, float64 gives inf) the kernels are rerun on float64
+    scalars, so inf and nan come out as float64 gives them, with numpy's
+    error state deciding whether the overflow warns.
     """
     pt = np.asarray(point, dtype=float)
     n = len(pt) if pt.ndim == 1 else -1
@@ -330,9 +370,10 @@ def eval_floats(polys: Sequence[Polynomial], xs: list[float]) -> list[float]:
     """`eval_all` on a point that already is a list of Python floats, one
     per variable of every polynomial; neither is checked."""
     try:
-        return _eval_terms(polys, xs)
+        return [p.kernel(*xs) for p in polys]
     except OverflowError:
-        return _eval_terms(polys, [np.float64(x) for x in xs])
+        xs = [np.float64(x) for x in xs]
+        return [p.kernel(*xs) for p in polys]
 
 
 def monomial_basis(

@@ -699,6 +699,9 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         if L_M is None:
             status, msg = "numerical-failure", "Schur complement factorization failed"
             break
+        # cho_solve hands LAPACK a Fortran-ordered factor: convert once here
+        # rather than copying it in each of this iteration's solves
+        L_M = np.asfortranarray(L_M)
 
         if nf:
             MA = sla.cho_solve((L_M, True), Af)

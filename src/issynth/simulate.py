@@ -6,12 +6,16 @@ measurements; the closed-loop side runs a zero-order-hold controller whose
 updates are triggered by a comparison-function condition on the measurement
 error.
 
-Every RK4 stage evaluates the regressors through `poly.eval_all`, which
-works on Python floats and gives the same bits as a float64 evaluation.
-The event loop's controller uses it too; its comparison functions take the
-norm as a Python float and go straight to the loop, `poly.eval_floats`.
-Each of the three loops holds one numpy error state for its whole run
-(see `GroundTruthSystem.field_at`).
+`integrate`, `collect_dataset` and `event_triggered_run` carry the state as
+a list of Python floats through one RK4 step, `_rk4_step`, which does the
+float64 vector form's operations in its order, so every array they return
+is bitwise what that form gives.  Polynomials (regressors, controller,
+comparison functions) go through `poly.eval_floats`.  numpy stays only for
+the sums whose BLAS summation order Python cannot reproduce: [A_star
+B_star] times the regressor, a W(x) u with more than one input column, and
+the x.x under the comparison functions' norm; and it builds the returned
+arrays.  Each of the three loops holds one numpy error state for its whole
+run (see `GroundTruthSystem.field_floats`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .consistency import Dataset, RegressorBases, Sample
-from .poly import Polynomial, eval_all, eval_floats, parse_poly, variables
+from .poly import Polynomial, eval_floats, parse_poly, variables
 
 ControlLaw = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, Sequence[float]]
 
@@ -59,7 +63,14 @@ class GroundTruthSystem:
 
     def field_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Noiseless state derivative; shares the regressor code path with
-        the membership tests so noiseless data reproduce it bitwise.
+        the membership tests so noiseless data reproduce it bitwise."""
+        return self.AB.dot(self.bases.regressor(x, u))
+
+    def field_floats(self, xs: list[float], us: list[float]) -> list[float]:
+        """`field_at` on lists of Python floats, unchecked.  The product
+        with [A_star B_star] stays a numpy (BLAS) product, for its
+        summation order; ``ndarray.dot`` makes the same BLAS call as ``@``
+        at less call overhead.
 
         Sets no numpy error state: an escaping state overflows to inf or
         nan, and the caller decides whether that warns.  `integrate`,
@@ -67,7 +78,7 @@ class GroundTruthSystem:
         ``np.errstate(over="ignore", invalid="ignore")`` around their whole
         loop and stop on the first non-finite state.
         """
-        return self.AB @ self.bases.regressor(x, u)
+        return self.AB.dot(np.array(self.bases.regressor_floats(xs, us))).tolist()
 
 
 def khalil_system() -> GroundTruthSystem:
@@ -114,18 +125,37 @@ class Trajectory:
     diverged: bool = False
 
 
-def _rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(f: Callable[[list[float]], list[float]], x: list[float], h: float) -> list[float]:
+    """One classical Runge-Kutta step on Python floats.
+
+    Componentwise the same IEEE operations, in the same order, as the
+    float64 vector form: stages at x + (0.5*h)*k and x + h*k, then
+    x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4).
+    """
+    hh = 0.5 * h
     k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f([xi + hh * ki for xi, ki in zip(x, k1)])
+    k3 = f([xi + hh * ki for xi, ki in zip(x, k2)])
+    k4 = f([xi + h * ki for xi, ki in zip(x, k3)])
+    h6 = h / 6.0
+    return [xi + h6 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def _as_control(law: ControlLaw, m: int) -> Callable[[np.ndarray], np.ndarray]:
+def _finite(x: list[float]) -> bool:
+    return all(map(math.isfinite, x))
+
+
+def _initial_state(x0: Sequence[float], n: int) -> list[float]:
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise ValueError(f"expected point of length {n}, got {x.shape}")
+    return x.tolist()
+
+
+def _as_control(law: ControlLaw, m: int) -> Callable[[list[float]], list[float]]:
     if callable(law):
-        return lambda x: np.asarray(law(x), dtype=float).reshape(m)
-    held = np.asarray(law, dtype=float).reshape(m)
+        return lambda x: np.asarray(law(np.array(x)), dtype=float).reshape(m).tolist()
+    held = np.asarray(law, dtype=float).reshape(m).tolist()
     return lambda x: held
 
 
@@ -138,27 +168,29 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step classical Runge-Kutta integration of the closed loop.
 
-    control_law is either a feedback x -> u (evaluated at internal stages)
-    or a held constant input.  A non-finite state aborts the run and the
-    partial trajectory is returned with the diverged flag set.
+    control_law is either a feedback x -> u (called with the state as an
+    array at internal stages) or a held constant input.  A non-finite
+    state aborts the run and the partial trajectory is returned with the
+    diverged flag set.
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
     u_of = _as_control(control_law, sys.m)
-    f = lambda s: sys.field_at(s, u_of(s))
+    field = sys.field_floats
+    f = lambda s: field(s, u_of(s))
     steps = int(round(horizon / h))
-    x = np.asarray(x0, dtype=float).reshape(-1)
+    x = _initial_state(x0, sys.n)
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
             x = _rk4_step(f, x, h)
-            if not np.isfinite(x).all():
+            if not _finite(x):
                 diverged = True
                 break
             times.append(j * h)
-            states.append(x.copy())
+            states.append(x)
     return Trajectory(np.array(times), np.array(states), diverged)
 
 
@@ -188,19 +220,22 @@ def collect_dataset(sys: GroundTruthSystem, cfg: ExperimentConfig) -> Dataset:
     if cfg.x0.shape != (sys.n,):
         raise ValueError(f"x0 shape {cfg.x0.shape}, expected ({sys.n},)")
     rng = np.random.default_rng(cfg.seed)
-    x = cfg.x0.copy()
+    x = cfg.x0.tolist()
     substeps = max(1, int(round(cfg.sample_spacing / cfg.h)))
     hs = cfg.sample_spacing / substeps
+    field = sys.field_floats
     samples: list[Sample] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.T):
             u = rng.uniform(-cfg.u_bound, cfg.u_bound, size=sys.m)
             d = _ball_sample(rng, sys.n, cfg.d_radius)
-            xdot = sys.field_at(x, u) + d
-            samples.append(Sample(i * cfg.sample_spacing, u, x.copy(), xdot))
+            us = u.tolist()
+            xdot = np.array(field(x, us)) + d
+            samples.append(Sample(i * cfg.sample_spacing, u, np.array(x), xdot))
+            f = lambda s: field(s, us)
             for _ in range(substeps):
-                x = _rk4_step(lambda s: sys.field_at(s, u), x, hs)
-            if not np.isfinite(x).all():
+                x = _rk4_step(f, x, hs)
+            if not _finite(x):
                 raise RuntimeError(
                     f"divergence during data collection after sample {i} "
                     f"(t = {i * cfg.sample_spacing:.6g})"
@@ -292,18 +327,18 @@ def event_triggered_run(
     if len(kf) != sys.m:
         raise ValueError(f"controller has {len(kf)} components, expected {sys.m}")
 
-    def control_at(x: np.ndarray) -> np.ndarray:
-        return np.array(eval_all(kf, x))
-
     steps = int(round(horizon / h))
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    held_x = x.copy()
-    u = control_at(held_x)
+    x = _initial_state(x0, sys.n)
+    held_x = np.array(x)
+    u = eval_floats(kf, x)
+    field = sys.field_floats
+    f = lambda s: field(s, u)  # the input held at call time
+    zeros = np.zeros(sys.n)
     times = [0.0]
-    states = [x.copy()]
-    inputs = [u.copy()]
-    errors = [np.zeros(sys.n)]
-    a3s = [a3(_norm(x))]
+    states = [x]
+    inputs = [u]
+    errors = [zeros]
+    a3s = [a3(_norm(held_x))]
     a4s = [a4(0.0)]
     flags = [1]
     event_times = [0.0]
@@ -312,19 +347,20 @@ def event_triggered_run(
     consecutive = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
-            x = _rk4_step(lambda s: sys.field_at(s, u), x, h)
-            if not np.isfinite(x).all():
+            x = _rk4_step(f, x, h)
+            if not _finite(x):
                 diverged = True
                 break
             t = j * h
-            e = held_x - x
-            v3 = a3(_norm(x))
+            xa = np.array(x)
+            e = held_x - xa
+            v3 = a3(_norm(xa))
             v4 = a4(_norm(e))
             fired = 0
             if v4 > sigma * v3:
-                held_x = x.copy()
-                u = control_at(held_x)
-                e = np.zeros(sys.n)
+                held_x = xa
+                u = eval_floats(kf, x)
+                e = zeros
                 v4 = a4(0.0)
                 event_times.append(t)
                 fired = 1
@@ -334,8 +370,8 @@ def event_triggered_run(
             else:
                 consecutive = 0
             times.append(t)
-            states.append(x.copy())
-            inputs.append(u.copy())
+            states.append(x)
+            inputs.append(u)
             errors.append(e)
             a3s.append(v3)
             a4s.append(v4)

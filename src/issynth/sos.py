@@ -187,6 +187,7 @@ class _LinearConstraint:
     terms: list[tuple[int, float]]
     rhs: float
     sense: str  # "==", ">=", "<="
+    family: str  # row-family label in the compiled index
 
 
 class SosCertificateError(ValueError):
@@ -364,12 +365,15 @@ class SosProgram:
         return len(self._grams) - 1
 
     def add_linear(self, terms: Iterable[tuple[CoeffVar, float]],
-                   rhs: float = 0.0, sense: str = "==") -> None:
+                   rhs: float, sense: str = "==", family: str = "linear") -> None:
+        """One linear row on the coefficients.  `family` labels it in the
+        compiled index's row_families: consecutive rows of one family form
+        one entry, so an infeasibility diagnosis can name the group."""
         if sense not in ("==", ">=", "<="):
             raise ValueError(f"unknown sense {sense!r}")
         self._compiled = None
         self._linear.append(_LinearConstraint(
-            [(v.index, float(c)) for v, c in terms], float(rhs), sense))
+            [(v.index, float(c)) for v, c in terms], float(rhs), sense, family))
 
     def set_objective(self, terms: Iterable[tuple[CoeffVar, float]],
                       sense: str = "min") -> None:
@@ -434,8 +438,8 @@ class SosProgram:
                 prob.add_row(psd, sorted(free.items()), rhs_map.get(exps, 0.0))
             row_families.append((con.name, family_start, prob.n_rows))
 
-        linear_start = prob.n_rows
         for lc in self._linear:
+            start = prob.n_rows
             if lc.sense == "==":
                 prob.add_row(free_entries=lc.terms, rhs=lc.rhs)
             else:
@@ -443,8 +447,10 @@ class SosProgram:
                 sgn = -1.0 if lc.sense == ">=" else 1.0
                 prob.add_row(psd_entries=[(slack, 0, 0, sgn)],
                              free_entries=lc.terms, rhs=lc.rhs)
-        if prob.n_rows > linear_start:
-            row_families.append(("linear", linear_start, prob.n_rows))
+            if row_families and row_families[-1][0] == lc.family:
+                row_families[-1] = (lc.family, row_families[-1][1], prob.n_rows)
+            else:
+                row_families.append((lc.family, start, prob.n_rows))
 
         for idx, c in self._objective.items():
             if c:
@@ -524,9 +530,6 @@ class SosSolution:
                 shifts.append(G + t * np.diag(d))
             out = shifts
         return out
-
-    def gram_min_eig(self, handle: int) -> float:
-        return min(float(np.linalg.eigvalsh(G)[0]) for G in self.gram(handle))
 
 
 # ---------------------------------------------------------------------------

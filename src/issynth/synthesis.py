@@ -155,9 +155,10 @@ def _alpha_template(prog: SosProgram, prefix: str, n_terms: int,
     for c in cs:
         lin[c.index] = power
         power = power * sq
+    family = f"{prefix.rstrip('_')} gates"
     for c in cs:
-        prog.add_linear([(c, 1.0)], 0.0, ">=")
-    prog.add_linear([(c, 1.0) for c in cs], _eps_row(epsilon), ">=")
+        prog.add_linear([(c, 1.0)], 0.0, ">=", family)
+    prog.add_linear([(c, 1.0) for c in cs], _eps_row(epsilon), ">=", family)
     return AffinePoly(sq.vars, Polynomial.zero(sq.vars), lin), cs
 
 
@@ -224,7 +225,7 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         a1, c1 = _alpha_template(prog, "a1_", cfg.N1, sq_x, cfg.epsilon)
         legend["alpha_coeffs"]["a1"] = c1
         eta = 1.0
-        prog.add_linear([(c, 1.0) for c in c1], eta, "==")
+        prog.add_linear([(c, 1.0) for c in c1], eta, "==", "a1 pin")
         legend["eta"] = eta
 
     if mode == "fit_V":
@@ -243,8 +244,8 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         # with alpha2 fit outside the program, these caps cut the scaling
         # ray (V, lambda, alpha3, alpha4, margin) -> gamma * (...) from above
         for c in (*v_cs, *l_cs):
-            prog.add_linear([(c, 1.0)], 1e3, "<=")
-            prog.add_linear([(c, 1.0)], -1e3, ">=")
+            prog.add_linear([(c, 1.0)], 1e3, "<=", "V/lambda caps")
+            prog.add_linear([(c, 1.0)], -1e3, ">=", "V/lambda caps")
         legend["V_coeffs"], legend["lam_coeffs"] = v_cs, l_cs
     else:
         Vf = fixed["V"]
@@ -372,14 +373,21 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
 
 
 def _localize_infeasibility(sol) -> str:
-    """Name the constraint family the dual improving ray concentrates on."""
+    """Name the constraint family the dual improving ray concentrates on.
+
+    The families are the Gram constraints, by name, and the labelled
+    linear groups of `assemble_theorem1`: the a1, a3 and a4 gates, the a1
+    pin and the V/lambda caps.
+    """
     fams = sol.index.get("row_families", [])
     y = np.abs(np.asarray(sol.sdp.y, dtype=float))
     if y.size == 0 or y.max() == 0.0 or not fams:
         return "no dual ray available"
-    scores = [(name, float(y[a:b].sum())) for name, a, b in fams if b > a]
-    total = sum(s for _, s in scores) or 1.0
-    name, mass = max(scores, key=lambda t: t[1])
+    scores: dict[str, float] = {}
+    for name, a, b in fams:
+        scores[name] = scores.get(name, 0.0) + float(y[a:b].sum())
+    total = sum(scores.values()) or 1.0
+    name, mass = max(scores.items(), key=lambda t: t[1])
     return f"dual ray concentrates on {name} rows ({100.0 * mass / total:.0f}% of mass)"
 
 

@@ -62,8 +62,6 @@ class TestRegressorBases:
         b = khalil.bases
         assert (b.n, b.N, b.M, b.m) == (2, 5, 1, 1)
         x = [2.0, -1.0]
-        assert np.allclose(b.z_at(x), [2.0, 4.0, -4.0, 2.0, -1.0])
-        assert np.allclose(b.w_at(x), [[1.0]])
         assert np.allclose(b.regressor(x, [3.0]), [2.0, 4.0, -4.0, 2.0, -1.0, 3.0])
 
     def test_constant_term_in_z_rejected(self):
@@ -100,30 +98,33 @@ class TestRegressorBases:
         vs = variables(["x1", "x2"])
         Z = [parse_poly(s, vs) for s in ("x1", "-0.3*x1^2*x2 + x2^7", "x1^3*x2^4 - 2*x1^5",
                                          "1.7*x1*x2^6 + x2^2")]
-        W = [[parse_poly(s, vs) for s in row]
-             for row in (("1", "x1^2 - x2"), ("0.5*x1*x2^3", "2 - x1^7"), ("x2^4", "-x1"))]
-        b = RegressorBases(vs, Z, W)
+        W2 = [[parse_poly(s, vs) for s in row]
+              for row in (("1", "x1^2 - x2"), ("0.5*x1*x2^3", "2 - x1^7"), ("x2^4", "-x1"))]
+        W1 = [row[1:] for row in W2]  # one input column: W(x) u is not a numpy product
         rng = np.random.default_rng(23)
 
-        def want(x, u):
+        def want(W, x, u):
             z = np.array([float64_eval(p, x) for p in Z])
             w = np.array([[float64_eval(p, x) for p in row] for row in W])
-            return z, w, np.concatenate([z, w @ u])
+            return np.concatenate([z, w @ u])
 
-        for _ in range(1000):
-            x = rng.standard_normal(2) * 10.0 ** rng.integers(-2, 3, size=2)
-            u = rng.standard_normal(2)
-            z, w, reg = want(x, u)
-            assert b.regressor(x, u).tobytes() == reg.tobytes()
-            assert b.z_at(x).tobytes() == z.tobytes()
-            assert b.w_at(x).tobytes() == w.tobytes()
-        for x in ([1e200, -1e200], [-1e100, 1e60], [np.inf, 0.0]):
-            u = np.array([1.0, -1.0])
-            with np.errstate(over="ignore", invalid="ignore"):
-                reg = want(x, u)[2]
-                got = b.regressor(x, u)
-            assert got.tobytes() == reg.tobytes()
-            assert not np.all(np.isfinite(got))
+        for W in (W2, W1):
+            b = RegressorBases(vs, Z, W)
+            for _ in range(1000):
+                x = rng.standard_normal(2) * 10.0 ** rng.integers(-2, 3, size=2)
+                u = rng.standard_normal(b.m)
+                assert b.regressor(x, u).tobytes() == want(W, x, u).tobytes()
+            # signed zeros: w = 0 times a negative input, and a -0.0 input
+            for x, u in (([0.0, 0.0], [-1.0, -2.0]), ([1.0, 2.0], [-0.0, -0.0])):
+                u = np.array(u[:b.m])
+                assert b.regressor(x, u).tobytes() == want(W, x, u).tobytes()
+            for x in ([1e200, -1e200], [-1e100, 1e60], [np.inf, 0.0]):
+                u = np.array([1.0, -1.0][:b.m])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    reg = want(W, x, u)
+                    got = b.regressor(x, u)
+                assert got.tobytes() == reg.tobytes()
+                assert not np.all(np.isfinite(got))
 
 
 # ---------------------------------------------------------------------------

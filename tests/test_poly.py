@@ -1,5 +1,9 @@
 """Polynomial core: ring axioms, evaluation oracle, gradient oracle, parsing."""
 
+import copy
+import pickle
+import struct
+
 import numpy as np
 import pytest
 
@@ -167,6 +171,45 @@ class TestScalarEvaluator:
             assert all(same_bits(g, w) for g, w in zip(got, want))
             assert all(same_bits(p.eval(list(pt)), w) for p, w in zip(polys, want))
             assert all(same_bits(g, w) for g, w in zip(eval_floats(polys, pt.tolist()), want))
+
+    def test_kernel_keeps_coefficient_bits(self):
+        # the constructor drops a -0.0 coefficient, so set the terms directly;
+        # a printed coefficient would turn inf into a name and lose the payload
+        # of this nan
+        xyz = variables(["x1", "x2", "x3"])
+        nan_payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
+
+        def raw(terms):
+            p = Polynomial.zero(xyz)
+            p.terms = dict(terms)
+            return p
+
+        polys = [
+            raw({(1, 0, 0): -0.0, (0, 0, 0): -0.0}),
+            raw({(0, 2, 1): np.inf, (1, 0, 0): 2.0}),
+            raw({(0, 0, 3): nan_payload}),
+            Polynomial.zero(xyz),
+            random_poly(np.random.default_rng(3), xyz, max_deg=7, n_terms=100),
+        ]
+        assert len(polys[4].terms) > 64  # its kernel sums in two statements
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            pt = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4, size=3)
+            with np.errstate(invalid="ignore"):
+                want = [float64_eval(p, pt) for p in polys]
+            got = eval_all(polys, pt)
+            assert all(type(v) is float for v in got)
+            assert all(same_bits(g, w) for g, w in zip(got, want)), (pt, got, want)
+        assert same_bits(eval_all(polys[2:3], [1.0, 1.0, 1.0])[0], nan_payload)
+        assert eval_all(polys[3:4], [1.0, 2.0, 3.0]) == [0.0]
+
+    def test_evaluated_polynomial_pickles_and_compares_equal(self, xy):
+        p = parse_poly("x1^3 - 2.5*x1*x2 + 0.25", xy)
+        want = p.eval([0.3, -1.7])
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert q == p and hash(q) == hash(p)
+            assert same_bits(q.eval([0.3, -1.7]), want)
+        assert pickle.loads(pickle.dumps(p + 1.0)) == p + 1.0
 
     def test_overflow_gives_float64_inf_and_nan(self, xy):
         polys = [parse_poly(s, xy) for s in ("x1^2", "-x1^3", "x1^2 - x2^2", "x1^2*x2", "x2 + 1")]

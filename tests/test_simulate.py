@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from issynth.consistency import (
+    Dataset,
     RegressorBases,
+    Sample,
     membership_instantaneous,
 )
-from issynth.poly import Polynomial, parse_poly, variables
+from issynth.poly import Polynomial, eval_all, parse_poly, variables
 from issynth.simulate import (
     EventTrace,
     ExperimentConfig,
     GroundTruthSystem,
+    _ball_sample,
     collect_dataset,
     dataset_to_csv,
     event_trace_to_csv,
@@ -22,6 +25,7 @@ from issynth.simulate import (
     integrate,
     khalil_system,
 )
+from test_poly import float64_eval
 
 
 def scalar_system(a: float, quadratic: bool = False) -> GroundTruthSystem:
@@ -278,6 +282,168 @@ class TestEventTriggeredRun:
         assert tr.event_count == 1001 and not tr.storm
         tr = event_triggered_run(sys, k, a3, a4, 0.5, x0=[1.0], horizon=1.2, h=1e-3)
         assert tr.event_count == 1201 and tr.storm and not tr.diverged
+
+
+# ---------------------------------------------------------------------------
+# float64 vector reference: the numpy RK4 loops the float loops replaced
+
+
+def field_ref(sys, x, u):
+    """The field as the vector loops computed it: regressor values from
+    eval_all, then numpy products for W(x) u and [A_star B_star] xi."""
+    b = sys.bases
+    vals = eval_all(b.Z + tuple(p for row in b.W for p in row), x)
+    w = np.array(vals[b.N:]).reshape(b.M, b.m)
+    return sys.AB @ np.concatenate([np.array(vals[:b.N]), w @ u])
+
+
+def rk4_step_ref(f, x, h):
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate_ref(sys, law, x0, horizon, h):
+    f = lambda s: field_ref(sys, s, np.asarray(law(s), dtype=float).reshape(sys.m))
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    times, states, diverged = [0.0], [x.copy()], False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, int(round(horizon / h)) + 1):
+            x = rk4_step_ref(f, x, h)
+            if not np.isfinite(x).all():
+                diverged = True
+                break
+            times.append(j * h)
+            states.append(x.copy())
+    return np.array(times), np.array(states), diverged
+
+
+def collect_dataset_ref(sys, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    x = cfg.x0.copy()
+    substeps = max(1, int(round(cfg.sample_spacing / cfg.h)))
+    hs = cfg.sample_spacing / substeps
+    samples = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.T):
+            u = rng.uniform(-cfg.u_bound, cfg.u_bound, size=sys.m)
+            d = _ball_sample(rng, sys.n, cfg.d_radius)
+            xdot = field_ref(sys, x, u) + d
+            samples.append(Sample(i * cfg.sample_spacing, u, x.copy(), xdot))
+            for _ in range(substeps):
+                x = rk4_step_ref(lambda s: field_ref(sys, s, u), x, hs)
+            assert np.isfinite(x).all()
+    return Dataset(sys.bases, cfg.d_radius ** 2, samples)
+
+
+def event_run_ref(sys, k, alpha3, alpha4, sigma, x0, horizon, h):
+    a3 = lambda r: float64_eval(alpha3, [r])
+    a4 = lambda r: float64_eval(alpha4, [r])
+    control_at = lambda x: np.array(eval_all(k, x))
+    norm = lambda x: np.sqrt(x.dot(x))
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    held_x = x.copy()
+    u = control_at(held_x)
+    times, states, inputs, errors = [0.0], [x.copy()], [u.copy()], [np.zeros(sys.n)]
+    a3s, a4s, flags, event_times = [a3(norm(x))], [a4(0.0)], [1], [0.0]
+    diverged = storm = False
+    consecutive = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, int(round(horizon / h)) + 1):
+            x = rk4_step_ref(lambda s: field_ref(sys, s, u), x, h)
+            if not np.isfinite(x).all():
+                diverged = True
+                break
+            t = j * h
+            e = held_x - x
+            v3, v4 = a3(norm(x)), a4(norm(e))
+            fired = 0
+            if v4 > sigma * v3:
+                held_x = x.copy()
+                u = control_at(held_x)
+                e = np.zeros(sys.n)
+                v4 = a4(0.0)
+                event_times.append(t)
+                fired = 1
+                consecutive += 1
+                storm = storm or consecutive > 1000
+            else:
+                consecutive = 0
+            times.append(t)
+            states.append(x.copy())
+            inputs.append(u.copy())
+            errors.append(e)
+            a3s.append(v3)
+            a4s.append(v4)
+            flags.append(fired)
+    return EventTrace(np.array(times), np.array(states), np.array(inputs), np.array(errors),
+                      np.array(a3s), np.array(a4s), np.array(flags, dtype=int), event_times,
+                      sigma, diverged, storm)
+
+
+def dense_system() -> GroundTruthSystem:
+    """Two states, dense random A_star and B_star, a 2-column W(x)."""
+    vs = variables(["x1", "x2"])
+    rng = np.random.default_rng(5)
+    Z = [parse_poly(s, vs) for s in ("x1", "x2", "x1^2", "x1*x2", "x2^3", "x1^3")]
+    W = [[parse_poly(s, vs) for s in row] for row in (("1", "x1"), ("x2^2", "1 + x1*x2"))]
+    A = 0.3 * rng.standard_normal((2, 6)) - np.eye(2, 6)
+    B = 0.5 * rng.standard_normal((2, 2))
+    return GroundTruthSystem(A, B, RegressorBases(vs, Z, W))
+
+
+def same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBitwiseEqualToNumpyLoops:
+    """The float RK4 loops against the float64 vector loops above."""
+
+    @pytest.fixture(scope="class", params=["khalil", "dense"])
+    def case(self, request, khalil):
+        rv = variables(["r"])
+        if request.param == "khalil":
+            k = [parse_poly("-x1 - x2", khalil.bases.vars)]
+            angles = np.pi / 6 + np.arange(6) * np.pi / 3
+            x0s = 0.8 * np.column_stack([np.cos(angles), np.sin(angles)])
+            return khalil, k, parse_poly("0.1*r^2", rv), parse_poly("r^2", rv), 0.5, x0s
+        sys = dense_system()
+        k = [parse_poly("-x1 - 0.5*x2", sys.bases.vars),
+             parse_poly("0.2*x1 - x2 - x1^3", sys.bases.vars)]
+        x0s = np.random.default_rng(6).uniform(-0.8, 0.8, size=(3, 2))
+        return sys, k, parse_poly("0.1*r^2", rv), parse_poly("r^2 + 0.5*r^4", rv), 0.4, x0s
+
+    def test_integrate(self, case):
+        sys, k, *_, x0s = case
+        law = lambda x: np.array([p.eval(x) for p in k])
+        for x0 in x0s:
+            traj = integrate(sys, law, x0, horizon=1.0, h=1e-3)
+            times, states, diverged = integrate_ref(sys, law, x0, 1.0, 1e-3)
+            assert not diverged and traj.diverged == diverged
+            assert same_array(traj.times, times) and same_array(traj.states, states)
+
+    def test_collect_dataset(self, case):
+        sys, *_, x0s = case
+        for j, x0 in enumerate(x0s):
+            cfg = ExperimentConfig(T=20, sample_spacing=0.05, u_bound=1.0,
+                                   d_radius=0.01, x0=x0, seed=j)
+            got, want = collect_dataset(sys, cfg), collect_dataset_ref(sys, cfg)
+            assert got.to_json() == want.to_json()
+            for a, b in zip(got.samples, want.samples):
+                assert a.t == b.t and all(same_array(p, q) for p, q in zip(a[1:], b[1:]))
+
+    def test_event_triggered_run(self, case):
+        sys, k, a3, a4, sigma, x0s = case
+        for x0 in x0s:
+            got = event_triggered_run(sys, k, a3, a4, sigma, x0, horizon=1.0, h=1e-3)
+            want = event_run_ref(sys, k, a3, a4, sigma, x0, 1.0, 1e-3)
+            assert want.event_count > 2 and not want.diverged
+            for f in ("times", "states", "inputs", "errors", "alpha3", "alpha4", "event_flags"):
+                assert same_array(getattr(got, f), getattr(want, f)), f
+            assert same_array(np.array(got.event_times), np.array(want.event_times))
+            assert (got.sigma, got.diverged, got.storm) == (want.sigma, want.diverged, want.storm)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from issynth.consistency import ellipsoid_params
 from issynth.poly import Polynomial, parse_poly, variables
 from issynth import verify as _verify
 from issynth.simulate import khalil_system
+from issynth.sos import AffinePoly, SosProgram
 from issynth.synthesis import (
     SynthesisConfig,
     SynthesisError,
     SynthesisResult,
+    _localize_infeasibility,
     _refit_envelopes,
     alternate,
     assemble_theorem1,
@@ -49,6 +51,37 @@ def test_step_v_compiled_shape(khalil_ell, k_lin):
     assert prob.n_free == 82
     assert [d for d in prob.block_dims if d > 1] == [25, 45, 5, 15]
     assert sum(1 for d in prob.block_dims if d == 1) == 159
+
+
+def test_linear_rows_labelled_by_group(khalil_ell, k_lin):
+    prog, _ = assemble_theorem1(khalil_ell, SynthesisConfig(k_init=(k_lin,)), {"k": [k_lin]})
+    fams = prog.compile()[1]["row_families"]
+    assert [name for name, _, _ in fams] == [
+        "s4", "s1", "s3", "a3 gates", "a4 gates", "a1 gates", "a1 pin", "V/lambda caps"]
+    assert fams[0][1] == 0 and fams[-1][2] == 2660
+    assert all(a[2] == b[1] for a, b in zip(fams, fams[1:]))
+    # N3 = N4 = N1 = 2 coefficients, each with two gates; 75 V and lambda coefficients
+    assert [b - a for name, a, b in fams[3:]] == [3, 3, 3, 1, 150]
+
+
+def test_localize_infeasibility_names_the_binding_family():
+    # five coefficients pinned to sum 1 and each capped at 0.01 cannot all
+    # hold: the Farkas ray of pin and caps weights each of those six rows
+    # equally, 5/6 of it on the caps.  The Gram family "s" (c0 x^2 + 1 is
+    # SOS for c0 >= 0) takes no part in the conflict.
+    xv = variables(["x"])
+    prog = SosProgram()
+    cs = prog.new_coeffs("c_", 5)
+    prog.add_scalar_sos(AffinePoly(xv, Polynomial.constant(xv, 1.0),
+                                   {cs[0].index: parse_poly("x^2", xv)}), name="s")
+    prog.add_linear([(c, 1.0) for c in cs], 1.0, "==", "pin")
+    for c in cs:
+        prog.add_linear([(c, 1.0)], 0.01, "<=", "caps")
+    sol = prog.solve()
+    assert sol.status == "infeasible"
+    assert [name for name, _, _ in sol.index["row_families"]] == ["s", "pin", "caps"]
+    assert re.fullmatch(r"dual ray concentrates on caps rows \(\d+% of mass\)",
+                        _localize_infeasibility(sol))
 
 
 def test_fixed_must_name_one_side(khalil_ell, k_lin):
