@@ -273,7 +273,8 @@ class SdpSolution:
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     message: str = ""
-    # one dict per iteration: mu, pres, dres, gap, tau, kappa, sigma, step and
+    # one dict per iteration: mu, pres, dres, gap, tau, kappa, sigma, step,
+    # the diagonal jitter the Schur factorization needed (0.0 when none) and
     # the seconds of each phase; left out of the JSON form
     trace: list = field(default_factory=list)
 
@@ -461,8 +462,10 @@ class _Preprocessed:
         self.x_part = np.zeros(nf)
         self.N = np.eye(nf)
         if len(self.free_only_rows) and nf:
-            # x_free = x_part + N q, with R_f x_free = r_f
-            U, sv, Vt = np.linalg.svd(Rf, full_matrices=True)
+            # x_free = x_part + N q, with R_f x_free = r_f.  Only U[:, :rank]
+            # is used, so U stays thin; Vt must be square for the null space
+            # N, which the thin form already is unless R_f is wide
+            U, sv, Vt = np.linalg.svd(Rf, full_matrices=Rf.shape[0] < nf)
             tol = max(Rf.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
             rank = int(np.sum(sv > max(tol, 1e-12)))
             if rank:
@@ -639,7 +642,8 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             best = (score, [Xk / tau for Xk in X], x / tau, xfhat.copy(), yhat.copy(),
                     [Zk / tau for Zk in Z], z / tau, pres, dres, gap, pobj)
         entry = {"mu": mu, "pres": float(pres), "dres": float(dres), "gap": gap,
-                 "tau": tau, "kappa": kappa, "sigma": None, "step": None, "seconds": {}}
+                 "tau": tau, "kappa": kappa, "sigma": None, "step": None, "jitter": None,
+                 "seconds": {}}
         trace.append(entry)
         seconds = entry["seconds"]
 
@@ -687,15 +691,20 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         t2 = time.perf_counter()
         seconds["schur"] = t2 - t1
 
+        # M itself first; only a failed factorization shifts its diagonal
         jitter = 0.0
+        diag = np.diag_indices(m)
+        M_diag = M[diag].copy()
         base = np.trace(M) / max(m, 1)
         L_M = None
         for attempt in range(6):
             try:
-                L_M = np.linalg.cholesky(M + jitter * np.eye(m))
+                L_M = np.linalg.cholesky(M)
                 break
             except np.linalg.LinAlgError:
                 jitter = max(base * 10.0 ** (attempt - 14), 1e-14)
+                M[diag] = M_diag + jitter
+        entry["jitter"] = jitter
         if L_M is None:
             status, msg = "numerical-failure", "Schur complement factorization failed"
             break

@@ -12,6 +12,17 @@ one, which keeps the Schur complement cheap.
 Decision variables enter affinely through `AffinePoly`: a fixed polynomial
 plus polynomial multipliers for named scalar coefficients.  Compilation maps
 coefficients to free SDP variables and Gram blocks to PSD blocks.
+
+Before any row is emitted, compilation drops Gram basis elements whose
+diagonal is structurally zero: a matching row with no target coefficient,
+no decision variable and only same-signed diagonal entries forces each of
+them to zero, and a PSD matrix is then zero on that whole row and column.
+This repeats until nothing changes (diagonal-zero propagation; Loefberg,
+"Pre- and post-processing sum-of-squares programs in practice", 2009).
+Without it such a block has no strictly feasible point and the interior-
+point solve degrades.  The solver sees the smaller blocks; `SosSolution.gram`
+returns each block over its declared basis, with exact zeros at the pruned
+positions, and the compiled index lists them per block under "pruned".
 """
 
 from __future__ import annotations
@@ -279,7 +290,10 @@ class SosProgram:
         their transposes to SYM_TOL.  A margin t shifts the Gram diagonal
         except at basis elements that are constant in the matrix variables
         (the row selector times 1), where structural zeros of the target
-        would otherwise force the margin nonpositive.
+        would otherwise force the margin nonpositive.  Such an element whose
+        diagonal target is zero and free of decision variables is then
+        pruned at compile; a masked element never is, because t enters its
+        diagonal row.
         """
         self._compiled = None
         n = len(entries)
@@ -394,48 +408,42 @@ class SosProgram:
         for v in self._coeffs:
             prob.add_free(v.name)
 
+        # matching rows and structural zeros come first: the PSD block sizes
+        # depend on them
+        matched = [_matching_rows(con) for con in self._grams]
+        pruned = [_structural_zeros(rows, rhs_map, len(con.blocks))
+                  for con, (rows, rhs_map) in zip(self._grams, matched)]
+
         gram_blocks: list[list[int]] = []
-        for gi, con in enumerate(self._grams):
-            ids = []
+        # per constraint and block: kept basis position -> (SDP block, position)
+        placement: list[list[dict[int, tuple[int, int]]]] = []
+        for con, drop in zip(self._grams, pruned):
+            ids, places = [], []
             for bi, blk in enumerate(con.blocks):
-                ids.append(prob.add_block(len(blk), f"{con.name}.b{bi}"))
+                keep = [a for a in range(len(blk)) if a not in drop[bi]]
+                place = {}
+                if keep:
+                    blkid = prob.add_block(len(keep), f"{con.name}.b{bi}")
+                    ids.append(blkid)
+                    place = {a: (blkid, k) for k, a in enumerate(keep)}
+                places.append(place)
             gram_blocks.append(ids)
+            placement.append(places)
 
         row_families: list[tuple[str, int, int]] = []
-        for gi, con in enumerate(self._grams):
+        for con, (rows, rhs_map), places in zip(self._grams, matched, placement):
             family_start = prob.n_rows
-            rows: dict[tuple[int, ...], tuple[list, dict]] = {}
-
-            def row_for(exps):
-                if exps not in rows:
-                    rows[exps] = ([], {})
-                return rows[exps]
-
-            for bi, blk in enumerate(con.blocks):
-                blkid = gram_blocks[gi][bi]
-                for a in range(len(blk)):
-                    ea = blk[a]
-                    for b in range(a, len(blk)):
-                        prod = tuple(x + y for x, y in zip(ea, blk[b]))
-                        psd, _ = row_for(prod)
-                        psd.append((blkid, a, b, 1.0 if a == b else 2.0))
-            rhs_map: dict[tuple[int, ...], float] = dict(con.target.const.terms)
-            for vidx, p in con.target.lin.items():
-                for exps, c in p.terms.items():
-                    _, free = row_for(exps)
-                    free[vidx] = free.get(vidx, 0.0) - c
-            # the PSD block stores H = G - t*D, so the margin term joins the
-            # Gram products on the left of each diagonal matching row
-            if con.margin is not None:
-                for bi, blk in enumerate(con.blocks):
-                    for a, ea in enumerate(blk):
-                        if con.margin_mask is not None and not con.margin_mask[bi][a]:
-                            continue
-                        _, free = row_for(tuple(2 * x for x in ea))
-                        free[con.margin] = free.get(con.margin, 0.0) + 1.0
             for exps in sorted(set(rows) | set(rhs_map), key=grlex_key):
                 psd, free = rows.get(exps, ([], {}))
-                prob.add_row(psd, sorted(free.items()), rhs_map.get(exps, 0.0))
+                entries = []
+                for bi, a, b, coef in psd:
+                    if a in places[bi] and b in places[bi]:
+                        (blkid, i), (_, j) = places[bi][a], places[bi][b]
+                        entries.append((blkid, i, j, coef))
+                # a row that lost every product and has neither a target
+                # coefficient nor a decision variable reads 0 == 0
+                if entries or free or exps in rhs_map:
+                    prob.add_row(entries, sorted(free.items()), rhs_map.get(exps, 0.0))
             row_families.append((con.name, family_start, prob.n_rows))
 
         for lc in self._linear:
@@ -463,8 +471,9 @@ class SosProgram:
             "grams": [
                 {"name": con.name, "meta": con.meta, "margin_index": con.margin,
                  "margin_mask": con.margin_mask,
-                 "blocks": [[list(e) for e in blk] for blk in con.blocks]}
-                for con in self._grams
+                 "blocks": [[list(e) for e in blk] for blk in con.blocks],
+                 "pruned": drop}
+                for con, drop in zip(self._grams, pruned)
             ],
         }
         self._compiled = (prob, index)
@@ -474,6 +483,76 @@ class SosProgram:
         prob, index = self.compile()
         sdp_sol = solve_sdp(prob)
         return SosSolution(self, prob, index, sdp_sol)
+
+
+def _matching_rows(con: _GramConstraint) -> tuple[dict, dict]:
+    """Coefficient-matching rows of one Gram constraint, before pruning.
+
+    Returns (rows, rhs_map).  rows maps a monomial's exponent tuple to its
+    Gram products, (block, a, b, coeff) with a <= b over the declared
+    bases, and to its decision-variable coefficients; rhs_map holds the
+    target's constant part.
+    """
+    rows: dict[tuple[int, ...], tuple[list, dict]] = {}
+
+    def row_for(exps):
+        if exps not in rows:
+            rows[exps] = ([], {})
+        return rows[exps]
+
+    for bi, blk in enumerate(con.blocks):
+        for a in range(len(blk)):
+            ea = blk[a]
+            for b in range(a, len(blk)):
+                prod = tuple(x + y for x, y in zip(ea, blk[b]))
+                psd, _ = row_for(prod)
+                psd.append((bi, a, b, 1.0 if a == b else 2.0))
+    for vidx, p in con.target.lin.items():
+        for exps, c in p.terms.items():
+            _, free = row_for(exps)
+            free[vidx] = free.get(vidx, 0.0) - c
+    # the PSD block stores H = G - t*D, so the margin term joins the Gram
+    # products on the left of each diagonal matching row
+    if con.margin is not None:
+        for bi, blk in enumerate(con.blocks):
+            for a, ea in enumerate(blk):
+                if con.margin_mask is not None and not con.margin_mask[bi][a]:
+                    continue
+                _, free = row_for(tuple(2 * x for x in ea))
+                free[con.margin] = free.get(con.margin, 0.0) + 1.0
+    return rows, dict(con.target.const.terms)
+
+
+def _structural_zeros(rows: dict, rhs_map: dict, n_blocks: int) -> list[list[int]]:
+    """Basis positions, per block, whose Gram diagonal is structurally zero.
+
+    A row forces its diagonal entries to zero when its target coefficient
+    is absent, no decision variable enters it (the margin included), and
+    every PSD entry it still has is a diagonal G_b[a,a], all with
+    coefficients of one sign: such a sum of PSD diagonals vanishes only if
+    each term does.  A PSD matrix with a zero diagonal entry is zero on
+    that row and column, so element a leaves block b together with all its
+    products.  That can leave further rows with diagonals only, so the rule
+    repeats until nothing changes (Loefberg 2009; Permenter & Parrilo 2018).
+    Only exact structure is used, no tolerance.
+    """
+    dropped: list[set[int]] = [set() for _ in range(n_blocks)]
+    candidates = [psd for exps, (psd, free) in rows.items()
+                  if not free and exps not in rhs_map]
+    changed = True
+    while changed:
+        changed = False
+        for psd in candidates:
+            live = [(bi, a, b, c) for bi, a, b, c in psd
+                    if a not in dropped[bi] and b not in dropped[bi]]
+            if not live or any(a != b for _, a, b, _ in live):
+                continue
+            if not (all(c > 0 for *_, c in live) or all(c < 0 for *_, c in live)):
+                continue
+            for bi, a, _, _ in live:
+                dropped[bi].add(a)
+            changed = True
+    return [sorted(d) for d in dropped]
 
 
 def _mono_exps(p: Polynomial, vars: tuple[Variable, ...]) -> tuple[int, ...]:
@@ -510,25 +589,31 @@ class SosSolution:
         return expr.value(self.coeff_values)
 
     def gram(self, handle: int, fold: bool = True) -> list[np.ndarray]:
-        """Gram blocks of the constraint.
+        """Gram blocks of the constraint, each over its declared basis.
 
-        With fold=True the margin shift is folded back in, so the blocks
-        reproduce the target polynomial exactly but are only PSD up to the
-        margin value.  With fold=False the raw PSD decision blocks are
-        returned; they certify target - margin * (masked diagonal).
+        Basis elements pruned at compile are exact zero rows and columns; a
+        block pruned to nothing is a zero matrix.  With fold=True the margin
+        shift is folded back in, so the blocks reproduce the target
+        polynomial exactly but are only PSD up to the margin value.  With
+        fold=False the raw PSD decision blocks are returned; they certify
+        target - margin * (masked diagonal).
         """
-        ids = self.index["gram_blocks"][handle]
-        out = [self.sdp.blocks[i] for i in ids]
         entry = self.index["grams"][handle]
+        ids = iter(self.index["gram_blocks"][handle])
+        mask = entry.get("margin_mask")
         midx = entry.get("margin_index")
-        if fold and midx is not None and self.coeff_values:
-            t = self.coeff_values[midx]
-            mask = entry.get("margin_mask")
-            shifts = []
-            for bi, G in enumerate(out):
-                d = np.ones(G.shape[0]) if mask is None else np.array(mask[bi], dtype=float)
-                shifts.append(G + t * np.diag(d))
-            out = shifts
+        t = self.coeff_values[midx] if fold and midx is not None and self.coeff_values \
+            else None
+        out = []
+        for bi, (exps, drop) in enumerate(zip(entry["blocks"], entry["pruned"])):
+            d = len(exps)
+            keep = [a for a in range(d) if a not in drop]
+            G = np.zeros((d, d))
+            if keep:
+                G[np.ix_(keep, keep)] = self.sdp.blocks[next(ids)]
+            if t is not None:
+                G += t * np.diag(np.ones(d) if mask is None else np.array(mask[bi], dtype=float))
+            out.append(G)
         return out
 
 

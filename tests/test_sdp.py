@@ -207,6 +207,21 @@ class TestKnownProblems:
         assert abs(sol.blocks[0][0, 1] - 0.5) <= 1e-6
         assert validate_solution(p, sol)["ok"]
 
+    def test_free_only_row_wider_than_tall(self):
+        # one free-only row v1 + v2 = 3 leaves a one-dimensional null space;
+        # x = v2 >= 0 and min v1 + 2 v2 = 3 + v2 put the optimum at (3, 0)
+        p = SdpProblem()
+        x = p.add_block(1)
+        v1, v2 = p.add_free("v1"), p.add_free("v2")
+        p.add_row(free_entries=[(v1, 1.0), (v2, 1.0)], rhs=3.0)
+        p.add_row(psd_entries=[(x, 0, 0, 1.0)], free_entries=[(v2, -1.0)])
+        p.set_objective_free(v1, 1.0)
+        p.set_objective_free(v2, 2.0)
+        sol = solve_sdp(p)
+        assert sol.status == "optimal"
+        assert np.allclose(sol.free, [3.0, 0.0], atol=1e-6)
+        assert abs(sol.objective - 3.0) <= 1e-6
+
     def test_multiblock_with_scalar_blocks(self):
         # two scalars x0 + x1 = 2 and a 2x2 with fixed trace, minimize sum
         p = SdpProblem()
@@ -373,18 +388,49 @@ def test_trace_has_one_entry_per_iteration():
     sol = solve_sdp(p)
     assert sol.status == "optimal"
     assert len(sol.trace) == sol.iterations
-    keys = {"mu", "pres", "dres", "gap", "tau", "kappa", "sigma", "step", "seconds"}
+    keys = {"mu", "pres", "dres", "gap", "tau", "kappa", "sigma", "step", "jitter",
+            "seconds"}
     phases = {"scaling", "schur", "factor", "directions", "step_length"}
     for e in sol.trace[:-1]:
         assert set(e) == keys
         assert set(e["seconds"]) == phases
         assert all(t >= 0.0 for t in e["seconds"].values())
         assert 0.0 < e["step"] <= 1.0 and 0.0 < e["sigma"] < 1.0
+        assert e["jitter"] == 0.0
     # the converged iteration computes residuals only
     last = sol.trace[-1]
     assert max(last["pres"], last["dres"], last["gap"]) <= 1e-8
-    assert last["sigma"] is None and last["step"] is None and last["seconds"] == {}
+    assert last["sigma"] is None and last["step"] is None and last["jitter"] is None
+    assert last["seconds"] == {}
     assert "trace" not in sol.to_json_dict()
+
+
+def test_trace_records_schur_jitter(monkeypatch):
+    # an LP has no matrix block, so every Cholesky is the Schur factorization;
+    # failing the first one makes iteration 1 retry on M + jitter * I
+    p = SdpProblem()
+    x = [p.add_block(1) for _ in range(3)]
+    p.add_row(psd_entries=[(xi, 0, 0, 1.0) for xi in x], rhs=4.0)
+    p.add_row(psd_entries=[(x[0], 0, 0, 1.0), (x[2], 0, 0, -1.0)], rhs=1.0)
+    for xi, cost in zip(x, (2.0, 3.0, 1.0)):
+        p.set_objective_entry(xi, 0, 0, cost)
+    cholesky = np.linalg.cholesky
+    seen = []
+
+    def fail_first(M):
+        seen.append(M.copy())
+        if len(seen) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_first)
+    sol = solve_sdp(p)
+    monkeypatch.undo()
+    assert sol.status == "optimal"
+    jitter = sol.trace[0]["jitter"]
+    assert jitter > 0.0
+    assert np.array_equal(seen[1], seen[0] + jitter * np.eye(2))
+    assert all(e["jitter"] == 0.0 for e in sol.trace[1:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from issynth.sos import (
     AffinePoly,
     SosCertificateError,
     SosProgram,
+    _structural_zeros,
     check_sos_numeric,
     extract_certificate,
     gram_polynomial,
@@ -119,7 +120,10 @@ class TestScalarSos:
         h = prog.add_scalar_sos(Polynomial.zero(xv), basis=basis)
         sol = prog.solve()
         assert sol.status == "optimal"
-        assert np.abs(sol.gram(h)[0]).max() <= 1e-6
+        # both diagonal rows have no target: the block is pruned to nothing
+        assert sol.index["grams"][h]["pruned"] == [[0, 1]]
+        assert sol.index["gram_blocks"][h] == []
+        assert np.array_equal(sol.gram(h)[0], np.zeros((2, 2)))
 
     def test_template_minimization(self, xv):
         # smallest c making x^4 - x^2 + c a sum of squares is 1/4
@@ -253,6 +257,97 @@ class TestMatrixSos:
                     zb = np.array([np.prod(zfull ** np.array(e)) for e in exps])
                     got += zb @ G @ zb
                 assert abs(want - got) <= 1e-6 * (1 + abs(want)), trial
+
+
+# ---------------------------------------------------------------------------
+# structurally zero Gram elements
+
+
+class TestPruning:
+    def test_row_selector_with_zero_diagonal_pruned(self):
+        # y^T M y = (q0 x + q1 x)^2 + q1^2 for M = [[x^2, x^2], [x^2, x^2 + 1]];
+        # M00 has no constant term, so G[q0, q0] is structurally zero
+        xv = variables(["x"])
+        x2 = parse_poly("x^2", xv)
+        prog = SosProgram()
+        h = prog.add_matrix_sos([[x2, x2], [x2, x2 + 1.0]],
+                                z_bases=[monomial_basis(xv, 1)] * 2)
+        prob, index = prog.compile()
+        assert index["grams"][h]["pruned"] == [[0]]
+        assert prob.block_dims == [3]
+        sol = prog.solve()
+        assert sol.status == "optimal"
+        G = sol.gram(h)[0]
+        assert G.shape == (4, 4)
+        assert not G[0].any() and not G[:, 0].any()
+        exps = [tuple(e) for e in index["grams"][h]["blocks"][0]]
+        lifted = variables(["_q0", "_q1", "x"])
+        target = Polynomial(lifted, {(2, 0, 2): 1.0, (1, 1, 2): 2.0,
+                                     (0, 2, 2): 1.0, (0, 2, 0): 1.0})
+        ok, err = check_sos_numeric(target, [G], [exps], np.random.default_rng(0))
+        assert ok, err
+
+    def test_pruning_keeps_the_margin_on_the_rest(self, xv):
+        # [[x^2]] over {q0, q0*x}: q0 has no target and no margin, so it goes;
+        # the margin then sits on the q0*x diagonal alone and reaches t* = 1
+        prog = SosProgram()
+        t = prog.new_coeff("t")
+        h = prog.add_matrix_sos([[parse_poly("x^2", xv)]],
+                                z_bases=[monomial_basis(xv, 1)], margin=t)
+        prog.set_objective([(t, 1.0)], "max")
+        sol = prog.solve()
+        assert sol.status == "optimal"
+        assert sol.index["grams"][h]["pruned"] == [[0]]
+        assert sol.index["grams"][h]["margin_mask"] == [[False, True]]
+        assert abs(sol.coeff(t) - 1.0) <= 1e-6
+        assert np.allclose(sol.gram(h)[0], np.diag([0.0, 1.0]), atol=1e-6)
+        assert not sol.gram(h, fold=False)[0][0].any()
+
+    def test_propagation_repeats(self, xv):
+        # x^4 over {1, x, x^2}: row 1 drops 1, which leaves row x^2 with the
+        # diagonal G[x, x] alone, so x goes as well
+        prog = SosProgram()
+        h = prog.add_scalar_sos(parse_poly("x^4", xv), basis=monomial_basis(xv, 2))
+        prob, index = prog.compile()
+        assert index["grams"][h]["pruned"] == [[0, 1]]
+        assert prob.block_dims == [1]
+        sol = prog.solve()
+        assert sol.status == "optimal"
+        assert np.allclose(sol.gram(h)[0], np.diag([0.0, 0.0, 1.0]), atol=1e-8)
+
+    def test_decision_variable_in_zero_row_not_pruned(self, xv):
+        # c + x^2 over {1, x}: the constant row has no fixed target, but c enters it
+        prog = SosProgram()
+        c = prog.new_coeff("c")
+        expr = AffinePoly.promote(parse_poly("x^2", xv), xv) + AffinePoly.from_var(c, xv)
+        h = prog.add_scalar_sos(expr, basis=monomial_basis(xv, 1))
+        prob, index = prog.compile()
+        assert index["grams"][h]["pruned"] == [[]]
+        assert prob.block_dims == [2]
+
+    def test_margin_in_zero_row_not_pruned(self, xv):
+        # x^2 over {1, x} with a full-diagonal margin: t enters the constant row
+        prog = SosProgram()
+        t = prog.new_coeff("t")
+        h = prog.add_scalar_sos(parse_poly("x^2", xv), basis=monomial_basis(xv, 1),
+                                margin=t)
+        assert prog.compile()[1]["grams"][h]["pruned"] == [[]]
+
+    def test_mixed_sign_diagonals_not_pruned(self):
+        # G_0[0,0] - G_1[0,0] = 0 holds with both positive; one sign forces zeros
+        # (two one-element blocks over the basis {x}, row x^2, no target)
+        mixed = {(2,): ([(0, 0, 0, 1.0), (1, 0, 0, -1.0)], {})}
+        assert _structural_zeros(mixed, {}, 2) == [[], []]
+        same = {(2,): ([(0, 0, 0, 1.0), (1, 0, 0, 1.0)], {})}
+        assert _structural_zeros(same, {}, 2) == [[0], [0]]
+
+    def test_off_diagonal_entry_not_pruned(self, xv):
+        # x^4 + 1 over {1, x, x^2}: row x^2 reads G[x, x] + 2 G[1, x^2] = 0
+        prog = SosProgram()
+        h = prog.add_scalar_sos(parse_poly("x^4 + 1", xv), basis=monomial_basis(xv, 2))
+        prob, index = prog.compile()
+        assert index["grams"][h]["pruned"] == [[]]
+        assert prob.block_dims == [3]
 
 
 # ---------------------------------------------------------------------------

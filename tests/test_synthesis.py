@@ -1,7 +1,8 @@
 """Tests for the theorem-1 program assembly and the alternation's error paths.
 
-All but one build programs or run tiny solves only; the negative-margin
-test runs alternate up to its first step-V solve.
+Most build programs or run tiny solves only.  The negative-margin test runs
+alternate up to its first step-V solve, and the step-V regression test
+solves three full step-V programs (about 13 s, one BLAS thread, 2 vCPU).
 """
 
 import re
@@ -9,10 +10,11 @@ import re
 import numpy as np
 import pytest
 
-from issynth.consistency import ellipsoid_params
+from issynth.consistency import build_data_matrices, ellipsoid_params, solve_overapprox
 from issynth.poly import Polynomial, parse_poly, variables
+from issynth.sdp import validate_solution
 from issynth import verify as _verify
-from issynth.simulate import khalil_system
+from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
 from issynth.sos import AffinePoly, SosProgram
 from issynth.synthesis import (
     SynthesisConfig,
@@ -46,11 +48,33 @@ def test_step_v_compiled_shape(khalil_ell, k_lin):
     prog, legend = assemble_theorem1(khalil_ell, SynthesisConfig(k_init=(k_lin,)),
                                      {"k": [k_lin]})
     assert legend["mode"] == "fit_V"
-    prob, _ = prog.compile()
-    assert prob.n_rows == 2660
+    prob, index = prog.compile()
+    # the row-0 element y0*1 of s4 has a structurally zero diagonal: its
+    # target coefficient is zero, the margin skips it and no decision
+    # variable enters, so it leaves both cliques
+    assert [g["pruned"] for g in index["grams"]] == [[[0], [0]], [[]], [[]]]
+    assert prob.n_rows == 2653
     assert prob.n_free == 82
-    assert [d for d in prob.block_dims if d > 1] == [25, 45, 5, 15]
+    assert [d for d in prob.block_dims if d > 1] == [24, 44, 5, 15]
     assert sum(1 for d in prob.block_dims if d == 1) == 159
+
+
+@pytest.mark.parametrize("seed, k", [(2, "-x1 - x2"), (9, "-x1 - x2"), (0, "-x2")])
+def test_step_v_ends_optimal(seed, k):
+    # the benchmark's experiment (x0 = (0.5, -0.5), T = 30, d_radius 0.05)
+    # at collection seeds where step V used to end numerical-failure after
+    # 128-142 iterations, because s4 had no strictly feasible point until
+    # its structurally zero row-0 element was pruned
+    sys = khalil_system()
+    exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
+                           x0=(0.5, -0.5), seed=seed)
+    ell = solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
+    kp = parse_poly(k, sys.bases.vars)
+    prog, _ = assemble_theorem1(ell, SynthesisConfig(k_init=(kp,)), {"k": [kp]})
+    sol = prog.solve()
+    assert sol.status == "optimal", sol.sdp.message
+    assert sol.sdp.iterations <= 40
+    assert validate_solution(sol.problem, sol.sdp)["ok"]
 
 
 def test_linear_rows_labelled_by_group(khalil_ell, k_lin):
@@ -58,7 +82,7 @@ def test_linear_rows_labelled_by_group(khalil_ell, k_lin):
     fams = prog.compile()[1]["row_families"]
     assert [name for name, _, _ in fams] == [
         "s4", "s1", "s3", "a3 gates", "a4 gates", "a1 gates", "a1 pin", "V/lambda caps"]
-    assert fams[0][1] == 0 and fams[-1][2] == 2660
+    assert fams[0][1] == 0 and fams[-1][2] == 2653
     assert all(a[2] == b[1] for a, b in zip(fams, fams[1:]))
     # N3 = N4 = N1 = 2 coefficients, each with two gates; 75 V and lambda coefficients
     assert [b - a for name, a, b in fams[3:]] == [3, 3, 3, 1, 150]
