@@ -140,7 +140,7 @@ class Dataset:
     delta is the squared-norm noise bound: every recorded xdot is assumed
     within sqrt(delta) of A Z(x) + B W(x) u for the true coefficients.
     delta may be zero (noiseless data); the ellipsoid fit requires it
-    strictly positive.
+    strictly positive.  Every sample's t, u, x and xdot must be finite.
     """
 
     def __init__(self, bases: RegressorBases, delta: float, samples: Sequence[Sample]):
@@ -150,7 +150,7 @@ class Dataset:
         self.bases = bases
         self.delta = delta
         clean: list[Sample] = []
-        for s in samples:
+        for idx, s in enumerate(samples):
             u = np.asarray(s.u, dtype=float).reshape(-1)
             x = np.asarray(s.x, dtype=float).reshape(-1)
             xdot = np.asarray(s.xdot, dtype=float).reshape(-1)
@@ -160,7 +160,11 @@ class Dataset:
                 raise ValueError(
                     f"sample state/derivative shapes {x.shape}/{xdot.shape}, expected ({bases.n},)"
                 )
-            clean.append(Sample(float(s.t), u, x, xdot))
+            t = float(s.t)
+            for name, v in (("t", t), ("u", u), ("x", x), ("xdot", xdot)):
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"sample {idx} has a non-finite {name}")
+            clean.append(Sample(t, u, x, xdot))
         self.samples = clean
 
     @property

@@ -425,9 +425,10 @@ _TOKEN_RE = re.compile(
 def parse_poly(text: str, vars: tuple[Variable, ...]) -> Polynomial:
     """Parse '+/-' separated products of coefficients and name^power factors.
 
-    Accepts the format produced by Polynomial.to_string plus '**' powers and
-    parenthesised exponents are not supported on purpose: the grammar stays
-    a flat sum of monomials.
+    Accepts the format produced by Polynomial.to_string, plus '**' for '^'.
+    An exponent must be written as a nonnegative integer (digits only);
+    anything else raises ValueError naming it.  Parentheses are not
+    supported on purpose: the grammar stays a flat sum of monomials.
     """
     by_name = {v.name: v for v in vars}
     pos = 0
@@ -469,7 +470,10 @@ def parse_poly(text: str, vars: tuple[Variable, ...]) -> Polynomial:
                 if i + 1 < nt and tokens[i + 1][0] == "pow":
                     if i + 2 >= nt or tokens[i + 2][0] != "float":
                         raise ValueError(f"missing exponent after {val}^")
-                    power = int(float(tokens[i + 2][1]))
+                    digits = tokens[i + 2][1]
+                    if not digits.isdigit():
+                        raise ValueError(f"exponent {digits!r} of {val} is not an integer")
+                    power = int(digits)
                     i += 2
                 exps[vars.index(by_name[val])] += power
                 i += 1

@@ -30,6 +30,16 @@ Memory per iteration is O(m^2) for the Schur complement plus, per matrix
 block, O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2) for
 its scaling; nothing of order svec(d)^2 is formed.  Each solution carries a
 per-iteration trace with the residuals and the seconds of every phase.
+
+A solve ends in one of three ways.  It converges (``optimal``: scaled
+primal and dual residuals and gap within ``tol``), it finds an improving
+ray (``infeasible`` or ``unbounded``), or it stalls: tau collapses without
+a clean ray, an iterate leaves the cone, the Schur or free-variable Schur
+factorization fails, the step length falls below ``MIN_STEP``, or the
+iteration limit is reached.  A stall reports the best iterate seen, which
+is ``feasible`` exactly when it passes ``validate_solution`` on the
+original data (its objective is then approximate, the gap may be open)
+and ``numerical-failure`` otherwise.  The message names the stop.
 """
 
 from __future__ import annotations
@@ -264,13 +274,14 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    status: str  # optimal | feasible | infeasible | unbounded | numerical-failure
+    # optimal | infeasible | unbounded, or after a stall feasible when the
+    # best iterate passes validate_solution and numerical-failure when not
+    status: str
     objective: Optional[float]
     blocks: list[np.ndarray] = field(default_factory=list)
     free: np.ndarray = field(default_factory=lambda: np.zeros(0))
     y: np.ndarray = field(default_factory=lambda: np.zeros(0))
     z_blocks: list[np.ndarray] = field(default_factory=list)
-    residuals: dict = field(default_factory=dict)
     iterations: int = 0
     message: str = ""
     # one dict per iteration: mu, pres, dres, gap, tau, kappa, sigma, step,
@@ -286,7 +297,6 @@ class SdpSolution:
             "free": self.free.tolist(),
             "y": self.y.tolist(),
             "z_blocks": [B.tolist() for B in self.z_blocks],
-            "residuals": self.residuals,
             "iterations": self.iterations,
             "message": self.message,
         }
@@ -303,7 +313,6 @@ class SdpSolution:
             free=np.array(d["free"]),
             y=np.array(d["y"]),
             z_blocks=[np.array(B) for B in d["z_blocks"]],
-            residuals=dict(d["residuals"]),
             iterations=int(d["iterations"]),
             message=d.get("message", ""),
         )
@@ -317,10 +326,11 @@ class SdpSolution:
 class SolveOptions:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    step_fraction: float = STEP_FRACTION
-    min_step: float = MIN_STEP
-    infeas_ratio: float = INFEAS_RATIO
     init_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +619,11 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.sqrt(np.linalg.norm(c) ** 2 + np.linalg.norm(cf) ** 2)
 
+    # a stall sets only its message; the best iterate is then labelled by
+    # validate_solution after the loop
     best = None
     trace: list[dict] = []
-    status, msg = "numerical-failure", "iteration limit reached"
-    it = 0
+    status, msg = None, "iteration limit reached"
 
     for it in range(1, opts.max_iter + 1):
         xv = to_vec(X, x)
@@ -640,7 +651,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
             best = (score, [Xk / tau for Xk in X], x / tau, xfhat.copy(), yhat.copy(),
-                    [Zk / tau for Zk in Z], z / tau, pres, dres, gap, pobj)
+                    [Zk / tau for Zk in Z], z / tau, pobj)
         entry = {"mu": mu, "pres": float(pres), "dres": float(dres), "gap": gap,
                  "tau": tau, "kappa": kappa, "sigma": None, "step": None, "jitter": None,
                  "seconds": {}}
@@ -651,7 +662,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             status, msg = "optimal", f"converged in {it} iterations"
             break
 
-        if tau <= opts.infeas_ratio * kappa:
+        if tau <= INFEAS_RATIO * kappa:
             # certificate quality decides between the two infeasibility kinds
             by = float(b @ y)
             cx = float(c @ xv + cf @ xf)
@@ -665,7 +676,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             if cx < 0 and prim_ray <= 1e-6 * max(1.0, -cx) * norm_b:
                 status, msg = "unbounded", "primal improving ray found"
                 break
-            status, msg = "numerical-failure", "tau collapsed without clean certificate"
+            msg = "tau collapsed without clean certificate"
             break
 
         # NT scalings: per matrix block, elementwise x/z on the nonnegative cone
@@ -673,7 +684,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         try:
             scalings = [_BlockScaling(Xk, Zk) for Xk, Zk in zip(X, Z)]
         except np.linalg.LinAlgError:
-            status, msg = "numerical-failure", "iterate left the cone"
+            msg = "iterate left the cone"
             break
         w_lp = x / z
         t1 = time.perf_counter()
@@ -706,7 +717,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
                 M[diag] = M_diag + jitter
         entry["jitter"] = jitter
         if L_M is None:
-            status, msg = "numerical-failure", "Schur complement factorization failed"
+            msg = "Schur complement factorization failed"
             break
         # cho_solve hands LAPACK a Fortran-ordered factor: convert once here
         # rather than copying it in each of this iteration's solves
@@ -718,7 +729,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             try:
                 L_F = np.linalg.cholesky(S_F + 1e-14 * np.eye(nf) * max(1.0, np.trace(S_F) / max(nf, 1)))
             except np.linalg.LinAlgError:
-                status, msg = "numerical-failure", "free-variable Schur factorization failed"
+                msg = "free-variable Schur factorization failed"
                 break
         else:
             MA, L_F = None, None
@@ -818,18 +829,15 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
 
         dxF, dy, dtau, dkappa, dxK, dz, dX, dZ = direction(sigma, corr_mats, corr_lp, corr_tk)
         t7 = time.perf_counter()
-        a = min(1.0, opts.step_fraction * max_step(dxK, dz, dX, dZ, dtau, dkappa))
+        a = min(1.0, STEP_FRACTION * max_step(dxK, dz, dX, dZ, dtau, dkappa))
         t8 = time.perf_counter()
         seconds["directions"] = (t5 - t3) + (t7 - t6)
         seconds["step_length"] = (t6 - t5) + (t8 - t7)
         entry["sigma"] = sigma
         entry["step"] = a
 
-        if a < opts.min_step:
-            if best is not None and best[7] <= opts.tol and best[8] <= opts.tol:
-                status, msg = "feasible", "stalled with feasible iterate, gap above tolerance"
-            else:
-                status, msg = "numerical-failure", f"step length {a:.2e} below minimum"
+        if a < MIN_STEP:
+            msg = f"step length {a:.2e} below minimum"
             break
 
         for k, (dXk, dZk) in enumerate(zip(dX, dZ)):
@@ -843,10 +851,6 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         y = y + a * dy
         tau += a * dtau
         kappa += a * dkappa
-    else:
-        it = opts.max_iter
-        if best is not None and best[7] <= opts.tol and best[8] <= opts.tol:
-            status, msg = "feasible", "iteration limit with feasible iterate"
 
     if status in ("infeasible", "unbounded"):
         sol = SdpSolution(status=status, objective=None, iterations=it, message=msg,
@@ -856,35 +860,22 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             sol.blocks = to_blocks(X, x)
         return sol
 
-    if status == "numerical-failure" and best is None:
-        return SdpSolution(status=status, objective=None, iterations=it, message=msg,
-                           trace=trace)
-
-    # a numerical break that leaves a feasible iterate is still usable: the
-    # residuals certify feasibility, and a not-fully-closed duality gap only
-    # means the objective value is approximate, which callers validating the
-    # extracted point independently can live with
-    if status == "numerical-failure" and max(best[7], best[8]) <= 10.0 * opts.tol \
-            and best[9] <= max(10.0 * opts.tol, 1e-6):
-        status = "feasible"
-        msg = f"stalled near tolerance (gap {best[9]:.1e}): {msg}"
-
     # report the best de-homogenized iterate
-    _, Xb, xb, xfb, yb, Zb, zb, pres, dres, gap, pobj = best
-    blocks = to_blocks(Xb, xb)
-    min_eig = min((float(np.linalg.eigvalsh(Xk)[0]) for Xk in blocks), default=0.0)
-    return SdpSolution(
-        status=status,
+    _, Xb, xb, xfb, yb, Zb, zb, pobj = best
+    sol = SdpSolution(
+        status=status or "numerical-failure",
         objective=pobj + pre.obj_const,
-        blocks=blocks,
+        blocks=to_blocks(Xb, xb),
         free=pre.recover_free(xfb),
         y=pre.recover_y(yb),
         z_blocks=to_blocks(Zb, zb),
-        residuals={"primal_eq": float(pres), "min_eig": min_eig, "duality_gap": float(gap)},
         iterations=it,
         message=msg,
         trace=trace,
     )
+    if status is None and validate_solution(prob, sol).get("ok"):
+        sol.status = "feasible"
+    return sol
 
 
 def validate_solution(prob: SdpProblem, sol: SdpSolution) -> dict:

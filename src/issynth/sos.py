@@ -289,11 +289,14 @@ class SosProgram:
         pairs into the corresponding z_bases row.  Entries must agree with
         their transposes to SYM_TOL.  A margin t shifts the Gram diagonal
         except at basis elements that are constant in the matrix variables
-        (the row selector times 1), where structural zeros of the target
-        would otherwise force the margin nonpositive.  Such an element whose
-        diagonal target is zero and free of decision variables is then
-        pruned at compile; a masked element never is, because t enters its
-        diagonal row.
+        (the row selector y_i times 1).  Shifted, such an element's diagonal
+        row would read H_aa + t = M[i][i](0) and cap t at that constant
+        term: at zero for row 0 of theorem 1's matrix, and at 2*lambda(0)
+        for a shaping row once lambda is fixed, as in step K (derived from
+        the matching rows, not measured by a solve).  An element left
+        out of the shift whose diagonal target is zero and free of decision
+        variables is pruned at compile; an element t shifts never is,
+        because t enters its diagonal row.
         """
         self._compiled = None
         n = len(entries)

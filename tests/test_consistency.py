@@ -1,6 +1,7 @@
 """Tests for dataset handling, data matrices, and the consistency ellipsoid fit."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ class TestDataset:
         bad = Sample(0.0, np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="input"):
             Dataset(khalil.bases, 1e-6, [bad])
+
+    @pytest.mark.parametrize("field", ["t", "u", "x", "xdot"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, dataset, field, value):
+        # caught at construction, not left to fail inside the fit's SVD
+        s = dataset.samples[5]
+        bad = value if field == "t" else np.full_like(getattr(s, field), value)
+        samples = list(dataset.samples)
+        samples[5] = s._replace(**{field: bad})
+        with pytest.raises(ValueError, match=f"sample 5 has a non-finite {field}$"):
+            Dataset(dataset.bases, dataset.delta, samples)
+        d = dataset.to_json_dict()
+        d["samples"][5][field] = value if field == "t" else bad.tolist()
+        with pytest.raises(ValueError, match=f"sample 5 has a non-finite {field}$"):
+            Dataset.from_json(json.dumps(d))
 
     def test_json_roundtrip(self, dataset):
         again = Dataset.from_json(dataset.to_json())

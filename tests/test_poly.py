@@ -323,6 +323,11 @@ class TestTextAndJson:
             parse_poly("x1 + y7", xy)
         with pytest.raises(ValueError):
             parse_poly("x1 +", xy)
+        # a non-integer exponent is named, not truncated to x1^2 or x1^0
+        with pytest.raises(ValueError, match="'2.5'"):
+            parse_poly("x1^2.5", xy)
+        with pytest.raises(ValueError, match="'0.9'"):
+            parse_poly("3*x1^0.9", xy)
 
 
 def test_squared_norm(xy):

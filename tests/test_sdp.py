@@ -1,5 +1,7 @@
 """Tests for the interior-point SDP solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -377,6 +379,100 @@ class TestRandomized:
             p.add_row(psd_entries=[(g, int(i), int(j), 1.0)], rhs=0.1)
             sol = solve_sdp(p)
             assert sol.status == "infeasible", (d, sol.status, sol.message)
+
+
+# ---------------------------------------------------------------------------
+# how a solve ends: every stall reports its best iterate, labelled by
+# validate_solution
+
+
+def _stall_problem():
+    # optimal in 10 iterations; its best iterate first validates at 9
+    return _random_feasible_sdp(np.random.default_rng(7), 8, 10, 2)
+
+
+def _validated_label(p, sol):
+    """Assert a stalled solve is feasible exactly when its point validates."""
+    ok = validate_solution(p, sol)["ok"]
+    assert sol.status == ("feasible" if ok else "numerical-failure"), (sol.status, sol.message)
+    return sol.status
+
+
+def test_iteration_limit_labels_best_iterate_by_validation():
+    p = _stall_problem()
+    n_opt = solve_sdp(p).iterations
+    labels = set()
+    for max_iter in range(1, n_opt):
+        sol = solve_sdp(p, SolveOptions(max_iter=max_iter))
+        assert sol.iterations == max_iter
+        assert sol.message == "iteration limit reached"
+        labels.add(_validated_label(p, sol))
+    assert labels == {"feasible", "numerical-failure"}
+
+
+def test_solve_options_reject_zero_iterations():
+    with pytest.raises(ValueError, match="max_iter"):
+        SolveOptions(max_iter=0)
+
+
+def _from_call(k, real, stand_in):
+    """``real`` for the first k - 1 calls, ``stand_in`` from the k-th on."""
+    calls = itertools.count(1)
+    return lambda *args: (stand_in if next(calls) >= k else real)(*args)
+
+
+def _fail(*args):
+    raise np.linalg.LinAlgError("forced")
+
+
+def _cholesky_failing(k, shape):
+    """np.linalg.cholesky that fails on matrices of ``shape`` from the k-th on."""
+    real = np.linalg.cholesky
+    failing = _from_call(k, real, _fail)
+    return lambda M: failing(M) if M.shape == shape else real(M)
+
+
+class _RatioFrom:
+    """INFEAS_RATIO stand-in: ``tau <= ratio * kappa`` holds from the k-th test on."""
+
+    def __init__(self, k):
+        self.hits = _from_call(k, lambda: 0.0, lambda: np.inf)
+
+    def __mul__(self, kappa):
+        return self.hits()
+
+
+# each stall forced at iteration k of _stall_problem: one 8x8 block, 10 rows
+# touching it and 2 free variables, so one scaling per iteration, 10x10 Schur
+# and 2x2 free-variable Schur complements, and four PSD step-length tests
+STALLS = {
+    "tau collapsed without clean certificate":
+        lambda mp, k: mp.setattr(sdp, "INFEAS_RATIO", _RatioFrom(k)),
+    "iterate left the cone":
+        lambda mp, k: mp.setattr(sdp, "_BlockScaling", _from_call(k, sdp._BlockScaling, _fail)),
+    "Schur complement factorization failed":
+        lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_failing(k, (10, 10))),
+    "free-variable Schur factorization failed":
+        lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_failing(k, (2, 2))),
+    "step length 0.00e+00 below minimum":
+        lambda mp, k: mp.setattr(sdp, "_max_step_psd",
+                                 _from_call(4 * k - 3, sdp._max_step_psd, lambda *a: 0.0)),
+}
+
+
+@pytest.mark.parametrize("message", list(STALLS))
+def test_forced_stall_labels_best_iterate_by_validation(message, monkeypatch):
+    p = _stall_problem()
+    n_opt = solve_sdp(p).iterations
+    labels = set()
+    for k in (1, n_opt - 1):
+        with monkeypatch.context() as mp:
+            STALLS[message](mp, k)
+            sol = solve_sdp(p)
+        assert sol.iterations == k
+        assert sol.message == message
+        labels.add(_validated_label(p, sol))
+    assert labels == {"feasible", "numerical-failure"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tests for the theorem-1 program assembly and the alternation's error paths.
 
-Most build programs or run tiny solves only.  The negative-margin test runs
-alternate up to its first step-V solve, and the step-V regression test
-solves three full step-V programs (about 13 s, one BLAS thread, 2 vCPU).
+Most build programs (step V, and step K with and without the input bound)
+or run tiny solves only.  The negative-margin test runs alternate up to its
+first step-V solve, and the step-V regression test solves three full step-V
+programs (about 13 s, one BLAS thread, 2 vCPU).
 """
 
 import re
@@ -57,6 +58,27 @@ def test_step_v_compiled_shape(khalil_ell, k_lin):
     assert prob.n_free == 82
     assert [d for d in prob.block_dims if d > 1] == [24, 44, 5, 15]
     assert sum(1 for d in prob.block_dims if d == 1) == 159
+
+
+@pytest.mark.parametrize("u_max, rows, s5", [(None, 883, []), ("1 + x1^2", 899, [4])],
+                         ids=["no-input-bound", "input-bound"])
+def test_step_k_compiled_shape(khalil_ell, k_lin, u_max, rows, s5):
+    xv = khalil_ell.bases.vars
+    fixed = {"V": parse_poly("x1^2 + x2^2", xv),
+             "lambda": parse_poly("1 + e1^2", variables(["x1", "x2", "e1", "e2"]))}
+    cfg = SynthesisConfig(k_init=(k_lin,), u_max=u_max if u_max is None else parse_poly(u_max, xv))
+    prog, legend = assemble_theorem1(khalil_ell, cfg, fixed)
+    assert legend["mode"] == "fit_k"
+    assert list(legend["s_handles"]) == ["s4"] + ["s5"] * len(s5)
+    prob, index = prog.compile()
+    # s4 loses its row-0 element y0*1 as in step V; the input bound's s5
+    # keeps 4 of its 12 elements (6 under u_max's row, 6 under k's)
+    pruned = [[[0], [0]]] + [[[2, 4, 5, 7, 8, 9, 10, 11]]] * len(s5)
+    assert [g["pruned"] for g in index["grams"]] == pruned
+    assert prob.n_rows == rows
+    assert prob.n_free == 14
+    assert [d for d in prob.block_dims if d > 1] == [24, 44] + s5
+    assert sum(1 for d in prob.block_dims if d == 1) == 6
 
 
 @pytest.mark.parametrize("seed, k", [(2, "-x1 - x2"), (9, "-x1 - x2"), (0, "-x2")])
