@@ -85,6 +85,19 @@ class Polynomial:
             clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, vars: tuple[Variable, ...], terms: dict[tuple[int, ...], float]) -> "Polynomial":
+        """Result of arithmetic on polynomials that already passed __init__.
+
+        Its keys are int exponent tuples of the right length and its values
+        Python floats, so only the ZERO_TOL cut applies; a NaN fails
+        ``abs(c) < ZERO_TOL`` and is kept, as in __init__.
+        """
+        p = cls.__new__(cls)
+        p.vars = vars
+        p.terms = {e: c for e, c in terms.items() if not abs(c) < ZERO_TOL}
+        return p
+
     def __getattr__(self, name: str):
         # reached only when normal lookup fails, so at most once for kernel
         if name != "kernel":
@@ -147,12 +160,12 @@ class Polynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0.0) + c
-        return Polynomial(self.vars, out)
+        return Polynomial._trusted(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
@@ -164,14 +177,17 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
-            return Polynomial(self.vars, {e: c * other for e, c in self.terms.items()})
+            # float() first: a numpy scalar factor would make numpy scalar
+            # products; the product of two Python floats has the same bits
+            s = float(other)
+            return Polynomial._trusted(self.vars, {e: c * s for e, c in self.terms.items()})
         _check_same_vars(self, other)
         out: dict[tuple[int, ...], float] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(i + j for i, j in zip(ea, eb))
                 out[e] = out.get(e, 0.0) + ca * cb
-        return Polynomial(self.vars, out)
+        return Polynomial._trusted(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -230,7 +246,7 @@ class Polynomial:
                 e = list(exps)
                 e[i] -= 1
                 d[tuple(e)] = d.get(tuple(e), 0.0) + c * exps[i]
-            outs.append(Polynomial(self.vars, d))
+            outs.append(Polynomial._trusted(self.vars, d))
         return tuple(outs)
 
     def subst(self, mapping: Mapping[Variable, "Polynomial"]) -> "Polynomial":
@@ -251,19 +267,20 @@ class Polynomial:
                 raise ValueError("substitution images use inconsistent variable tuples")
             if im.degree() > 1:
                 raise ValueError("only affine substitutions are supported")
+        one = (0,) * len(new_vars)
         max_pow = [0] * len(self.vars)
         for exps in self.terms:
             for i, e in enumerate(exps):
                 max_pow[i] = max(max_pow[i], e)
         powers: list[list[Polynomial]] = []
         for im, mp in zip(images, max_pow):
-            ps = [Polynomial.constant(new_vars, 1.0)]
+            ps = [Polynomial._trusted(new_vars, {one: 1.0})]
             for _ in range(mp):
                 ps.append(ps[-1] * im)
             powers.append(ps)
-        out = Polynomial.zero(new_vars)
+        out = Polynomial._trusted(new_vars, {})
         for exps, c in self.terms.items():
-            term = Polynomial.constant(new_vars, c)
+            term = Polynomial._trusted(new_vars, {one: c})
             for i, e in enumerate(exps):
                 if e:
                     term = term * powers[i][e]
@@ -272,6 +289,7 @@ class Polynomial:
 
     def extend(self, new_vars: tuple[Variable, ...]) -> "Polynomial":
         """Reinterpret over a larger variable tuple containing self's names."""
+        new_vars = tuple(new_vars)
         pos = []
         names = [v.name for v in new_vars]
         for v in self.vars:
@@ -284,7 +302,7 @@ class Polynomial:
             for p, ei in zip(pos, exps):
                 e[p] = ei
             out[tuple(e)] = out.get(tuple(e), 0.0) + c
-        return Polynomial(new_vars, out)
+        return Polynomial._trusted(new_vars, out)
 
     # -- text and JSON ------------------------------------------------
 

@@ -35,24 +35,35 @@ A solve ends in one of three ways.  It converges (``optimal``: scaled
 primal and dual residuals and gap within ``tol``), it finds an improving
 ray (``infeasible`` or ``unbounded``), or it stalls: tau collapses without
 a clean ray, an iterate leaves the cone, the Schur or free-variable Schur
-factorization fails, the step length falls below ``MIN_STEP``, or the
-iteration limit is reached.  A stall reports the best iterate seen, which
-is ``feasible`` exactly when it passes ``validate_solution`` on the
-original data (its objective is then approximate, the gap may be open)
-and ``numerical-failure`` otherwise.  The message names the stop.
+factorization fails, a search direction is not finite, the step length
+falls below ``MIN_STEP``, or the iteration limit is reached.  A stall
+reports the best iterate seen, which is ``feasible`` exactly when it
+passes ``validate_solution`` on the original data (its objective is then
+approximate, the gap may be open) and ``numerical-failure`` otherwise.
+The message names the stop.
+
+Inputs are checked at the boundary, once.  ``SdpProblem`` rejects a block,
+entry or free index out of range, and a coefficient, right-hand side or
+objective value that is not finite, both as it is built and as it is read
+from JSON; the error names the row or entry.  Inside the loop the
+triangular solves call LAPACK directly, without scipy's per-call
+finiteness scans, and each search direction is checked once: numpy's
+Cholesky returns NaN factors for a non-finite Schur complement rather than
+raising, and such a direction ends the solve as a stall.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -99,6 +110,12 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # problem container
+
+
+def _not_finite(what: str, value: float) -> ValueError:
+    """The error for a non-finite input value; callers build ``what`` only
+    after ``math.isfinite`` fails, so a check costs that one call."""
+    return ValueError(f"{what} is not finite: {value}")
 
 
 class SdpProblem:
@@ -154,14 +171,21 @@ class SdpProblem:
         rhs: float = 0.0,
     ) -> int:
         """Add equality  sum coeff*G_block[i,j] + sum coeff*v_idx = rhs."""
+        r = len(self._rhs)
+        if not math.isfinite(rhs):
+            raise _not_finite(f"row {r}: rhs", rhs)
         prow: dict[int, float] = {}
         for blk, i, j, coeff in psd_entries:
+            if not math.isfinite(coeff):
+                raise _not_finite(f"row {r}: coefficient of block {blk} entry ({i},{j})", coeff)
             if i > j:
                 i, j = j, i
             k, f = self._svec_coord(blk, i, j)
             prow[k] = prow.get(k, 0.0) + coeff * f
         frow: dict[int, float] = {}
         for idx, coeff in free_entries:
+            if not math.isfinite(coeff):
+                raise _not_finite(f"row {r}: coefficient of free variable {idx}", coeff)
             self._check_free(idx)
             frow[idx] = frow.get(idx, 0.0) + coeff
         self._rows_psd.append(sorted(prow.items()))
@@ -170,12 +194,16 @@ class SdpProblem:
         return len(self._rhs) - 1
 
     def set_objective_entry(self, block: int, i: int, j: int, coeff: float) -> None:
+        if not math.isfinite(coeff):
+            raise _not_finite(f"objective coefficient of block {block} entry ({i},{j})", coeff)
         if i > j:
             i, j = j, i
         k, f = self._svec_coord(block, i, j)
         self._c_psd[k] = self._c_psd.get(k, 0.0) + coeff * f
 
     def set_objective_free(self, idx: int, coeff: float) -> None:
+        if not math.isfinite(coeff):
+            raise _not_finite(f"objective coefficient of free variable {idx}", coeff)
         self._check_free(idx)
         self._c_free[idx] = self._c_free.get(idx, 0.0) + coeff
 
@@ -261,6 +289,17 @@ class SdpProblem:
             bad = [k for k in coords if not 0 <= k < n]
             if bad:
                 raise ValueError(f"{what} {bad[0]} outside [0, {n})")
+        for r, (prow, frow, rhs) in enumerate(zip(p._rows_psd, p._rows_free, p._rhs)):
+            if not math.isfinite(rhs):
+                raise _not_finite(f"row {r}: rhs", rhs)
+            for where, row in (("svec coordinate", prow), ("free variable", frow)):
+                for k, v in row:
+                    if not math.isfinite(v):
+                        raise _not_finite(f"row {r}: coefficient of {where} {k}", v)
+        for where, obj in (("svec coordinate", p._c_psd), ("free variable", p._c_free)):
+            for k, v in obj.items():
+                if not math.isfinite(v):
+                    raise _not_finite(f"objective coefficient of {where} {k}", v)
         return p
 
     @classmethod
@@ -337,6 +376,39 @@ class SolveOptions:
 # Nesterov-Todd scaling of the matrix blocks
 
 
+def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve L L^T X = B for a lower Cholesky factor L.
+
+    LAPACK potrs with the arguments ``scipy.linalg.cho_solve((L, True), B)``
+    passes it, so the bits are the same, without that wrapper's finiteness
+    scans; solve_sdp checks its directions instead.
+    """
+    if B.size == 0:
+        return np.empty_like(B)
+    X, info = dpotrs(L, B, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return X
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve L X = B for lower triangular L.
+
+    LAPACK trtrs with the arguments ``scipy.linalg.solve_triangular(L, B,
+    lower=True)`` passes it: L itself when it is Fortran-ordered, else the
+    transposed upper system on L^T, whose memory already is Fortran order.
+    """
+    if L.flags.f_contiguous:
+        X, info = dtrtrs(L, B, lower=1)
+    else:
+        X, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    return X
+
+
 class _BlockScaling:
     """NT scaling W = R R^T of one matrix block: W Z W = X, R^-1 X R^-T = R^T Z R = diag(lam)."""
 
@@ -349,7 +421,7 @@ class _BlockScaling:
         self.lam = sv  # spectrum of the scaled point
         s_isqrt = 1.0 / np.sqrt(sv)
         self.R = self.Lx @ Vt.T * s_isqrt[None, :]
-        Lx_inv = sla.solve_triangular(self.Lx, np.eye(d), lower=True)
+        Lx_inv = _solve_lower(self.Lx, np.eye(d))
         self.Rinv = (np.sqrt(sv)[:, None] * Vt) @ Lx_inv
 
 
@@ -427,13 +499,18 @@ class _SchurRows:
 
 def _max_step_psd(L: np.ndarray, Delta: np.ndarray) -> float:
     """Largest a with  M + a*Delta >= 0,  M = L L^T."""
-    T = sla.solve_triangular(L, Delta, lower=True)
-    T = sla.solve_triangular(L, T.T, lower=True)
+    T = _solve_lower(L, Delta)
+    T = _solve_lower(L, T.T)
     w = np.linalg.eigvalsh(0.5 * (T + T.T))
     wmin = w[0]
     if wmin >= -1e-16:
         return np.inf
     return -1.0 / wmin
+
+
+def _finite(*parts) -> bool:
+    """Whether every entry of every array or number in ``parts`` is finite."""
+    return all(np.isfinite(v).all() for v in parts)
 
 
 def _max_step_lp(x: np.ndarray, dx: np.ndarray) -> float:
@@ -580,6 +657,9 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
     lp_blocks = [bi for bi, d in enumerate(dims) if d == 1]
     mat_blocks = [bi for bi, d in enumerate(dims) if d > 1]
     lp = np.array([slices[bi].start for bi in lp_blocks], dtype=np.int64)
+    # A^T is applied seven times per iteration: stored once as CSR it adds
+    # the same products in the same order as the CSC view, about 5x faster
+    AT = A.T.tocsr()
     A_csc = A.tocsc()
     A_lp = A_csc[:, lp].tocsr()
     schur_rows = []
@@ -630,7 +710,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         zv = to_vec(Z, z)
         # residuals of the homogeneous model
         Rp = A @ xv + Af @ xf - b * tau
-        Rd_psd = -(A.T @ y) + c * tau - zv
+        Rd_psd = -(AT @ y) + c * tau - zv
         Rd_free = -(Af.T @ y) + cf * tau
         Rg = float(b @ y - c @ xv - cf @ xf - kappa)
         mu = (float(xv @ zv) + tau * kappa) / (nu + 1)
@@ -642,7 +722,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         zhat = zv / tau
         pres = np.linalg.norm(A @ xhat + Af @ xfhat - b) / norm_b
         dres = np.sqrt(
-            np.linalg.norm(A.T @ yhat + zhat - c) ** 2
+            np.linalg.norm(AT @ yhat + zhat - c) ** 2
             + np.linalg.norm(Af.T @ yhat - cf) ** 2
         ) / norm_c
         pobj = float(c @ xhat + cf @ xfhat)
@@ -667,7 +747,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             by = float(b @ y)
             cx = float(c @ xv + cf @ xf)
             dual_ray = np.sqrt(
-                np.linalg.norm(A.T @ y + zv) ** 2 + np.linalg.norm(Af.T @ y) ** 2
+                np.linalg.norm(AT @ y + zv) ** 2 + np.linalg.norm(Af.T @ y) ** 2
             )
             prim_ray = np.linalg.norm(A @ xv + Af @ xf)
             if by > 0 and dual_ray <= 1e-6 * max(1.0, by) * norm_c:
@@ -719,12 +799,12 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         if L_M is None:
             msg = "Schur complement factorization failed"
             break
-        # cho_solve hands LAPACK a Fortran-ordered factor: convert once here
-        # rather than copying it in each of this iteration's solves
+        # potrs reads a Fortran-ordered factor: convert once here rather
+        # than copying it in each of this iteration's solves
         L_M = np.asfortranarray(L_M)
 
         if nf:
-            MA = sla.cho_solve((L_M, True), Af)
+            MA = _cho_solve(L_M, Af)
             S_F = Af.T @ MA
             try:
                 L_F = np.linalg.cholesky(S_F + 1e-14 * np.eye(nf) * max(1.0, np.trace(S_F) / max(nf, 1)))
@@ -749,14 +829,14 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             g = u_y - A @ Hi_uK
             h = -u_F
             if nf:
-                g1 = sla.cho_solve((L_M, True), g)
+                g1 = _cho_solve(L_M, g)
                 rhsF = Af.T @ g1 - h
-                dxF = sla.cho_solve((L_F, True), rhsF)
+                dxF = _cho_solve(L_F, rhsF)
                 dy = g1 - MA @ dxF
             else:
                 dxF = np.zeros(0)
-                dy = sla.cho_solve((L_M, True), g)
-            dxK = Hi_uK + apply_Hinv(A.T @ dy)
+                dy = _cho_solve(L_M, g)
+            dxK = Hi_uK + apply_Hinv(AT @ dy)
             return dxK, dxF, dy
 
         # solve for the tau-direction basis (depends on scaling only)
@@ -791,7 +871,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
             # the dual residual then contracts even when the Schur solve is
             # inexact near the optimum, and the complementarity error is
             # re-centered at the next iteration anyway
-            dz = -(A.T @ dy) + c * dtau + eta * Rd_psd
+            dz = -(AT @ dy) + c * dtau + eta * Rd_psd
             dkappa = (d_tk - kappa * dtau) / tau
             return dxF, dy, dtau, dkappa, dxK, dz, to_mats(dxK), to_mats(dz)
 
@@ -805,8 +885,12 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
                 a = min(a, -kappa / dkappa)
             return a
 
-        # predictor
+        # predictor; np.linalg.cholesky returns NaN factors rather than
+        # raising, so a non-finite M or S_F first shows in a direction
         dxFa, dya, dtaua, dkappaa, dxKa, dza, dXa, dZa = direction(0.0, None, 0.0, 0.0)
+        if not _finite(dxKa, dza, dxFa, dya, dtaua, dkappaa):
+            msg = "non-finite direction"
+            break
         t5 = time.perf_counter()
         a_aff = min(1.0, max_step(dxKa, dza, dXa, dZa, dtaua, dkappaa))
         t6 = time.perf_counter()
@@ -828,6 +912,9 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         corr_tk = dtaua * dkappaa
 
         dxF, dy, dtau, dkappa, dxK, dz, dX, dZ = direction(sigma, corr_mats, corr_lp, corr_tk)
+        if not _finite(dxK, dz, dxF, dy, dtau, dkappa):
+            msg = "non-finite direction"
+            break
         t7 = time.perf_counter()
         a = min(1.0, STEP_FRACTION * max_step(dxK, dz, dX, dZ, dtau, dkappa))
         t8 = time.perf_counter()
@@ -876,6 +963,30 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
     if status is None and validate_solution(prob, sol).get("ok"):
         sol.status = "feasible"
     return sol
+
+
+def format_trace(trace: Sequence[dict]) -> str:
+    """``SdpSolution.trace`` as text: a header, then one line per iteration.
+
+    Each line gives mu, the residuals pres, dres and gap, the step, the
+    Schur jitter and the milliseconds of each phase.  A field the iteration
+    did not reach shows as None: on the last iteration of a converged solve
+    everything but mu and the residuals, on a stalled one what follows the
+    stop.
+    """
+    phases = ("scaling", "schur", "factor", "directions", "step_length")
+
+    def num(v):
+        return "None" if v is None else f"{v:.2e}"
+
+    rows = [["it", "mu", "pres", "dres", "gap", "step", "jitter"]
+            + [f"{p}_ms" for p in phases]]
+    for it, e in enumerate(trace, 1):
+        secs = e["seconds"]
+        rows.append([str(it)] + [num(e[k]) for k in ("mu", "pres", "dres", "gap", "step", "jitter")]
+                    + [f"{1e3 * secs[p]:.1f}" if p in secs else "None" for p in phases])
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows)
 
 
 def validate_solution(prob: SdpProblem, sol: SdpSolution) -> dict:

@@ -1,5 +1,7 @@
-"""Packaging metadata: every declared entry point and export must resolve."""
+"""Packaging metadata: every declared entry point and export must resolve,
+and the package imports only public numpy and scipy modules."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -25,3 +27,23 @@ def test_console_scripts_resolve():
 def test_all_exports_resolve():
     for name in issynth.__all__:
         assert hasattr(issynth, name), name
+
+
+def test_no_private_numpy_or_scipy_imports():
+    # a module with a leading underscore anywhere in its dotted name, such as
+    # scipy.sparse._sparsetools, can change or vanish in any release
+    src = PYPROJECT.parent / "src" / "issynth"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                head, *rest = name.split(".")
+                if head in ("numpy", "scipy") and any(p.startswith("_") for p in rest):
+                    found.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not found, found

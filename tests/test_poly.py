@@ -128,6 +128,147 @@ class TestArithmetic:
         assert p**0 == Polynomial.constant(xy, 1.0)
 
 
+# Reference arithmetic: each operation's raw term dict handed to the
+# validating constructor, as every result was built before arithmetic went
+# through the trusted one.  Same loops, same order of operations.
+
+
+def ref_add(a, b):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, 0.0) + c
+    return Polynomial(a.vars, out)
+
+
+def ref_neg(a):
+    return Polynomial(a.vars, {e: -c for e, c in a.terms.items()})
+
+
+def ref_scale(a, s):
+    return Polynomial(a.vars, {e: c * s for e, c in a.terms.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0.0) + ca * cb
+    return Polynomial(a.vars, out)
+
+
+def ref_pow(a, k):
+    out, base = Polynomial.constant(a.vars, 1.0), a
+    while k:
+        if k & 1:
+            out = ref_mul(out, base)
+        base = ref_mul(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
+def ref_grad(a):
+    outs = []
+    for i in range(len(a.vars)):
+        d = {}
+        for exps, c in a.terms.items():
+            if exps[i]:
+                e = list(exps)
+                e[i] -= 1
+                d[tuple(e)] = d.get(tuple(e), 0.0) + c * exps[i]
+        outs.append(Polynomial(a.vars, d))
+    return outs
+
+
+def ref_extend(a, new_vars):
+    pos = [[v.name for v in new_vars].index(v.name) for v in a.vars]
+    out = {}
+    for exps, c in a.terms.items():
+        e = [0] * len(new_vars)
+        for p, ei in zip(pos, exps):
+            e[p] = ei
+        out[tuple(e)] = out.get(tuple(e), 0.0) + c
+    return Polynomial(new_vars, out)
+
+
+def ref_subst(a, images):
+    new_vars = images[0].vars
+    powers = []
+    for i, im in enumerate(images):
+        ps = [Polynomial.constant(new_vars, 1.0)]
+        for _ in range(max((e[i] for e in a.terms), default=0)):
+            ps.append(ref_mul(ps[-1], im))
+        powers.append(ps)
+    out = Polynomial.zero(new_vars)
+    for exps, c in a.terms.items():
+        term = Polynomial.constant(new_vars, c)
+        for i, e in enumerate(exps):
+            if e:
+                term = ref_mul(term, powers[i][e])
+        out = ref_add(out, term)
+    return out
+
+
+def assert_same_polynomial(got, want):
+    """Same variables, keys in the same order, int exponents, Python float
+    coefficients with the same bits (nan included)."""
+    assert got.vars == want.vars
+    assert list(got.terms) == list(want.terms)
+    for e, c in got.terms.items():
+        assert type(e) is tuple and all(type(i) is int for i in e), e
+        assert type(c) is float, (e, type(c))
+        assert same_bits(c, want.terms[e]), (e, c, want.terms[e])
+
+
+def contract_poly(rng, vars, n_terms):
+    """Random terms whose sums and products cross ZERO_TOL and carry nan:
+    magnitudes 1e-16 to 10, a few exact opposites of each other."""
+    basis = monomial_basis(vars, 3)
+    terms = {}
+    for b in rng.choice(len(basis), size=n_terms, replace=False):
+        exps = tuple(np.int64(e) for e in next(iter(basis[b].terms)))
+        terms[exps] = float(rng.standard_normal() * 10.0 ** rng.integers(-16, 2))
+    return Polynomial(vars, terms)
+
+
+class TestTrustedArithmetic:
+    """Arithmetic results skip re-validation; each must equal the reference
+    above, which validates the same raw terms."""
+
+    def test_equal_to_validating_constructor(self, xe):
+        rng = np.random.default_rng(3)
+        xy = xe[:2]
+        shift = {xy[0]: parse_poly("x1 + e1", xe), xy[1]: parse_poly("x2 - 2*e2 + 0.5", xe)}
+        for trial in range(200):
+            a = contract_poly(rng, xy, int(rng.integers(0, 9)))
+            b = contract_poly(rng, xy, int(rng.integers(0, 9)))
+            if trial % 4 == 0:  # cancellations: a + b then leaves tiny terms
+                b = Polynomial(xy, {e: -c * (1 + 1e-15) for e, c in a.terms.items()})
+            if trial % 7 == 0 and a.terms:  # nan must survive every operation
+                e = next(iter(a.terms))
+                a = Polynomial(xy, {**a.terms, e: float("nan")})
+            s = float(rng.standard_normal())
+            assert_same_polynomial(a + b, ref_add(a, b))
+            assert_same_polynomial(a - b, ref_add(a, ref_neg(b)))
+            assert_same_polynomial(-a, ref_neg(a))
+            assert_same_polynomial(a * b, ref_mul(a, b))
+            assert_same_polynomial(a * s, ref_scale(a, s))
+            assert_same_polynomial(a * np.float64(s), ref_scale(a, np.float64(s)))
+            assert_same_polynomial(a + s, ref_add(a, Polynomial.constant(xy, s)))
+            assert_same_polynomial(a ** 3, ref_pow(a, 3))
+            for got, want in zip(a.grad(), ref_grad(a)):
+                assert_same_polynomial(got, want)
+            assert_same_polynomial(a.extend(xe), ref_extend(a, xe))
+            assert_same_polynomial(a.subst(shift), ref_subst(a, [shift[v] for v in xy]))
+
+    def test_tiny_results_dropped_and_nan_kept(self, xy):
+        a = Polynomial(xy, {(1, 0): 1.0, (0, 1): float("nan")})
+        b = Polynomial(xy, {(1, 0): -1.0 + 1e-15})
+        assert list((a + b).terms) == [(0, 1)]
+        assert np.isnan((a * 2.0).coeff((0, 1)))
+        assert (a * 1e-15).terms.keys() == {(0, 1)}
+
+
 class TestEvaluation:
     def test_eval_homomorphism(self, xy):
         # (p*q)(a) == p(a)*q(a) and (p+q)(a) == p(a)+q(a)

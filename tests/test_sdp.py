@@ -1,9 +1,12 @@
 """Tests for the interior-point SDP solver."""
 
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import issynth.sdp as sdp
@@ -14,6 +17,7 @@ from issynth.sdp import (
     _hinv_svec,
     _SchurRows,
     _winv_svec,
+    format_trace,
     smat,
     solve_sdp,
     svec,
@@ -425,6 +429,14 @@ def _fail(*args):
     raise np.linalg.LinAlgError("forced")
 
 
+def _cholesky_nan(k, shape):
+    """np.linalg.cholesky that returns an all-NaN factor of matrices of
+    ``shape`` from the k-th on, as numpy does for a NaN matrix."""
+    real = np.linalg.cholesky
+    nan = _from_call(k, real, lambda M: np.full(M.shape, np.nan))
+    return lambda M: nan(M) if M.shape == shape else real(M)
+
+
 def _cholesky_failing(k, shape):
     """np.linalg.cholesky that fails on matrices of ``shape`` from the k-th on."""
     real = np.linalg.cholesky
@@ -454,6 +466,8 @@ STALLS = {
         lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_failing(k, (10, 10))),
     "free-variable Schur factorization failed":
         lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_failing(k, (2, 2))),
+    "non-finite direction":
+        lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_nan(k, (10, 10))),
     "step length 0.00e+00 below minimum":
         lambda mp, k: mp.setattr(sdp, "_max_step_psd",
                                  _from_call(4 * k - 3, sdp._max_step_psd, lambda *a: 0.0)),
@@ -473,6 +487,53 @@ def test_forced_stall_labels_best_iterate_by_validation(message, monkeypatch):
         assert sol.message == message
         labels.add(_validated_label(p, sol))
     assert labels == {"feasible", "numerical-failure"}
+
+
+def test_nan_free_variable_factor_ends_as_non_finite_direction(monkeypatch):
+    p = _stall_problem()
+    monkeypatch.setattr(np.linalg, "cholesky", _cholesky_nan(3, (2, 2)))
+    sol = solve_sdp(p)
+    assert (sol.iterations, sol.message) == (3, "non-finite direction")
+    _validated_label(p, sol)
+
+
+# ---------------------------------------------------------------------------
+# direct LAPACK calls: the bits of scipy's wrappers
+
+
+def _same_array_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cho_solve_matches_scipy(order):
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 7, 40):
+        G = rng.standard_normal((n, n))
+        L = np.asarray(np.linalg.cholesky(G @ G.T + n * np.eye(n)), order=order)
+        for B in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                  np.asfortranarray(rng.standard_normal((n, 3)))):
+            assert _same_array_bits(sdp._cho_solve(L, B), sla.cho_solve((L, True), B))
+    empty = np.zeros((0, 0))
+    for B in (np.zeros(0), np.zeros((0, 2))):
+        assert sdp._cho_solve(empty, B).shape == sla.cho_solve((empty, True), B).shape
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_lower_matches_scipy(order):
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 7, 40):
+        G = rng.standard_normal((n, n))
+        L = np.asarray(np.linalg.cholesky(G @ G.T + n * np.eye(n)), order=order)
+        T = rng.standard_normal((n, n))
+        # the solver passes an identity, a C-ordered matrix and a transpose view
+        for B in (np.eye(n), T, T.T, rng.standard_normal(n)):
+            assert _same_array_bits(sdp._solve_lower(L, B),
+                                    sla.solve_triangular(L, B, lower=True))
+    singular = np.asarray([[1.0, 0.0], [1.0, 0.0]], order=order)
+    for solve in (sdp._solve_lower, lambda L, B: sla.solve_triangular(L, B, lower=True)):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve(singular, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +560,26 @@ def test_trace_has_one_entry_per_iteration():
     assert last["sigma"] is None and last["step"] is None and last["jitter"] is None
     assert last["seconds"] == {}
     assert "trace" not in sol.to_json_dict()
+
+
+def test_format_trace_one_line_per_iteration():
+    p = _random_feasible_sdp(np.random.default_rng(5), 6, 8, 1, ns=4)
+    sol = solve_sdp(p)
+    lines = format_trace(sol.trace).splitlines()
+    assert len(lines) == 1 + sol.iterations
+    header = lines[0].split()
+    assert header == ["it", "mu", "pres", "dres", "gap", "step", "jitter", "scaling_ms",
+                      "schur_ms", "factor_ms", "directions_ms", "step_length_ms"]
+    first = dict(zip(header, lines[1].split()))
+    e = sol.trace[0]
+    assert first["it"] == "1" and float(first["pres"]) == pytest.approx(e["pres"], rel=1e-2)
+    assert float(first["step"]) == pytest.approx(e["step"], rel=1e-2)
+    assert float(first["factor_ms"]) == pytest.approx(1e3 * e["seconds"]["factor"], abs=0.06)
+    # the converged iteration holds mu and the residuals only
+    last = dict(zip(header, lines[-1].split()))
+    assert float(last["gap"]) == pytest.approx(sol.trace[-1]["gap"], rel=1e-2)
+    assert [last[k] for k in header[5:]] == ["None"] * 7
+    assert format_trace([]).split() == header
 
 
 def test_trace_records_schur_jitter(monkeypatch):
@@ -600,59 +681,113 @@ class TestEntryConvention:
 # index validation
 
 
-class TestIndexValidation:
-    @staticmethod
-    def two_blocks():
-        p = SdpProblem()
-        p.add_block(2)
-        p.add_block(3)
-        p.add_free("v")
-        return p
+def _two_blocks():
+    p = SdpProblem()
+    p.add_block(2)
+    p.add_block(3)
+    p.add_free("v")
+    return p
 
+
+def _two_blocks_json(**changes):
+    p = _two_blocks()
+    p.add_row([(0, 0, 0, 1.0)], [(0, 1.0)], rhs=1.0)
+    d = p.to_json_dict()
+    d.update(changes)
+    return d
+
+
+class TestIndexValidation:
     @pytest.mark.parametrize("block", [-1, -2, 2])
     def test_add_row_rejects_block_outside_range(self, block):
-        p = self.two_blocks()
+        p = _two_blocks()
         with pytest.raises(IndexError, match="block index"):
             p.add_row([(block, 0, 0, 1.0)])
         assert p.n_rows == 0
 
     @pytest.mark.parametrize("block", [-1, 2])
     def test_objective_rejects_block_outside_range(self, block):
-        p = self.two_blocks()
+        p = _two_blocks()
         with pytest.raises(IndexError, match="block index"):
             p.set_objective_entry(block, 0, 0, 1.0)
 
     @pytest.mark.parametrize("idx", [-1, 1])
     def test_free_indices_checked(self, idx):
-        p = self.two_blocks()
+        p = _two_blocks()
         with pytest.raises(IndexError, match="free variable"):
             p.add_row(free_entries=[(idx, 1.0)])
         with pytest.raises(IndexError, match="free variable"):
             p.set_objective_free(idx, 1.0)
 
-    def _json_with(self, **changes):
-        p = self.two_blocks()
-        p.add_row([(0, 0, 0, 1.0)], [(0, 1.0)], rhs=1.0)
-        d = p.to_json_dict()
-        d.update(changes)
-        return d
-
     @pytest.mark.parametrize("coord", [-1, 9])
     def test_json_rejects_svec_coordinate_outside_range(self, coord):
         with pytest.raises(ValueError, match="svec coordinate"):
-            SdpProblem.from_json_dict(self._json_with(rows_psd=[[[coord, 1.0]]]))
+            SdpProblem.from_json_dict(_two_blocks_json(rows_psd=[[[coord, 1.0]]]))
         with pytest.raises(ValueError, match="svec coordinate"):
-            SdpProblem.from_json_dict(self._json_with(c_psd=[[coord, 1.0]]))
+            SdpProblem.from_json_dict(_two_blocks_json(c_psd=[[coord, 1.0]]))
 
     @pytest.mark.parametrize("idx", [-1, 1])
     def test_json_rejects_free_index_outside_range(self, idx):
         with pytest.raises(ValueError, match="free index"):
-            SdpProblem.from_json_dict(self._json_with(rows_free=[[[idx, 1.0]]]))
+            SdpProblem.from_json_dict(_two_blocks_json(rows_free=[[[idx, 1.0]]]))
         with pytest.raises(ValueError, match="free index"):
-            SdpProblem.from_json_dict(self._json_with(c_free=[[idx, 1.0]]))
+            SdpProblem.from_json_dict(_two_blocks_json(c_free=[[idx, 1.0]]))
 
     def test_json_rejects_row_lists_of_unequal_length(self):
         with pytest.raises(ValueError, match="differ in length"):
-            SdpProblem.from_json_dict(self._json_with(rows_free=[]))
+            SdpProblem.from_json_dict(_two_blocks_json(rows_free=[]))
         with pytest.raises(ValueError, match="differ in length"):
-            SdpProblem.from_json_dict(self._json_with(rhs=[1.0, 2.0]))
+            SdpProblem.from_json_dict(_two_blocks_json(rhs=[1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# finite input.  A NaN rhs used to escape solve_sdp as scipy's "array must
+# not contain infs or NaNs", and an inf coefficient went into the solve
+# unnoticed: row equilibration scales its row by 1/inf, and _stall_problem
+# with one coefficient set to inf still ended ``optimal``
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_add_row_rejects_non_finite_rhs(bad):
+    p = _two_blocks()
+    p.add_row([(0, 0, 0, 1.0)], rhs=1.0)
+    with pytest.raises(ValueError, match="row 1: rhs is not finite"):
+        p.add_row([(0, 0, 0, 1.0)], rhs=bad)
+    assert p.n_rows == 1
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_add_row_rejects_non_finite_coefficient(bad):
+    p = _two_blocks()
+    with pytest.raises(ValueError, match=r"row 0: coefficient of block 1 entry \(0,2\) is not finite"):
+        p.add_row([(0, 0, 0, 1.0), (1, 0, 2, bad)], rhs=1.0)
+    with pytest.raises(ValueError, match="row 0: coefficient of free variable 0 is not finite"):
+        p.add_row([(0, 0, 0, 1.0)], [(0, np.float64(bad))], rhs=1.0)
+    assert p.n_rows == 0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_objective_rejects_non_finite_coefficient(bad):
+    p = _two_blocks()
+    with pytest.raises(ValueError, match=r"objective coefficient of block 1 entry \(1,1\)"):
+        p.set_objective_entry(1, 1, 1, bad)
+    with pytest.raises(ValueError, match="objective coefficient of free variable 0"):
+        p.set_objective_free(0, bad)
+    assert p.to_json_dict()["c_psd"] == [] and p.to_json_dict()["c_free"] == []
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("rhs", [float("nan")], "row 0: rhs"),
+    ("rows_psd", [[[0, float("inf")]]], "row 0: coefficient of svec coordinate 0"),
+    ("rows_free", [[[0, float("-inf")]]], "row 0: coefficient of free variable 0"),
+    ("c_psd", [[3, float("nan")]], "objective coefficient of svec coordinate 3"),
+    ("c_free", [[0, float("inf")]], "objective coefficient of free variable 0"),
+])
+def test_json_rejects_non_finite_values(field, value, named):
+    # json.dumps writes NaN and Infinity and json.loads reads them back
+    text = json.dumps(_two_blocks_json(**{field: value}))
+    with pytest.raises(ValueError, match=f"{re.escape(named)} is not finite"):
+        SdpProblem.from_json(text)

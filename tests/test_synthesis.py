@@ -13,7 +13,7 @@ import pytest
 
 from issynth.consistency import build_data_matrices, ellipsoid_params, solve_overapprox
 from issynth.poly import Polynomial, parse_poly, variables
-from issynth.sdp import validate_solution
+from issynth.sdp import format_trace, validate_solution
 from issynth import verify as _verify
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
 from issynth.sos import AffinePoly, SosProgram
@@ -94,9 +94,10 @@ def test_step_v_ends_optimal(seed, k):
     kp = parse_poly(k, sys.bases.vars)
     prog, _ = assemble_theorem1(ell, SynthesisConfig(k_init=(kp,)), {"k": [kp]})
     sol = prog.solve()
-    assert sol.status == "optimal", sol.sdp.message
-    assert sol.sdp.iterations <= 40
-    assert validate_solution(sol.problem, sol.sdp)["ok"]
+    detail = f"{sol.sdp.message}\n{format_trace(sol.sdp.trace)}"
+    assert sol.status == "optimal", detail
+    assert sol.sdp.iterations <= 40, detail
+    assert validate_solution(sol.problem, sol.sdp)["ok"], detail
 
 
 def test_linear_rows_labelled_by_group(khalil_ell, k_lin):
