@@ -565,15 +565,21 @@ def solve_overapprox(
 # membership tests
 
 
+# pass threshold of `membership`, a constant like the oracle tolerances in
+# verify.py, so a membership test cannot be loosened to make a run pass
+MEMBERSHIP_TOL = 1e-8
+
+
 class MembershipResult(NamedTuple):
     ok: bool
     residual: float
 
 
-def membership(AB: np.ndarray, ell: ConsistencyEllipsoid, tol: float = 1e-8) -> MembershipResult:
+def membership(AB: np.ndarray, ell: ConsistencyEllipsoid) -> MembershipResult:
     """Ellipsoid membership of [A B]; residual is the worst eigenvalue.
 
-    Negative residual means strictly inside; zero is the boundary.
+    Negative residual means strictly inside; zero is the boundary; ok means
+    residual <= MEMBERSHIP_TOL.
     """
     AB = np.asarray(AB, dtype=float)
     p, n = ell.B_bar.shape
@@ -584,7 +590,7 @@ def membership(AB: np.ndarray, ell: ConsistencyEllipsoid, tol: float = 1e-8) -> 
     M = core + ell.B_bar.T @ zeta + zeta.T @ ell.B_bar + zeta.T @ ell.A_bar @ zeta
     M = 0.5 * (M + M.T) - np.eye(n)
     residual = float(np.linalg.eigvalsh(M)[-1])
-    return MembershipResult(residual <= tol, residual)
+    return MembershipResult(residual <= MEMBERSHIP_TOL, residual)
 
 
 def membership_instantaneous(

@@ -365,7 +365,6 @@ class SdpSolution:
 class SolveOptions:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -669,11 +668,10 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         schur_rows.append((rows, _SchurRows(sub[rows], dims[bi]) if len(rows) else None))
 
     # identity start
-    s0 = opts.init_scale
-    X = [np.eye(dims[bi]) * s0 for bi in mat_blocks]
-    Z = [np.eye(dims[bi]) * s0 for bi in mat_blocks]
-    x = np.full(len(lp), s0)
-    z = np.full(len(lp), s0)
+    X = [np.eye(dims[bi]) for bi in mat_blocks]
+    Z = [np.eye(dims[bi]) for bi in mat_blocks]
+    x = np.ones(len(lp))
+    z = np.ones(len(lp))
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 

@@ -20,7 +20,6 @@ run (see `GroundTruthSystem.field_floats`).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -61,16 +60,12 @@ class GroundTruthSystem:
     def m(self) -> int:
         return self.bases.m
 
-    def field_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Noiseless state derivative; shares the regressor code path with
-        the membership tests so noiseless data reproduce it bitwise."""
-        return self.AB.dot(self.bases.regressor(x, u))
-
     def field_floats(self, xs: list[float], us: list[float]) -> list[float]:
-        """`field_at` on lists of Python floats, unchecked.  The product
-        with [A_star B_star] stays a numpy (BLAS) product, for its
-        summation order; ``ndarray.dot`` makes the same BLAS call as ``@``
-        at less call overhead.
+        """Noiseless state derivative at a state and input given as lists
+        of Python floats, unchecked.  The product with [A_star B_star]
+        stays a numpy (BLAS) product, for its summation order;
+        ``ndarray.dot`` makes the same BLAS call as ``@`` at less call
+        overhead.
 
         Sets no numpy error state: an escaping state overflows to inf or
         nan, and the caller decides whether that warns.  `integrate`,
@@ -390,42 +385,3 @@ def event_triggered_run(
         storm=storm,
     )
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def event_trace_to_csv(trace: EventTrace, path, var_names: Sequence[str] | None = None) -> None:
-    """Columns: t, states, held inputs, errors, alpha3, alpha4, event_flag."""
-    n = trace.states.shape[1]
-    m = trace.inputs.shape[1]
-    names = list(var_names) if var_names is not None else [f"x{i+1}" for i in range(n)]
-    if len(names) != n:
-        raise ValueError(f"{len(names)} variable names for {n} states")
-    header = (["t"] + names + [f"u{j+1}" for j in range(m)]
-              + [f"e{i+1}" for i in range(n)] + ["alpha3", "alpha4", "event_flag"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(len(trace.times)):
-            row = ([repr(float(trace.times[j]))]
-                   + [repr(float(v)) for v in trace.states[j]]
-                   + [repr(float(v)) for v in trace.inputs[j]]
-                   + [repr(float(v)) for v in trace.errors[j]]
-                   + [repr(float(trace.alpha3[j])), repr(float(trace.alpha4[j])),
-                      str(int(trace.event_flags[j]))])
-            writer.writerow(row)
-
-
-def dataset_to_csv(ds: Dataset, path) -> None:
-    """Open-loop experiment records: t, states, inputs, measured derivatives."""
-    names = [v.name for v in ds.bases.vars]
-    header = (["t"] + names + [f"u{j+1}" for j in range(ds.bases.m)]
-              + [f"{nm}dot" for nm in names])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in ds.samples:
-            row = ([repr(float(s.t))] + [repr(float(v)) for v in s.x]
-                   + [repr(float(v)) for v in s.u] + [repr(float(v)) for v in s.xdot])
-            writer.writerow(row)

@@ -11,7 +11,20 @@ one, which keeps the Schur complement cheap.
 
 Decision variables enter affinely through `AffinePoly`: a fixed polynomial
 plus polynomial multipliers for named scalar coefficients.  Compilation maps
-coefficients to free SDP variables and Gram blocks to PSD blocks.
+coefficients to free SDP variables and Gram blocks to PSD blocks.  Every
+Gram basis is given by the caller; nothing here picks one.
+
+The margin rule.  Only a matrix SOS constraint takes a margin, a
+coefficient t.  Its PSD block is H = G - t*D, where D is the 0/1 diagonal
+that marks every basis element which is not constant in the matrix
+variables ("margin_mask" in the compiled index); the element y_i * 1 is
+left out.  Shifted, such an element's diagonal row would read
+H_aa + t = M[i][i](0) and cap t at that constant term: at zero for row 0
+of theorem 1's matrix, and at 2*lambda(0) for a shaping row once lambda is
+fixed, as in step K (derived from the matching rows, not measured by a
+solve).  An element left out of the shift whose diagonal target is zero
+and free of decision variables is pruned at compile; an element t shifts
+never is, because t enters its diagonal row.
 
 Before any row is emitted, compilation drops Gram basis elements whose
 diagonal is structurally zero: a matching row with no target coefficient,
@@ -21,8 +34,9 @@ This repeats until nothing changes (diagonal-zero propagation; Loefberg,
 "Pre- and post-processing sum-of-squares programs in practice", 2009).
 Without it such a block has no strictly feasible point and the interior-
 point solve degrades.  The solver sees the smaller blocks; `SosSolution.gram`
-returns each block over its declared basis, with exact zeros at the pruned
-positions, and the compiled index lists them per block under "pruned".
+returns each raw PSD block (H under a margin) over its declared basis, with
+exact zeros at the pruned positions, and the compiled index lists them per
+block under "pruned".
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .poly import Polynomial, Variable, grlex_key, monomial_basis
+from .poly import Polynomial, Variable, grlex_key
 from .sdp import SdpProblem, SdpSolution, solve_sdp
 
 Expr = Union["AffinePoly", Polynomial, float, int]
@@ -96,19 +110,13 @@ class AffinePoly:
             {i: p.extend(new_vars) for i, p in self.lin.items()},
         )
 
-    def degree(self) -> int:
-        d = self.const.degree()
-        for p in self.lin.values():
-            d = max(d, p.degree())
-        return d
-
     # -- arithmetic (affine in the decision variables) ------------------
 
     def _binary(self, other: Expr, sign: float) -> "AffinePoly":
         other = AffinePoly.promote(other, self.vars)
         lin = dict(self.lin)
         for i, p in other.lin.items():
-            lin[i] = lin.get(i, Polynomial.zero(self.vars)) + (sign * p)
+            lin[i] = lin[i] + sign * p if i in lin else sign * p
         return AffinePoly(self.vars, self.const + sign * other.const, lin)
 
     def __add__(self, other: Expr) -> "AffinePoly":
@@ -188,8 +196,8 @@ class _GramConstraint:
     name: str
     target: AffinePoly           # over the combined variable tuple
     blocks: list[list[tuple[int, ...]]]  # per block, list of exponent tuples
-    margin: Optional[int]        # coeff var index added to the Gram diagonal
-    margin_mask: Optional[list[list[bool]]]  # which diagonal entries get it
+    margin: Optional[int]        # coeff var index of t (matrix SOS only)
+    margin_mask: Optional[list[list[bool]]]  # D of the margin rule, iff margin
     meta: dict
 
 
@@ -245,14 +253,9 @@ class SosProgram:
 
     # -- constraints -----------------------------------------------------
 
-    def add_scalar_sos(self, expr: Expr, basis: Sequence[Polynomial] | None = None,
-                       margin: CoeffVar | None = None,
+    def add_scalar_sos(self, expr: Expr, basis: Sequence[Polynomial],
                        name: str = "") -> int:
-        """Constrain expr to be a sum of squares over the monomial basis.
-
-        With a margin t, the Gram matrix minus t*I must be PSD: the shift
-        covers the whole diagonal.
-        """
+        """Constrain expr to be a sum of squares over the monomial basis."""
         self._compiled = None
         if isinstance(expr, (float, int)):
             raise TypeError("scalar SOS constraint needs a polynomial")
@@ -260,15 +263,12 @@ class SosProgram:
         target = AffinePoly.promote(expr, vars)
         if not target.lin and target.const.degree() > 0 and target.const.degree() % 2 == 1:
             raise ValueError("odd-degree polynomial cannot be a sum of squares")
-        if basis is None:
-            half = (max(target.degree(), 0) + 1) // 2
-            basis = monomial_basis(vars, half)
         exps = [_mono_exps(b, vars) for b in basis]
         con = _GramConstraint(
             name=name or f"sos{len(self._grams)}",
             target=target,
             blocks=[exps],
-            margin=margin.index if margin else None,
+            margin=None,
             margin_mask=None,
             meta={"kind": "scalar", "vars": vars, "basis": [list(e) for e in exps]},
         )
@@ -276,27 +276,17 @@ class SosProgram:
         return len(self._grams) - 1
 
     def add_matrix_sos(self, entries: Sequence[Sequence[Expr]],
-                       z_bases: Sequence[Sequence[Polynomial]] | None = None,
+                       z_bases: Sequence[Sequence[Polynomial]],
                        cliques: Sequence[Sequence[tuple[int, int]]] | None = None,
                        margin: CoeffVar | None = None,
                        name: str = "") -> int:
         """Constrain a symmetric polynomial matrix to admit an SOS Gram form.
 
         entries[i][j] give the matrix; z_bases[i] is the monomial basis
-        attached to row i (one shared basis when a single list is more
-        convenient is expressed by repeating it).  cliques optionally split
-        the Gram into overlapping blocks, each a list of (row, basis_pos)
-        pairs into the corresponding z_bases row.  Entries must agree with
-        their transposes to SYM_TOL.  A margin t shifts the Gram diagonal
-        except at basis elements that are constant in the matrix variables
-        (the row selector y_i times 1).  Shifted, such an element's diagonal
-        row would read H_aa + t = M[i][i](0) and cap t at that constant
-        term: at zero for row 0 of theorem 1's matrix, and at 2*lambda(0)
-        for a shaping row once lambda is fixed, as in step K (derived from
-        the matching rows, not measured by a solve).  An element left
-        out of the shift whose diagonal target is zero and free of decision
-        variables is pruned at compile; an element t shifts never is,
-        because t enters its diagonal row.
+        attached to row i.  cliques optionally split the Gram into
+        overlapping blocks, each a list of (row, basis_pos) pairs into the
+        corresponding z_bases row.  Entries must agree with their
+        transposes to SYM_TOL.  A margin t follows the module's margin rule.
         """
         self._compiled = None
         n = len(entries)
@@ -327,38 +317,34 @@ class SosProgram:
         xvars = tuple(Variable(v.name, n + k) for k, v in enumerate(base_vars))
         allvars = yvars + xvars
 
-        def lift(exps_x: tuple[int, ...], row: int | None) -> tuple[int, ...]:
+        def lift(exps_x: tuple[int, ...], row: int) -> tuple[int, ...]:
             y = [0] * n
-            if row is not None:
-                y[row] = 1
+            y[row] = 1
             return tuple(y) + tuple(exps_x)
 
-        def lift_poly(p: AffinePoly, yexp: tuple[int, ...]) -> AffinePoly:
-            def lp(q: Polynomial) -> Polynomial:
-                return Polynomial(allvars, {tuple(yexp) + e: c for e, c in q.terms.items()})
-            return AffinePoly(allvars, lp(p.const), {i: lp(q) for i, q in p.lin.items()})
-
-        target = AffinePoly(allvars, Polynomial.zero(allvars))
+        # y^T M y: entry (i, j), j >= i, owns the selector y_i*y_j, so each
+        # of its coefficients lands on a monomial no other entry reaches and
+        # is copied, weighted, never summed
+        const: dict[tuple[int, ...], float] = {}
+        lin: dict[int, dict[tuple[int, ...], float]] = {}
         for i in range(n):
             for j in range(i, n):
-                yexp = [0] * n
-                yexp[i] += 1
-                yexp[j] += 1
+                yexp = tuple((k == i) + (k == j) for k in range(n))
                 w = 1.0 if i == j else 2.0
-                target = target + lift_poly(M[i][j] * w, tuple(yexp))
+                for e, c in M[i][j].const.terms.items():
+                    const[yexp + e] = c * w
+                for idx, p in M[i][j].lin.items():
+                    terms = lin.setdefault(idx, {})
+                    for e, c in p.terms.items():
+                        terms[yexp + e] = c * w
+        target = AffinePoly(allvars, Polynomial._trusted(allvars, const),
+                            {idx: Polynomial._trusted(allvars, t) for idx, t in lin.items()})
 
-        if z_bases is None:
-            half = (max(max(a.degree() for a in row) for row in M) + 1) // 2
-            zb = monomial_basis(base_vars, half)
-            z_bases = [zb] * n
         z_exps = [[_mono_exps(b, base_vars) for b in z_bases[i]] for i in range(n)]
-
         if cliques is None:
             blocks = [[lift(e, i) for i in range(n) for e in z_exps[i]]]
         else:
-            blocks = []
-            for cl in cliques:
-                blocks.append([lift(z_exps[i][k], i) for (i, k) in cl])
+            blocks = [[lift(z_exps[i][k], i) for (i, k) in cl] for cl in cliques]
 
         mask = None
         if margin is not None:
@@ -515,11 +501,11 @@ def _matching_rows(con: _GramConstraint) -> tuple[dict, dict]:
             _, free = row_for(exps)
             free[vidx] = free.get(vidx, 0.0) - c
     # the PSD block stores H = G - t*D, so the margin term joins the Gram
-    # products on the left of each diagonal matching row
+    # products on the left of each shifted diagonal matching row
     if con.margin is not None:
         for bi, blk in enumerate(con.blocks):
             for a, ea in enumerate(blk):
-                if con.margin_mask is not None and not con.margin_mask[bi][a]:
+                if not con.margin_mask[bi][a]:
                     continue
                 _, free = row_for(tuple(2 * x for x in ea))
                 free[con.margin] = free.get(con.margin, 0.0) + 1.0
@@ -591,31 +577,23 @@ class SosSolution:
     def value(self, expr: AffinePoly) -> Polynomial:
         return expr.value(self.coeff_values)
 
-    def gram(self, handle: int, fold: bool = True) -> list[np.ndarray]:
-        """Gram blocks of the constraint, each over its declared basis.
+    def gram(self, handle: int) -> list[np.ndarray]:
+        """The constraint's PSD decision blocks, each over its declared basis.
 
         Basis elements pruned at compile are exact zero rows and columns; a
-        block pruned to nothing is a zero matrix.  With fold=True the margin
-        shift is folded back in, so the blocks reproduce the target
-        polynomial exactly but are only PSD up to the margin value.  With
-        fold=False the raw PSD decision blocks are returned; they certify
-        target - margin * (masked diagonal).
+        block pruned to nothing is a zero matrix.  Under a margin t the
+        blocks are the raw H of the margin rule: they certify the target
+        minus t on the shifted diagonal entries ("margin_mask").
         """
         entry = self.index["grams"][handle]
         ids = iter(self.index["gram_blocks"][handle])
-        mask = entry.get("margin_mask")
-        midx = entry.get("margin_index")
-        t = self.coeff_values[midx] if fold and midx is not None and self.coeff_values \
-            else None
         out = []
-        for bi, (exps, drop) in enumerate(zip(entry["blocks"], entry["pruned"])):
+        for exps, drop in zip(entry["blocks"], entry["pruned"]):
             d = len(exps)
             keep = [a for a in range(d) if a not in drop]
             G = np.zeros((d, d))
             if keep:
                 G[np.ix_(keep, keep)] = self.sdp.blocks[next(ids)]
-            if t is not None:
-                G += t * np.diag(np.ones(d) if mask is None else np.array(mask[bi], dtype=float))
             out.append(G)
         return out
 

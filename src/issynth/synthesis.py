@@ -39,6 +39,10 @@ class SynthesisError(RuntimeError):
     pass
 
 
+# _chop drops coefficients below this fraction of max(1, largest |coefficient|)
+CHOP_REL = 1e-10
+
+
 @dataclass
 class SynthesisConfig:
     """Degree caps, floors, and the alternation seed controller."""
@@ -160,6 +164,17 @@ def _alpha_template(prog: SosProgram, prefix: str, n_terms: int,
         prog.add_linear([(c, 1.0)], 0.0, ">=", family)
     prog.add_linear([(c, 1.0) for c in cs], _eps_row(epsilon), ">=", family)
     return AffinePoly(sq.vars, Polynomial.zero(sq.vars), lin), cs
+
+
+def _envelope_basis(xvars, deg_V: int, cfg: SynthesisConfig) -> list[Polynomial]:
+    """Gram basis of the sandwich slots V - alpha1 and alpha2 - V."""
+    half = (max(deg_V, 2 * cfg.N1, 2 * cfg.N2) + 1) // 2
+    return monomial_basis(xvars, max(1, half), include_constant=False)
+
+
+def _floor_basis(xevars, deg_lambda: int) -> list[Polynomial]:
+    """Gram basis of the multiplier floor slot lambda - epsilon."""
+    return monomial_basis(xevars, max(1, (deg_lambda + 1) // 2), include_constant=True)
 
 
 def _shift_by_error(poly_or_affine, xvars, xevars):
@@ -331,14 +346,10 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         # lower sandwich (carries the scale pin) and multiplier floor only
         # constrain the free (V, lambda); with them fixed these slots have
         # no interior and are certified separately against the extraction
-        sb = monomial_basis(
-            xvars, max(1, (max(cfg.deg_V, 2 * cfg.N1, 2 * cfg.N2) + 1) // 2),
-            include_constant=False)
         h1 = prog.add_scalar_sos(AffinePoly.promote(V, xvars) - a1,
-                                 basis=sb, name="s1")
-        s3b = monomial_basis(xevars, max(1, (cfg.deg_lambda + 1) // 2),
-                             include_constant=True)
-        h3 = prog.add_scalar_sos(lam_xe - cfg.epsilon, basis=s3b, name="s3")
+                                 _envelope_basis(xvars, cfg.deg_V, cfg), name="s1")
+        h3 = prog.add_scalar_sos(lam_xe - cfg.epsilon,
+                                 _floor_basis(xevars, cfg.deg_lambda), name="s3")
         legend["s_handles"].update({"s1": h1, "s3": h3})
 
     if cfg.u_max is not None and mode == "fit_k":
@@ -405,8 +416,8 @@ def _clip_alpha(vals: np.ndarray, name: str) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def _chop(p: Polynomial, rel: float = 1e-10) -> Polynomial:
-    """Drop coefficients below rel * max(1, |largest coefficient|).
+def _chop(p: Polynomial) -> Polynomial:
+    """Drop coefficients below CHOP_REL * max(1, |largest coefficient|).
 
     Interior-point extraction leaves 1e-13-ish dust on every template
     monomial; chopping keeps the stored polynomials readable without
@@ -414,11 +425,11 @@ def _chop(p: Polynomial, rel: float = 1e-10) -> Polynomial:
     """
     if not p.terms:
         return p
-    cut = rel * max(1.0, max(abs(c) for c in p.terms.values()))
+    cut = CHOP_REL * max(1.0, max(abs(c) for c in p.terms.values()))
     return Polynomial(p.vars, {e: c for e, c in p.terms.items() if abs(c) >= cut})
 
 
-def _cert_entry(sol, h: int, fold: bool = True) -> dict:
+def _cert_entry(sol, h: int) -> dict:
     entry = sol.index["grams"][h]
     meta = entry["meta"]
     if meta["kind"] == "matrix":
@@ -427,7 +438,7 @@ def _cert_entry(sol, h: int, fold: bool = True) -> dict:
     else:
         names = [v.name for v in meta["vars"]]
     return {
-        "blocks": [np.asarray(G).tolist() for G in sol.gram(h, fold=fold)],
+        "blocks": [G.tolist() for G in sol.gram(h)],
         "block_exps": [[list(e) for e in blk] for blk in entry["blocks"]],
         "vars": names,
     }
@@ -436,11 +447,11 @@ def _cert_entry(sol, h: int, fold: bool = True) -> dict:
 def _extract_certificates(sol, legend) -> dict:
     """Matrix-slot certificates from the coupled solve.
 
-    The s4 blocks are stored unfolded: they are PSD and certify
+    The s4 blocks are the raw PSD blocks: they certify
     s4 - margin * (masked Gram diagonal), with the margin and mask stored
     alongside.  s5, when present, is a plain Gram certificate.
     """
-    certs = {"s4": _cert_entry(sol, legend["s_handles"]["s4"], fold=False)}
+    certs = {"s4": _cert_entry(sol, legend["s_handles"]["s4"])}
     entry = sol.index["grams"][legend["s_handles"]["s4"]]
     certs["s4"]["margin"] = float(sol.coeff(legend["t"]))
     certs["s4"]["margin_mask"] = [
@@ -468,9 +479,7 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
             f"chopped multiplier lambda has odd degree {deg_lam}, so "
             "lambda - epsilon cannot be a sum of squares")
     sq_x = squared_norm(xvars)
-    sb = monomial_basis(
-        xvars, max(1, (max(V.degree(), 2 * cfg.N1, 2 * cfg.N2) + 1) // 2),
-        include_constant=False)
+    sb = _envelope_basis(xvars, V.degree(), cfg)
 
     vals: dict[str, np.ndarray] = {}
     certs: dict[str, dict] = {}
@@ -480,7 +489,7 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
         a, cs = _alpha_template(prog, prefix, n_terms, sq_x, cfg.epsilon)
         Vp = AffinePoly.promote(V, xvars)
         target = (Vp - a) if name == "s1" else (a - Vp)
-        h = prog.add_scalar_sos(target, basis=sb, name=name)
+        h = prog.add_scalar_sos(target, sb, name=name)
         prog.set_objective([(c, 1.0) for c in cs], sense)
         sol = prog.solve()
         if sol.status not in ("optimal", "feasible"):
@@ -492,10 +501,8 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
 
     prog = SosProgram()
     lam_p = lam if lam.vars == xevars else lam.extend(xevars)
-    s3b = monomial_basis(xevars, max(1, (lam_p.degree() + 1) // 2),
-                         include_constant=True)
-    h = prog.add_scalar_sos(
-        AffinePoly.promote(lam_p, xevars) - cfg.epsilon, basis=s3b, name="s3")
+    h = prog.add_scalar_sos(AffinePoly.promote(lam_p, xevars) - cfg.epsilon,
+                            _floor_basis(xevars, lam_p.degree()), name="s3")
     sol = prog.solve()
     if sol.status not in ("optimal", "feasible"):
         raise SynthesisError(

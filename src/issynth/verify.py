@@ -35,6 +35,8 @@ KINF_TOL = 1e-9
 CERT_RECON_TOL = 1e-6
 CERT_EIG_TOL = 1e-7
 CERT_MATRIX_TOL = 1e-4
+# boundary directions (operator norm 1) among the sampled Upsilon set
+UPSILON_BOUNDARY = 20
 
 
 @dataclass
@@ -101,10 +103,11 @@ def _unit_opnorm(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def _upsilon_set(rng: np.random.Generator, rows: int, cols: int,
-                 count: int, n_boundary: int = 20) -> list[np.ndarray]:
-    """Zero, boundary (operator norm 1), and interior-scaled directions."""
+                 count: int) -> list[np.ndarray]:
+    """Zero, up to UPSILON_BOUNDARY boundary (operator norm 1), and
+    interior-scaled directions."""
     out = [np.zeros((rows, cols))]
-    n_boundary = min(n_boundary, max(0, count - 1))
+    n_boundary = min(UPSILON_BOUNDARY, max(0, count - 1))
     for _ in range(n_boundary):
         out.append(_unit_opnorm(rng, rows, cols))
     while len(out) < count:

@@ -279,9 +279,7 @@ class TestSolveOverapprox:
         assert np.linalg.eigvalsh(S)[-1] <= 1e-7
 
     def test_truth_is_inside(self, khalil, ellipsoid):
-        res = membership(khalil.AB, ellipsoid, tol=1e-6)
-        assert res.ok
-        assert res.residual <= 1e-6
+        assert membership(khalil.AB, ellipsoid).residual <= 1e-6
 
     def test_logdet_nondecreasing_over_iterations(self, ellipsoid):
         best = [h["best_logdet"] for h in ellipsoid.history]
@@ -292,7 +290,7 @@ class TestSolveOverapprox:
     def test_every_reported_iterate_contains_truth(self, khalil, ellipsoid):
         for h in ellipsoid.history:
             ell_it = ellipsoid_params(h["A_bar"], h["B_bar"])
-            assert membership(khalil.AB, ell_it, tol=1e-6).ok
+            assert membership(khalil.AB, ell_it).residual <= 1e-6
 
     def test_shape_matrix_well_posed(self, ellipsoid):
         w = np.linalg.eigvalsh(ellipsoid.A_bar)
@@ -319,8 +317,8 @@ class TestSolveOverapprox:
         assert abs(ell.A_bar[0, 0] - 4.0 / 3.0) < 1e-4
         assert abs(ell.zeta_bar[0, 0]) < 1e-6
         for z in (-0.5, 0.0, 0.5):
-            assert membership(np.array([[z]]), ell, tol=1e-6).ok
-        assert not membership(np.array([[0.9]]), ell, tol=1e-6).ok
+            assert membership(np.array([[z]]), ell).residual <= 1e-6
+        assert membership(np.array([[0.9]]), ell).residual > 1e-6
 
     def test_iters_validated(self, dmats):
         with pytest.raises(ValueError, match="iters"):
@@ -334,7 +332,7 @@ class TestSolveOverapprox:
             [Sample(s.t, s.u, s.x, R @ s.xdot) for s in dataset.samples],
         )
         ell = solve_overapprox(build_data_matrices(rotated), iters=2)
-        assert membership(R @ khalil.AB, ell, tol=1e-6).ok
+        assert membership(R @ khalil.AB, ell).residual <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +385,7 @@ class TestMembership:
         w = rng.standard_normal(2)
         Y = np.outer(v / np.linalg.norm(v), w / np.linalg.norm(w))
         zeta = ellipsoid.zeta_bar + ellipsoid.A_bar_inv_sqrt @ Y
-        res = membership(zeta.T, ellipsoid, tol=1e-6)
-        assert res.ok
+        res = membership(zeta.T, ellipsoid)
         assert abs(res.residual) < 1e-7
 
     def test_inflated_point_is_outside(self, ellipsoid):
@@ -397,7 +394,7 @@ class TestMembership:
         w = rng.standard_normal(2)
         Y = np.outer(v / np.linalg.norm(v), w / np.linalg.norm(w))
         zeta = ellipsoid.zeta_bar + 2.0 * (ellipsoid.A_bar_inv_sqrt @ Y)
-        res = membership(zeta.T, ellipsoid, tol=1e-8)
+        res = membership(zeta.T, ellipsoid)
         assert not res.ok
         assert res.residual > 1.0
 
@@ -407,7 +404,7 @@ class TestMembership:
         for _ in range(200):
             Y = spectral_cap(rng, 6, 2)
             zeta = ellipsoid.zeta_bar + ellipsoid.A_bar_inv_sqrt @ Y
-            assert membership(zeta.T, ellipsoid, tol=1e-8).ok
+            assert membership(zeta.T, ellipsoid).ok
 
     def test_shape_check(self, ellipsoid):
         with pytest.raises(ValueError, match="shape"):

@@ -47,3 +47,26 @@ def test_no_private_numpy_or_scipy_imports():
                 if head in ("numpy", "scipy") and any(p.startswith("_") for p in rest):
                     found.append(f"{path.name}:{node.lineno} imports {name}")
     assert not found, found
+
+
+def _is_record_class(node: ast.ClassDef) -> bool:
+    def name(expr):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return getattr(expr, "id", getattr(expr, "attr", None))
+    return (any(name(d) == "dataclass" for d in node.decorator_list)
+            or any(name(b) == "NamedTuple" for b in node.bases))
+
+
+def test_settable_option_count():
+    # defaulted parameters plus dataclass and NamedTuple fields in the
+    # package: pinned, so a new option (or a removed one) shows in review
+    src = PYPROJECT.parent / "src" / "issynth"
+    count = 0
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_record_class(node):
+                count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    assert count == 141

@@ -1,6 +1,5 @@
 """Tests for ground-truth integration, data collection, and event triggering."""
 
-import csv
 import warnings
 
 import numpy as np
@@ -19,8 +18,6 @@ from issynth.simulate import (
     GroundTruthSystem,
     _ball_sample,
     collect_dataset,
-    dataset_to_csv,
-    event_trace_to_csv,
     event_triggered_run,
     integrate,
     khalil_system,
@@ -447,49 +444,13 @@ class TestBitwiseEqualToNumpyLoops:
 
 
 # ---------------------------------------------------------------------------
-# CSV export
-
-
-class TestCsvExport:
-    def test_event_trace_roundtrip(self, khalil_trace, tmp_path):
-        path = tmp_path / "trace.csv"
-        event_trace_to_csv(khalil_trace, path, var_names=["x1", "x2"])
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "x1", "x2", "u1", "e1", "e2",
-                           "alpha3", "alpha4", "event_flag"]
-        assert len(rows) == len(khalil_trace.times) + 1
-        got = np.array([float(v) for v in rows[1][:-1]])
-        want = np.concatenate([
-            [khalil_trace.times[0]], khalil_trace.states[0],
-            khalil_trace.inputs[0], khalil_trace.errors[0],
-            [khalil_trace.alpha3[0], khalil_trace.alpha4[0]],
-        ])
-        assert np.array_equal(got, want)  # repr round trip is exact
-
-    def test_dataset_export(self, khalil_dataset, tmp_path):
-        path = tmp_path / "data.csv"
-        dataset_to_csv(khalil_dataset, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "x1", "x2", "u1", "x1dot", "x2dot"]
-        assert len(rows) == khalil_dataset.T + 1
-        s0 = khalil_dataset.samples[0]
-        got = np.array([float(v) for v in rows[1]])
-        want = np.concatenate([[s0.t], s0.x, s0.u, s0.xdot])
-        assert np.array_equal(got, want)
-
-
-# ---------------------------------------------------------------------------
 # ground-truth system validation
 
 
 class TestGroundTruthSystem:
     def test_benchmark_field(self, khalil):
-        x = np.array([2.0, -1.0])
-        u = np.array([3.0])
-        want = np.array([-2.0 + 4.0 * (-1.0), 3.0])
-        assert np.allclose(khalil.field_at(x, u), want)
+        want = [-2.0 + 4.0 * (-1.0), 3.0]
+        assert np.allclose(khalil.field_floats([2.0, -1.0], [3.0]), want)
 
     def test_shape_validation(self, khalil):
         with pytest.raises(ValueError, match="A_star"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from issynth.poly import Polynomial, variables, monomial_basis, parse_poly
+from issynth.poly import Polynomial, Variable, variables, monomial_basis, parse_poly
 from issynth.sos import (
     AffinePoly,
     SosCertificateError,
@@ -83,7 +83,7 @@ class TestScalarSos:
     def test_square_roundtrip(self, xv):
         target = parse_poly("x^4 - 2*x^2 + 1", xv)  # (x^2 - 1)^2
         prog = SosProgram()
-        h = prog.add_scalar_sos(target)
+        h = prog.add_scalar_sos(target, monomial_basis(xv, 2))
         sol = prog.solve()
         assert sol.status == "optimal"
         assert min(np.linalg.eigvalsh(G)[0] for G in sol.gram(h)) >= -1e-8
@@ -99,25 +99,25 @@ class TestScalarSos:
 
     def test_negative_square_infeasible(self, xv):
         prog = SosProgram()
-        prog.add_scalar_sos(parse_poly("-x^2", xv))
+        prog.add_scalar_sos(parse_poly("-x^2", xv), monomial_basis(xv, 1))
         assert prog.solve().status == "infeasible"
 
     def test_motzkin_like_infeasible(self, xy):
         # PSD on R^2 but not SOS: x1^4 x2^2 + x1^2 x2^4 - 3 x1^2 x2^2 + 1
         p = parse_poly("x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2 + 1", xy)
         prog = SosProgram()
-        prog.add_scalar_sos(p)
+        prog.add_scalar_sos(p, monomial_basis(xy, 3))
         assert prog.solve().status == "infeasible"
 
     def test_odd_degree_rejected(self, xv):
         prog = SosProgram()
         with pytest.raises(ValueError, match="odd"):
-            prog.add_scalar_sos(parse_poly("x^3 + 1", xv))
+            prog.add_scalar_sos(parse_poly("x^3 + 1", xv), monomial_basis(xv, 2))
 
     def test_zero_polynomial_zero_gram(self, xv):
         prog = SosProgram()
         basis = monomial_basis(xv, 1)
-        h = prog.add_scalar_sos(Polynomial.zero(xv), basis=basis)
+        h = prog.add_scalar_sos(Polynomial.zero(xv), basis)
         sol = prog.solve()
         assert sol.status == "optimal"
         # both diagonal rows have no target: the block is pruned to nothing
@@ -131,7 +131,7 @@ class TestScalarSos:
         c = prog.new_coeff("c")
         expr = AffinePoly.promote(parse_poly("x^4 - x^2", xv), xv) \
             + AffinePoly.from_var(c, xv)
-        prog.add_scalar_sos(expr)
+        prog.add_scalar_sos(expr, monomial_basis(xv, 2))
         prog.set_objective([(c, 1.0)], "min")
         sol = prog.solve()
         assert sol.status == "optimal"
@@ -149,40 +149,36 @@ class TestScalarSos:
 
 class TestMargin:
     def test_positive_margin(self, xv):
-        # x^2 + 1 over {1, x}: Gram can sit at t*I with t = 1
+        # [[x^4 + 1]] over {q0, q0*x, q0*x^2}: rows force H00 = 1,
+        # H22 = 1 - t and 2*H02 + H11 = -t; the best PSD choice H11 = 0,
+        # H02 = -t/2 needs 1 - t >= t^2/4, so t* = 2*sqrt(2) - 2
         prog = SosProgram()
         t = prog.new_coeff("t")
-        basis = monomial_basis(xv, 1)
-        prog.add_scalar_sos(parse_poly("x^2 + 1", xv), basis=basis, margin=t)
+        prog.add_matrix_sos([[parse_poly("x^4 + 1", xv)]],
+                            z_bases=[monomial_basis(xv, 2)], margin=t)
         prog.set_objective([(t, 1.0)], "max")
         sol = prog.solve()
         assert sol.status == "optimal"
-        assert abs(sol.coeff(t) - 1.0) <= 1e-6
+        assert abs(sol.coeff(t) - (2.0 * np.sqrt(2.0) - 2.0)) <= 1e-6
 
     def test_negative_margin_measures_infeasibility(self, xv):
-        # -x^2/2 is not SOS; the best shifted Gram bottoms out at t = -1/2
+        # [[-x^2/2]] is not SOS; its x^2 row reads H11 + t = -1/2, so the
+        # best PSD H bottoms out at t = -1/2
         prog = SosProgram()
         t = prog.new_coeff("t")
-        basis = monomial_basis(xv, 1)
-        h = prog.add_scalar_sos(parse_poly("-0.5*x^2", xv), basis=basis, margin=t)
+        h = prog.add_matrix_sos([[parse_poly("-0.5*x^2", xv)]],
+                                z_bases=[monomial_basis(xv, 1)], margin=t)
         prog.set_objective([(t, 1.0)], "max")
         sol = prog.solve()
         assert sol.status == "optimal"
         assert abs(sol.coeff(t) + 0.5) <= 1e-6
-        # reported Gram includes the shift, so its smallest eigenvalue is t
-        assert abs(min(np.linalg.eigvalsh(G)[0] for G in sol.gram(h)) - sol.coeff(t)) <= 1e-6
-
-    def test_margin_on_full_diagonal(self, xv):
-        # x^4 + 1 over {1, x, x^2}: rows force H00 = H22 = 1 - t and
-        # 2*H02 + H11 = -t; best PSD choice H11 = 0, H02 = -t/2 needs
-        # (1 - t) >= t/2, so t* = 2/3
-        prog = SosProgram()
-        t = prog.new_coeff("t")
-        prog.add_scalar_sos(parse_poly("x^4 + 1", xv), margin=t)
-        prog.set_objective([(t, 1.0)], "max")
-        sol = prog.solve()
-        assert sol.status == "optimal"
-        assert abs(sol.coeff(t) - 2.0 / 3.0) <= 1e-6
+        # the reported blocks are the raw H: PSD, and with t on the masked
+        # diagonal they reproduce the target
+        H = sol.gram(h)[0]
+        assert np.linalg.eigvalsh(H)[0] >= -1e-8
+        mask = np.array(sol.index["grams"][h]["margin_mask"][0], dtype=float)
+        assert np.allclose(H + sol.coeff(t) * np.diag(mask), np.diag([0.0, -0.5]),
+                           atol=1e-6)
 
     def test_matrix_margin_skips_constant_elements(self, xv):
         # [[1/4 + x^2]] over {q0, q0*x}: the margin shifts only the q0*x
@@ -208,7 +204,7 @@ class TestMatrixSos:
         one = Polynomial.constant(xv, 1.0)
         x = parse_poly("x", xv)
         prog = SosProgram()
-        h = prog.add_matrix_sos([[one, x], [x, x * x]])
+        h = prog.add_matrix_sos([[one, x], [x, x * x]], [monomial_basis(xv, 1)] * 2)
         sol = prog.solve()
         assert sol.status == "optimal"
         assert min(np.linalg.eigvalsh(G)[0] for G in sol.gram(h)) >= -1e-8
@@ -218,14 +214,14 @@ class TestMatrixSos:
         x = parse_poly("x", xv)
         prog = SosProgram()
         with pytest.raises(ValueError, match="asymmetry"):
-            prog.add_matrix_sos([[one, x], [2.0 * x, x * x]])
+            prog.add_matrix_sos([[one, x], [2.0 * x, x * x]], [monomial_basis(xv, 1)] * 2)
 
     def test_indefinite_matrix_infeasible(self, xv):
         one = Polynomial.constant(xv, 1.0)
         x = parse_poly("x", xv)
         prog = SosProgram()
         # [[0, x], [x, 0]] has a negative eigenvalue whenever x != 0
-        prog.add_matrix_sos([[0.0 * one, x], [x, 0.0 * one]])
+        prog.add_matrix_sos([[0.0 * one, x], [x, 0.0 * one]], [monomial_basis(xv, 1)] * 2)
         assert prog.solve().status == "infeasible"
 
     def test_quadratic_form_matches_at_samples(self, xy):
@@ -238,7 +234,7 @@ class TestMatrixSos:
             M = [[sum((L[k][i] * L[k][j] for k in range(2)), Polynomial.zero(xy))
                   for j in range(2)] for i in range(2)]
             prog = SosProgram()
-            h = prog.add_matrix_sos(M)
+            h = prog.add_matrix_sos(M, [basis1] * 2)
             sol = prog.solve()
             assert sol.status == "optimal", (trial, sol.sdp.message)
             meta = sol.index["grams"][h]
@@ -257,6 +253,94 @@ class TestMatrixSos:
                     zb = np.array([np.prod(zfull ** np.array(e)) for e in exps])
                     got += zb @ G @ zb
                 assert abs(want - got) <= 1e-6 * (1 + abs(want)), trial
+
+
+# ---------------------------------------------------------------------------
+# the matrix SOS target against a reference construction
+
+
+def lifted_target_reference(entries) -> AffinePoly:
+    """y^T M y built by AffinePoly arithmetic: each entry, weighted by 1 on
+    the diagonal and 2 off it, is lifted onto its selector y_i*y_j through
+    the validating Polynomial constructor and added to the running sum.
+    `add_matrix_sos` writes the same coefficients straight into term maps."""
+    n = len(entries)
+    base_vars = next(e.vars for row in entries for e in row
+                     if isinstance(e, (AffinePoly, Polynomial)))
+    M = [[AffinePoly.promote(entries[i][j], base_vars) for j in range(n)]
+         for i in range(n)]
+    allvars = tuple(Variable(f"_q{i}", i) for i in range(n)) \
+        + tuple(Variable(v.name, n + k) for k, v in enumerate(base_vars))
+
+    def lift_poly(p: AffinePoly, yexp: tuple[int, ...]) -> AffinePoly:
+        def lp(q: Polynomial) -> Polynomial:
+            return Polynomial(allvars, {yexp + e: c for e, c in q.terms.items()})
+        return AffinePoly(allvars, lp(p.const), {i: lp(q) for i, q in p.lin.items()})
+
+    target = AffinePoly(allvars, Polynomial.zero(allvars))
+    for i in range(n):
+        for j in range(i, n):
+            yexp = [0] * n
+            yexp[i] += 1
+            yexp[j] += 1
+            w = 1.0 if i == j else 2.0
+            target = target + lift_poly(M[i][j] * w, tuple(yexp))
+    return target
+
+
+def use_reference_targets(monkeypatch) -> None:
+    """Make every add_matrix_sos store lifted_target_reference's target."""
+    add = SosProgram.add_matrix_sos
+
+    def add_with_reference(self, entries, *args, **kwargs):
+        h = add(self, entries, *args, **kwargs)
+        self._grams[h].target = lifted_target_reference(entries)
+        return h
+
+    monkeypatch.setattr(SosProgram, "add_matrix_sos", add_with_reference)
+
+
+def same_target(a: AffinePoly, b: AffinePoly) -> bool:
+    """Equal term maps, with keys in the same order and bitwise-equal values."""
+    def items(p: Polynomial):
+        return [(e, float(c).hex()) for e, c in p.terms.items()]
+    return (items(a.const) == items(b.const) and list(a.lin) == list(b.lin)
+            and all(items(a.lin[i]) == items(b.lin[i]) for i in a.lin))
+
+
+class TestLiftedTarget:
+    @staticmethod
+    def random_program(xy, cliques):
+        # symmetric 3x3 matrix of quadratics; every entry carries two of
+        # three decision variables, and a margin t
+        rng = np.random.default_rng(23)
+        prog = SosProgram()
+        cs = prog.new_coeffs("c", 3)
+        t = prog.new_coeff("t")
+        mons = monomial_basis(xy, 2)
+        M = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                e = AffinePoly.promote(sum((float(rng.standard_normal()) * m for m in mons),
+                                           Polynomial.zero(xy)), xy)
+                for c in rng.choice(cs, size=2, replace=False):
+                    m = mons[int(rng.integers(len(mons)))]
+                    e = e + AffinePoly.from_var(c, xy) * (float(rng.standard_normal()) * m)
+                M[i][j] = M[j][i] = e
+        h = prog.add_matrix_sos(M, [monomial_basis(xy, 1)] * 3, cliques=cliques, margin=t)
+        prog.set_objective([(t, 1.0)], "max")
+        return prog, h, M
+
+    @pytest.mark.parametrize("cliques", [
+        None, [[(0, 0), (0, 1), (1, 0), (1, 2)], [(0, 0), (2, 0), (2, 1), (2, 2)]],
+    ], ids=["dense", "cliques"])
+    def test_random_matrix_compiles_identically(self, xy, cliques, monkeypatch):
+        prog, h, M = self.random_program(xy, cliques)
+        assert same_target(prog._grams[h].target, lifted_target_reference(M))
+        prob = prog.compile()[0]
+        use_reference_targets(monkeypatch)
+        ref_prob = self.random_program(xy, cliques)[0].compile()[0]
+        assert prob.to_json() == ref_prob.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +384,16 @@ class TestPruning:
         assert sol.index["grams"][h]["pruned"] == [[0]]
         assert sol.index["grams"][h]["margin_mask"] == [[False, True]]
         assert abs(sol.coeff(t) - 1.0) <= 1e-6
-        assert np.allclose(sol.gram(h)[0], np.diag([0.0, 1.0]), atol=1e-6)
-        assert not sol.gram(h, fold=False)[0][0].any()
+        H = sol.gram(h)[0]
+        assert not H[0].any() and not H[:, 0].any()
+        assert np.allclose(H + sol.coeff(t) * np.diag([0.0, 1.0]), np.diag([0.0, 1.0]),
+                           atol=1e-6)
 
     def test_propagation_repeats(self, xv):
         # x^4 over {1, x, x^2}: row 1 drops 1, which leaves row x^2 with the
         # diagonal G[x, x] alone, so x goes as well
         prog = SosProgram()
-        h = prog.add_scalar_sos(parse_poly("x^4", xv), basis=monomial_basis(xv, 2))
+        h = prog.add_scalar_sos(parse_poly("x^4", xv), monomial_basis(xv, 2))
         prob, index = prog.compile()
         assert index["grams"][h]["pruned"] == [[0, 1]]
         assert prob.block_dims == [1]
@@ -320,17 +406,18 @@ class TestPruning:
         prog = SosProgram()
         c = prog.new_coeff("c")
         expr = AffinePoly.promote(parse_poly("x^2", xv), xv) + AffinePoly.from_var(c, xv)
-        h = prog.add_scalar_sos(expr, basis=monomial_basis(xv, 1))
+        h = prog.add_scalar_sos(expr, monomial_basis(xv, 1))
         prob, index = prog.compile()
         assert index["grams"][h]["pruned"] == [[]]
         assert prob.block_dims == [2]
 
     def test_margin_in_zero_row_not_pruned(self, xv):
-        # x^2 over {1, x} with a full-diagonal margin: t enters the constant row
+        # [[1]] over {q0, q0*x}: the x^2 row has no target and no decision
+        # variable of the matrix, but t shifts the q0*x diagonal and enters it
         prog = SosProgram()
         t = prog.new_coeff("t")
-        h = prog.add_scalar_sos(parse_poly("x^2", xv), basis=monomial_basis(xv, 1),
-                                margin=t)
+        h = prog.add_matrix_sos([[Polynomial.constant(xv, 1.0)]],
+                                z_bases=[monomial_basis(xv, 1)], margin=t)
         assert prog.compile()[1]["grams"][h]["pruned"] == [[]]
 
     def test_mixed_sign_diagonals_not_pruned(self):
@@ -344,7 +431,7 @@ class TestPruning:
     def test_off_diagonal_entry_not_pruned(self, xv):
         # x^4 + 1 over {1, x, x^2}: row x^2 reads G[x, x] + 2 G[1, x^2] = 0
         prog = SosProgram()
-        h = prog.add_scalar_sos(parse_poly("x^4 + 1", xv), basis=monomial_basis(xv, 2))
+        h = prog.add_scalar_sos(parse_poly("x^4 + 1", xv), monomial_basis(xv, 2))
         prob, index = prog.compile()
         assert index["grams"][h]["pruned"] == [[]]
         assert prob.block_dims == [3]
@@ -383,7 +470,7 @@ class TestCliques:
     def test_dense_handles_cross_term(self, xy):
         p = parse_poly("2 + 2*x1*x2 + x1^2 + x2^2", xy)
         prog = SosProgram()
-        h = prog.add_scalar_sos(p, basis=monomial_basis(xy, 1))
+        h = prog.add_scalar_sos(p, monomial_basis(xy, 1))
         sol = prog.solve()
         assert sol.status == "optimal"
 
@@ -396,7 +483,7 @@ class TestLinear:
     def test_inequality_via_slack(self, xv):
         prog = SosProgram()
         c = prog.new_coeff("c")
-        prog.add_scalar_sos(AffinePoly.from_var(c, xv))  # c >= 0 as 1x1 SOS
+        prog.add_scalar_sos(AffinePoly.from_var(c, xv), monomial_basis(xv, 0))  # c >= 0
         prog.add_linear([(c, 1.0)], rhs=3.0, sense=">=")
         prog.set_objective([(c, 1.0)], "min")
         sol = prog.solve()
@@ -408,7 +495,7 @@ class TestLinear:
         a, b = prog.new_coeffs("a", 2)
         expr = AffinePoly.from_var(a, xv) * parse_poly("x^2", xv) \
             + AffinePoly.from_var(b, xv)
-        prog.add_scalar_sos(expr)
+        prog.add_scalar_sos(expr, monomial_basis(xv, 1))
         prog.add_linear([(a, 1.0), (b, 1.0)], rhs=2.0)
         prog.add_linear([(a, 1.0), (b, -1.0)], rhs=0.0)
         sol = prog.solve()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from issynth.consistency import build_data_matrices, ellipsoid_params, solve_overapprox
-from issynth.poly import Polynomial, parse_poly, variables
+from issynth.poly import Polynomial, monomial_basis, parse_poly, variables
 from issynth.sdp import format_trace, validate_solution
 from issynth import verify as _verify
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
@@ -26,6 +26,7 @@ from issynth.synthesis import (
     alternate,
     assemble_theorem1,
 )
+from test_sos import use_reference_targets
 
 
 @pytest.fixture
@@ -58,6 +59,16 @@ def test_step_v_compiled_shape(khalil_ell, k_lin):
     assert prob.n_free == 82
     assert [d for d in prob.block_dims if d > 1] == [24, 44, 5, 15]
     assert sum(1 for d in prob.block_dims if d == 1) == 159
+
+
+def test_step_v_target_matches_reference(khalil_ell, k_lin, monkeypatch):
+    # s4's lifted target, written straight into term maps, compiles to the
+    # same bytes as the reference built by AffinePoly arithmetic
+    cfg = SynthesisConfig(k_init=(k_lin,))
+    prob = assemble_theorem1(khalil_ell, cfg, {"k": [k_lin]})[0].compile()[0]
+    use_reference_targets(monkeypatch)
+    ref = assemble_theorem1(khalil_ell, cfg, {"k": [k_lin]})[0].compile()[0]
+    assert prob.to_json() == ref.to_json()
 
 
 @pytest.mark.parametrize("u_max, rows, s5", [(None, 883, []), ("1 + x1^2", 899, [4])],
@@ -120,7 +131,8 @@ def test_localize_infeasibility_names_the_binding_family():
     prog = SosProgram()
     cs = prog.new_coeffs("c_", 5)
     prog.add_scalar_sos(AffinePoly(xv, Polynomial.constant(xv, 1.0),
-                                   {cs[0].index: parse_poly("x^2", xv)}), name="s")
+                                   {cs[0].index: parse_poly("x^2", xv)}),
+                        monomial_basis(xv, 1), name="s")
     prog.add_linear([(c, 1.0) for c in cs], 1.0, "==", "pin")
     for c in cs:
         prog.add_linear([(c, 1.0)], 0.01, "<=", "caps")
