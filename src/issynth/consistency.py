@@ -434,8 +434,92 @@ def _fit_coordinates(dm: DataMatrices) -> tuple[DataMatrices, np.ndarray, float]
     return DataMatrices(dm.xi / s_xi, resid, 1.0), zeta0, sqd / s_xi
 
 
+# linearized determinant-maximization steps after the warm-up solve
+FIT_ITERS = 5
+
+
+def _fit_weight(lin: np.ndarray) -> np.ndarray:
+    """Scale-free objective weight A_prev^{-1} at a linearization point."""
+    p = lin.shape[0]
+    # ridge keeps the weight finite when the linearization point is flat
+    lam_max = float(np.linalg.eigvalsh(lin)[-1])
+    W = np.linalg.inv(lin + 1e-6 * max(1.0, lam_max) * np.eye(p))
+    W = 0.5 * (W + W.T)
+    return W * (p / np.trace(W))
+
+
+def _fit_solve(data: tuple, W_obj: np.ndarray, margin: float):
+    """One fit SDP in unit coordinates: (A_t, B_t, tau_t, status), or None
+    when it is infeasible at a positive margin."""
+    Cs, Bs, As = data
+    T, n, p = Cs.shape[0], Cs.shape[1], As.shape[1]
+    sol = solve_sdp(_fit_problem(Cs, Bs, As, W_obj, margin=margin))
+    if sol.status == "infeasible":
+        if margin > 0.0:
+            return None
+        raise ConsistencyError("ellipsoid fit infeasible: no bounded consistent set")
+    if sol.status == "unbounded":
+        raise ConsistencyError("ellipsoid fit unbounded: shape matrix grows without limit")
+    if sol.status not in ("optimal", "feasible"):
+        raise ConsistencyError(f"ellipsoid fit failed: {sol.message or sol.status}")
+    Pm = sol.blocks[0]
+    A_t = 0.5 * (Pm[n + p:, n + p:] + Pm[n + p:, n + p:].T)
+    A_t = A_t + margin * np.eye(p)
+    B_t = -Pm[n + p:, :n].copy()
+    tau_t = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(T)])
+    return A_t, B_t, tau_t, sol.status
+
+
+def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
+                   margin: float):
+    """Warm-up solve plus FIT_ITERS steps at one margin: (best, history) in raw
+    data units, or None when a solve is infeasible at a positive margin."""
+    # warmup solve fixes the linearization point; a raw trace objective
+    # tends to collapse onto the best-excited regressor direction, so its
+    # optimizer is only used as the starting weight, never reported
+    As = data[2]
+    step = _fit_solve(data, _fit_weight(0.5 * (As.mean(axis=0) + As.mean(axis=0).T)), margin)
+    if step is None:
+        return None
+    lin_point = step[0]
+
+    best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
+    history: list[dict] = []
+    for it in range(FIT_ITERS):
+        step = _fit_solve(data, _fit_weight(lin_point), margin)
+        if step is None:
+            return None
+        A_t, B_t, tau_t, status = step
+        A_bar = A_t / rho ** 2
+        B_bar = B_t / rho - A_bar @ zeta0
+        tau = tau_t * (1.0 / delta)
+        sign, ld = np.linalg.slogdet(A_bar)
+        logdet = float(ld) if sign > 0 else -np.inf
+        accepted = best is None or logdet >= best[0]
+        if accepted:
+            best = (logdet, A_bar, B_bar, tau)
+            lin_point = A_t
+        else:
+            # overshoot: damp toward the rejected candidate and retry
+            lin_point = 0.5 * (lin_point + A_t)
+        history.append({
+            "iteration": it,
+            "logdet": logdet,
+            "accepted": accepted,
+            "best_logdet": best[0],
+            "A_bar": best[1],
+            "B_bar": best[2],
+            "tau": best[3],
+            "candidate_A_bar": A_bar,
+            "candidate_B_bar": B_bar,
+            "candidate_tau": tau,
+            "solver_status": status,
+        })
+    return best, history
+
+
 def solve_overapprox(
-    dm: DataMatrices, iters: int = 5, bases: RegressorBases | None = None,
+    dm: DataMatrices, bases: RegressorBases | None = None,
 ) -> ConsistencyEllipsoid:
     """Fit the consistency ellipsoid by iterated linearized determinant maximization.
 
@@ -452,9 +536,6 @@ def solve_overapprox(
     nondecreasing.  Rejected steps halve the linearization move instead of
     terminating.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    n = dm.xdot.shape[1]
     p = dm.xi.shape[1]
     sv = np.linalg.svd(dm.xi, compute_uv=False)
     rank = int(np.count_nonzero(sv > 1e-9 * sv[0])) if sv.size else 0
@@ -462,87 +543,14 @@ def solve_overapprox(
         raise ConsistencyError(
             f"too little excitation: stacked regressors have rank {rank} < N+M = {p}")
     unit, zeta0, rho = _fit_coordinates(dm)
-    Cs, Bs, As = unit.C, unit.B, unit.A
-
-    def to_original(A_t: np.ndarray, B_t: np.ndarray, tau_t: np.ndarray):
-        A_bar = A_t / rho ** 2
-        B_bar = B_t / rho - A_bar @ zeta0
-        return A_bar, B_bar, tau_t * (1.0 / dm.delta)
-
-    def weight_at(lin: np.ndarray) -> np.ndarray:
-        # ridge keeps the weight finite when the linearization point is flat
-        lam_max = float(np.linalg.eigvalsh(lin)[-1])
-        W = np.linalg.inv(lin + 1e-6 * max(1.0, lam_max) * np.eye(p))
-        W = 0.5 * (W + W.T)
-        return W * (p / np.trace(W))  # scale-free objective
-
-    class _MarginInfeasible(Exception):
-        pass
-
-    def attempt(margin: float):
-        def solve_step(W_obj: np.ndarray):
-            prob = _fit_problem(Cs, Bs, As, W_obj, margin=margin)
-            sol = solve_sdp(prob)
-            if sol.status == "infeasible":
-                if margin > 0.0:
-                    raise _MarginInfeasible
-                raise ConsistencyError("ellipsoid fit infeasible: no bounded consistent set")
-            if sol.status == "unbounded":
-                raise ConsistencyError("ellipsoid fit unbounded: shape matrix grows without limit")
-            if sol.status not in ("optimal", "feasible"):
-                raise ConsistencyError(f"ellipsoid fit failed: {sol.message or sol.status}")
-            Pm = sol.blocks[0]
-            A_t = 0.5 * (Pm[n + p:, n + p:] + Pm[n + p:, n + p:].T)
-            A_t = A_t + margin * np.eye(p)
-            B_t = -Pm[n + p:, :n].copy()
-            tau_t = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(len(dm))])
-            return A_t, B_t, tau_t, sol.status
-
-        # warmup solve fixes the linearization point; a raw trace objective
-        # tends to collapse onto the best-excited regressor direction, so its
-        # optimizer is only used as the starting weight, never reported
-        gram = 0.5 * (As.mean(axis=0) + As.mean(axis=0).T)
-        lin_point, _, _, _ = solve_step(weight_at(gram))
-
-        best: tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        history: list[dict] = []
-        for it in range(iters):
-            A_t, B_t, tau_t, status = solve_step(weight_at(lin_point))
-            A_bar, B_bar, tau = to_original(A_t, B_t, tau_t)
-            sign, ld = np.linalg.slogdet(A_bar)
-            logdet = float(ld) if sign > 0 else -np.inf
-            accepted = best is None or logdet >= best[0]
-            if accepted:
-                best = (logdet, A_bar, B_bar, tau, A_t)
-                lin_point = A_t
-            else:
-                # overshoot: damp toward the rejected candidate and retry
-                lin_point = 0.5 * (lin_point + A_t)
-            history.append({
-                "iteration": it,
-                "logdet": logdet,
-                "accepted": accepted,
-                "best_logdet": best[0],
-                "A_bar": best[1],
-                "B_bar": best[2],
-                "tau": best[3],
-                "candidate_A_bar": A_bar,
-                "candidate_B_bar": B_bar,
-                "candidate_tau": tau,
-                "solver_status": status,
-            })
-        assert best is not None
-        return best, history
-
+    data = (unit.C, unit.B, unit.A)
     # the margin trims a negligible sliver of volume; drop it only if it
     # makes the constraint set empty (extremely flat consistency sets)
     for margin in (1e-6, 1e-8, 0.0):
-        try:
-            best, history = attempt(margin)
+        fit = _fit_at_margin(data, zeta0, rho, dm.delta, margin)
+        if fit is not None:
             break
-        except _MarginInfeasible:
-            continue
-    logdet, A_bar, B_bar, tau, _ = best
+    (logdet, A_bar, B_bar, tau), history = fit
     if not np.isfinite(logdet):
         raise ConsistencyError("degenerate ellipsoid: fitted shape matrix is singular")
     if tau.min() < -1e-10:

@@ -263,14 +263,12 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _scalar_fn(alpha, name: str) -> Callable[[float], float]:
-    if isinstance(alpha, Polynomial):
-        if len(alpha.vars) != 1:
-            raise ValueError(f"{name} must be a polynomial in a single variable")
-        _check_kinf(alpha, name)
-        return lambda r: eval_floats((alpha,), [r])[0]
-    if callable(alpha):
-        return alpha
-    raise TypeError(f"{name} must be a polynomial or a callable")
+    if not isinstance(alpha, Polynomial):
+        raise TypeError(f"{name} must be a Polynomial, got {type(alpha).__name__}")
+    if len(alpha.vars) != 1:
+        raise ValueError(f"{name} must be a polynomial in a single variable")
+    _check_kinf(alpha, name)
+    return lambda r: eval_floats((alpha,), [r])[0]
 
 
 @dataclass
@@ -297,8 +295,8 @@ class EventTrace:
 def event_triggered_run(
     sys: GroundTruthSystem,
     k: Sequence[Polynomial],
-    alpha3,
-    alpha4,
+    alpha3: Polynomial,
+    alpha4: Polynomial,
     sigma: float,
     x0: Sequence[float],
     horizon: float,

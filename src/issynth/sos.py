@@ -217,6 +217,9 @@ class SosCertificateError(ValueError):
 SYM_TOL = 1e-10
 # lowest Gram eigenvalue extract_certificate clips to zero instead of rejecting
 CERT_MIN_EIG_TOL = 1e-7
+# check_sos_numeric's effort and pass threshold, fixed like verify.py's
+CHECK_POINTS = 100
+CHECK_TOL = 1e-6
 
 
 class SosProgram:
@@ -644,17 +647,16 @@ def gram_polynomial(G: np.ndarray, basis_exps: Sequence[tuple[int, ...]],
 
 def check_sos_numeric(target: Polynomial, grams: Sequence[np.ndarray],
                       blocks_exps: Sequence[Sequence[tuple[int, ...]]],
-                      rng: np.random.Generator, n_points: int = 100,
-                      tol: float = 1e-6) -> tuple[bool, float]:
-    """Sample |target - sum_blocks z^T G z| at random points, relative error."""
+                      rng: np.random.Generator) -> tuple[bool, float]:
+    """Relative error |target - sum_blocks z^T G z| at CHECK_POINTS points."""
     nv = len(target.vars)
-    pts = rng.uniform(-1.0, 1.0, size=(n_points, nv))
+    pts = rng.uniform(-1.0, 1.0, size=(CHECK_POINTS, nv))
     tv = target.eval_many(pts)
-    gv = np.zeros(n_points)
+    gv = np.zeros(CHECK_POINTS)
     for G, exps in zip(grams, blocks_exps):
         E = np.array([list(e) for e in exps])
         Zv = np.prod(pts[:, None, :] ** E[None, :, :], axis=2)
         gv += np.einsum("pa,ab,pb->p", Zv, G, Zv)
     scale = 1.0 + np.max(np.abs(tv))
     err = float(np.max(np.abs(tv - gv)) / scale)
-    return err <= tol, err
+    return err <= CHECK_TOL, err

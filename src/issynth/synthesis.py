@@ -177,6 +177,18 @@ def _floor_basis(xevars, deg_lambda: int) -> list[Polynomial]:
     return monomial_basis(xevars, max(1, (deg_lambda + 1) // 2), include_constant=True)
 
 
+def _over(p: Polynomial, vs, what: str) -> Polynomial:
+    """p over the variable tuple vs; SynthesisError naming any variable of p
+    outside vs."""
+    if p.vars == vs:
+        return p
+    names = [v.name for v in vs]
+    outside = [v.name for v in p.vars if v.name not in names]
+    if outside:
+        raise SynthesisError(f"{what} uses variables {outside} outside {names}")
+    return p.extend(vs)
+
+
 def _shift_by_error(poly_or_affine, xvars, xevars):
     """Substitute x -> x + e, exactly expanded."""
     n = len(xvars)
@@ -194,7 +206,9 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
 
     fixed must be exactly {"k": [...]} (fit V, lambda, alphas) or
     {"V": ..., "lambda": ...} (fit k, alphas); anything else would make the
-    matrix slot bilinear in the decision variables.
+    matrix slot bilinear in the decision variables.  k and V must live in
+    the state variables, lambda in the state and error variables; every
+    fixed polynomial is checked here, and a violation raises SynthesisError.
     """
     if ell.bases is None:
         raise SynthesisError(
@@ -239,19 +253,16 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         # function, keeping the epsilon floors negligible
         a1, c1 = _alpha_template(prog, "a1_", cfg.N1, sq_x, cfg.epsilon)
         legend["alpha_coeffs"]["a1"] = c1
-        eta = 1.0
-        prog.add_linear([(c, 1.0) for c in c1], eta, "==", "a1 pin")
-        legend["eta"] = eta
+        prog.add_linear([(c, 1.0) for c in c1], 1.0, "==", "a1 pin")
 
     if mode == "fit_V":
-        kfix = []
+        k_parts = []
         for pk in fixed["k"]:
             if pk.constant_term() != 0.0:
                 raise SynthesisError("fixed controller must vanish at the origin")
-            kfix.append(pk if pk.vars == xvars else pk.extend(xvars))
-        if len(kfix) != m:
-            raise SynthesisError(f"controller needs {m} entries, got {len(kfix)}")
-        k_parts = kfix
+            k_parts.append(_over(pk, xvars, "fixed controller"))
+        if len(k_parts) != m:
+            raise SynthesisError(f"controller needs {m} entries, got {len(k_parts)}")
         V_mons = monomial_basis(xvars, cfg.deg_V, include_constant=False)
         V, v_cs = prog.template(xvars, V_mons, "v_")
         lam_mons = monomial_basis(xevars, cfg.deg_lambda, include_constant=True)
@@ -261,20 +272,11 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         for c in (*v_cs, *l_cs):
             prog.add_linear([(c, 1.0)], 1e3, "<=", "V/lambda caps")
             prog.add_linear([(c, 1.0)], -1e3, ">=", "V/lambda caps")
-        legend["V_coeffs"], legend["lam_coeffs"] = v_cs, l_cs
     else:
-        Vf = fixed["V"]
-        lamf = fixed["lambda"]
-        V = AffinePoly.promote(Vf if Vf.vars == xvars else Vf.extend(xvars), xvars)
-        lam = AffinePoly.promote(
-            lamf if lamf.vars == xevars else lamf.extend(xevars), xevars)
+        V = AffinePoly.promote(_over(fixed["V"], xvars, "fixed V"), xvars)
+        lam = AffinePoly.promote(_over(fixed["lambda"], xevars, "fixed lambda"), xevars)
         k_mons = monomial_basis(xvars, cfg.deg_k, include_constant=False)
-        k_parts = []
-        legend["k_coeffs"] = []
-        for j in range(m):
-            kj, kc = prog.template(xvars, k_mons, f"k{j}_")
-            k_parts.append(kj)
-            legend["k_coeffs"].append(kc)
+        k_parts = [prog.template(xvars, k_mons, f"k{j}_")[0] for j in range(m)]
     legend["V"], legend["lam"], legend["k"] = V, lam, k_parts
 
     # phi = [Z(x); W(x) k(x+e)] over the stacked variables
@@ -307,13 +309,13 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
     S[0][0] = s00
     for i in range(n):
         S[1 + i][0] = S[0][1 + i] = grad_V[i] * -1.0
+    # exactly one of lambda / phi carries decision variables here
+    lam_phi = [lam_xe * AffinePoly.promote(phi_b, xevars) for phi_b in phi]
     for a in range(p):
         entry = AffinePoly.promote(0.0, xevars)
         for b in range(p):
             if abs(Ainv[a, b]) > 0.0:
-                # exactly one of lambda / phi carries decision variables here
-                entry = entry - lam_xe * AffinePoly.promote(phi[b], xevars) \
-                    * float(Ainv[a, b])
+                entry = entry - lam_phi[b] * float(Ainv[a, b])
         S[1 + n + a][0] = entry
         S[0][1 + n + a] = entry
     for i in range(1, d):
@@ -353,7 +355,7 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         legend["s_handles"].update({"s1": h1, "s3": h3})
 
     if cfg.u_max is not None and mode == "fit_k":
-        u2 = cfg.u_max if cfg.u_max.vars == xvars else cfg.u_max.extend(xvars)
+        u2 = _over(cfg.u_max, xvars, "u_max")
         B = [[AffinePoly.promote(0.0, xvars) for _ in range(1 + m)]
              for _ in range(1 + m)]
         B[0][0] = AffinePoly.promote(u2 * u2, xvars)
@@ -511,8 +513,7 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
     return vals["s1"], vals["s2"], certs
 
 
-def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
-              verify_seed: int = 0) -> SynthesisResult:
+def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig) -> SynthesisResult:
     """Run the two-step alternation and return a fully verified result.
 
     The first step fixes k = cfg.k_init and fits (V, lambda, alphas); the
@@ -524,19 +525,7 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
     handed back; verification failure of a solver-accepted result is a hard
     error.
     """
-    if ell.bases is None:
-        raise SynthesisError(
-            "ellipsoid carries no regressor bases; fit it with bases attached")
-    if len(cfg.k_init) != ell.bases.m:
-        raise SynthesisError(
-            f"k_init needs {ell.bases.m} entries, got {len(cfg.k_init)}")
-    for pk in cfg.k_init:
-        if {v.name for v in pk.vars} - {v.name for v in ell.bases.vars}:
-            raise SynthesisError("k_init uses variables outside the state tuple")
-
-    k_cur: tuple[Polynomial, ...] = tuple(
-        pk if pk.vars == ell.bases.vars else pk.extend(ell.bases.vars)
-        for pk in cfg.k_init)
+    k_cur: tuple[Polynomial, ...] = cfg.k_init
     V_cur: Polynomial | None = None
     lam_cur: Polynomial | None = None
     best: dict | None = None
@@ -578,7 +567,7 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
             if step == "V":
                 V_new = _chop(sol.value(legend["V"]))
                 lam_new = _chop(sol.value(legend["lam"]))
-                k_new = k_cur
+                k_new = tuple(legend["k"])  # k_cur over the state variables
                 a1_new, a2_new, env_certs = _refit_envelopes(
                     V_new, lam_new, cfg, legend["xvars"], legend["xevars"])
             else:
@@ -643,7 +632,7 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         margin=best["margin"],
         ellipsoid_hash=hashlib.sha256(ell.to_json().encode()).hexdigest(),
     )
-    reports = _verify.verify_suite(res, ell, seed=verify_seed)
+    reports = _verify.verify_suite(res, ell)
     failed = [r for r in reports if not r.passed]
     if failed:
         lines = "; ".join(r.summary() for r in failed)

@@ -6,6 +6,11 @@ the solver side.  Reports are deterministic for a fixed generator seed and
 carry the worst violation with a witness point, so a failure is always
 reproducible.
 
+Fixed effort: how hard a check looks (its sample counts and sampling box)
+and what it lets pass (its tolerance) are module constants, not
+parameters, so no caller can weaken an oracle.  The one choice a caller
+makes is the generator, which every sampling check requires.
+
 Conventions: state variables come first, error variables second, in every
 stacked (x, e) point array; class-Kinf functions are given by their
 coefficient sequences c_1..c_N meaning  alpha(r) = sum_k c_k r^(2k).
@@ -37,6 +42,19 @@ CERT_EIG_TOL = 1e-7
 CERT_MATRIX_TOL = 1e-4
 # boundary directions (operator norm 1) among the sampled Upsilon set
 UPSILON_BOUNDARY = 20
+
+# Sampling effort, fixed like the tolerances: fewer samples or a smaller box
+# would weaken an oracle just as much.  BOX is the (x, e) box half-width.
+BOX = 2.0
+SANDWICH_BOX = 3.0
+LEMMA2_SAMPLES = 100
+SCHUR_EQUIV_SAMPLES = 1000
+DISSIPATION_POINTS = 10_000
+DISSIPATION_UPSILONS = 100
+SANDWICH_SAMPLES = 10_000
+MATRIX_SAMPLES = 1000
+LAMBDA_FLOOR_SAMPLES = 2000
+CERT_SAMPLES = 200
 
 
 @dataclass
@@ -205,15 +223,13 @@ def f8_values(ell: ConsistencyEllipsoid, bases: RegressorBases,
 
 def check_lemma2_instance(C: np.ndarray, E: np.ndarray, G: np.ndarray,
                           F_bar: np.ndarray, lam: float,
-                          n_samples: int = 100,
-                          rng: np.random.Generator | None = None) -> VerificationReport:
+                          rng: np.random.Generator) -> VerificationReport:
     """Premise eigenvalue check plus sampled conclusion of the norm-bound lemma.
 
     Premise: C + lam E E^T + (1/lam) G^T F_bar G <= 0.  Conclusion, sampled
     over F with F^T F <= F_bar: C + E F G + G^T F^T E^T <= 0.  A violated
     premise is reported as a premise failure, not as a counterexample.
     """
-    rng = rng or np.random.default_rng(0)
     C = np.asarray(C, dtype=float)
     E = np.asarray(E, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -239,14 +255,14 @@ def check_lemma2_instance(C: np.ndarray, E: np.ndarray, G: np.ndarray,
     Fb_sqrt = _sym_sqrt(F_bar)
     worst = -np.inf
     witness = None
-    for D in _upsilon_set(rng, m, nn, n_samples):
+    for D in _upsilon_set(rng, m, nn, LEMMA2_SAMPLES):
         F = D @ Fb_sqrt
         val = float(np.linalg.eigvalsh(C + E @ F @ G + G.T @ F.T @ E.T)[-1])
         if val > worst:
             worst = val
             witness = F.tolist()
     return VerificationReport(
-        name="lemma2_instance", worst=worst, tol=LEMMA2_TOL, n_samples=n_samples,
+        name="lemma2_instance", worst=worst, tol=LEMMA2_TOL, n_samples=LEMMA2_SAMPLES,
         witness=witness,
         details={"stage": "conclusion", "premise_max_eig": premise_eig})
 
@@ -254,8 +270,7 @@ def check_lemma2_instance(C: np.ndarray, E: np.ndarray, G: np.ndarray,
 def check_schur_equiv(ell: ConsistencyEllipsoid, bases: RegressorBases,
                       V: Polynomial, k: Sequence[Polynomial], lam: Polynomial,
                       alpha3: Sequence[float], alpha4: Sequence[float],
-                      n_samples: int = 1000, box: float = 2.0,
-                      rng: np.random.Generator | None = None) -> VerificationReport:
+                      rng: np.random.Generator) -> VerificationReport:
     """Sign agreement between the block matrix and its scalar Schur form.
 
     At every sampled (x, e) the matrix is negative semidefinite exactly when
@@ -265,15 +280,14 @@ def check_schur_equiv(ell: ConsistencyEllipsoid, bases: RegressorBases,
     is not positive at some sample leaves the scalar form undefined; the
     report then fails with the smallest lambda and its point.
     """
-    rng = rng or np.random.default_rng(0)
     n = bases.n
-    XE = rng.uniform(-box, box, size=(n_samples, 2 * n))
+    XE = rng.uniform(-BOX, BOX, size=(SCHUR_EQUIV_SAMPLES, 2 * n))
     lam_vals = _multiplier_values(lam, XE, n)
-    if n_samples and lam_vals.min() <= 0.0:
+    if lam_vals.min() <= 0.0:
         i = int(np.argmin(lam_vals))
         return VerificationReport(
             name="schur_equivalence", worst=np.inf, tol=SCHUR_EQUIV_TOL,
-            n_samples=n_samples, witness=XE[i].tolist(),
+            n_samples=SCHUR_EQUIV_SAMPLES, witness=XE[i].tolist(),
             details={"reason": f"multiplier not positive (lambda = {lam_vals[i]:.3e})",
                      "lambda_min": float(lam_vals[i])})
     f8 = f8_values(ell, bases, V, k, lam, alpha3, alpha4, XE)
@@ -282,22 +296,20 @@ def check_schur_equiv(ell: ConsistencyEllipsoid, bases: RegressorBases,
     tol = SCHUR_EQUIV_TOL
     disagree = ((f8 > tol) & (eigs < -tol)) | ((f8 < -tol) & (eigs > tol))
     strength = np.where(disagree, np.minimum(np.abs(f8), np.abs(eigs)), 0.0)
-    worst = float(strength.max()) if n_samples else 0.0
+    worst = float(strength.max())
     wit = None
     if worst > 0.0:
         i = int(np.argmax(strength))
         wit = XE[i].tolist()
     return VerificationReport(
-        name="schur_equivalence", worst=worst, tol=SCHUR_EQUIV_TOL, n_samples=n_samples,
-        witness=wit,
+        name="schur_equivalence", worst=worst, tol=SCHUR_EQUIV_TOL,
+        n_samples=SCHUR_EQUIV_SAMPLES, witness=wit,
         details={"n_disagreements": int(disagree.sum()),
                  "scalar_range": [float(f8.min()), float(f8.max())]})
 
 
 def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
-                              box: float = 2.0, n_xe: int = 10_000,
-                              n_upsilon: int = 100,
-                              rng: np.random.Generator | None = None,
+                              rng: np.random.Generator,
                               AB_true: np.ndarray | None = None) -> VerificationReport:
     """Robust dissipation inequality over sampled members of the ellipsoid.
 
@@ -307,10 +319,9 @@ def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
     with tol = DISSIPATION_TOL.  The true coefficient pair is checked too
     when given.
     """
-    rng = rng or np.random.default_rng(0)
     bases: RegressorBases = res.bases
     n, p = bases.n, bases.N + bases.M
-    XE = rng.uniform(-box, box, size=(n_xe, 2 * n))
+    XE = rng.uniform(-BOX, BOX, size=(DISSIPATION_POINTS, 2 * n))
     XE[0] = 0.0  # the origin is the structural equality case
     X, E = XE[:, :n], XE[:, n:]
     gradV = _eval_stack(res.V.grad(), X)
@@ -320,35 +331,33 @@ def check_dissipation_sampled(res, ell: ConsistencyEllipsoid,
 
     worst = -np.inf
     witness = None
-    true_worst = None
 
     def eval_zeta(zeta: np.ndarray) -> tuple[float, int]:
         vals = np.einsum("pn,pn->p", gradV, phi @ zeta) + margin
         i = int(np.argmax(vals))
         return float(vals[i]), i
 
-    for ui, U in enumerate(_upsilon_set(rng, p, n, n_upsilon)):
+    for ui, U in enumerate(_upsilon_set(rng, p, n, DISSIPATION_UPSILONS)):
         zeta = ell.zeta_bar + ell.A_bar_inv_sqrt @ U
         val, i = eval_zeta(zeta)
         if val > worst:
             worst = val
             witness = {"point": XE[i].tolist(), "upsilon_index": ui}
-    details = {"n_upsilon": n_upsilon}
+    details = {"n_upsilon": DISSIPATION_UPSILONS}
     if AB_true is not None:
         true_worst, _ = eval_zeta(np.asarray(AB_true, dtype=float).T)
         details["true_system_worst"] = true_worst
         worst = max(worst, true_worst)
     return VerificationReport(
         name="dissipation_sampled", worst=worst, tol=DISSIPATION_TOL,
-        n_samples=n_xe * n_upsilon, witness=witness, details=details)
+        n_samples=DISSIPATION_POINTS * DISSIPATION_UPSILONS, witness=witness,
+        details=details)
 
 
-def check_sandwich(res, box: float = 3.0, n_samples: int = 10_000,
-                   rng: np.random.Generator | None = None) -> VerificationReport:
+def check_sandwich(res, rng: np.random.Generator) -> VerificationReport:
     """alpha1(|x|) <= V(x) <= alpha2(|x|), absolute plus relative tolerance."""
-    rng = rng or np.random.default_rng(0)
     n = len(res.V.vars)
-    X = rng.uniform(-box, box, size=(n_samples, n))
+    X = rng.uniform(-SANDWICH_BOX, SANDWICH_BOX, size=(SANDWICH_SAMPLES, n))
     X[0] = 0.0
     v = res.V.eval_many(X)
     sq = np.sum(X * X, axis=1)
@@ -358,7 +367,7 @@ def check_sandwich(res, box: float = 3.0, n_samples: int = 10_000,
     i = int(np.argmax(viol))
     return VerificationReport(
         name="sandwich_bounds", worst=float(viol[i]), tol=SANDWICH_TOL,
-        n_samples=n_samples, witness=X[i].tolist())
+        n_samples=SANDWICH_SAMPLES, witness=X[i].tolist())
 
 
 def check_theorem1_matrix_sampled(ell: ConsistencyEllipsoid,
@@ -366,33 +375,29 @@ def check_theorem1_matrix_sampled(ell: ConsistencyEllipsoid,
                                   k: Sequence[Polynomial], lam: Polynomial,
                                   alpha3: Sequence[float],
                                   alpha4: Sequence[float],
-                                  n_samples: int = 1000, box: float = 2.0,
-                                  rng: np.random.Generator | None = None) -> VerificationReport:
+                                  rng: np.random.Generator) -> VerificationReport:
     """Max eigenvalue of the dissipation matrix over a sampled box."""
-    rng = rng or np.random.default_rng(0)
     n = bases.n
-    XE = rng.uniform(-box, box, size=(n_samples, 2 * n))
+    XE = rng.uniform(-BOX, BOX, size=(MATRIX_SAMPLES, 2 * n))
     XE[0] = 0.0
     M = theorem1_matrix_values(ell, bases, V, k, lam, alpha3, alpha4, XE)
     eigs = np.linalg.eigvalsh(M)[:, -1]
     i = int(np.argmax(eigs))
     return VerificationReport(
         name="dissipation_matrix_sampled", worst=float(eigs[i]), tol=MATRIX_TOL,
-        n_samples=n_samples, witness=XE[i].tolist())
+        n_samples=MATRIX_SAMPLES, witness=XE[i].tolist())
 
 
-def check_lambda_floor(res, n_samples: int = 2000, box: float = 2.0,
-                       rng: np.random.Generator | None = None) -> VerificationReport:
+def check_lambda_floor(res, rng: np.random.Generator) -> VerificationReport:
     """Multiplier floor on samples: epsilon - lambda <= LAMBDA_FLOOR_TOL."""
-    rng = rng or np.random.default_rng(0)
     nv = len(res.lam.vars)
-    XE = rng.uniform(-box, box, size=(n_samples, nv))
+    XE = rng.uniform(-BOX, BOX, size=(LAMBDA_FLOOR_SAMPLES, nv))
     XE[0] = 0.0
     vals = res.lam.eval_many(XE)
     i = int(np.argmin(vals))
     return VerificationReport(
         name="multiplier_floor", worst=float(res.epsilon - vals[i]),
-        tol=LAMBDA_FLOOR_TOL, n_samples=n_samples, witness=XE[i].tolist(),
+        tol=LAMBDA_FLOOR_TOL, n_samples=LAMBDA_FLOOR_SAMPLES, witness=XE[i].tolist(),
         details={"lambda_min": float(vals[i]), "epsilon": res.epsilon})
 
 
@@ -413,7 +418,7 @@ def check_kinf_gates(res) -> VerificationReport:
 
 
 def check_certificates(res, ell: ConsistencyEllipsoid,
-                       rng: np.random.Generator | None = None) -> VerificationReport:
+                       rng: np.random.Generator) -> VerificationReport:
     """Gram certificates: eigenvalue floors plus reconstruction residuals.
 
     Scalar slots are compared coefficient-by-coefficient against their
@@ -426,7 +431,6 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
     from .poly import variables
     from .sos import gram_polynomial
 
-    rng = rng or np.random.default_rng(0)
     bases: RegressorBases = res.bases
     n = bases.n
     worst = -np.inf
@@ -472,13 +476,12 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
     t_margin = float(ent.get("margin", 0.0))
     mask = ent.get("margin_mask")
     d = 1 + n + bases.N + bases.M
-    P = 200
-    XE = rng.uniform(-2.0, 2.0, size=(P, 2 * n))
+    XE = rng.uniform(-BOX, BOX, size=(CERT_SAMPLES, 2 * n))
     M = theorem1_matrix_values(ell, bases, res.V, res.k, res.lam,
                                res.alpha[2], res.alpha[3], XE)
-    Y = rng.standard_normal((P, d))
+    Y = rng.standard_normal((CERT_SAMPLES, d))
     target_vals = -np.einsum("pi,pij,pj->p", Y, M, Y)
-    gram_vals = np.zeros(P)
+    gram_vals = np.zeros(CERT_SAMPLES)
     pts = np.hstack([Y, XE])
     for bi, (G, exps) in enumerate(zip(ent["blocks"], ent["block_exps"])):
         Ez = np.array([list(e) for e in exps])
@@ -494,7 +497,7 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
 
     return VerificationReport(
         name="certificate_reconstruction", worst=worst, tol=CERT_RECON_TOL,
-        n_samples=P, details=details)
+        n_samples=CERT_SAMPLES, details=details)
 
 
 def alpha_poly_in(coeffs: Sequence[float], sq_norm: Polynomial) -> Polynomial:
@@ -508,21 +511,17 @@ def alpha_poly_in(coeffs: Sequence[float], sq_norm: Polynomial) -> Polynomial:
 
 
 def verify_suite(res, ell: ConsistencyEllipsoid,
-                 AB_true: np.ndarray | None = None,
-                 seed: int = 0) -> list[VerificationReport]:
-    """The full post-synthesis verification battery, deterministic in seed."""
-    reports = [
+                 AB_true: np.ndarray | None = None) -> list[VerificationReport]:
+    """The full post-synthesis battery, each check on its own fixed seed."""
+    gen = np.random.default_rng
+    return [
         check_kinf_gates(res),
-        check_sandwich(res, rng=np.random.default_rng(seed)),
-        check_lambda_floor(res, rng=np.random.default_rng(seed + 1)),
+        check_sandwich(res, gen(0)),
+        check_lambda_floor(res, gen(1)),
         check_theorem1_matrix_sampled(
-            ell, res.bases, res.V, res.k, res.lam, res.alpha[2], res.alpha[3],
-            rng=np.random.default_rng(seed + 2)),
+            ell, res.bases, res.V, res.k, res.lam, res.alpha[2], res.alpha[3], gen(2)),
         check_schur_equiv(
-            ell, res.bases, res.V, res.k, res.lam, res.alpha[2], res.alpha[3],
-            rng=np.random.default_rng(seed + 3)),
-        check_dissipation_sampled(
-            res, ell, rng=np.random.default_rng(seed + 4), AB_true=AB_true),
-        check_certificates(res, ell, rng=np.random.default_rng(seed + 5)),
+            ell, res.bases, res.V, res.k, res.lam, res.alpha[2], res.alpha[3], gen(3)),
+        check_dissipation_sampled(res, ell, gen(4), AB_true=AB_true),
+        check_certificates(res, ell, gen(5)),
     ]
-    return reports

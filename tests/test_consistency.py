@@ -44,7 +44,7 @@ def dmats(dataset):
 
 @pytest.fixture(scope="module")
 def ellipsoid(dmats):
-    return solve_overapprox(dmats, iters=5)
+    return solve_overapprox(dmats)
 
 
 def spectral_cap(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
@@ -313,16 +313,12 @@ class TestSolveOverapprox:
         # the symmetric-multiplier certificate tops out at A_bar = 4/3
         dm = DataMatrices(xi=np.array([[1.0], [1.0]]), xdot=np.array([[0.5], [-0.5]]),
                           delta=1.0)
-        ell = solve_overapprox(dm, iters=3)
+        ell = solve_overapprox(dm)
         assert abs(ell.A_bar[0, 0] - 4.0 / 3.0) < 1e-4
         assert abs(ell.zeta_bar[0, 0]) < 1e-6
         for z in (-0.5, 0.0, 0.5):
             assert membership(np.array([[z]]), ell).residual <= 1e-6
         assert membership(np.array([[0.9]]), ell).residual > 1e-6
-
-    def test_iters_validated(self, dmats):
-        with pytest.raises(ValueError, match="iters"):
-            solve_overapprox(dmats, iters=0)
 
     def test_rotation_equivariance(self, khalil, dataset):
         th = 0.7
@@ -331,7 +327,7 @@ class TestSolveOverapprox:
             khalil.bases, dataset.delta,
             [Sample(s.t, s.u, s.x, R @ s.xdot) for s in dataset.samples],
         )
-        ell = solve_overapprox(build_data_matrices(rotated), iters=2)
+        ell = solve_overapprox(build_data_matrices(rotated))
         assert membership(R @ khalil.AB, ell).residual <= 1e-6
 
 
@@ -422,7 +418,7 @@ class TestMembership:
 
 class TestEllipsoidBases:
     def test_attached_and_serialized(self, dmats, dataset):
-        ell = solve_overapprox(dmats, iters=2, bases=dataset.bases)
+        ell = solve_overapprox(dmats, bases=dataset.bases)
         assert ell.bases == dataset.bases
         d = ell.to_json_dict()
         assert d["Z_basis"] == [p.to_string() for p in dataset.bases.Z]

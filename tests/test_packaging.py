@@ -61,12 +61,14 @@ def test_settable_option_count():
     # defaulted parameters plus dataclass and NamedTuple fields in the
     # package: pinned, so a new option (or a removed one) shows in review
     src = PYPROJECT.parent / "src" / "issynth"
-    count = 0
+    per_file = {}
     for path in sorted(src.glob("*.py")):
+        count = 0
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef) and _is_record_class(node):
                 count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
-    assert count == 141
+        per_file[path.name] = count
+    assert sum(per_file.values()) == 117, per_file

@@ -247,6 +247,12 @@ class TestEventTriggeredRun:
                 event_triggered_run(khalil, k, alpha, alpha, 0.5,
                                     x0=[1.0, 1.0], horizon=0.1)
 
+    def test_alpha_must_be_a_polynomial(self, khalil, r2):
+        k = [parse_poly("-x1^3 - 8*x2", khalil.bases.vars)]
+        with pytest.raises(TypeError, match="alpha3 must be a Polynomial"):
+            event_triggered_run(khalil, k, lambda r: r * r, r2, 0.5,
+                                x0=[1.0, 1.0], horizon=0.1)
+
     def test_dwell_is_at_least_one_step(self, khalil_trace):
         ts = np.asarray(khalil_trace.event_times)
         assert np.all(np.diff(ts) >= 1e-3 - 1e-12)

@@ -151,6 +151,29 @@ def test_fixed_must_name_one_side(khalil_ell, k_lin):
         assemble_theorem1(khalil_ell, cfg, {"k": [k_lin], "V": V, "lambda": lam})
 
 
+def test_fixed_polynomial_outside_its_variables_rejected(khalil_ell, k_lin):
+    # k and V live in the state variables, lambda in the state and error
+    # variables; assemble_theorem1 names any other variable, and alternate
+    # reaches the same check before its first solve
+    xev = variables(["x1", "x2", "e1", "e2"])
+    V = parse_poly("x1^2 + x2^2", khalil_ell.bases.vars)
+    lam = Polynomial.constant(xev, 1.0)
+    k_y = parse_poly("-x1 - y", variables(["x1", "y"]))
+    cases = [
+        ({"k": [k_y]}, "fixed controller uses variables ['y']"),
+        ({"V": parse_poly("x1^2 + e1^2", xev), "lambda": lam},
+         "fixed V uses variables ['e1', 'e2']"),
+        ({"V": V, "lambda": parse_poly("1 + z^2", variables(["x1", "z"]))},
+         "fixed lambda uses variables ['z']"),
+    ]
+    cfg = SynthesisConfig(k_init=(k_lin,))
+    for fixed, match in cases:
+        with pytest.raises(SynthesisError, match=re.escape(match)):
+            assemble_theorem1(khalil_ell, cfg, fixed)
+    with pytest.raises(SynthesisError, match=re.escape(cases[0][1])):
+        alternate(khalil_ell, SynthesisConfig(k_init=(k_y,)))
+
+
 def test_ellipsoid_without_bases_rejected(khalil_ell, k_lin):
     khalil_ell.bases = None
     with pytest.raises(SynthesisError, match="regressor bases"):

@@ -21,6 +21,7 @@ from issynth.verify import (
     check_sandwich,
     check_schur_equiv,
     check_theorem1_matrix_sampled,
+    DISSIPATION_UPSILONS,
     f8_values,
     theorem1_matrix_values,
 )
@@ -77,7 +78,7 @@ def test_lemma2_scalar_example():
     # C=-3, E=G=F_bar=1, lam=1: premise -1, conclusion -3+2F <= -1
     rep = check_lemma2_instance(
         np.array([[-3.0]]), np.array([[1.0]]), np.array([[1.0]]),
-        np.array([[1.0]]), 1.0, n_samples=100, rng=np.random.default_rng(7))
+        np.array([[1.0]]), 1.0, rng=np.random.default_rng(7))
     assert rep.passed
     assert abs(rep.worst + 1.0) < 1e-12
     assert abs(rep.details["premise_max_eig"] + 1.0) < 1e-12
@@ -94,7 +95,7 @@ def test_lemma2_fbar_zero_forces_f_zero():
 def test_lemma2_premise_fail_is_not_counterexample():
     rep = check_lemma2_instance(
         np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]),
-        np.array([[1.0]]), 1.0)
+        np.array([[1.0]]), 1.0, rng=np.random.default_rng(0))
     assert not rep.passed
     assert rep.details["stage"] == "premise"
     assert rep.n_samples == 0
@@ -117,20 +118,21 @@ def test_lemma2_random_instances_premise_enforced():
         shift = np.linalg.eigvalsh(
             C0 + lam * E @ E.T + G.T @ F_bar @ G / lam)[-1] + 0.1
         rep = check_lemma2_instance(C0 - shift * np.eye(pdim), E, G, F_bar,
-                                    lam, n_samples=20, rng=rng)
+                                    lam, rng=rng)
         assert rep.details["stage"] == "conclusion"
         assert rep.passed, f"violation {rep.worst}"
 
 
 def test_lemma2_input_validation():
     ok = np.array([[1.0]])
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         check_lemma2_instance(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                              np.eye(2), np.eye(2), np.eye(2), 1.0)
+                              np.eye(2), np.eye(2), np.eye(2), 1.0, rng)
     with pytest.raises(ValueError):
-        check_lemma2_instance(-ok, ok, ok, ok, 0.0)
+        check_lemma2_instance(-ok, ok, ok, ok, 0.0, rng)
     with pytest.raises(ValueError):
-        check_lemma2_instance(-ok, ok, ok, -ok, 1.0)
+        check_lemma2_instance(-ok, ok, ok, -ok, 1.0, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,7 @@ def test_schur_zero_dynamics_closed_form():
 def test_schur_equiv_agreement():
     ell, bases, V, k, lam = zero_dynamics_instance()
     rep = check_schur_equiv(ell, bases, V, k, lam, [1.0], [1.0],
-                            n_samples=1000, rng=np.random.default_rng(5))
+                            rng=np.random.default_rng(5))
     assert rep.passed
     assert rep.details["n_disagreements"] == 0
 
@@ -188,7 +190,7 @@ def test_f8_rejects_nonpositive_multiplier():
 def test_schur_equiv_reports_nonpositive_multiplier():
     ell, bases, V, k, lam = zero_dynamics_instance()
     rep = check_schur_equiv(ell, bases, V, k, lam * -1.0, [1.0], [1.0],
-                            n_samples=50, rng=np.random.default_rng(5))
+                            rng=np.random.default_rng(5))
     assert not rep.passed
     assert rep.details["lambda_min"] == -1.0
     assert len(rep.witness) == 4
@@ -201,18 +203,15 @@ def test_schur_equiv_reports_nonpositive_multiplier():
 
 def test_dissipation_robust_scalar_instance():
     res, ell = scalar_instance()
-    rep = check_dissipation_sampled(res, ell, box=2.0, n_xe=2000,
-                                    n_upsilon=40,
-                                    rng=np.random.default_rng(2))
+    rep = check_dissipation_sampled(res, ell, rng=np.random.default_rng(2))
     assert rep.passed, rep.worst
-    assert rep.details["n_upsilon"] == 40
+    assert rep.details["n_upsilon"] == DISSIPATION_UPSILONS
 
 
 def test_dissipation_true_system_checked():
     res, ell = scalar_instance()
     AB_true = (ell.zeta_bar + 0.02 * np.ones((2, 1))).T
-    rep = check_dissipation_sampled(res, ell, n_xe=500, n_upsilon=10,
-                                    rng=np.random.default_rng(2),
+    rep = check_dissipation_sampled(res, ell, rng=np.random.default_rng(2),
                                     AB_true=AB_true)
     assert rep.passed
     assert "true_system_worst" in rep.details
@@ -220,8 +219,7 @@ def test_dissipation_true_system_checked():
 
 def test_dissipation_catches_destabilizing_gain():
     res, ell = scalar_instance(k_text="x1")  # positive feedback
-    rep = check_dissipation_sampled(res, ell, n_xe=500, n_upsilon=10,
-                                    rng=np.random.default_rng(2))
+    rep = check_dissipation_sampled(res, ell, rng=np.random.default_rng(2))
     assert not rep.passed
     assert rep.worst > 1.0
 
@@ -241,15 +239,14 @@ def test_dissipation_origin_is_equality():
 
 def test_sandwich_quadratic_identity():
     res, _ = scalar_instance()
-    rep = check_sandwich(res, box=3.0, n_samples=2000,
-                         rng=np.random.default_rng(4))
+    rep = check_sandwich(res, rng=np.random.default_rng(4))
     assert rep.passed
 
 
 def test_sandwich_detects_bad_lower_bound():
     res, _ = scalar_instance()
     res.alpha = ([2.0], [2.0], [1.0], [1.0])  # alpha1 = 2r^2 > V
-    rep = check_sandwich(res, n_samples=500, rng=np.random.default_rng(4))
+    rep = check_sandwich(res, rng=np.random.default_rng(4))
     assert not rep.passed
 
 
@@ -266,18 +263,16 @@ def test_matrix_sampled_feasible_instance():
     res, ell = scalar_instance(lam_const=10.0)
     rep = check_theorem1_matrix_sampled(
         ell, res.bases, res.V, res.k, res.lam, res.alpha[2], res.alpha[3],
-        n_samples=1000, rng=np.random.default_rng(6))
+        rng=np.random.default_rng(6))
     assert rep.passed, rep.worst
 
 
 def test_lambda_floor():
     res, _ = scalar_instance(lam_const=1e-4)
-    rep = check_lambda_floor(res, n_samples=200,
-                             rng=np.random.default_rng(0))
+    rep = check_lambda_floor(res, rng=np.random.default_rng(0))
     assert rep.passed
     res.lam = res.lam * 0.5  # now below epsilon
-    rep2 = check_lambda_floor(res, n_samples=200,
-                              rng=np.random.default_rng(0))
+    rep2 = check_lambda_floor(res, rng=np.random.default_rng(0))
     assert not rep2.passed
 
 
@@ -297,7 +292,7 @@ def test_kinf_gates():
 def test_report_json_and_summary():
     rep = check_lemma2_instance(
         np.array([[-3.0]]), np.array([[1.0]]), np.array([[1.0]]),
-        np.array([[1.0]]), 1.0, n_samples=10, rng=np.random.default_rng(0))
+        np.array([[1.0]]), 1.0, rng=np.random.default_rng(0))
     d = rep.to_json_dict()
     assert d["name"] == "lemma2_instance"
     assert d["passed"] is True
@@ -306,10 +301,8 @@ def test_report_json_and_summary():
 
 def test_reports_deterministic():
     res, ell = scalar_instance()
-    a = check_dissipation_sampled(res, ell, n_xe=300, n_upsilon=10,
-                                  rng=np.random.default_rng(42))
-    b = check_dissipation_sampled(res, ell, n_xe=300, n_upsilon=10,
-                                  rng=np.random.default_rng(42))
+    a = check_dissipation_sampled(res, ell, rng=np.random.default_rng(42))
+    b = check_dissipation_sampled(res, ell, rng=np.random.default_rng(42))
     assert a.worst == b.worst
     assert a.witness == b.witness
 
