@@ -449,8 +449,8 @@ def _fit_weight(lin: np.ndarray) -> np.ndarray:
 
 
 def _fit_solve(data: tuple, W_obj: np.ndarray, margin: float):
-    """One fit SDP in unit coordinates: (A_t, B_t, tau_t, status), or None
-    when it is infeasible at a positive margin."""
+    """One fit SDP in unit coordinates: (A_t, B_t, tau_t), or None when it
+    is infeasible at a positive margin."""
     Cs, Bs, As = data
     T, n, p = Cs.shape[0], Cs.shape[1], As.shape[1]
     sol = solve_sdp(_fit_problem(Cs, Bs, As, W_obj, margin=margin))
@@ -467,13 +467,17 @@ def _fit_solve(data: tuple, W_obj: np.ndarray, margin: float):
     A_t = A_t + margin * np.eye(p)
     B_t = -Pm[n + p:, :n].copy()
     tau_t = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(T)])
-    return A_t, B_t, tau_t, sol.status
+    return A_t, B_t, tau_t
 
 
 def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
                    margin: float):
     """Warm-up solve plus FIT_ITERS steps at one margin: (best, history) in raw
-    data units, or None when a solve is infeasible at a positive margin."""
+    data units, or None when a solve is infeasible at a positive margin.
+
+    history holds, per step, the best candidate so far: best_logdet (which
+    ``ConsistencyEllipsoid.to_json`` writes), A_bar and B_bar.
+    """
     # warmup solve fixes the linearization point; a raw trace objective
     # tends to collapse onto the best-excited regressor direction, so its
     # optimizer is only used as the starting weight, never reported
@@ -485,36 +489,23 @@ def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
 
     best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
     history: list[dict] = []
-    for it in range(FIT_ITERS):
+    for _ in range(FIT_ITERS):
         step = _fit_solve(data, _fit_weight(lin_point), margin)
         if step is None:
             return None
-        A_t, B_t, tau_t, status = step
+        A_t, B_t, tau_t = step
         A_bar = A_t / rho ** 2
         B_bar = B_t / rho - A_bar @ zeta0
         tau = tau_t * (1.0 / delta)
         sign, ld = np.linalg.slogdet(A_bar)
         logdet = float(ld) if sign > 0 else -np.inf
-        accepted = best is None or logdet >= best[0]
-        if accepted:
+        if best is None or logdet >= best[0]:
             best = (logdet, A_bar, B_bar, tau)
             lin_point = A_t
         else:
             # overshoot: damp toward the rejected candidate and retry
             lin_point = 0.5 * (lin_point + A_t)
-        history.append({
-            "iteration": it,
-            "logdet": logdet,
-            "accepted": accepted,
-            "best_logdet": best[0],
-            "A_bar": best[1],
-            "B_bar": best[2],
-            "tau": best[3],
-            "candidate_A_bar": A_bar,
-            "candidate_B_bar": B_bar,
-            "candidate_tau": tau,
-            "solver_status": status,
-        })
+        history.append({"best_logdet": best[0], "A_bar": best[1], "B_bar": best[2]})
     return best, history
 
 

@@ -19,6 +19,24 @@ eliminating rows that touch only free variables up front and carrying the
 rest through an augmented Schur complement solve.  Infeasibility is
 reported through the embedding's tau/kappa ratio test.
 
+The Schur complement M = A H^-1 A^T couples two rows only when they share
+a matrix block or a nonnegative coordinate, so it is block diagonal over
+the connected components of that sharing (the sparsity Fujisawa, Kojima &
+Nakata 1997 exploit).  The components are found once per solve; each one
+of two or more rows is assembled, factored (``np.linalg.cholesky``) and
+solved on its own, and the rows that share nothing with another row form
+one diagonal.  On a problem whose rows form one component and that has no
+free variables this is the same arithmetic, bit for bit, as one dense
+factorization of M.  When free variables remain, every KKT solve is
+refined ``KKT_REFINE_STEPS`` times: it is solved again with the same
+factors for the residuals of the free-variable equation and of the primal
+rows.  Without that, the free-variable dual residual of the synthesis
+programs stalls near 1e-6 and whether such a solve ends ``optimal``
+depends on rounding.  A component whose Cholesky fails is retried with its
+own diagonal shifted (the trace's ``jitter``, the largest shift of the
+iteration); it is a fallback that no step-V program of the benchmark
+experiment reaches.
+
 Every 1x1 block is one coordinate x_i >= 0 of a single nonnegative (LP)
 cone: its scaling is elementwise (H^-1 = diag(x/z)), its Schur term
 A_lp diag(x/z) A_lp^T is built sparse, and its step length is a min-ratio
@@ -26,10 +44,11 @@ test.  A matrix block of dimension d keeps its NT scaling W = R R^T as the
 d x d factor R; H^-1 and W^-1 act through d x d products, and its Schur
 rows svec(R^T A_i R) are gathered from the rows of R over each row's few
 entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).
-Memory per iteration is O(m^2) for the Schur complement plus, per matrix
-block, O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2) for
-its scaling; nothing of order svec(d)^2 is formed.  Each solution carries a
-per-iteration trace with the residuals and the seconds of every phase.
+Memory per iteration is O(m_c^2) per Schur component of m_c rows plus, per
+matrix block, O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2)
+for its scaling; nothing of order svec(d)^2 is formed.  Each solution
+carries a per-iteration trace with the residuals and the seconds of every
+phase.
 
 A solve ends in one of three ways.  It converges (``optimal``: scaled
 primal and dual residuals and gap within ``tol``), it finds an improving
@@ -70,6 +89,8 @@ DEFAULT_MAX_ITER = 200
 STEP_FRACTION = 0.98
 MIN_STEP = 1e-10
 INFEAS_RATIO = 1e-6
+# re-solves of each KKT system for its residuals when free variables remain
+KKT_REFINE_STEPS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +345,8 @@ class SdpSolution:
     iterations: int = 0
     message: str = ""
     # one dict per iteration: mu, pres, dres, gap, tau, kappa, sigma, step,
-    # the diagonal jitter the Schur factorization needed (0.0 when none) and
-    # the seconds of each phase; left out of the JSON form
+    # the largest diagonal jitter a Schur component needed (0.0 when none)
+    # and the seconds of each phase; left out of the JSON form
     trace: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -521,6 +542,137 @@ def _max_step_lp(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Schur complement by connected component
+
+
+def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray]:
+    """Connected components of rows 0..m-1 when the rows of each group join;
+    row ``rows[k]`` is in group ``groups[k]``.
+
+    Each row takes the smallest label of the groups it is in, then the
+    label of the row its label names, until no label changes; every row
+    ends labelled by the smallest row of its component.  The components
+    come ordered by that row, rows ascending.
+    """
+    if not m:
+        return []
+    labels = np.arange(m)
+    while True:
+        gmin = np.full(groups.max(initial=-1) + 1, m)
+        np.minimum.at(gmin, groups, labels[rows])
+        new = labels.copy()
+        np.minimum.at(new, rows, gmin[groups])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+class _SchurLayout:
+    """The Schur complement as its connected components, in one buffer.
+
+    Rows couple when they share a group (``_components``): a matrix block
+    or a nonnegative coordinate that both touch.  The components of two
+    or more rows are dense matrices stored row-major one after another in
+    ``flat`` (``mats`` views them, ``rows`` holds their rows ascending);
+    the singleton rows follow as one diagonal, ``diag``.  With a single
+    component of all m rows, ``mats[0]`` is laid out exactly as a dense
+    m x m matrix.
+    """
+
+    def __init__(self, m: int, rows: np.ndarray, groups: np.ndarray):
+        comps = _components(m, rows, groups)
+        self.rows = [c for c in comps if len(c) > 1]
+        self.singles = np.array([c[0] for c in comps if len(c) == 1], dtype=np.int64)
+        sizes = [len(r) for r in self.rows]
+        offsets = np.cumsum([0] + [n * n for n in sizes])
+        self.flat = np.zeros(offsets[-1] + len(self.singles))
+        self.mats = [self.flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes)]
+        self.diag = self.flat[offsets[-1]:]
+        # entry (i, j) of a component sits at flat[_start[i] + _pos[j]]
+        self._size = np.ones(m, np.int64)
+        self._pos = np.zeros(m, np.int64)
+        self._start = np.empty(m, np.int64)
+        for o, n, r in zip(offsets, sizes, self.rows):
+            self._size[r], self._pos[r] = n, np.arange(n)
+            self._start[r] = o + n * self._pos[r]
+        self._start[self.singles] = offsets[-1] + np.arange(len(self.singles))
+
+    def block(self, rows: np.ndarray):
+        """The matrix view of the component holding ``rows``, and their ix_ in it."""
+        n = self._size[rows[0]]
+        o = self._start[rows[0]] - n * self._pos[rows[0]]
+        loc = self._pos[rows]
+        return self.flat[o:o + n * n].reshape(n, n), np.ix_(loc, loc)
+
+    def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Positions in ``flat`` of the entries (i, j), each pair in one component."""
+        return self._start[i] + self._pos[j]
+
+    def factor(self):
+        """``(factors, jitter)`` of the components as ``flat`` holds them.
+
+        Each component is factored by itself first; only a failed
+        factorization shifts that component's diagonal, and ``jitter`` is
+        the largest shift.  ``factors`` is None when a component fails even
+        shifted.  potrs reads a Fortran-ordered factor: each is converted
+        once here rather than copied in every solve.
+        """
+        factors, jitter = [], 0.0
+        for Mc in self.mats:
+            L, j = _factor_with_jitter(Mc, np.linalg.cholesky)
+            jitter = max(jitter, j)
+            if L is None:
+                return None, jitter
+            factors.append(np.asfortranarray(L))
+        d, j = _factor_with_jitter(self.diag, _positive)
+        return (None if d is None else (factors, d)), max(jitter, j)
+
+    def solve(self, factors, g: np.ndarray) -> np.ndarray:
+        """M^-1 g, one component at a time; g is a vector or has m rows."""
+        Ls, d = factors
+        out = np.empty_like(g)
+        for rows, L in zip(self.rows, Ls):
+            out[rows] = _cho_solve(L, g[rows])
+        s = self.singles
+        out[s] = g[s] / (d if g.ndim == 1 else d[:, None])
+        return out
+
+
+def _positive(d: np.ndarray) -> np.ndarray:
+    """The factor of a diagonal: a copy of it, when every entry is positive."""
+    if np.any(d <= 0.0):
+        raise np.linalg.LinAlgError("diagonal is not positive")
+    return d.copy()
+
+
+def _factor_with_jitter(M: np.ndarray, factor):
+    """``(factor(M), jitter)``, shifting M's diagonal in place only when factor fails.
+
+    ``M`` is one component's matrix or, with ``_positive``, the singleton
+    rows' diagonal.  After M itself, shifts of 1e-14 to 1e-10 times its
+    mean diagonal are tried; when all fail the factor is None.
+    """
+    try:
+        return factor(M), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    diag = np.diag_indices(len(M)) if M.ndim == 2 else slice(None)
+    M_diag = M[diag].copy()
+    base = M_diag.sum() / len(M)
+    for attempt in range(5):
+        jitter = max(base * 10.0 ** (attempt - 14), 1e-14)
+        M[diag] = M_diag + jitter
+        try:
+            return factor(M), jitter
+        except np.linalg.LinAlgError:
+            pass
+    return None, jitter
+
+
+# ---------------------------------------------------------------------------
 # main solver
 
 
@@ -660,12 +812,20 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
     # the same products in the same order as the CSC view, about 5x faster
     AT = A.T.tocsr()
     A_csc = A.tocsc()
-    A_lp = A_csc[:, lp].tocsr()
+    A_lp_csc = A_csc[:, lp]
+    A_lp = A_lp_csc.tocsr()
     schur_rows = []
     for bi in mat_blocks:
         sub = A_csc[:, slices[bi]].tocsr()
         rows = np.flatnonzero(np.diff(sub.indptr))
         schur_rows.append((rows, _SchurRows(sub[rows], dims[bi]) if len(rows) else None))
+    # groups of coupled rows: each nonnegative coordinate, then each matrix block
+    block_rows = [rows for rows, _ in schur_rows]
+    layout = _SchurLayout(
+        m, np.concatenate([A_lp_csc.indices, *block_rows]),
+        np.concatenate([np.repeat(np.arange(len(lp)), np.diff(A_lp_csc.indptr)),
+                        *(np.full(len(r), len(lp) + k) for k, r in enumerate(block_rows))]))
+    schur_targets = [layout.block(rows) if len(rows) else None for rows in block_rows]
 
     # identity start
     X = [np.eye(dims[bi]) for bi in mat_blocks]
@@ -768,41 +928,27 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         t1 = time.perf_counter()
         seconds["scaling"] = t1 - t0
 
-        # Schur complement  M = sum_blocks B_b B_b^T + A_lp diag(x/z) A_lp^T
-        M = np.zeros((m, m))
-        for (rows, sr), sc in zip(schur_rows, scalings):
+        # Schur complement  M = sum_blocks B_b B_b^T + A_lp diag(x/z) A_lp^T,
+        # per connected component
+        layout.flat.fill(0.0)
+        for (_, sr), target, sc in zip(schur_rows, schur_targets, scalings):
             if sr is not None:
                 B = sr.rows(sc.R)
-                M[np.ix_(rows, rows)] += B @ B.T
+                Mc, ix = target
+                Mc[ix] += B @ B.T
         if len(lp):
             S_lp = (A_lp @ sp.diags(w_lp) @ A_lp.T).tocoo()
-            M[S_lp.row, S_lp.col] += S_lp.data
+            layout.flat[layout.index(S_lp.row, S_lp.col)] += S_lp.data
         t2 = time.perf_counter()
         seconds["schur"] = t2 - t1
 
-        # M itself first; only a failed factorization shifts its diagonal
-        jitter = 0.0
-        diag = np.diag_indices(m)
-        M_diag = M[diag].copy()
-        base = np.trace(M) / max(m, 1)
-        L_M = None
-        for attempt in range(6):
-            try:
-                L_M = np.linalg.cholesky(M)
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(base * 10.0 ** (attempt - 14), 1e-14)
-                M[diag] = M_diag + jitter
-        entry["jitter"] = jitter
-        if L_M is None:
+        schur, entry["jitter"] = layout.factor()
+        if schur is None:
             msg = "Schur complement factorization failed"
             break
-        # potrs reads a Fortran-ordered factor: convert once here rather
-        # than copying it in each of this iteration's solves
-        L_M = np.asfortranarray(L_M)
 
         if nf:
-            MA = _cho_solve(L_M, Af)
+            MA = layout.solve(schur, Af)
             S_F = Af.T @ MA
             try:
                 L_F = np.linalg.cholesky(S_F + 1e-14 * np.eye(nf) * max(1.0, np.trace(S_F) / max(nf, 1)))
@@ -821,20 +967,29 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
                 out[slices[bi]] = _hinv_svec(sc.R, v[slices[bi]])
             return out
 
+        def solve_reduced(g, u_F):
+            """(dxF, dy) of [M dy + AF dxF = g; -AF^T dy = u_F]."""
+            g1 = layout.solve(schur, g)
+            if not nf:
+                return np.zeros(0), g1
+            dxF = _cho_solve(L_F, Af.T @ g1 + u_F)
+            return dxF, g1 - MA @ dxF
+
         def solve_kkt(u_K, u_F, u_y):
-            """[H dxK - AK^T dy = u_K; -AF^T dy = u_F; AK dxK + AF dxF = u_y]."""
+            """[H dxK - AK^T dy = u_K; -AF^T dy = u_F; AK dxK + AF dxF = u_y].
+
+            dxK = H^-1 (u_K + AK^T dy) keeps the first equation exact; with
+            free variables each refinement solves the last two again for
+            their residuals.
+            """
             Hi_uK = apply_Hinv(u_K)
-            g = u_y - A @ Hi_uK
-            h = -u_F
-            if nf:
-                g1 = _cho_solve(L_M, g)
-                rhsF = Af.T @ g1 - h
-                dxF = _cho_solve(L_F, rhsF)
-                dy = g1 - MA @ dxF
-            else:
-                dxF = np.zeros(0)
-                dy = _cho_solve(L_M, g)
+            dxF, dy = solve_reduced(u_y - A @ Hi_uK, u_F)
             dxK = Hi_uK + apply_Hinv(AT @ dy)
+            for _ in range(KKT_REFINE_STEPS if nf else 0):
+                ddxF, ddy = solve_reduced(u_y - A @ dxK - Af @ dxF, u_F + Af.T @ dy)
+                dxF = dxF + ddxF
+                dy = dy + ddy
+                dxK = dxK + apply_Hinv(AT @ ddy)
             return dxK, dxF, dy
 
         # solve for the tau-direction basis (depends on scaling only)

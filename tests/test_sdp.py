@@ -529,6 +529,100 @@ def test_solve_lower_matches_scipy(order):
 
 
 # ---------------------------------------------------------------------------
+# Schur complement by connected component
+
+
+def _component_problem():
+    """Two disjoint 2x2 blocks, four scalars and two free variables; optimum 5.
+
+    Rows 0-3 couple through block A and scalar s0 (row 3 is scalar-only),
+    rows 4-5 through block B; row 6 (s2 alone) and row 7 (s3 and v1) share
+    no cone piece with another row.  The optimum: A = [[1, 1], [1, 1]]
+    with v0 = 1, s0 = 2, s1 = 0 (2); tr B = v1 = 2 (2); s2 = 1 (1).
+    """
+    p = SdpProblem()
+    A, B = p.add_block(2, "A"), p.add_block(2, "B")
+    s = [p.add_block(1) for _ in range(4)]
+    v0, v1 = p.add_free("v0"), p.add_free("v1")
+    p.add_row([(A, 0, 1, 1.0)], rhs=1.0)
+    p.add_row([(A, 0, 0, 1.0)], [(v0, -1.0)])
+    p.add_row([(A, 1, 1, 1.0), (s[0], 0, 0, 1.0)], rhs=3.0)
+    p.add_row([(s[0], 0, 0, 1.0), (s[1], 0, 0, 1.0)], rhs=2.0)
+    p.add_row([(B, 0, 1, 1.0)], rhs=-1.0)
+    p.add_row([(B, 0, 0, 1.0), (B, 1, 1, 1.0)], [(v1, -1.0)])
+    p.add_row([(s[2], 0, 0, 1.0)], rhs=1.0)
+    p.add_row([(s[3], 0, 0, 1.0)], [(v1, 1.0)], rhs=5.0)
+    for v in (v0, v1):
+        p.set_objective_free(v, 1.0)
+    p.set_objective_entry(A, 1, 1, 1.0)
+    for k in (1, 2):
+        p.set_objective_entry(s[k], 0, 0, 1.0)
+    return p
+
+
+def _solve_keeping_layout(p, monkeypatch, opts=None, one_component=False):
+    """solve_sdp(p, opts) and the _SchurLayout it built; ``one_component``
+    adds a group of all rows, so M is factored densely as a whole."""
+    made = []
+
+    class Kept(sdp._SchurLayout):
+        def __init__(self, m, rows, groups):
+            if one_component:
+                rows = np.concatenate([rows, np.arange(m)])
+                groups = np.concatenate([groups, np.full(m, groups.max() + 1)])
+            super().__init__(m, rows, groups)
+            made.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "_SchurLayout", Kept)
+        sol = solve_sdp(p, opts)
+    return sol, made[0]
+
+
+def test_schur_components_of_disjoint_blocks(monkeypatch):
+    _, layout = _solve_keeping_layout(_component_problem(), monkeypatch)
+    assert [r.tolist() for r in layout.rows] == [[0, 1, 2, 3], [4, 5]]
+    assert layout.singles.tolist() == [6, 7]
+    assert [Mc.shape for Mc in layout.mats] == [(4, 4), (2, 2)]
+    assert layout.flat.shape == (16 + 4 + 2,)
+
+
+def test_component_solve_matches_dense_solve(monkeypatch):
+    # at the identity start W = I and x/z = 1, so iteration 1 assembles
+    # M = A A^T over the scaled kept rows; max_iter = 1 leaves it in place
+    p = _component_problem()
+    _, layout = _solve_keeping_layout(p, monkeypatch, SolveOptions(max_iter=1))
+    pre = sdp._Preprocessed(p)
+    A = pre.A_psd.toarray()
+    M = A @ A.T
+    assembled = np.zeros_like(M)
+    for rows, Mc in zip(layout.rows, layout.mats):
+        assembled[np.ix_(rows, rows)] = Mc
+    assembled[layout.singles, layout.singles] = layout.diag
+    assert np.abs(assembled - M).max() <= 1e-14 * np.abs(M).max()
+    factors, jitter = layout.factor()
+    assert jitter == 0.0
+    rng = np.random.default_rng(0)
+    for g in (rng.standard_normal(len(M)), pre.A_free, rng.standard_normal((len(M), 3))):
+        ref = np.linalg.solve(M, g)
+        assert _rel_err(layout.solve(factors, g), ref) <= 1e-10
+
+
+def test_components_end_optimal_at_the_dense_objective(monkeypatch):
+    p = _component_problem()
+    sol, _ = _solve_keeping_layout(p, monkeypatch)
+    dense, layout = _solve_keeping_layout(p, monkeypatch, one_component=True)
+    assert [r.tolist() for r in layout.rows] == [list(range(8))]
+    tol = SolveOptions().tol
+    for s in (sol, dense):
+        assert s.status == "optimal", s.message
+        assert validate_solution(p, s)["ok"]
+        assert all(not e["jitter"] for e in s.trace)
+    assert abs(sol.objective - dense.objective) <= tol * (1.0 + abs(dense.objective))
+    assert abs(sol.objective - 5.0) <= tol * 6.0
+
+
+# ---------------------------------------------------------------------------
 # solver trace
 
 
