@@ -43,7 +43,12 @@ A_lp diag(x/z) A_lp^T is built sparse, and its step length is a min-ratio
 test.  A matrix block of dimension d keeps its NT scaling W = R R^T as the
 d x d factor R; H^-1 and W^-1 act through d x d products, and its Schur
 rows svec(R^T A_i R) are gathered from the rows of R over each row's few
-entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).
+entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).  A
+row's entries are added in the order ``np.add.reduceat`` adds them, so the
+rows have its bits without its per-row cost (``_SchurRows``).  The block's
+Gram matrix B B^T adds into its component one run of consecutive rows by
+another, as slices, which adds what an ``np.ix_`` scatter adds; component
+rows stay ascending, since another order would change the Cholesky bits.
 Memory per iteration is O(m_c^2) per Schur component of m_c rows plus, per
 matrix block, O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2)
 for its scaling; nothing of order svec(d)^2 is formed.  Each solution
@@ -399,13 +404,19 @@ class SolveOptions:
 def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve L L^T X = B for a lower Cholesky factor L.
 
-    LAPACK potrs with the arguments ``scipy.linalg.cho_solve((L, True), B)``
-    passes it, so the bits are the same, without that wrapper's finiteness
-    scans; solve_sdp checks its directions instead.
+    LAPACK potrs, without the finiteness scans of
+    ``scipy.linalg.cho_solve((L, True), B)``; solve_sdp checks its
+    directions instead.  A Fortran-ordered L goes to potrs as that wrapper
+    passes it; a C-ordered one, as numpy's Cholesky returns it, goes as the
+    upper factor L^T, whose memory already is Fortran order, so it is not
+    copied.  Both give the wrapper's bits (``test_cho_solve_matches_scipy``).
     """
     if B.size == 0:
         return np.empty_like(B)
-    X, info = dpotrs(L, B, lower=1)
+    if L.flags.f_contiguous:
+        X, info = dpotrs(L, B, lower=1)
+    else:
+        X, info = dpotrs(L.T, B, lower=0)
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return X
@@ -469,9 +480,16 @@ def _winv_svec(Rinv: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 # elements (entries x svec coordinates) one chunk of a Schur-row gather holds:
-# 512 KiB temporaries stay in cache, which made the d = 45 gather of step V
-# about 1.7x faster than one unchunked pass, and bound memory for any d
+# 512 KiB temporaries stay in cache, so the 584 rows of step V's d = 44 block
+# take 8.2 ms against 13.3 ms in one unchunked pass (one BLAS thread), and
+# memory stays bounded for any d
 SCHUR_CHUNK = 1 << 16
+# longest Schur row whose entries _SchurRows adds one after another: numpy's
+# reduceat sums a segment g0, g1, ... as g0 + (g1 + g2 + ...), the tail left
+# to right while it is shorter than 8 and pairwise with eight accumulators
+# from 8 on, so longer rows keep reduceat (no row of step V, step K or the
+# fits of the benchmark experiment has more than 3 entries)
+SEQUENTIAL_ROW = 8
 
 
 class _SchurRows:
@@ -479,40 +497,73 @@ class _SchurRows:
 
     M = B B^T is that block's share of the Schur complement.  A row's
     matrix A_i has few entries, so R^T A_i R is a sum of rank-2 products
-    of rows of R, one per entry; they are summed per row with
-    ``np.add.reduceat`` over chunks of whole rows, which keeps temporaries
-    at O(SCHUR_CHUNK) instead of O(nnz * svec(d)).
+    of rows of R, one per entry.  Each row's first product is written
+    straight into B; the products of its other entries are summed in
+    entry order, level by level over the rows, and added to it once, so a
+    row of entries g0, g1, g2, ... is g0 + ((g1 + g2) + ...).  That is the
+    order in which numpy 2.4's ``np.add.reduceat`` sums a segment of up to
+    ``SEQUENTIAL_ROW`` entries, so the rows have the bits of one reduceat
+    per chunk without its per-segment cost; longer rows are summed by
+    reduceat itself.  The rows are gathered in chunks of whole rows, which
+    keeps temporaries at O(SCHUR_CHUNK) instead of O(nnz * svec(d)).
     """
 
     def __init__(self, A_blk: sp.csr_matrix, d: int):
         """``A_blk``: the block's columns of the rows touching it, no row empty."""
         iu, ju, _ = svec_indices(d)
         self.d = d
-        self.indptr = A_blk.indptr
-        self.p = iu[A_blk.indices]
-        self.q = ju[A_blk.indices]
+        self.m = A_blk.shape[0]
+        indptr, nnz = A_blk.indptr, np.diff(A_blk.indptr)
+        p, q = iu[A_blk.indices], ju[A_blk.indices]
         # smat halves an off-diagonal svec value onto two slots through 1/sqrt2;
         # the rank-2 product below counts a diagonal entry twice
-        self.coef = A_blk.data * np.where(self.p == self.q, 0.5, 1.0 / np.sqrt(2.0))
+        coef = A_blk.data * np.where(p == q, 0.5, 1.0 / np.sqrt(2.0))
         per_chunk = max(1, SCHUR_CHUNK // svec_dim(d))
         starts = [0]
-        for r in range(1, A_blk.shape[0]):
-            if self.indptr[r + 1] - self.indptr[starts[-1]] > per_chunk:
+        for r in range(1, self.m):
+            if indptr[r + 1] - indptr[starts[-1]] > per_chunk:
                 starts.append(r)
-        self.bounds = list(zip(starts, starts[1:] + [A_blk.shape[0]]))
+        self.bounds = list(zip(starts, starts[1:] + [self.m]))
+        # per chunk, its entries in the order rows() adds them: each row's
+        # first entry; of the rows of two to SEQUENTIAL_ROW entries
+        # (``multi``, the most entries first, so the rows that have a k-th
+        # entry are a prefix), every second entry, then every third, and so
+        # on, where ``levels`` holds each level's start and length; then
+        # every entry of the longer rows, which reduceat sums at ``segments``
+        self.plan = []
+        for r0, r1 in self.bounds:
+            n = nnz[r0:r1]
+            multi = r0 + np.flatnonzero((n > 1) & (n <= SEQUENTIAL_ROW))
+            multi = multi[np.argsort(-nnz[multi], kind="stable")]
+            long_rows = r0 + np.flatnonzero(n > SEQUENTIAL_ROW)
+            counts = [np.count_nonzero(nnz[multi] > k) for k in range(1, nnz[multi].max(initial=1))]
+            e = np.concatenate([indptr[r0:r1]]
+                               + [indptr[multi[:c]] + k for k, c in enumerate(counts, 1)]
+                               + [np.arange(indptr[r], indptr[r + 1]) for r in long_rows])
+            offs = np.cumsum([r1 - r0] + counts)
+            levels = list(zip(offs[:-1], counts))
+            segments = offs[-1] + np.cumsum(np.concatenate([[0], nnz[long_rows[:-1]]]))
+            self.plan.append((p[e], q[e], coef[e, None], multi, levels, long_rows, segments))
 
     def rows(self, R: np.ndarray) -> np.ndarray:
         iu, ju, scale = svec_indices(self.d)
         RI = R[:, iu]
         RJ = R[:, ju]
-        B = np.empty((len(self.indptr) - 1, len(iu)))
-        for r0, r1 in self.bounds:
-            e0, e1 = self.indptr[r0], self.indptr[r1]
-            p, q = self.p[e0:e1], self.q[e0:e1]
+        B = np.empty((self.m, len(iu)))
+        for (r0, r1), (p, q, coef, multi, levels, long_rows, segments) in zip(self.bounds,
+                                                                              self.plan):
             G = RI[p] * RJ[q]
             G += RI[q] * RJ[p]
-            G *= self.coef[e0:e1, None]
-            B[r0:r1] = np.add.reduceat(G, self.indptr[r0:r1] - e0, axis=0)
+            G *= coef
+            B[r0:r1] = G[:r1 - r0]
+            if levels:
+                o, n = levels[0]
+                tail = G[o:o + n]
+                for o, n in levels[1:]:
+                    tail[:n] += G[o:o + n]
+                B[multi] += tail
+            if len(long_rows):
+                B[long_rows] = np.add.reduceat(G, segments, axis=0)
         B *= scale
         return B
 
@@ -601,11 +652,20 @@ class _SchurLayout:
         self._start[self.singles] = offsets[-1] + np.arange(len(self.singles))
 
     def block(self, rows: np.ndarray):
-        """The matrix view of the component holding ``rows``, and their ix_ in it."""
+        """The matrix view of the component holding ``rows`` (ascending), and
+        the runs of consecutive positions they take in it.
+
+        Each run is a pair (slice of the component, slice of ``rows``): the
+        Gram matrix BB of those rows adds into the component as
+        ``Mc[ma, mb] += BB[ba, bb]`` over every two runs, which adds what an
+        ``np.ix_`` scatter adds, in slice operations.
+        """
         n = self._size[rows[0]]
         o = self._start[rows[0]] - n * self._pos[rows[0]]
         loc = self._pos[rows]
-        return self.flat[o:o + n * n].reshape(n, n), np.ix_(loc, loc)
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(loc) != 1) + 1, [len(loc)]])
+        runs = [(slice(loc[a], loc[a] + (b - a)), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+        return self.flat[o:o + n * n].reshape(n, n), runs
 
     def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Positions in ``flat`` of the entries (i, j), each pair in one component."""
@@ -617,8 +677,8 @@ class _SchurLayout:
         Each component is factored by itself first; only a failed
         factorization shifts that component's diagonal, and ``jitter`` is
         the largest shift.  ``factors`` is None when a component fails even
-        shifted.  potrs reads a Fortran-ordered factor: each is converted
-        once here rather than copied in every solve.
+        shifted.  The factors stay in numpy's C order, which ``_cho_solve``
+        hands potrs as the upper factor L^T without a copy.
         """
         factors, jitter = [], 0.0
         for Mc in self.mats:
@@ -626,7 +686,7 @@ class _SchurLayout:
             jitter = max(jitter, j)
             if L is None:
                 return None, jitter
-            factors.append(np.asfortranarray(L))
+            factors.append(L)
         d, j = _factor_with_jitter(self.diag, _positive)
         return (None if d is None else (factors, d)), max(jitter, j)
 
@@ -934,8 +994,11 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         for (_, sr), target, sc in zip(schur_rows, schur_targets, scalings):
             if sr is not None:
                 B = sr.rows(sc.R)
-                Mc, ix = target
-                Mc[ix] += B @ B.T
+                BB = B @ B.T
+                Mc, runs = target
+                for ma, ba in runs:
+                    for mb, bb in runs:
+                        Mc[ma, mb] += BB[ba, bb]
         if len(lp):
             S_lp = (A_lp @ sp.diags(w_lp) @ A_lp.T).tocoo()
             layout.flat[layout.index(S_lp.row, S_lp.col)] += S_lp.data

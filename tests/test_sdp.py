@@ -85,6 +85,21 @@ def _rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
+def _reduceat_schur_rows(A: sp.csr_matrix, d: int, R: np.ndarray) -> np.ndarray:
+    """_SchurRows.rows as one np.add.reduceat over every entry's rank-2
+    product, then scaled: the bit-exact reference of its summation order."""
+    iu, ju, scale = svec_indices(d)
+    p, q = iu[A.indices], ju[A.indices]
+    coef = A.data * np.where(p == q, 0.5, 1.0 / np.sqrt(2.0))
+    RI, RJ = R[:, iu], R[:, ju]
+    G = RI[p] * RJ[q]
+    G += RI[q] * RJ[p]
+    G *= coef[:, None]
+    B = np.add.reduceat(G, A.indptr[:-1], axis=0)
+    B *= scale
+    return B
+
+
 class TestScalingProducts:
     """The solver's d x d products against the O(d^4) congruence matrices."""
 
@@ -99,18 +114,25 @@ class TestScalingProducts:
         cuts = np.sort(rng.choice(np.arange(1, n), size=n // 2, replace=False))
         rows = [list(part) for part in np.split(perm, cuts)]
         rows += [list(rng.choice(n, size=20, replace=False)) for _ in range(3)]
+        # and for certain rows of 1, 2 and 3 entries, and of 8 and 9 on either
+        # side of sdp.SEQUENTIAL_ROW; (0, 0) is a diagonal entry
+        rows += [[0], [1, 2], [3, 4, 5], list(range(6, 14)), list(range(14, 23))]
+        assert sdp.SEQUENTIAL_ROW == 8
+        assert {1, 2, 3, 8, 9, 20} <= {len(r) for r in rows}
         A = sp.csr_matrix(
             (rng.standard_normal(sum(map(len, rows))),
              np.concatenate(rows), np.cumsum([0] + [len(r) for r in rows])),
             shape=(len(rows), n))
         R = _factor_with_condition(rng, d, cond)
         ref = A @ _congruence_matrix(R)
+        exact = _reduceat_schur_rows(A, d, R)
         whole = _SchurRows(A, d).rows(R)
         assert _rel_err(whole, ref) <= 1e-12
+        assert np.array_equal(whole, exact)
         monkeypatch.setattr(sdp, "SCHUR_CHUNK", 3 * n)
         chunked = _SchurRows(A, d)
         assert len(chunked.bounds) > 5
-        assert np.array_equal(chunked.rows(R), whole)
+        assert np.array_equal(chunked.rows(R), exact)
 
     @pytest.mark.parametrize("cond", [1.0e1, 1.0e8])
     def test_hinv_and_winv_match_oracle(self, cond):
@@ -500,7 +522,8 @@ def _same_array_bits(a, b):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_cho_solve_matches_scipy(order):
     rng = np.random.default_rng(0)
-    for n in (1, 2, 7, 40):
+    # 72 and 697: the fits' Schur complement and step V's largest component
+    for n in (1, 2, 7, 40, 72, 697):
         G = rng.standard_normal((n, n))
         L = np.asarray(np.linalg.cholesky(G @ G.T + n * np.eye(n)), order=order)
         for B in (rng.standard_normal(n), rng.standard_normal((n, 3)),
@@ -560,6 +583,29 @@ def _component_problem():
     return p
 
 
+def _interleaved_problem():
+    """Two 3x3 blocks whose rows interleave in one component, and a free variable.
+
+    Block A is touched by rows 0, 1, 3, 5, 6 and 8, block B by rows 2, 3, 4,
+    7 and 9 (row 3 touches both), so A's rows take 4 runs of consecutive
+    positions in the component and B's 3.  X_A = X_B = I, v = 0 is feasible.
+    """
+    p = SdpProblem()
+    A, B = p.add_block(3, "A"), p.add_block(3, "B")
+    v = p.add_free("v")
+    rows = [[(A, 0, 0, 1.0)], [(A, 0, 1, 1.0), (A, 1, 1, 2.0)], [(B, 0, 0, 1.0)],
+            [(A, 2, 2, 1.0), (B, 1, 2, 1.0)], [(B, 1, 1, 1.0), (B, 0, 2, -1.0)],
+            [(A, 0, 2, 1.0)], [(A, 1, 2, 1.0), (A, 0, 0, 0.5)], [(B, 2, 2, 1.0)],
+            [(A, 1, 1, 1.0)], [(B, 0, 1, 1.0)]]
+    rhs = [1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.0]
+    for k, (entries, r) in enumerate(zip(rows, rhs)):
+        p.add_row(entries, [(v, 1.0)] if k == 9 else [], rhs=r)
+    for blk in (A, B):
+        for i in range(3):
+            p.set_objective_entry(blk, i, i, 1.0)
+    return p
+
+
 def _solve_keeping_layout(p, monkeypatch, opts=None, one_component=False):
     """solve_sdp(p, opts) and the _SchurLayout it built; ``one_component``
     adds a group of all rows, so M is factored densely as a whole."""
@@ -587,25 +633,49 @@ def test_schur_components_of_disjoint_blocks(monkeypatch):
     assert layout.flat.shape == (16 + 4 + 2,)
 
 
+def test_slice_adds_match_ix_scatter(monkeypatch):
+    # each block's B B^T adds into the component run by run; the sum must
+    # be, bit for bit, that of an np.ix_ scatter in the same block order
+    p = _interleaved_problem()
+    made = []
+
+    class Recorded(sdp._SchurRows):
+        def rows(self, R):
+            B = super().rows(R)
+            made.append(B.copy())
+            return B
+
+    monkeypatch.setattr(sdp, "_SchurRows", Recorded)
+    _, layout = _solve_keeping_layout(p, monkeypatch, SolveOptions(max_iter=1))
+    assert [r.tolist() for r in layout.rows] == [list(range(10))]
+    A = sdp._Preprocessed(p).A_psd.toarray()
+    block_rows = [np.flatnonzero(np.abs(A[:, sl]).sum(axis=1)) for sl in p.block_slices()]
+    assert [len(layout.block(rows)[1]) for rows in block_rows] == [4, 3]
+    ref = np.zeros_like(layout.mats[0])
+    for rows, B in zip(block_rows, made):
+        ref[np.ix_(rows, rows)] += B @ B.T
+    assert np.array_equal(layout.mats[0], ref)
+
+
 def test_component_solve_matches_dense_solve(monkeypatch):
     # at the identity start W = I and x/z = 1, so iteration 1 assembles
     # M = A A^T over the scaled kept rows; max_iter = 1 leaves it in place
-    p = _component_problem()
-    _, layout = _solve_keeping_layout(p, monkeypatch, SolveOptions(max_iter=1))
-    pre = sdp._Preprocessed(p)
-    A = pre.A_psd.toarray()
-    M = A @ A.T
-    assembled = np.zeros_like(M)
-    for rows, Mc in zip(layout.rows, layout.mats):
-        assembled[np.ix_(rows, rows)] = Mc
-    assembled[layout.singles, layout.singles] = layout.diag
-    assert np.abs(assembled - M).max() <= 1e-14 * np.abs(M).max()
-    factors, jitter = layout.factor()
-    assert jitter == 0.0
-    rng = np.random.default_rng(0)
-    for g in (rng.standard_normal(len(M)), pre.A_free, rng.standard_normal((len(M), 3))):
-        ref = np.linalg.solve(M, g)
-        assert _rel_err(layout.solve(factors, g), ref) <= 1e-10
+    for p in (_component_problem(), _interleaved_problem()):
+        _, layout = _solve_keeping_layout(p, monkeypatch, SolveOptions(max_iter=1))
+        pre = sdp._Preprocessed(p)
+        A = pre.A_psd.toarray()
+        M = A @ A.T
+        assembled = np.zeros_like(M)
+        for rows, Mc in zip(layout.rows, layout.mats):
+            assembled[np.ix_(rows, rows)] = Mc
+        assembled[layout.singles, layout.singles] = layout.diag
+        assert np.abs(assembled - M).max() <= 1e-14 * np.abs(M).max()
+        factors, jitter = layout.factor()
+        assert jitter == 0.0
+        rng = np.random.default_rng(0)
+        for g in (rng.standard_normal(len(M)), pre.A_free, rng.standard_normal((len(M), 3))):
+            ref = np.linalg.solve(M, g)
+            assert _rel_err(layout.solve(factors, g), ref) <= 1e-10
 
 
 def test_components_end_optimal_at_the_dense_objective(monkeypatch):

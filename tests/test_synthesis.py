@@ -3,7 +3,7 @@
 Most build programs (step V, and step K with and without the input bound)
 or run tiny solves only.  The negative-margin test runs alternate up to its
 first step-V solve, and the step-V regression test solves five full step-V
-programs (about 8 s, one BLAS thread, 2 vCPU).
+programs (about 7 s, one BLAS thread, 2 vCPU).
 """
 
 import re
