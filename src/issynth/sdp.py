@@ -44,8 +44,9 @@ test.  A matrix block of dimension d keeps its NT scaling W = R R^T as the
 d x d factor R; H^-1 and W^-1 act through d x d products, and its Schur
 rows svec(R^T A_i R) are gathered from the rows of R over each row's few
 entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).  A
-row's entries are added in the order ``np.add.reduceat`` adds them, so the
-rows have its bits without its per-row cost (``_SchurRows``).  The block's
+row's entries are added in the order in which ``np.add.reduceat`` adds
+those of a row of up to 8 entries, so such rows have its bits without its
+per-row cost (``_SchurRows``).  The block's
 Gram matrix B B^T adds into its component one run of consecutive rows by
 another, as slices, which adds what an ``np.ix_`` scatter adds; component
 rows stay ascending, since another order would change the Cholesky bits.
@@ -404,19 +405,15 @@ class SolveOptions:
 def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve L L^T X = B for a lower Cholesky factor L.
 
-    LAPACK potrs, without the finiteness scans of
-    ``scipy.linalg.cho_solve((L, True), B)``; solve_sdp checks its
-    directions instead.  A Fortran-ordered L goes to potrs as that wrapper
-    passes it; a C-ordered one, as numpy's Cholesky returns it, goes as the
-    upper factor L^T, whose memory already is Fortran order, so it is not
-    copied.  Both give the wrapper's bits (``test_cho_solve_matches_scipy``).
+    LAPACK potrs on the upper factor L^T, whose memory is Fortran order
+    when L is C-ordered as numpy's Cholesky returns it, so it is not copied;
+    the bits are those of ``scipy.linalg.cho_solve((L, True), B)``
+    (``test_cho_solve_matches_scipy``), without its finiteness scans, since
+    solve_sdp checks its directions instead.
     """
     if B.size == 0:
         return np.empty_like(B)
-    if L.flags.f_contiguous:
-        X, info = dpotrs(L, B, lower=1)
-    else:
-        X, info = dpotrs(L.T, B, lower=0)
+    X, info = dpotrs(L.T, B, lower=0)
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return X
@@ -484,12 +481,6 @@ def _winv_svec(Rinv: np.ndarray, U: np.ndarray) -> np.ndarray:
 # take 8.2 ms against 13.3 ms in one unchunked pass (one BLAS thread), and
 # memory stays bounded for any d
 SCHUR_CHUNK = 1 << 16
-# longest Schur row whose entries _SchurRows adds one after another: numpy's
-# reduceat sums a segment g0, g1, ... as g0 + (g1 + g2 + ...), the tail left
-# to right while it is shorter than 8 and pairwise with eight accumulators
-# from 8 on, so longer rows keep reduceat (no row of step V, step K or the
-# fits of the benchmark experiment has more than 3 entries)
-SEQUENTIAL_ROW = 8
 
 
 class _SchurRows:
@@ -502,10 +493,11 @@ class _SchurRows:
     entry order, level by level over the rows, and added to it once, so a
     row of entries g0, g1, g2, ... is g0 + ((g1 + g2) + ...).  That is the
     order in which numpy 2.4's ``np.add.reduceat`` sums a segment of up to
-    ``SEQUENTIAL_ROW`` entries, so the rows have the bits of one reduceat
-    per chunk without its per-segment cost; longer rows are summed by
-    reduceat itself.  The rows are gathered in chunks of whole rows, which
-    keeps temporaries at O(SCHUR_CHUNK) instead of O(nnz * svec(d)).
+    8 entries, so such rows have the bits of one reduceat per chunk
+    without its per-segment cost; reduceat sums the tail of a longer
+    segment pairwise, which differs from this order by rounding only.  The
+    rows are gathered in chunks of whole rows, which keeps temporaries at
+    O(SCHUR_CHUNK) instead of O(nnz * svec(d)).
     """
 
     def __init__(self, A_blk: sp.csr_matrix, d: int):
@@ -525,33 +517,26 @@ class _SchurRows:
                 starts.append(r)
         self.bounds = list(zip(starts, starts[1:] + [self.m]))
         # per chunk, its entries in the order rows() adds them: each row's
-        # first entry; of the rows of two to SEQUENTIAL_ROW entries
-        # (``multi``, the most entries first, so the rows that have a k-th
-        # entry are a prefix), every second entry, then every third, and so
-        # on, where ``levels`` holds each level's start and length; then
-        # every entry of the longer rows, which reduceat sums at ``segments``
+        # first entry; of the rows of two or more entries (``multi``, the
+        # most entries first, so the rows that have a k-th entry are a
+        # prefix), every second entry, then every third, and so on, where
+        # ``levels`` holds each level's start and length
         self.plan = []
         for r0, r1 in self.bounds:
-            n = nnz[r0:r1]
-            multi = r0 + np.flatnonzero((n > 1) & (n <= SEQUENTIAL_ROW))
+            multi = r0 + np.flatnonzero(nnz[r0:r1] > 1)
             multi = multi[np.argsort(-nnz[multi], kind="stable")]
-            long_rows = r0 + np.flatnonzero(n > SEQUENTIAL_ROW)
             counts = [np.count_nonzero(nnz[multi] > k) for k in range(1, nnz[multi].max(initial=1))]
             e = np.concatenate([indptr[r0:r1]]
-                               + [indptr[multi[:c]] + k for k, c in enumerate(counts, 1)]
-                               + [np.arange(indptr[r], indptr[r + 1]) for r in long_rows])
+                               + [indptr[multi[:c]] + k for k, c in enumerate(counts, 1)])
             offs = np.cumsum([r1 - r0] + counts)
-            levels = list(zip(offs[:-1], counts))
-            segments = offs[-1] + np.cumsum(np.concatenate([[0], nnz[long_rows[:-1]]]))
-            self.plan.append((p[e], q[e], coef[e, None], multi, levels, long_rows, segments))
+            self.plan.append((p[e], q[e], coef[e, None], multi, list(zip(offs[:-1], counts))))
 
     def rows(self, R: np.ndarray) -> np.ndarray:
         iu, ju, scale = svec_indices(self.d)
         RI = R[:, iu]
         RJ = R[:, ju]
         B = np.empty((self.m, len(iu)))
-        for (r0, r1), (p, q, coef, multi, levels, long_rows, segments) in zip(self.bounds,
-                                                                              self.plan):
+        for (r0, r1), (p, q, coef, multi, levels) in zip(self.bounds, self.plan):
             G = RI[p] * RJ[q]
             G += RI[q] * RJ[p]
             G *= coef
@@ -562,8 +547,6 @@ class _SchurRows:
                 for o, n in levels[1:]:
                     tail[:n] += G[o:o + n]
                 B[multi] += tail
-            if len(long_rows):
-                B[long_rows] = np.add.reduceat(G, segments, axis=0)
         B *= scale
         return B
 
@@ -658,7 +641,13 @@ class _SchurLayout:
         Each run is a pair (slice of the component, slice of ``rows``): the
         Gram matrix BB of those rows adds into the component as
         ``Mc[ma, mb] += BB[ba, bb]`` over every two runs, which adds what an
-        ``np.ix_`` scatter adds, in slice operations.
+        ``np.ix_`` scatter adds, in slice operations.  Their number grows
+        with the square of the run count, which is at most about m_b/2
+        when the block's rows alternate with another's.  Step V of the
+        benchmark experiment has 7 and 6 runs (11 and 10 at deg_V = 4) in
+        one component; there the slice adds take 1.2 ms (20 ms) per
+        iteration, one fancy-indexed add per run 2.9 ms (111 ms) and the
+        scatter 4.2 ms (90 ms), on one thread.
         """
         n = self._size[rows[0]]
         o = self._start[rows[0]] - n * self._pos[rows[0]]
