@@ -11,7 +11,7 @@ that only samples the state when a comparison-function test fails.
 __version__ = "0.1.0"
 
 from .poly import Variable, Polynomial, monomial_basis, parse_poly
-from .sdp import SdpProblem, SdpSolution, SolveOptions, solve_sdp, validate_solution
+from .sdp import SdpProblem, SdpSolution, solve_sdp, validate_solution
 
 __all__ = [
     "Variable",
@@ -20,7 +20,6 @@ __all__ = [
     "parse_poly",
     "SdpProblem",
     "SdpSolution",
-    "SolveOptions",
     "solve_sdp",
     "validate_solution",
     "__version__",

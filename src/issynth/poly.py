@@ -12,7 +12,9 @@ straight-line function compiled from its terms on first use
 (`_compile_kernel`).  `eval_floats` is `eval_all` without the point
 conversion and check, for callers that already hold Python floats;
 `Polynomial.eval` calls `eval_all` for one polynomial, and
-`Polynomial.eval_many` is the vectorized form for many points.
+`Polynomial.eval_many` runs the same kernel once on the columns of an
+array of points, with numpy's array arithmetic (not bitwise equal to
+`eval`; see its docstring).
 
 numpy stays where Python floats cannot give float64's answer: a power that
 overflows raises on Python floats, so the kernels are rerun on float64
@@ -220,17 +222,19 @@ class Polynomial:
         return eval_all((self,), point)[0]
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (npoints, nvars) array of points in one shot."""
+        """Evaluate at an (npoints, nvars) array of points in one shot.
+
+        The kernel runs once on the point columns, so each term is formed
+        with numpy's array power and product, whose results may differ from
+        the per-point `eval` by rounding: a few units in the last place of
+        the sum of the terms' magnitudes.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != len(self.vars):
             raise ValueError(f"expected (npoints, {len(self.vars)}) array, got {pts.shape}")
-        if not self.terms:
-            return np.zeros(pts.shape[0])
-        exps = np.array(list(self.terms.keys()), dtype=float)
-        coeffs = np.array(list(self.terms.values()))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            monos = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
-        return monos @ coeffs
+        vals = self.kernel(*pts.T)
+        # a zero or constant polynomial's kernel returns one Python float
+        return np.full(len(pts), vals) if np.ndim(vals) == 0 else vals
 
     # -- calculus and substitution ------------------------------------
 

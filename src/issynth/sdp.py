@@ -34,8 +34,10 @@ rows.  Without that, the free-variable dual residual of the synthesis
 programs stalls near 1e-6 and whether such a solve ends ``optimal``
 depends on rounding.  A component whose Cholesky fails is retried with its
 own diagonal shifted (the trace's ``jitter``, the largest shift of the
-iteration); it is a fallback that no step-V program of the benchmark
-experiment reaches.
+iteration).  No solve of the benchmark workloads needs this fallback, but
+some small random and matrix SOS programs do, and so does the ellipsoid
+fit of collection seed 1 of the benchmark's experiment, which fails
+without it.
 
 Every 1x1 block is one coordinate x_i >= 0 of a single nonnegative (LP)
 cone: its scaling is elementwise (H^-1 = diag(x/z)), its Schur term
@@ -57,15 +59,15 @@ carries a per-iteration trace with the residuals and the seconds of every
 phase.
 
 A solve ends in one of three ways.  It converges (``optimal``: scaled
-primal and dual residuals and gap within ``tol``), it finds an improving
-ray (``infeasible`` or ``unbounded``), or it stalls: tau collapses without
-a clean ray, an iterate leaves the cone, the Schur or free-variable Schur
-factorization fails, a search direction is not finite, the step length
-falls below ``MIN_STEP``, or the iteration limit is reached.  A stall
-reports the best iterate seen, which is ``feasible`` exactly when it
-passes ``validate_solution`` on the original data (its objective is then
-approximate, the gap may be open) and ``numerical-failure`` otherwise.
-The message names the stop.
+primal and dual residuals and gap within ``DEFAULT_TOL``), it finds an
+improving ray (``infeasible`` or ``unbounded``), or it stalls: tau
+collapses without a clean ray, an iterate leaves the cone, the Schur or
+free-variable Schur factorization fails, a search direction is not
+finite, the step length falls below ``MIN_STEP``, or the iteration limit
+is reached.  A stall reports the best iterate seen, which is ``feasible``
+exactly when it passes ``validate_solution`` on the original data (its
+objective is then approximate, the gap may be open) and
+``numerical-failure`` otherwise.  The message names the stop.
 
 Inputs are checked at the boundary, once.  ``SdpProblem`` rejects a block,
 entry or free index out of range, and a coefficient, right-hand side or
@@ -386,16 +388,6 @@ class SdpSolution:
     @classmethod
     def from_json(cls, s: str) -> "SdpSolution":
         return cls.from_json_dict(json.loads(s))
-
-
-@dataclass
-class SolveOptions:
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +814,15 @@ class _Preprocessed:
         return y
 
 
-def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
-    """Solve the SDP; deterministic for identical problem data."""
-    opts = opts or SolveOptions()
+def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
+    """Solve the SDP; deterministic for identical problem data.
+
+    At most max_iter iterations, DEFAULT_MAX_ITER when None.
+    """
+    if max_iter is None:
+        max_iter = DEFAULT_MAX_ITER
+    elif max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     pre = _Preprocessed(prob)
     if pre.inconsistent:
         return SdpSolution(
@@ -912,7 +910,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
     trace: list[dict] = []
     status, msg = None, "iteration limit reached"
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, max_iter + 1):
         xv = to_vec(X, x)
         zv = to_vec(Z, z)
         # residuals of the homogeneous model
@@ -945,7 +943,7 @@ def solve_sdp(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution
         trace.append(entry)
         seconds = entry["seconds"]
 
-        if max(pres, dres, gap) <= opts.tol:
+        if max(pres, dres, gap) <= DEFAULT_TOL:
             status, msg = "optimal", f"converged in {it} iterations"
             break
 

@@ -31,6 +31,10 @@ from .poly import Polynomial, eval_floats, parse_poly, variables
 
 ControlLaw = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, Sequence[float]]
 
+# RK4 step of collect_dataset: each sample spacing is split into the whole
+# number of steps nearest to spacing / COLLECT_STEP (at least one)
+COLLECT_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class GroundTruthSystem:
@@ -101,15 +105,12 @@ class ExperimentConfig:
     d_radius: float
     x0: np.ndarray
     seed: int
-    h: float = 1e-3  # internal integration step between records
 
     def __post_init__(self):
         if self.sample_spacing <= 0.0:
             raise ValueError("sample_spacing must be positive")
         if self.u_bound < 0.0 or self.d_radius < 0.0:
             raise ValueError("u_bound and d_radius must be nonnegative")
-        if self.h <= 0.0:
-            raise ValueError("integration step h must be positive")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
 
 
@@ -216,7 +217,7 @@ def collect_dataset(sys: GroundTruthSystem, cfg: ExperimentConfig) -> Dataset:
         raise ValueError(f"x0 shape {cfg.x0.shape}, expected ({sys.n},)")
     rng = np.random.default_rng(cfg.seed)
     x = cfg.x0.tolist()
-    substeps = max(1, int(round(cfg.sample_spacing / cfg.h)))
+    substeps = max(1, int(round(cfg.sample_spacing / COLLECT_STEP)))
     hs = cfg.sample_spacing / substeps
     field = sys.field_floats
     samples: list[Sample] = []

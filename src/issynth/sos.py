@@ -273,7 +273,7 @@ class SosProgram:
             blocks=[exps],
             margin=None,
             margin_mask=None,
-            meta={"kind": "scalar", "vars": vars, "basis": [list(e) for e in exps]},
+            meta={"kind": "scalar", "vars": vars},
         )
         self._grams.append(con)
         return len(self._grams) - 1
@@ -359,13 +359,7 @@ class SosProgram:
             blocks=blocks,
             margin=margin.index if margin else None,
             margin_mask=mask,
-            meta={
-                "kind": "matrix",
-                "vars": base_vars,
-                "n_rows": n,
-                "z_bases": [[list(e) for e in row] for row in z_exps],
-                "cliques": [list(map(tuple, cl)) for cl in cliques] if cliques else None,
-            },
+            meta={"kind": "matrix", "vars": base_vars, "n_rows": n},
         )
         self._grams.append(con)
         return len(self._grams) - 1
@@ -461,8 +455,7 @@ class SosProgram:
             "gram_blocks": gram_blocks,
             "row_families": row_families,
             "grams": [
-                {"name": con.name, "meta": con.meta, "margin_index": con.margin,
-                 "margin_mask": con.margin_mask,
+                {"name": con.name, "meta": con.meta, "margin_mask": con.margin_mask,
                  "blocks": [[list(e) for e in blk] for blk in con.blocks],
                  "pruned": drop}
                 for con, drop in zip(self._grams, pruned)

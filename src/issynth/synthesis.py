@@ -25,7 +25,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,11 @@ CHOP_REL = 1e-10
 
 @dataclass
 class SynthesisConfig:
-    """Degree caps, floors, and the alternation seed controller."""
+    """Degree caps, floors, and the alternation seed controller.
+
+    The sampled box check of each step has fixed effort: check_samples
+    points uniform in [-check_box, check_box] per coordinate of (x, e).
+    """
 
     k_init: tuple[Polynomial, ...]
     deg_V: int = 2
@@ -57,9 +60,8 @@ class SynthesisConfig:
     N4: int = 2
     epsilon: float = 1e-4
     rounds: int = 3
-    u_max: Optional[Polynomial] = None
-    check_box: float = 2.0
-    check_samples: int = 2000
+    check_box = _verify.BOX
+    check_samples = 2000
 
     def __post_init__(self):
         self.k_init = tuple(self.k_init)
@@ -67,8 +69,6 @@ class SynthesisConfig:
             raise ValueError("epsilon must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.check_box <= 0.0 or self.check_samples < 1:
-            raise ValueError("sample box check needs a positive box and count")
         if self.deg_V < 1 or self.deg_k < 1 or self.deg_lambda < 0:
             raise ValueError("degree caps must allow nonconstant V and k")
         if min(self.N1, self.N2, self.N3, self.N4) < 1:
@@ -354,22 +354,6 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
                                  _floor_basis(xevars, cfg.deg_lambda), name="s3")
         legend["s_handles"].update({"s1": h1, "s3": h3})
 
-    if cfg.u_max is not None and mode == "fit_k":
-        u2 = _over(cfg.u_max, xvars, "u_max")
-        B = [[AffinePoly.promote(0.0, xvars) for _ in range(1 + m)]
-             for _ in range(1 + m)]
-        B[0][0] = AffinePoly.promote(u2 * u2, xvars)
-        for j in range(m):
-            kj = AffinePoly.promote(k_parts[j], xvars)
-            B[0][1 + j] = kj * -1.0
-            B[1 + j][0] = kj * -1.0
-            B[1 + j][1 + j] = AffinePoly.promote(1.0, xvars)
-        ub0 = monomial_basis(xvars, max(1, u2.degree()), include_constant=True)
-        ubr = monomial_basis(xvars, max(1, (cfg.deg_k + 1) // 2),
-                             include_constant=True)
-        h5 = prog.add_matrix_sos(B, z_bases=[ub0] + [ubr] * m, name="s5")
-        legend["s_handles"]["s5"] = h5
-
     # objective: grow the margin; the tiny alpha4 penalty keeps the error
     # weight from inflating freely, which would shrink the triggering
     # threshold (and hence inter-event times) to nothing, and the penalty
@@ -451,15 +435,13 @@ def _extract_certificates(sol, legend) -> dict:
 
     The s4 blocks are the raw PSD blocks: they certify
     s4 - margin * (masked Gram diagonal), with the margin and mask stored
-    alongside.  s5, when present, is a plain Gram certificate.
+    alongside.
     """
     certs = {"s4": _cert_entry(sol, legend["s_handles"]["s4"])}
     entry = sol.index["grams"][legend["s_handles"]["s4"]]
     certs["s4"]["margin"] = float(sol.coeff(legend["t"]))
     certs["s4"]["margin_mask"] = [
         [float(v) for v in blk] for blk in entry["margin_mask"]]
-    if "s5" in legend["s_handles"]:
-        certs["s5"] = _cert_entry(sol, legend["s_handles"]["s5"])
     return certs
 
 

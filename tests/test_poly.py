@@ -283,18 +283,28 @@ class TestEvaluation:
             assert (p + q).eval(a) == pytest.approx(p.eval(a) + q.eval(a), rel=1e-12, abs=1e-12)
 
     def test_eval_many_matches_eval(self, xe):
+        # eval_many's array arithmetic may differ from eval's in the last
+        # bits: bounded relative to the sum of the terms' magnitudes, which
+        # a cancelling sum can make much larger than the value
         rng = np.random.default_rng(3)
-        p = random_poly(rng, xe, max_deg=5, n_terms=12)
-        pts = rng.uniform(-2, 2, size=(40, 4))
-        vals = p.eval_many(pts)
-        for i in range(40):
-            assert vals[i] == pytest.approx(p.eval(pts[i]), rel=1e-12, abs=1e-12)
+        polys = [random_poly(rng, xe, max_deg=5, n_terms=12) for _ in range(20)]
+        polys += [Polynomial.zero(xe), Polynomial.constant(xe, -2.5)]
+        pts = rng.uniform(-2, 2, size=(200, 4))
+        for p in polys:
+            vals = p.eval_many(pts)
+            assert vals.shape == (200,)
+            magnitude = Polynomial(xe, {e: abs(c) for e, c in p.terms.items()})
+            for x, v in zip(pts, vals):
+                assert abs(v - p.eval(x)) <= 1e-13 * magnitude.eval(np.abs(x))
+        assert Polynomial.constant(xe, 1.0).eval_many(np.zeros((0, 4))).shape == (0,)
 
     def test_eval_shape_check(self, xy):
         with pytest.raises(ValueError):
             parse_poly("x1", xy).eval([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             eval_all((parse_poly("x1", xy),), [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            parse_poly("x1", xy).eval_many(np.zeros((3, 3)))
 
 
 class TestScalarEvaluator:

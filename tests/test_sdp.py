@@ -13,7 +13,6 @@ import issynth.sdp as sdp
 from issynth.sdp import (
     SdpProblem,
     SdpSolution,
-    SolveOptions,
     _hinv_svec,
     _SchurRows,
     _winv_svec,
@@ -424,7 +423,7 @@ def test_iteration_limit_labels_best_iterate_by_validation():
     n_opt = solve_sdp(p).iterations
     labels = set()
     for max_iter in range(1, n_opt):
-        sol = solve_sdp(p, SolveOptions(max_iter=max_iter))
+        sol = solve_sdp(p, max_iter=max_iter)
         assert sol.iterations == max_iter
         assert sol.message == "iteration limit reached"
         labels.add(_validated_label(p, sol))
@@ -433,7 +432,14 @@ def test_iteration_limit_labels_best_iterate_by_validation():
 
 def test_solve_options_reject_zero_iterations():
     with pytest.raises(ValueError, match="max_iter"):
-        SolveOptions(max_iter=0)
+        solve_sdp(_stall_problem(), max_iter=0)
+
+
+def test_positional_none_is_the_default_iteration_limit():
+    # the benchmark's recorder passes its caller's None on as the second
+    # positional argument
+    p = _stall_problem()
+    assert solve_sdp(p, None).to_json() == solve_sdp(p).to_json()
 
 
 def _from_call(k, real, stand_in):
@@ -609,8 +615,8 @@ def _interleaved_problem():
     return p
 
 
-def _solve_keeping_layout(p, monkeypatch, opts=None, one_component=False):
-    """solve_sdp(p, opts) and the _SchurLayout it built; ``one_component``
+def _solve_keeping_layout(p, monkeypatch, max_iter=None, one_component=False):
+    """solve_sdp(p, max_iter) and the _SchurLayout it built; ``one_component``
     adds a group of all rows, so M is factored densely as a whole."""
     made = []
 
@@ -624,7 +630,7 @@ def _solve_keeping_layout(p, monkeypatch, opts=None, one_component=False):
 
     with monkeypatch.context() as mp:
         mp.setattr(sdp, "_SchurLayout", Kept)
-        sol = solve_sdp(p, opts)
+        sol = solve_sdp(p, max_iter)
     return sol, made[0]
 
 
@@ -649,7 +655,7 @@ def test_slice_adds_match_ix_scatter(monkeypatch):
             return B
 
     monkeypatch.setattr(sdp, "_SchurRows", Recorded)
-    _, layout = _solve_keeping_layout(p, monkeypatch, SolveOptions(max_iter=1))
+    _, layout = _solve_keeping_layout(p, monkeypatch, max_iter=1)
     assert [r.tolist() for r in layout.rows] == [list(range(10))]
     A = sdp._Preprocessed(p).A_psd.toarray()
     block_rows = [np.flatnonzero(np.abs(A[:, sl]).sum(axis=1)) for sl in p.block_slices()]
@@ -664,7 +670,7 @@ def test_component_solve_matches_dense_solve(monkeypatch):
     # at the identity start W = I and x/z = 1, so iteration 1 assembles
     # M = A A^T over the scaled kept rows; max_iter = 1 leaves it in place
     for p in (_component_problem(), _interleaved_problem()):
-        _, layout = _solve_keeping_layout(p, monkeypatch, SolveOptions(max_iter=1))
+        _, layout = _solve_keeping_layout(p, monkeypatch, max_iter=1)
         pre = sdp._Preprocessed(p)
         A = pre.A_psd.toarray()
         M = A @ A.T
@@ -686,7 +692,7 @@ def test_components_end_optimal_at_the_dense_objective(monkeypatch):
     sol, _ = _solve_keeping_layout(p, monkeypatch)
     dense, layout = _solve_keeping_layout(p, monkeypatch, one_component=True)
     assert [r.tolist() for r in layout.rows] == [list(range(8))]
-    tol = SolveOptions().tol
+    tol = sdp.DEFAULT_TOL
     for s in (sol, dense):
         assert s.status == "optimal", s.message
         assert validate_solution(p, s)["ok"]

@@ -13,6 +13,7 @@ from issynth.consistency import (
 )
 from issynth.poly import Polynomial, eval_all, parse_poly, variables
 from issynth.simulate import (
+    COLLECT_STEP,
     EventTrace,
     ExperimentConfig,
     GroundTruthSystem,
@@ -326,7 +327,7 @@ def integrate_ref(sys, law, x0, horizon, h):
 def collect_dataset_ref(sys, cfg):
     rng = np.random.default_rng(cfg.seed)
     x = cfg.x0.copy()
-    substeps = max(1, int(round(cfg.sample_spacing / cfg.h)))
+    substeps = max(1, int(round(cfg.sample_spacing / COLLECT_STEP)))
     hs = cfg.sample_spacing / substeps
     samples = []
     with np.errstate(over="ignore", invalid="ignore"):
