@@ -17,7 +17,6 @@ the fit raises ConsistencyError before any solve.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -198,9 +197,6 @@ class Dataset:
     @classmethod
     def from_json(cls, s: str) -> "Dataset":
         return cls.from_json_dict(json.loads(s))
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

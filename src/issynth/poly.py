@@ -215,9 +215,6 @@ class Polynomial:
 
     # -- evaluation ---------------------------------------------------
 
-    def __call__(self, point: Sequence[float]) -> float:
-        return self.eval(point)
-
     def eval(self, point: Sequence[float]) -> float:
         return eval_all((self,), point)[0]
 

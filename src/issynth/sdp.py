@@ -19,25 +19,36 @@ eliminating rows that touch only free variables up front and carrying the
 rest through an augmented Schur complement solve.  Infeasibility is
 reported through the embedding's tau/kappa ratio test.
 
+One path serves every problem shape: without free variables, nonnegative
+coordinates or free-only rows the same arithmetic runs on empty arrays,
+with a special case's bits and speed.  Three branches on whether free
+variables remain are kept.  Without them the free-variable Schur factor
+and its products are skipped; formed empty, they make the six fits of a
+khalil-fit-multi operation 1-3% slower (one BLAS thread).  Only with them
+is a KKT solve refined: refining the fits changes their bits, and two fits
+of that workload's operation 2 would end in 22 and 24 iterations, not 23
+and 25.
+
 The Schur complement M = A H^-1 A^T couples two rows only when they share
 a matrix block or a nonnegative coordinate, so it is block diagonal over
 the connected components of that sharing (the sparsity Fujisawa, Kojima &
-Nakata 1997 exploit).  The components are found once per solve; each one
-of two or more rows is assembled, factored (``np.linalg.cholesky``) and
-solved on its own, and the rows that share nothing with another row form
-one diagonal.  On a problem whose rows form one component and that has no
-free variables this is the same arithmetic, bit for bit, as one dense
-factorization of M.  When free variables remain, every KKT solve is
-refined ``KKT_REFINE_STEPS`` times: it is solved again with the same
-factors for the residuals of the free-variable equation and of the primal
-rows.  Without that, the free-variable dual residual of the synthesis
-programs stalls near 1e-6 and whether such a solve ends ``optimal``
-depends on rounding.  A component whose Cholesky fails is retried with its
-own diagonal shifted (the trace's ``jitter``, the largest shift of the
-iteration).  No solve of the benchmark workloads needs this fallback, but
-some small random and matrix SOS programs do, and so does the ellipsoid
-fit of collection seed 1 of the benchmark's experiment, which fails
-without it.
+Nakata 1997 exploit).  The components are found once per solve, as those
+of the bipartite graph of rows and groups (scipy's csgraph
+``connected_components``).  Each one of two or more rows is assembled,
+factored (``np.linalg.cholesky``) and solved on its own, and the rows that
+share nothing with another row form one diagonal.  On a problem whose rows
+form one component and that has no free variables this is the same
+arithmetic, bit for bit, as one dense factorization of M.  When free
+variables remain, every KKT solve is refined ``KKT_REFINE_STEPS`` times:
+it is solved again with the same factors for the residuals of the
+free-variable equation and of the primal rows.  Without that, the
+free-variable dual residual of the synthesis programs stalls near 1e-6 and
+whether such a solve ends ``optimal`` depends on rounding.  A component
+whose Cholesky fails is retried with its own diagonal shifted (the trace's
+``jitter``, the largest shift of the iteration).  No solve of the
+benchmark workloads needs this fallback, but some small random and matrix
+SOS programs do, and so does the ellipsoid fit of collection seed 1 of the
+benchmark's experiment, which fails without it.
 
 Every 1x1 block is one coordinate x_i >= 0 of a single nonnegative (LP)
 cone: its scaling is elementwise (H^-1 = diag(x/z)), its Schur term
@@ -575,23 +586,19 @@ def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray
     """Connected components of rows 0..m-1 when the rows of each group join;
     row ``rows[k]`` is in group ``groups[k]``.
 
-    Each row takes the smallest label of the groups it is in, then the
-    label of the row its label names, until no label changes; every row
-    ends labelled by the smallest row of its component.  The components
-    come ordered by that row, rows ascending.
+    The components of the bipartite graph of rows and groups, rows numbered
+    first.  csgraph numbers components by their smallest node, so those
+    holding a row come first, ordered by their smallest row; each comes
+    with its rows ascending, the order the Cholesky bits depend on.
     """
-    if not m:
+    # here, not at the top: it loads scipy.sparse.linalg (3 MiB, 25 ms)
+    from scipy.sparse.csgraph import connected_components
+
+    if not m:  # np.split of an empty order would give one empty component
         return []
-    labels = np.arange(m)
-    while True:
-        gmin = np.full(groups.max(initial=-1) + 1, m)
-        np.minimum.at(gmin, groups, labels[rows])
-        new = labels.copy()
-        np.minimum.at(new, rows, gmin[groups])
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
+    n = m + groups.max(initial=-1) + 1
+    graph = sp.coo_matrix((np.ones(len(rows)), (rows, m + groups)), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1][:m]
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
@@ -736,11 +743,12 @@ class _Preprocessed:
                 self.inconsistent = True
 
         nf = prob.n_free
-        Rf = A_free[self.free_only_rows].toarray() if nf else np.zeros((0, 0))
+        A_free = A_free.toarray()  # two sparse row selections cost a fit 0.15 ms
+        Rf = A_free[self.free_only_rows]
         rf = b[self.free_only_rows]
         self.x_part = np.zeros(nf)
         self.N = np.eye(nf)
-        if len(self.free_only_rows) and nf:
+        if len(self.free_only_rows):
             # x_free = x_part + N q, with R_f x_free = r_f.  Only U[:, :rank]
             # is used, so U stays thin; Vt must be square for the null space
             # N, which the thin form already is unless R_f is wide
@@ -756,34 +764,28 @@ class _Preprocessed:
         self.Rf = Rf
 
         self.A_psd = A_psd[self.kept_rows]
-        A_free_kept = A_free[self.kept_rows].toarray() if nf else np.zeros((len(self.kept_rows), 0))
+        A_free_kept = A_free[self.kept_rows]
         self.A_free = A_free_kept @ self.N
-        self.b = b[self.kept_rows] - (A_free_kept @ self.x_part if nf else 0.0)
+        self.b = b[self.kept_rows] - A_free_kept @ self.x_part
         self.c_psd = c_psd
-        self.obj_const = float(c_free @ self.x_part) if nf else 0.0
-        self.c_free = self.N.T @ c_free if nf else np.zeros(0)
+        self.obj_const = float(c_free @ self.x_part)
+        self.c_free = self.N.T @ c_free
         self.c_free_orig = c_free
         self.A_free_kept_orig = A_free_kept
 
         # free columns that appear nowhere force either a pin or unboundedness
-        if self.A_free.shape[1]:
-            colnorm = np.linalg.norm(self.A_free, axis=0)
-            dead = colnorm <= 1e-14
-            self.unbounded_free = bool(np.any(dead & (np.abs(self.c_free) > 1e-12)))
-            if np.any(dead):
-                keep = ~dead
-                self.N = self.N[:, keep]
-                self.A_free = self.A_free[:, keep]
-                self.c_free = self.c_free[keep]
-        else:
-            self.unbounded_free = False
+        dead = np.linalg.norm(self.A_free, axis=0) <= 1e-14
+        self.unbounded_free = bool(np.any(dead & (np.abs(self.c_free) > 1e-12)))
+        # only when one is dead: the copy is Fortran-ordered, so step V's bits change
+        if np.any(dead):
+            keep = ~dead
+            self.N = self.N[:, keep]
+            self.A_free = self.A_free[:, keep]
+            self.c_free = self.c_free[keep]
 
         # row equilibration on the kept rows
-        mm = len(self.kept_rows)
-        rn = np.zeros(mm)
-        if mm:
-            rn = np.sqrt(np.asarray(self.A_psd.multiply(self.A_psd).sum(axis=1)).ravel()
-                         + (self.A_free**2).sum(axis=1))
+        rn = np.sqrt(np.asarray(self.A_psd.multiply(self.A_psd).sum(axis=1)).ravel()
+                     + (self.A_free**2).sum(axis=1))
         rn = np.where(rn > 1e-14, rn, 1.0)
         self.row_scale = 1.0 / rn
         D = sp.diags(self.row_scale)
@@ -792,9 +794,7 @@ class _Preprocessed:
         self.b = self.b * self.row_scale
 
     def recover_free(self, q: np.ndarray) -> np.ndarray:
-        if self.N.size == 0 and len(self.x_part) == 0:
-            return np.zeros(0)
-        return self.x_part + (self.N @ q if self.N.shape[1] else 0.0)
+        return self.x_part + self.N @ q
 
     def recover_y(self, y_kept: np.ndarray, ray: bool = False) -> np.ndarray:
         """Duals for all original rows; eliminated rows get least-squares duals.
@@ -986,9 +986,8 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
                 for ma, ba in runs:
                     for mb, bb in runs:
                         Mc[ma, mb] += BB[ba, bb]
-        if len(lp):
-            S_lp = (A_lp @ sp.diags(w_lp) @ A_lp.T).tocoo()
-            layout.flat[layout.index(S_lp.row, S_lp.col)] += S_lp.data
+        S_lp = (A_lp @ sp.diags(w_lp) @ A_lp.T).tocoo()
+        layout.flat[layout.index(S_lp.row, S_lp.col)] += S_lp.data
         t2 = time.perf_counter()
         seconds["schur"] = t2 - t1
 
@@ -997,11 +996,12 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             msg = "Schur complement factorization failed"
             break
 
+        # formed empty, this factor and its products slow the fits by 1-3%
         if nf:
             MA = layout.solve(schur, Af)
             S_F = Af.T @ MA
             try:
-                L_F = np.linalg.cholesky(S_F + 1e-14 * np.eye(nf) * max(1.0, np.trace(S_F) / max(nf, 1)))
+                L_F = np.linalg.cholesky(S_F + 1e-14 * np.eye(nf) * max(1.0, np.trace(S_F) / nf))
             except np.linalg.LinAlgError:
                 msg = "free-variable Schur factorization failed"
                 break
@@ -1020,7 +1020,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         def solve_reduced(g, u_F):
             """(dxF, dy) of [M dy + AF dxF = g; -AF^T dy = u_F]."""
             g1 = layout.solve(schur, g)
-            if not nf:
+            if not nf:  # skips the empty products, as the factor above does
                 return np.zeros(0), g1
             dxF = _cho_solve(L_F, Af.T @ g1 + u_F)
             return dxF, g1 - MA @ dxF
@@ -1035,6 +1035,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             Hi_uK = apply_Hinv(u_K)
             dxF, dy = solve_reduced(u_y - A @ Hi_uK, u_F)
             dxK = Hi_uK + apply_Hinv(AT @ dy)
+            # refining a solve without free variables changes its bits
             for _ in range(KKT_REFINE_STEPS if nf else 0):
                 ddxF, ddy = solve_reduced(u_y - A @ dxK - Af @ dxF, u_F + Af.T @ dy)
                 dxF = dxF + ddxF
@@ -1044,7 +1045,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
 
         # solve for the tau-direction basis (depends on scaling only)
         q_xK, q_xF, q_y = solve_kkt(-c, -cf, b)
-        denom_base = float(kappa / tau + (b @ q_y - c @ q_xK - (cf @ q_xF if nf else 0.0)))
+        denom_base = float(kappa / tau + (b @ q_y - c @ q_xK - cf @ q_xF))
 
         def direction(sigma, corr_mats, corr_lp, corr_tk):
             eta = 1.0 - sigma
@@ -1064,11 +1065,10 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             u_y = -eta * Rp
             d_tk = sigma * mu - tau * kappa - corr_tk
             p_xK, p_xF, p_y = solve_kkt(rhs_u, u_F, u_y)
-            num = (-eta * Rg + c @ p_xK + (cf @ p_xF if nf else 0.0) - b @ p_y
-                   + d_tk / tau)
+            num = -eta * Rg + c @ p_xK + cf @ p_xF - b @ p_y + d_tk / tau
             dtau = float(num / denom_base)
             dxK = p_xK + dtau * q_xK
-            dxF = (p_xF + dtau * q_xF) if nf else np.zeros(0)
+            dxF = p_xF + dtau * q_xF
             dy = p_y + dtau * q_y
             # recover dz from dual feasibility rather than complementarity:
             # the dual residual then contracts even when the Schur solve is
@@ -1137,7 +1137,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             Z[k] = 0.5 * (Z[k] + Z[k].T)
         x = x + a * dxK[lp]
         z = z + a * dz[lp]
-        xf = xf + a * dxF if nf else xf
+        xf = xf + a * dxF
         y = y + a * dy
         tau += a * dtau
         kappa += a * dkappa
@@ -1197,14 +1197,15 @@ def validate_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
     A_psd, A_free, b, c_psd, c_free = prob.arrays()
     if sol.status in ("infeasible", "unbounded") or not sol.blocks:
         return {"status": sol.status, "checked": False}
-    xv = np.concatenate([svec(B) for B in sol.blocks]) if sol.blocks else np.zeros(0)
+    xv = np.concatenate([svec(B) for B in sol.blocks])
+    # a solution read from JSON may carry no free values or no duals
     vfree = sol.free if sol.free.size else np.zeros(prob.n_free)
-    r = A_psd @ xv + (A_free @ vfree if prob.n_free else 0.0) - b
+    r = A_psd @ xv + A_free @ vfree - b
     primal_eq = float(np.linalg.norm(r) / (1.0 + np.linalg.norm(b)))
     min_eig = min(
         (float(np.linalg.eigvalsh(B)[0]) for B in sol.blocks), default=0.0
     )
-    pobj = float(c_psd @ xv + (c_free @ vfree if prob.n_free else 0.0))
+    pobj = float(c_psd @ xv + c_free @ vfree)
     dobj = float(b @ sol.y) if sol.y.size == prob.n_rows else float("nan")
     duality_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     ok = primal_eq <= 1e-7 and min_eig >= -1e-8

@@ -638,6 +638,12 @@ def gram_polynomial(G: np.ndarray, basis_exps: Sequence[tuple[int, ...]],
     return Polynomial(vars, terms)
 
 
+def _monomial_values(pts: np.ndarray, exps: Sequence[Sequence[int]]) -> np.ndarray:
+    """The monomial vector z(p) at every row p of ``pts``, one row per point."""
+    E = np.array([list(e) for e in exps])
+    return np.prod(pts[:, None, :] ** E[None, :, :], axis=2)
+
+
 def check_sos_numeric(target: Polynomial, grams: Sequence[np.ndarray],
                       blocks_exps: Sequence[Sequence[tuple[int, ...]]],
                       rng: np.random.Generator) -> tuple[bool, float]:
@@ -647,8 +653,7 @@ def check_sos_numeric(target: Polynomial, grams: Sequence[np.ndarray],
     tv = target.eval_many(pts)
     gv = np.zeros(CHECK_POINTS)
     for G, exps in zip(grams, blocks_exps):
-        E = np.array([list(e) for e in exps])
-        Zv = np.prod(pts[:, None, :] ** E[None, :, :], axis=2)
+        Zv = _monomial_values(pts, exps)
         gv += np.einsum("pa,ab,pb->p", Zv, G, Zv)
     scale = 1.0 + np.max(np.abs(tv))
     err = float(np.max(np.abs(tv - gv)) / scale)

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .consistency import ConsistencyEllipsoid, RegressorBases
-from .poly import Polynomial, squared_norm
+from .poly import Polynomial, squared_norm, variables
+from .sos import _monomial_values, gram_polynomial
 
 # Pass thresholds of the checks.  They are constants, not parameters, so an
 # oracle cannot be loosened to make a run pass.
@@ -428,9 +429,6 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
     back; that slot inherits the coupled solve's row error and gets the
     looser CERT_MATRIX_TOL, rescaled into the shared worst/tol report.
     """
-    from .poly import variables
-    from .sos import gram_polynomial
-
     bases: RegressorBases = res.bases
     n = bases.n
     worst = -np.inf
@@ -484,8 +482,7 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
     gram_vals = np.zeros(CERT_SAMPLES)
     pts = np.hstack([Y, XE])
     for bi, (G, exps) in enumerate(zip(ent["blocks"], ent["block_exps"])):
-        Ez = np.array([list(e) for e in exps])
-        Zv = np.prod(pts[:, None, :] ** Ez[None, :, :], axis=2)
+        Zv = _monomial_values(pts, exps)
         gram_vals += np.einsum("pa,ab,pb->p", Zv, np.asarray(G, dtype=float), Zv)
         if mask is not None:
             gram_vals += t_margin * (Zv ** 2) @ np.asarray(mask[bi], dtype=float)

@@ -159,7 +159,7 @@ class TestDataset:
 
     def test_json_roundtrip(self, dataset):
         again = Dataset.from_json(dataset.to_json())
-        assert again.content_hash() == dataset.content_hash()
+        assert again.to_json() == dataset.to_json()
         assert again.bases == dataset.bases
         assert again.delta == dataset.delta
         assert again.T == dataset.T
@@ -170,7 +170,7 @@ class TestDataset:
         s = samples[3]
         samples[3] = Sample(s.t, s.u, s.x, s.xdot + 1e-12)
         other = Dataset(khalil.bases, dataset.delta, samples)
-        assert other.content_hash() != dataset.content_hash()
+        assert other.to_json() != dataset.to_json()
 
 
 # ---------------------------------------------------------------------------

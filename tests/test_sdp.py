@@ -701,6 +701,62 @@ def test_components_end_optimal_at_the_dense_objective(monkeypatch):
     assert abs(sol.objective - 5.0) <= tol * 6.0
 
 
+def _union_find_components(m, rows, groups):
+    """The components by union-find, each rooted at its smallest row:
+    ordered by that row, rows ascending."""
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    first_row = {}
+    for r, g in zip(rows.tolist(), groups.tolist()):
+        a, b = find(r), find(first_row.setdefault(g, r))
+        parent[max(a, b)] = min(a, b)
+    comps: dict[int, list[int]] = {}
+    for r in range(m):
+        comps.setdefault(find(r), []).append(r)
+    return [comps[root] for root in sorted(comps)]
+
+
+def test_components_match_union_find_in_order():
+    # the Cholesky bits depend on the order: components by smallest row,
+    # rows ascending
+    empty = np.zeros(0, np.int64)
+    assert sdp._components(0, empty, empty) == []
+    rng = np.random.default_rng(0)
+    unused_groups = ungrouped_rows = 0
+    for _ in range(600):
+        m = int(rng.integers(1, 40))
+        n_groups = int(rng.integers(1, 2 * m + 2))
+        k = int(rng.integers(0, 2 * m + 1))
+        rows, groups = rng.integers(0, m, k), rng.integers(0, n_groups, k)
+        got = sdp._components(m, rows, groups)
+        assert [c.tolist() for c in got] == _union_find_components(m, rows, groups)
+        unused_groups += len(np.setdiff1d(np.arange(groups.max(initial=0)), groups)) > 0
+        ungrouped_rows += len(np.unique(rows)) < m
+    assert unused_groups > 100 and ungrouped_rows > 100
+
+
+def test_free_columns_stay_c_ordered_without_a_dead_column():
+    # a boolean column copy of A_free is Fortran-ordered and changes step
+    # V's bits, so the reduced free columns are copied only when one is dead
+    p = SdpProblem()
+    g = p.add_block(3)
+    v = [p.add_free() for _ in range(4)]
+    p.add_row(free_entries=[(v[0], 1.0), (v[1], 1.0)], rhs=1.0)
+    p.add_row([(g, 0, 0, 1.0)], [(v[0], 1.0), (v[2], 1.0)])
+    p.add_row([(g, 1, 1, 1.0)], [(v[1], 1.0), (v[3], -1.0)])
+    p.add_row([(g, 2, 2, 1.0)], [(v[2], 2.0), (v[3], 1.0)], rhs=1.0)
+    pre = sdp._Preprocessed(p)
+    assert pre.free_only_rows.tolist() == [0]
+    assert pre.A_free.shape == (3, 3)
+    assert np.linalg.norm(pre.A_free, axis=0).min() > 1e-14
+    assert pre.A_free.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # solver trace
 
