@@ -366,14 +366,15 @@ def assemble_overapprox_lmi(
     return S
 
 
-def _fit_problem(
-    Cs: np.ndarray, Bs: np.ndarray, As: np.ndarray, W_obj: np.ndarray, margin: float,
-) -> SdpProblem:
-    """One linearized fit step as an SDP over P = -S - margin*I >= 0 and the multipliers.
+def _fit_problem(Cs: np.ndarray, Bs: np.ndarray, As: np.ndarray, margin: float) -> SdpProblem:
+    """The constraints of a linearized fit step, as an SDP over P = -S - margin*I >= 0
+    and the multipliers, without an objective.
 
-    A positive margin makes the returned certificate hold strictly, so it
-    survives the round trip back to raw data units (the congruence blows
-    constraint residuals up by 1/rho^2).  A_bar is P33 + margin*I.
+    Every step at one margin solves these constraints; ``_fit_objective``
+    sets each step's objective.  A positive margin makes the returned
+    certificate hold strictly, so it survives the round trip back to raw
+    data units (the congruence blows constraint residuals up by 1/rho^2).
+    A_bar is P33 + margin*I.
     """
     T, n = Cs.shape[:2]
     p = As.shape[1]
@@ -402,12 +403,19 @@ def _fit_problem(
     for a in range(p):
         for b in range(p):
             prob.add_row([(P, n + p + a, n + b, 1.0)], rhs=0.0)
-    # minimize -trace(W_obj @ A_bar); the margin shift only adds a constant
-    for a in range(p):
-        prob.set_objective_entry(P, n + p + a, n + p + a, -W_obj[a, a])
-        for b in range(a + 1, p):
-            prob.set_objective_entry(P, n + p + a, n + p + b, -2.0 * W_obj[a, b])
     return prob
+
+
+def _fit_objective(prob: SdpProblem, W_obj: np.ndarray, n: int) -> None:
+    """Make minimize -trace(W_obj @ A_bar) the only objective of a fit problem
+    with n states, whose block 0 is P; the margin shift of A_bar only adds a
+    constant."""
+    p = W_obj.shape[0]
+    prob.clear_objective()
+    for a in range(p):
+        prob.set_objective_entry(0, n + p + a, n + p + a, -W_obj[a, a])
+        for b in range(a + 1, p):
+            prob.set_objective_entry(0, n + p + a, n + p + b, -2.0 * W_obj[a, b])
 
 
 def _fit_coordinates(dm: DataMatrices) -> tuple[DataMatrices, np.ndarray, float]:
@@ -444,12 +452,14 @@ def _fit_weight(lin: np.ndarray) -> np.ndarray:
     return W * (p / np.trace(W))
 
 
-def _fit_solve(data: tuple, W_obj: np.ndarray, margin: float):
-    """One fit SDP in unit coordinates: (A_t, B_t, tau_t), or None when it
-    is infeasible at a positive margin."""
+def _fit_solve(prob: SdpProblem, data: tuple, W_obj: np.ndarray, margin: float):
+    """One fit step in unit coordinates: ``prob`` (``_fit_problem`` of data
+    at margin) solved with weight W_obj, as (A_t, B_t, tau_t), or None when
+    it is infeasible at a positive margin."""
     Cs, Bs, As = data
     T, n, p = Cs.shape[0], Cs.shape[1], As.shape[1]
-    sol = solve_sdp(_fit_problem(Cs, Bs, As, W_obj, margin=margin))
+    _fit_objective(prob, W_obj, n)
+    sol = solve_sdp(prob)
     if sol.status == "infeasible":
         if margin > 0.0:
             return None
@@ -471,14 +481,18 @@ def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
     """Warm-up solve plus FIT_ITERS steps at one margin: (best, history) in raw
     data units, or None when a solve is infeasible at a positive margin.
 
-    history holds, per step, the best candidate so far: best_logdet (which
-    ``ConsistencyEllipsoid.to_json`` writes), A_bar and B_bar.
+    The constraints are built once (``_fit_problem``); each of the
+    1 + FIT_ITERS solves replaces only the objective, so the problem object
+    ends holding the last step's.  history holds, per step, the best
+    candidate so far: best_logdet (which ``ConsistencyEllipsoid.to_json``
+    writes), A_bar and B_bar.
     """
+    prob = _fit_problem(*data, margin)
     # warmup solve fixes the linearization point; a raw trace objective
     # tends to collapse onto the best-excited regressor direction, so its
     # optimizer is only used as the starting weight, never reported
     As = data[2]
-    step = _fit_solve(data, _fit_weight(0.5 * (As.mean(axis=0) + As.mean(axis=0).T)), margin)
+    step = _fit_solve(prob, data, _fit_weight(0.5 * (As.mean(axis=0) + As.mean(axis=0).T)), margin)
     if step is None:
         return None
     lin_point = step[0]
@@ -486,7 +500,7 @@ def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
     best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
     history: list[dict] = []
     for _ in range(FIT_ITERS):
-        step = _fit_solve(data, _fit_weight(lin_point), margin)
+        step = _fit_solve(prob, data, _fit_weight(lin_point), margin)
         if step is None:
             return None
         A_t, B_t, tau_t = step

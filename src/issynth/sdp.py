@@ -51,23 +51,31 @@ SOS programs do, and so does the ellipsoid fit of collection seed 1 of the
 benchmark's experiment, which fails without it.
 
 Every 1x1 block is one coordinate x_i >= 0 of a single nonnegative (LP)
-cone: its scaling is elementwise (H^-1 = diag(x/z)), its Schur term
-A_lp diag(x/z) A_lp^T is built sparse, and its step length is a min-ratio
-test.  A matrix block of dimension d keeps its NT scaling W = R R^T as the
-d x d factor R; H^-1 and W^-1 act through d x d products, and its Schur
-rows svec(R^T A_i R) are gathered from the rows of R over each row's few
+cone: its scaling is elementwise (H^-1 = diag(x/z)) and its step length is
+a min-ratio test.  Its Schur term A_lp diag(x/z) A_lp^T has the bits of
+scipy's sparse triple product without its per-call cost (``_LpSchur``):
+entry (i, j) is the sum of (a_ik w_k) a_jk over k from the largest k
+down, one k at a time.  The rows and coordinates are grouped once per
+solve into the components of their bipartite graph, each held as a dense
+array and stacked with the others of its shape.  A group of r rows and K
+coordinates costs r^2 K products per iteration even where it is not
+dense; in the benchmark's programs every group is one row (step V) or
+dense (the fits).
+
+A matrix block of dimension d keeps its NT scaling W = R R^T as the d x d
+factor R; H^-1 and W^-1 act through d x d products, and its Schur rows
+svec(R^T A_i R) are gathered from the rows of R over each row's few
 entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).  A
 row's entries are added in the order in which ``np.add.reduceat`` adds
 those of a row of up to 8 entries, so such rows have its bits without its
-per-row cost (``_SchurRows``).  The block's
-Gram matrix B B^T adds into its component one run of consecutive rows by
-another, as slices, which adds what an ``np.ix_`` scatter adds; component
-rows stay ascending, since another order would change the Cholesky bits.
-Memory per iteration is O(m_c^2) per Schur component of m_c rows plus, per
-matrix block, O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2)
-for its scaling; nothing of order svec(d)^2 is formed.  Each solution
-carries a per-iteration trace with the residuals and the seconds of every
-phase.
+per-row cost (``_SchurRows``).  The block's Gram matrix B B^T adds into
+its component one run of consecutive rows by another, as slices, which
+adds what an ``np.ix_`` scatter adds; component rows stay ascending, since
+another order would change the Cholesky bits.  Memory per iteration is
+O(m_c^2) per Schur component of m_c rows plus, per matrix block,
+O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2) for its
+scaling; nothing of order svec(d)^2 is formed.  Each solution carries a
+per-iteration trace with the residuals and the seconds of every phase.
 
 A solve ends in one of three ways.  It converges (``optimal``: scaled
 primal and dual residuals and gap within ``DEFAULT_TOL``), it finds an
@@ -97,6 +105,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -247,6 +257,11 @@ class SdpProblem:
         self._check_free(idx)
         self._c_free[idx] = self._c_free.get(idx, 0.0) + coeff
 
+    def clear_objective(self) -> None:
+        """Drop every objective coefficient; blocks, free variables and rows stay."""
+        self._c_psd.clear()
+        self._c_free.clear()
+
     # -- frozen arrays ------------------------------------------------
 
     @property
@@ -266,16 +281,13 @@ class SdpProblem:
         m = self.n_rows
 
         def csr(rows, n_cols):
-            data, indices, indptr = [], [], [0]
-            for row in rows:
-                for k, v in row:
-                    indices.append(k)
-                    data.append(v)
-                indptr.append(len(data))
-            return sp.csr_matrix(
-                (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-                shape=(m, n_cols),
-            )
+            # no Python loop per entry: numpy reads the entries from C iterators
+            indptr = np.zeros(m + 1, np.int64)
+            np.cumsum(np.fromiter(map(len, rows), np.int64, m), out=indptr[1:])
+            nnz = indptr[-1]
+            indices = np.fromiter(map(itemgetter(0), chain.from_iterable(rows)), np.int64, nnz)
+            data = np.fromiter(map(itemgetter(1), chain.from_iterable(rows)), float, nnz)
+            return sp.csr_matrix((data, indices, indptr), shape=(m, n_cols))
 
         A_psd = csr(self._rows_psd, self.n_psd)
         A_free = csr(self._rows_free, self.n_free)
@@ -582,23 +594,29 @@ def _max_step_lp(x: np.ndarray, dx: np.ndarray) -> float:
 # Schur complement by connected component
 
 
-def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray]:
-    """Connected components of rows 0..m-1 when the rows of each group join;
-    row ``rows[k]`` is in group ``groups[k]``.
+def _component_labels(m: int, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The component label of each of rows 0..m-1 when the rows of each
+    group join; row ``rows[k]`` is in group ``groups[k]``.
 
     The components of the bipartite graph of rows and groups, rows numbered
-    first.  csgraph numbers components by their smallest node, so those
-    holding a row come first, ordered by their smallest row; each comes
-    with its rows ascending, the order the Cholesky bits depend on.
+    first.  csgraph numbers components by their smallest node, so the
+    labels ascend with the smallest row of their component.
     """
     # here, not at the top: it loads scipy.sparse.linalg (3 MiB, 25 ms)
     from scipy.sparse.csgraph import connected_components
 
-    if not m:  # np.split of an empty order would give one empty component
-        return []
     n = m + groups.max(initial=-1) + 1
     graph = sp.coo_matrix((np.ones(len(rows)), (rows, m + groups)), shape=(n, n))
-    labels = connected_components(graph, directed=False)[1][:m]
+    return connected_components(graph, directed=False)[1][:m]
+
+
+def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray]:
+    """Connected components of rows 0..m-1 (``_component_labels``), ordered
+    by their smallest row, each with its rows ascending: the order the
+    Cholesky bits depend on."""
+    if not m:  # np.split of an empty order would give one empty component
+        return []
+    labels = _component_labels(m, rows, groups)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
@@ -718,6 +736,95 @@ def _factor_with_jitter(M: np.ndarray, factor):
         except np.linalg.LinAlgError:
             pass
     return None, jitter
+
+
+def _sum_down(P: np.ndarray) -> np.ndarray:
+    """P[0] + P[1] + ... added one term at a time, in that order.
+
+    ``np.add.reduce`` over the leading axis adds so whenever the result has
+    two or more entries; for a single entry it sums P[1:] pairwise, so that
+    case takes the last partial sum of ``np.add.accumulate`` instead.
+    """
+    if P[0].size > 1:
+        return np.add.reduce(P, axis=0)
+    return np.add.accumulate(P, axis=0)[-1]
+
+
+class _LpSchur:
+    """The Schur term A_lp diag(w) A_lp^T of the nonnegative coordinates,
+    added into a ``_SchurLayout`` with the bits of scipy's sparse product.
+
+    scipy's ``csr_matmat`` forms entry (i, j) of (A_lp diag(w)) A_lp^T as
+    the sum of the products (a_ik w_k) a_jk over the coordinates k that
+    rows i and j share, the largest k first, one product at a time.  Here
+    the rows and coordinates split once per solve into the components of
+    their bipartite graph (``_component_labels``).  Each component is a
+    dense K x r array, its coordinates descending and its rows ascending,
+    and the components of one shape are stacked into a class, K x G x r.
+    Each iteration forms every product, zero where a row lacks the
+    coordinate, and sums over k in that order (``_sum_down``), in chunks
+    of about ``SCHUR_CHUNK`` products.  A zero product leaves a nonzero
+    partial sum as it is, so each entry scipy forms has its bits; an entry
+    that sums to zero, which scipy leaves out, adds a signed zero, which
+    leaves every entry of the layout as it is, since none holds -0.0.  A
+    component that is not dense still costs r^2 K products.
+    """
+
+    def __init__(self, A_lp: sp.csc_matrix, layout: _SchurLayout):
+        m, n_lp = A_lp.shape
+        nnz = np.diff(A_lp.indptr)
+        row, col = A_lp.indices, np.repeat(np.arange(n_lp), nnz)
+        label = _component_labels(m, row, col)
+        rows = np.unique(row)
+        rows = rows[np.argsort(label[rows], kind="stable")]
+        cols = np.flatnonzero(nnz)
+        col_label = label[A_lp.indices[A_lp.indptr[cols]]]  # that of its first row
+        by_label = np.lexsort((-cols, col_label))
+        cols, col_label = cols[by_label], col_label[by_label]
+        # per component: its label, where its rows and coordinates start, how many
+        labs, r0, r = np.unique(label[rows], return_index=True, return_counts=True)
+        _, k0, K = np.unique(col_label, return_index=True, return_counts=True)
+        rpos = np.zeros(m, np.int64)
+        rpos[rows] = np.arange(len(rows)) - np.repeat(r0, r)
+        kpos = np.zeros(n_lp, np.int64)
+        kpos[cols] = np.arange(len(cols)) - np.repeat(k0, K)
+        # the components of one shape form a class; g is a component's place in it
+        shapes, cls = np.unique(np.column_stack([r, K]), axis=0, return_inverse=True)
+        cls = cls.ravel()
+        by_cls = np.argsort(cls, kind="stable")
+        g = np.empty(len(cls), np.int64)
+        g[by_cls] = np.arange(len(cls)) - np.searchsorted(cls[by_cls], cls[by_cls])
+        # the component of each entry, row and coordinate
+        ce = np.searchsorted(labs, label[row])
+        cr = np.repeat(np.arange(len(r)), r)
+        ck = np.repeat(np.arange(len(K)), K)
+        self.classes = []
+        for c, (rc, kc) in enumerate(shapes):
+            # the class's entries, rows and coordinates
+            in_e, in_r, in_k = cls[ce] == c, cls[cr] == c, cls[ck] == c
+            n = int(np.count_nonzero(cls == c))
+            vals = np.zeros((kc, n, rc))
+            vals[kpos[col[in_e]], g[ce[in_e]], rpos[row[in_e]]] = A_lp.data[in_e]
+            coord = np.zeros((kc, n), np.int64)
+            coord[kpos[cols[in_k]], g[ck[in_k]]] = cols[in_k]
+            R = np.zeros((n, rc), np.int64)
+            R[g[cr[in_r]], rpos[rows[in_r]]] = rows[in_r]
+            pos = layout.index(R[:, :, None], R[:, None, :])
+            if kc * rc * rc <= SCHUR_CHUNK:  # whole components per chunk
+                step = SCHUR_CHUNK // (kc * rc * rc)
+                chunks = [(slice(a, a + step), slice(None)) for a in range(0, n, step)]
+            else:  # runs of one component's rows
+                step = max(1, SCHUR_CHUNK // (kc * rc))
+                chunks = [(slice(a, a + 1), slice(i, i + step))
+                          for a in range(n) for i in range(0, rc, step)]
+            self.classes.append((vals, coord, pos, chunks))
+
+    def add_to(self, flat: np.ndarray, w: np.ndarray) -> None:
+        """Add the term for H^-1 = diag(w) into the layout's ``flat``."""
+        for vals, coord, pos, chunks in self.classes:
+            aw = vals * w[coord][:, :, None]  # a_ik w_k
+            for g, i in chunks:
+                flat[pos[g, i]] += _sum_down(aw[:, g, i, None] * vals[:, g, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +966,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     # the same products in the same order as the CSC view, about 5x faster
     AT = A.T.tocsr()
     A_csc = A.tocsc()
-    A_lp_csc = A_csc[:, lp]
-    A_lp = A_lp_csc.tocsr()
+    A_lp = A_csc[:, lp]
     schur_rows = []
     for bi in mat_blocks:
         sub = A_csc[:, slices[bi]].tocsr()
@@ -869,10 +975,11 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     # groups of coupled rows: each nonnegative coordinate, then each matrix block
     block_rows = [rows for rows, _ in schur_rows]
     layout = _SchurLayout(
-        m, np.concatenate([A_lp_csc.indices, *block_rows]),
-        np.concatenate([np.repeat(np.arange(len(lp)), np.diff(A_lp_csc.indptr)),
+        m, np.concatenate([A_lp.indices, *block_rows]),
+        np.concatenate([np.repeat(np.arange(len(lp)), np.diff(A_lp.indptr)),
                         *(np.full(len(r), len(lp) + k) for k, r in enumerate(block_rows))]))
     schur_targets = [layout.block(rows) if len(rows) else None for rows in block_rows]
+    lp_schur = _LpSchur(A_lp, layout)
 
     # identity start
     X = [np.eye(dims[bi]) for bi in mat_blocks]
@@ -986,8 +1093,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
                 for ma, ba in runs:
                     for mb, bb in runs:
                         Mc[ma, mb] += BB[ba, bb]
-        S_lp = (A_lp @ sp.diags(w_lp) @ A_lp.T).tocoo()
-        layout.flat[layout.index(S_lp.row, S_lp.col)] += S_lp.data
+        lp_schur.add_to(layout.flat, w_lp)
         t2 = time.perf_counter()
         seconds["schur"] = t2 - t1
 

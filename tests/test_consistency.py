@@ -287,6 +287,49 @@ class TestSolveOverapprox:
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
         assert np.isfinite(best[-1])
 
+    def test_one_problem_per_margin_with_each_steps_objective(self, dmats, ellipsoid,
+                                                             monkeypatch):
+        # the solver is handed one problem object per margin with a new
+        # objective each step, so each call's problem is serialized as it is
+        # solved; it must equal a fresh build with that step's weight
+        events = []
+        build, weight, solve = (consistency._fit_problem, consistency._fit_weight,
+                                consistency.solve_sdp)
+
+        def recorded_build(*args):
+            events.append(("build", args))
+            return build(*args)
+
+        def recorded_weight(lin):
+            events.append(("weight", weight(lin)))
+            return events[-1][1]
+
+        def recorded_solve(prob, *args):
+            events.append(("solve", prob.to_json_dict()))
+            return solve(prob, *args)
+
+        monkeypatch.setattr(consistency, "_fit_problem", recorded_build)
+        monkeypatch.setattr(consistency, "_fit_weight", recorded_weight)
+        monkeypatch.setattr(consistency, "solve_sdp", recorded_solve)
+        assert solve_overapprox(dmats).to_json() == ellipsoid.to_json()
+        per_margin = []
+        for kind, value in events:
+            if kind == "build":
+                per_margin.append([])
+                args = value
+            elif kind == "weight":
+                W = value
+            else:
+                fresh = build(*args)
+                consistency._fit_objective(fresh, W, dmats.xdot.shape[1])
+                assert value == fresh.to_json_dict()
+                per_margin[-1].append(value)
+        assert [len(s) for s in per_margin][-1] == 1 + consistency.FIT_ITERS
+        for solved in per_margin:
+            for key in ("rows_psd", "rows_free", "rhs"):
+                assert all(d[key] == solved[0][key] for d in solved)
+            assert len({json.dumps(d["c_psd"]) for d in solved}) == len(solved)
+
     def test_every_reported_iterate_contains_truth(self, khalil, ellipsoid):
         for h in ellipsoid.history:
             ell_it = ellipsoid_params(h["A_bar"], h["B_bar"])

@@ -758,6 +758,151 @@ def test_free_columns_stay_c_ordered_without_a_dead_column():
 
 
 # ---------------------------------------------------------------------------
+# the LP Schur term in scipy's summation order
+
+
+def _lp_pattern(p):
+    """The scaled nonnegative-coordinate columns of p's kept rows, CSC, and
+    the rows each matrix block touches, as solve_sdp finds them."""
+    A = sdp._Preprocessed(p).A_psd.tocsc()
+    pairs = list(zip(p.block_slices(), p.block_dims))
+    lp = [s.start for s, d in pairs if d == 1]
+    return A[:, lp], [np.flatnonzero(np.diff(A[:, s].tocsr().indptr)) for s, d in pairs if d > 1]
+
+
+def _lp_plan(A_lp, block_rows=()):
+    """A layout of A_lp's rows joined by its coordinates and by ``block_rows``,
+    and the LP Schur plan added into it."""
+    m, L = A_lp.shape
+    rows = np.concatenate([A_lp.indices, *block_rows]).astype(np.int64)
+    groups = np.concatenate([np.repeat(np.arange(L), np.diff(A_lp.indptr)),
+                             *(np.full(len(r), L + k) for k, r in enumerate(block_rows))])
+    layout = sdp._SchurLayout(m, rows, groups.astype(np.int64))
+    return layout, sdp._LpSchur(A_lp, layout)
+
+
+def _lp_term_matches_scipy(A_lp, block_rows=(), draws=50):
+    """Whether, for ``draws`` random w, the plan adds into a random layout
+    what scipy's A_lp diag(w) A_lp^T adds at layout.index, bit for bit."""
+    layout, plan = _lp_plan(A_lp, block_rows)
+    A_csr = A_lp.tocsr()
+    rng = np.random.default_rng(0)
+    for _ in range(draws):
+        w = 10.0 ** rng.uniform(-6.0, 6.0, A_lp.shape[1])
+        base = rng.standard_normal(layout.flat.shape)
+        got, ref = base.copy(), base.copy()
+        plan.add_to(got, w)
+        S = (A_csr @ sp.diags(w) @ A_csr.T).tocoo()
+        ref[layout.index(S.row, S.col)] += S.data
+        if not np.array_equal(got.view(np.int64), ref.view(np.int64)):
+            return False
+    return True
+
+
+def _random_lp_matrix(rng, mask):
+    """CSC values of wide dynamic range on the pattern ``mask``."""
+    vals = rng.standard_normal(mask.shape) * 10.0 ** rng.uniform(-3.0, 3.0, mask.shape)
+    return sp.csc_matrix(np.where(mask, vals, 0.0))
+
+
+def _class_shapes(plan):
+    """(K, components, r) of each class of the plan."""
+    return sorted(vals.shape for vals, *_ in plan.classes)
+
+
+def test_lp_term_of_a_fit_matches_scipy_bits():
+    # one dense group of 36 rows and 30 multipliers, inside the component
+    # the 72 rows form through the fit's matrix block
+    from issynth.consistency import _fit_problem
+
+    rng = np.random.default_rng(1)
+    T, n, p = 30, 2, 6
+    xi, r = rng.standard_normal((T, p)), rng.standard_normal((T, n))
+    Cs = np.einsum("ta,tb->tab", r, r) - np.eye(n)
+    Bs = -np.einsum("ta,tb->tab", xi, r)
+    As = np.einsum("ta,tb->tab", xi, xi)
+    A_lp, block_rows = _lp_pattern(_fit_problem(Cs, Bs, As, margin=1e-6))
+    layout, plan = _lp_plan(A_lp, block_rows)
+    assert _class_shapes(plan) == [(30, 1, 36)]
+    assert [len(rows) for rows in layout.rows] == [72]
+    assert _lp_term_matches_scipy(A_lp, block_rows)
+
+
+def test_lp_term_of_single_row_groups_matches_scipy_bits():
+    # step V's pattern: each coordinate touches one row; the lone row of 12
+    # coordinates is a class of one entry, which np.add.reduce would sum
+    # pairwise
+    rng = np.random.default_rng(2)
+    mask = np.zeros((9, 20), bool)
+    for k in range(5):
+        mask[k, k] = True
+    mask[5, 5:7] = mask[6, 7:9] = True
+    mask[7, 9:21] = True
+    A_lp = _random_lp_matrix(rng, mask)
+    assert _class_shapes(_lp_plan(A_lp)[1]) == [(1, 5, 1), (2, 2, 1), (11, 1, 1)]
+    assert _lp_term_matches_scipy(A_lp)
+
+
+def test_lp_term_of_mixed_groups_matches_scipy_bits(monkeypatch):
+    # components of several shapes, dense and not, with rows and coordinates
+    # shuffled; with a small SCHUR_CHUNK the sums run over chunks of
+    # components and of one component's rows
+    rng = np.random.default_rng(3)
+    chain = np.eye(5, 6, dtype=bool) | np.eye(5, 6, 1, dtype=bool)  # not dense
+    parts = [np.ones((3, 4), bool)] * 3 + [np.ones((1, 1), bool)] * 2 + [
+        chain, np.ones((12, 10), bool), np.array([[1, 1, 0], [0, 1, 1]], bool)]
+    mask = sla.block_diag(*parts).astype(bool)
+    mask = mask[rng.permutation(mask.shape[0])][:, rng.permutation(mask.shape[1])]
+    A_lp = _random_lp_matrix(rng, mask)
+    assert _class_shapes(_lp_plan(A_lp)[1]) == [
+        (1, 2, 1), (3, 1, 2), (4, 3, 3), (6, 1, 5), (10, 1, 12)]
+    assert _lp_term_matches_scipy(A_lp)
+    for chunk in (40, 300):
+        monkeypatch.setattr(sdp, "SCHUR_CHUNK", chunk)
+        assert _lp_term_matches_scipy(A_lp, draws=10)
+
+
+def test_lp_term_inside_a_matrix_block_component_matches_scipy_bits():
+    # a block joins rows of three LP groups and two rows of none, so the
+    # groups sit at scattered positions of one component
+    rng = np.random.default_rng(4)
+    mask = np.zeros((10, 7), bool)
+    mask[[0, 3, 6], 0:3] = True
+    mask[[1, 4], 3:5] = True
+    mask[[2, 8], 5:7] = True
+    A_lp = _random_lp_matrix(rng, mask)
+    block_rows = [np.array([0, 2, 4, 5, 9])]
+    layout, plan = _lp_plan(A_lp, block_rows)
+    assert [r.tolist() for r in layout.rows] == [[0, 1, 2, 3, 4, 5, 6, 8, 9]]
+    assert _class_shapes(plan) == [(2, 2, 2), (3, 1, 3)]
+    assert _lp_term_matches_scipy(A_lp, block_rows)
+
+
+def test_lp_term_of_a_chunked_group_matches_scipy_bits():
+    # 700 coordinates on 10 rows: 70,000 products exceed SCHUR_CHUNK, so the
+    # component's rows are summed in runs
+    rng = np.random.default_rng(5)
+    A_lp = _random_lp_matrix(rng, np.ones((10, 700), bool))
+    _, plan = _lp_plan(A_lp)
+    assert 700 * 10 * 10 > sdp.SCHUR_CHUNK and len(plan.classes[0][3]) > 1
+    assert _lp_term_matches_scipy(A_lp, draws=10)
+
+
+def test_lp_term_without_scalar_blocks_does_no_work():
+    p = SdpProblem()
+    g = p.add_block(2)
+    p.add_row([(g, 0, 0, 1.0)], rhs=1.0)
+    p.add_row([(g, 0, 1, 1.0), (g, 1, 1, 1.0)], rhs=1.0)
+    A_lp, block_rows = _lp_pattern(p)
+    assert A_lp.shape == (2, 0)
+    layout, plan = _lp_plan(A_lp, block_rows)
+    assert plan.classes == []
+    flat = np.arange(layout.flat.size, dtype=float)
+    plan.add_to(flat, np.zeros(0))
+    assert np.array_equal(flat, np.arange(layout.flat.size))
+
+
+# ---------------------------------------------------------------------------
 # solver trace
 
 
@@ -851,6 +996,55 @@ class TestSerialization:
         assert back.status == sol.status
         assert np.allclose(back.blocks[0], sol.blocks[0])
         assert back.to_json() == sol.to_json()
+
+
+# ---------------------------------------------------------------------------
+# problem container
+
+
+def _loop_csr(rows, m, n_cols):
+    """A CSR of (index, value) rows built one entry at a time."""
+    data, indices, indptr = [], [], [0]
+    for row in rows:
+        for k, v in row:
+            indices.append(k)
+            data.append(v)
+        indptr.append(len(data))
+    return sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)), shape=(m, n_cols))
+
+
+def test_arrays_match_the_entry_loop():
+    rng = np.random.default_rng(11)
+    p = _random_feasible_sdp(rng, 6, 12, nf=3, ns=4)
+    p.add_row(free_entries=[(0, 1.0), (2, -0.5)], rhs=1.0)  # free-only
+    p.add_row(rhs=0.0)  # empty
+    p.add_row([(0, 5, 5, -0.0)], rhs=2.0)  # an explicit signed zero
+    for q in (p, SdpProblem()):
+        A_psd, A_free, b, _, _ = q.arrays()
+        for got, rows, n in ((A_psd, q._rows_psd, q.n_psd), (A_free, q._rows_free, q.n_free)):
+            ref = _loop_csr(rows, q.n_rows, n)
+            assert got.shape == ref.shape
+            for attr in ("data", "indices", "indptr"):
+                a, r = getattr(got, attr), getattr(ref, attr)
+                assert a.dtype == r.dtype and np.array_equal(a.view(np.uint8), r.view(np.uint8))
+        assert np.array_equal(b, np.array(q._rhs))
+
+
+def test_clear_objective_keeps_rows_and_the_next_solve_sees_only_the_new_objective():
+    rng = np.random.default_rng(12)
+    p = _random_feasible_sdp(rng, 4, 5, nf=1, ns=2)
+    before = p.to_json_dict()
+    solve_sdp(p)
+    p.clear_objective()
+    assert p.to_json_dict() == {**before, "c_psd": [], "c_free": []}
+    fresh = SdpProblem.from_json_dict({**before, "c_psd": [], "c_free": []})
+    for q in (p, fresh):
+        q.set_objective_entry(0, 0, 1, 1.5)
+        q.set_objective_entry(1, 0, 0, 2.0)
+        q.set_objective_free(0, -0.25)
+    assert p.to_json() == fresh.to_json()
+    assert solve_sdp(p).to_json() == solve_sdp(fresh).to_json()
 
 
 # ---------------------------------------------------------------------------
