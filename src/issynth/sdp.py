@@ -32,35 +32,42 @@ and 25.
 The Schur complement M = A H^-1 A^T couples two rows only when they share
 a matrix block or a nonnegative coordinate, so it is block diagonal over
 the connected components of that sharing (the sparsity Fujisawa, Kojima &
-Nakata 1997 exploit).  The components are found once per solve, as those
-of the bipartite graph of rows and groups (scipy's csgraph
-``connected_components``).  Each one of two or more rows is assembled,
-factored (``np.linalg.cholesky``) and solved on its own, and the rows that
-share nothing with another row form one diagonal.  On a problem whose rows
-form one component and that has no free variables this is the same
-arithmetic, bit for bit, as one dense factorization of M.  When free
-variables remain, every KKT solve is refined ``KKT_REFINE_STEPS`` times:
-it is solved again with the same factors for the residuals of the
-free-variable equation and of the primal rows.  Without that, the
-free-variable dual residual of the synthesis programs stalls near 1e-6 and
-whether such a solve ends ``optimal`` depends on rounding.  A component
-whose Cholesky fails is retried with its own diagonal shifted (the trace's
-``jitter``, the largest shift of the iteration).  No solve of the
-benchmark workloads needs this fallback, but some small random and matrix
-SOS programs do, and so does the ellipsoid fit of collection seed 1 of the
-benchmark's experiment, which fails without it.
+Nakata 1997 exploit).  One plan per solve (``_SchurPlan``) holds all that
+structure.  It finds the components in one pass of scipy's csgraph
+``connected_components`` over the bipartite graph of rows and groups (the
+nonnegative coordinates and the matrix blocks) and keeps each component of
+two or more rows as a dense matrix in one buffer, followed by the rows
+that share nothing with another row as one diagonal.  Each iteration it
+forms M there, factors each component on its own (``np.linalg.cholesky``)
+and solves with those factors.  On a problem whose rows form one component
+and that has no free variables this is the same arithmetic, bit for bit,
+as one dense factorization of M.  A term over some rows of a component
+adds into it one run of consecutive positions by another, as slices,
+which adds what an ``np.ix_`` scatter adds; component rows stay ascending,
+since another order would change the Cholesky bits.  Each matrix block
+adds its Gram matrix B B^T (below), and then the nonnegative cone adds its
+term.  Every 1x1 block is one coordinate x_i >= 0 of that single cone: its
+scaling is elementwise (H^-1 = diag(x/z)) and its step length is a
+min-ratio test.  Its term A_lp diag(x/z) A_lp^T has the bits of scipy's
+sparse triple product without its per-call cost: entry (i, j) is the sum
+of (a_ik w_k) a_jk over k from the largest k down, one k at a time.  The
+cone's rows of each component are one dense array, and those of all
+singleton rows one zero-padded array, so r such rows over K coordinates
+cost r^2 K products per iteration even where they share few coordinates;
+in the benchmark's programs they are singletons (step V) or dense (the
+fits).
 
-Every 1x1 block is one coordinate x_i >= 0 of a single nonnegative (LP)
-cone: its scaling is elementwise (H^-1 = diag(x/z)) and its step length is
-a min-ratio test.  Its Schur term A_lp diag(x/z) A_lp^T has the bits of
-scipy's sparse triple product without its per-call cost (``_LpSchur``):
-entry (i, j) is the sum of (a_ik w_k) a_jk over k from the largest k
-down, one k at a time.  The rows and coordinates are grouped once per
-solve into the components of their bipartite graph, each held as a dense
-array and stacked with the others of its shape.  A group of r rows and K
-coordinates costs r^2 K products per iteration even where it is not
-dense; in the benchmark's programs every group is one row (step V) or
-dense (the fits).
+When free variables remain, every KKT solve is refined
+``KKT_REFINE_STEPS`` times: it is solved again with the same factors for
+the residuals of the free-variable equation and of the primal rows.
+Without that, the free-variable dual residual of the synthesis programs
+stalls near 1e-6 and whether such a solve ends ``optimal`` depends on
+rounding.  A component whose Cholesky fails is retried with its own
+diagonal shifted (the trace's ``jitter``, the largest shift of the
+iteration).  No solve of the benchmark workloads needs this fallback, but
+some small random and matrix SOS programs do, and so does the ellipsoid
+fit of collection seed 1 of the benchmark's experiment, which fails
+without it.
 
 A matrix block of dimension d keeps its NT scaling W = R R^T as the d x d
 factor R; H^-1 and W^-1 act through d x d products, and its Schur rows
@@ -68,14 +75,11 @@ svec(R^T A_i R) are gathered from the rows of R over each row's few
 entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).  A
 row's entries are added in the order in which ``np.add.reduceat`` adds
 those of a row of up to 8 entries, so such rows have its bits without its
-per-row cost (``_SchurRows``).  The block's Gram matrix B B^T adds into
-its component one run of consecutive rows by another, as slices, which
-adds what an ``np.ix_`` scatter adds; component rows stay ascending, since
-another order would change the Cholesky bits.  Memory per iteration is
-O(m_c^2) per Schur component of m_c rows plus, per matrix block,
-O(m_b * svec(d)) for its rows (m_b rows touch it) and O(d^2) for its
-scaling; nothing of order svec(d)^2 is formed.  Each solution carries a
-per-iteration trace with the residuals and the seconds of every phase.
+per-row cost (``_SchurRows``).  Memory per iteration is O(m_c^2) per Schur
+component of m_c rows plus, per matrix block, O(m_b * svec(d)) for its
+rows (m_b rows touch it) and O(d^2) for its scaling; nothing of order
+svec(d)^2 is formed.  Each solution carries a per-iteration trace with
+the residuals and the seconds of every phase.
 
 A solve ends in one of three ways.  It converges (``optimal``: scaled
 primal and dual residuals and gap within ``DEFAULT_TOL``), it finds an
@@ -88,10 +92,12 @@ exactly when it passes ``validate_solution`` on the original data (its
 objective is then approximate, the gap may be open) and
 ``numerical-failure`` otherwise.  The message names the stop.
 
-Inputs are checked at the boundary, once.  ``SdpProblem`` rejects a block,
-entry or free index out of range, and a coefficient, right-hand side or
-objective value that is not finite, both as it is built and as it is read
-from JSON; the error names the row or entry.  Inside the loop the
+Inputs are checked at the boundary, once.  ``SdpProblem`` rejects a block
+dimension that is not a positive integer, a block, entry or free index out
+of range, and a coefficient, right-hand side or objective value that is
+not finite, both as it is built and as it is read from JSON, where the
+block, row and objective lists must also agree in length; the error names
+the row, entry or list.  Inside the loop the
 triangular solves call LAPACK directly, without scipy's per-call
 finiteness scans, and each search direction is checked once: numpy's
 Cholesky returns NaN factors for a non-finite Schur complement rather than
@@ -106,6 +112,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -186,8 +193,10 @@ class SdpProblem:
     # -- construction -------------------------------------------------
 
     def add_block(self, dim: int, name: str = "") -> int:
+        if not isinstance(dim, Integral):
+            raise ValueError(f"block dimension must be an integer, got {dim!r}")
         if dim < 1:
-            raise ValueError("block dimension must be >= 1")
+            raise ValueError(f"block dimension must be >= 1, got {dim}")
         dim = int(dim)
         self.block_dims.append(dim)
         self._block_offsets.append(self._block_offsets[-1] + svec_dim(dim))
@@ -324,8 +333,12 @@ class SdpProblem:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SdpProblem":
         p = cls()
-        for dim, name in zip(d["block_dims"], d["block_names"]):
-            p.add_block(int(dim), name)
+        dims, names = d["block_dims"], d["block_names"]
+        if len(dims) != len(names):
+            raise ValueError(f"block_dims ({len(dims)}) and block_names ({len(names)}) "
+                             "differ in length")
+        for dim, name in zip(dims, names):
+            p.add_block(dim, name)
         p.free_names = list(d["free_names"])
         p._rows_psd = [[(int(k), float(v)) for k, v in row] for row in d["rows_psd"]]
         p._rows_free = [[(int(k), float(v)) for k, v in row] for row in d["rows_free"]]
@@ -591,50 +604,90 @@ def _max_step_lp(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Schur complement by connected component
+# Schur complement plan
 
 
-def _component_labels(m: int, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """The component label of each of rows 0..m-1 when the rows of each
-    group join; row ``rows[k]`` is in group ``groups[k]``.
+def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray]:
+    """Connected components of rows 0..m-1 when the rows of each group join;
+    row ``rows[k]`` is in group ``groups[k]``.
 
-    The components of the bipartite graph of rows and groups, rows numbered
-    first.  csgraph numbers components by their smallest node, so the
-    labels ascend with the smallest row of their component.
+    They are the components of the bipartite graph of rows and groups, rows
+    numbered first, which csgraph numbers by their smallest node: so they
+    come ordered by their smallest row, each with its rows ascending, the
+    order the Cholesky bits depend on.
     """
+    if not m:  # np.split of an empty order would give one empty component
+        return []
     # here, not at the top: it loads scipy.sparse.linalg (3 MiB, 25 ms)
     from scipy.sparse.csgraph import connected_components
 
     n = m + groups.max(initial=-1) + 1
     graph = sp.coo_matrix((np.ones(len(rows)), (rows, m + groups)), shape=(n, n))
-    return connected_components(graph, directed=False)[1][:m]
-
-
-def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray]:
-    """Connected components of rows 0..m-1 (``_component_labels``), ordered
-    by their smallest row, each with its rows ascending: the order the
-    Cholesky bits depend on."""
-    if not m:  # np.split of an empty order would give one empty component
-        return []
-    labels = _component_labels(m, rows, groups)
+    labels = connected_components(graph, directed=False)[1][:m]
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-class _SchurLayout:
-    """The Schur complement as its connected components, in one buffer.
+def _sum_down(P: np.ndarray) -> np.ndarray:
+    """P[0] + P[1] + ... added one term at a time, in that order.
 
-    Rows couple when they share a group (``_components``): a matrix block
-    or a nonnegative coordinate that both touch.  The components of two
-    or more rows are dense matrices stored row-major one after another in
-    ``flat`` (``mats`` views them, ``rows`` holds their rows ascending);
-    the singleton rows follow as one diagonal, ``diag``.  With a single
-    component of all m rows, ``mats[0]`` is laid out exactly as a dense
-    m x m matrix.
+    ``np.add.reduce`` over the leading axis adds so whenever the result has
+    two or more entries; for a single entry it sums P[1:] pairwise, so that
+    case takes the last partial sum of ``np.add.accumulate`` instead.
+    """
+    if P[0].size > 1:
+        return np.add.reduce(P, axis=0)
+    return np.add.accumulate(P, axis=0)[-1]
+
+
+def _add_runs(Mc: np.ndarray, runs: list, S: np.ndarray) -> None:
+    """Add S, a term over some rows of a component, into its matrix ``Mc``
+    through the runs ``_SchurPlan.block`` gives for those rows."""
+    for ma, ba in runs:
+        for mb, bb in runs:
+            Mc[ma, mb] += S[ba, bb]
+
+
+class _SchurPlan:
+    """The Schur complement M = A H^-1 A^T of one solve: its structure,
+    found once, and per iteration its build, factorization and solve.
+
+    The components (``_components``) of two or more rows are dense
+    matrices stored row-major one after another in ``flat`` (``mats``
+    views them, ``rows`` holds their rows ascending); the singleton rows
+    follow as one diagonal, ``diag``.  With a single component of all m
+    rows, ``mats[0]`` is laid out exactly as a dense m x m matrix.
+
+    The nonnegative cone's term has the bits of scipy's ``csr_matmat``,
+    which forms entry (i, j) of (A_lp diag(w)) A_lp^T as the sum of the
+    products (a_ik w_k) a_jk over the coordinates k that rows i and j
+    share, the largest k first, one product at a time.  ``lp_groups``
+    holds per component the K x r array of its cone rows (coordinates
+    descending, rows ascending), its coordinates, its chunks of rows of
+    about ``SCHUR_CHUNK`` products and its runs; ``lp_singles`` holds the
+    singleton rows' places in ``diag``, their K x S array (each column
+    descending, zero-padded) and its coordinates.  Every product is
+    formed, zero where a row lacks the coordinate, and summed over k in
+    that order (``_sum_down``).  A zero product leaves a nonzero partial
+    sum as it is, so each entry scipy forms has its bits; an entry that
+    sums to zero, which scipy leaves out, adds a signed zero, which leaves
+    every entry of ``flat`` as it is, since none holds -0.0.
     """
 
-    def __init__(self, m: int, rows: np.ndarray, groups: np.ndarray):
-        comps = _components(m, rows, groups)
+    def __init__(self, A: sp.csr_matrix, lp: np.ndarray, blocks: Sequence[tuple[slice, int]]):
+        """``A``: the rows; ``lp``: its nonnegative coordinates; ``blocks``:
+        each matrix block's svec columns and dimension."""
+        m = A.shape[0]
+        A_csc = A.tocsc()
+        A_lp = A_csc[:, lp]
+        subs = [A_csc[:, cols].tocsr() for cols, _ in blocks]
+        block_rows = [np.flatnonzero(np.diff(sub.indptr)) for sub in subs]
+        # the groups: each nonnegative coordinate, then each matrix block
+        row, n_lp = A_lp.indices, len(lp)
+        col = np.repeat(np.arange(n_lp), np.diff(A_lp.indptr))
+        comps = _components(
+            m, np.concatenate([row, *block_rows]),
+            np.concatenate([col, *(np.full(len(r), n_lp + k) for k, r in enumerate(block_rows))]))
         self.rows = [c for c in comps if len(c) > 1]
         self.singles = np.array([c[0] for c in comps if len(c) == 1], dtype=np.int64)
         sizes = [len(r) for r in self.rows]
@@ -642,40 +695,83 @@ class _SchurLayout:
         self.flat = np.zeros(offsets[-1] + len(self.singles))
         self.mats = [self.flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes)]
         self.diag = self.flat[offsets[-1]:]
-        # entry (i, j) of a component sits at flat[_start[i] + _pos[j]]
+        # row i is at position _pos[i] of its component of _size[i] rows,
+        # which starts at flat[_base[i]]; comp_of[i] is that component, -1
+        # for a singleton
+        comp_of = np.full(m, -1)
         self._size = np.ones(m, np.int64)
         self._pos = np.zeros(m, np.int64)
-        self._start = np.empty(m, np.int64)
-        for o, n, r in zip(offsets, sizes, self.rows):
-            self._size[r], self._pos[r] = n, np.arange(n)
-            self._start[r] = o + n * self._pos[r]
-        self._start[self.singles] = offsets[-1] + np.arange(len(self.singles))
+        self._base = np.empty(m, np.int64)
+        for c, (o, n, r) in enumerate(zip(offsets, sizes, self.rows)):
+            comp_of[r], self._size[r], self._pos[r], self._base[r] = c, n, np.arange(n), o
+        self._base[self.singles] = offsets[-1] + np.arange(len(self.singles))
+
+        # each matrix block's Schur rows and their runs in their component
+        self.blocks = [(k, _SchurRows(sub[r], d), self.block(r))
+                       for k, (sub, r, (_, d)) in enumerate(zip(subs, block_rows, blocks)) if len(r)]
+
+        # the cone's entries, by row and then by coordinate descending
+        by = np.lexsort((-col, row))
+        row, col, val = row[by], col[by], A_lp.data[by]
+        comp = comp_of[row]
+        self.lp_groups = []
+        for c in np.unique(comp[comp >= 0]):
+            e = comp == c
+            r, ks = np.unique(row[e]), np.unique(col[e])
+            vals = np.zeros((len(ks), len(r)))
+            vals[len(ks) - 1 - np.searchsorted(ks, col[e]), np.searchsorted(r, row[e])] = val[e]
+            step = max(1, SCHUR_CHUNK // vals.size)
+            chunks = [slice(i, i + step) for i in range(0, len(r), step)]
+            self.lp_groups.append((vals, ks[::-1].copy(), chunks, self.block(r)))
+        e = comp < 0
+        r, first, count = np.unique(row[e], return_index=True, return_counts=True)
+        s = np.repeat(np.arange(len(r)), count)  # each entry's column
+        k = np.arange(len(s)) - np.repeat(first, count)  # and its place in it
+        # one coordinate at least, so that an array of no rows still sums;
+        # the padding is a zero at the row's first coordinate
+        vals = np.zeros((count.max(initial=1), len(r)))
+        coords = np.tile(col[e][first], (len(vals), 1))
+        vals[k, s], coords[k, s] = val[e], col[e]
+        self.lp_singles = (np.searchsorted(self.singles, r), vals, coords)
 
     def block(self, rows: np.ndarray):
         """The matrix view of the component holding ``rows`` (ascending), and
         the runs of consecutive positions they take in it.
 
-        Each run is a pair (slice of the component, slice of ``rows``): the
-        Gram matrix BB of those rows adds into the component as
-        ``Mc[ma, mb] += BB[ba, bb]`` over every two runs, which adds what an
-        ``np.ix_`` scatter adds, in slice operations.  Their number grows
-        with the square of the run count, which is at most about m_b/2
-        when the block's rows alternate with another's.  Step V of the
-        benchmark experiment has 7 and 6 runs (11 and 10 at deg_V = 4) in
-        one component; there the slice adds take 1.2 ms (20 ms) per
-        iteration, one fancy-indexed add per run 2.9 ms (111 ms) and the
-        scatter 4.2 ms (90 ms), on one thread.
+        Each run is a pair (slice of the component, slice of ``rows``): a
+        term S over those rows adds into the component as
+        ``Mc[ma, mb] += S[ba, bb]`` over every two runs (``_add_runs``),
+        which adds what an ``np.ix_`` scatter adds, in slice operations.
+        Their number grows with the square of the run count, which is at
+        most about m_b/2 when the block's rows alternate with another's.
+        Step V of the benchmark experiment has 7 and 6 runs (11 and 10 at
+        deg_V = 4) in one component; there the slice adds take 1.2 ms
+        (20 ms) per iteration, one fancy-indexed add per run 2.9 ms
+        (111 ms) and the scatter 4.2 ms (90 ms), on one thread.
         """
-        n = self._size[rows[0]]
-        o = self._start[rows[0]] - n * self._pos[rows[0]]
+        n, o = self._size[rows[0]], self._base[rows[0]]
         loc = self._pos[rows]
         cuts = np.concatenate([[0], np.flatnonzero(np.diff(loc) != 1) + 1, [len(loc)]])
         runs = [(slice(loc[a], loc[a] + (b - a)), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
         return self.flat[o:o + n * n].reshape(n, n), runs
 
-    def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Positions in ``flat`` of the entries (i, j), each pair in one component."""
-        return self._start[i] + self._pos[j]
+    def build(self, Rs: Sequence[np.ndarray], w: np.ndarray) -> None:
+        """Form M in ``flat`` for the matrix blocks' scaling factors ``Rs``
+        and H^-1 = diag(w) on the nonnegative coordinates."""
+        self.flat.fill(0.0)
+        for k, schur_rows, target in self.blocks:
+            B = schur_rows.rows(Rs[k])
+            _add_runs(*target, B @ B.T)
+        self.add_lp(w)
+
+    def add_lp(self, w: np.ndarray) -> None:
+        """Add the nonnegative cone's term A_lp diag(w) A_lp^T into ``flat``."""
+        for vals, coords, chunks, target in self.lp_groups:
+            aw = vals * w[coords][:, None]  # a_ik w_k
+            _add_runs(*target, np.concatenate(
+                [_sum_down(aw[:, i, None] * vals[:, None, :]) for i in chunks]))
+        at, vals, coords = self.lp_singles
+        self.diag[at] += _sum_down(vals * w[coords] * vals)
 
     def factor(self):
         """``(factors, jitter)`` of the components as ``flat`` holds them.
@@ -736,95 +832,6 @@ def _factor_with_jitter(M: np.ndarray, factor):
         except np.linalg.LinAlgError:
             pass
     return None, jitter
-
-
-def _sum_down(P: np.ndarray) -> np.ndarray:
-    """P[0] + P[1] + ... added one term at a time, in that order.
-
-    ``np.add.reduce`` over the leading axis adds so whenever the result has
-    two or more entries; for a single entry it sums P[1:] pairwise, so that
-    case takes the last partial sum of ``np.add.accumulate`` instead.
-    """
-    if P[0].size > 1:
-        return np.add.reduce(P, axis=0)
-    return np.add.accumulate(P, axis=0)[-1]
-
-
-class _LpSchur:
-    """The Schur term A_lp diag(w) A_lp^T of the nonnegative coordinates,
-    added into a ``_SchurLayout`` with the bits of scipy's sparse product.
-
-    scipy's ``csr_matmat`` forms entry (i, j) of (A_lp diag(w)) A_lp^T as
-    the sum of the products (a_ik w_k) a_jk over the coordinates k that
-    rows i and j share, the largest k first, one product at a time.  Here
-    the rows and coordinates split once per solve into the components of
-    their bipartite graph (``_component_labels``).  Each component is a
-    dense K x r array, its coordinates descending and its rows ascending,
-    and the components of one shape are stacked into a class, K x G x r.
-    Each iteration forms every product, zero where a row lacks the
-    coordinate, and sums over k in that order (``_sum_down``), in chunks
-    of about ``SCHUR_CHUNK`` products.  A zero product leaves a nonzero
-    partial sum as it is, so each entry scipy forms has its bits; an entry
-    that sums to zero, which scipy leaves out, adds a signed zero, which
-    leaves every entry of the layout as it is, since none holds -0.0.  A
-    component that is not dense still costs r^2 K products.
-    """
-
-    def __init__(self, A_lp: sp.csc_matrix, layout: _SchurLayout):
-        m, n_lp = A_lp.shape
-        nnz = np.diff(A_lp.indptr)
-        row, col = A_lp.indices, np.repeat(np.arange(n_lp), nnz)
-        label = _component_labels(m, row, col)
-        rows = np.unique(row)
-        rows = rows[np.argsort(label[rows], kind="stable")]
-        cols = np.flatnonzero(nnz)
-        col_label = label[A_lp.indices[A_lp.indptr[cols]]]  # that of its first row
-        by_label = np.lexsort((-cols, col_label))
-        cols, col_label = cols[by_label], col_label[by_label]
-        # per component: its label, where its rows and coordinates start, how many
-        labs, r0, r = np.unique(label[rows], return_index=True, return_counts=True)
-        _, k0, K = np.unique(col_label, return_index=True, return_counts=True)
-        rpos = np.zeros(m, np.int64)
-        rpos[rows] = np.arange(len(rows)) - np.repeat(r0, r)
-        kpos = np.zeros(n_lp, np.int64)
-        kpos[cols] = np.arange(len(cols)) - np.repeat(k0, K)
-        # the components of one shape form a class; g is a component's place in it
-        shapes, cls = np.unique(np.column_stack([r, K]), axis=0, return_inverse=True)
-        cls = cls.ravel()
-        by_cls = np.argsort(cls, kind="stable")
-        g = np.empty(len(cls), np.int64)
-        g[by_cls] = np.arange(len(cls)) - np.searchsorted(cls[by_cls], cls[by_cls])
-        # the component of each entry, row and coordinate
-        ce = np.searchsorted(labs, label[row])
-        cr = np.repeat(np.arange(len(r)), r)
-        ck = np.repeat(np.arange(len(K)), K)
-        self.classes = []
-        for c, (rc, kc) in enumerate(shapes):
-            # the class's entries, rows and coordinates
-            in_e, in_r, in_k = cls[ce] == c, cls[cr] == c, cls[ck] == c
-            n = int(np.count_nonzero(cls == c))
-            vals = np.zeros((kc, n, rc))
-            vals[kpos[col[in_e]], g[ce[in_e]], rpos[row[in_e]]] = A_lp.data[in_e]
-            coord = np.zeros((kc, n), np.int64)
-            coord[kpos[cols[in_k]], g[ck[in_k]]] = cols[in_k]
-            R = np.zeros((n, rc), np.int64)
-            R[g[cr[in_r]], rpos[rows[in_r]]] = rows[in_r]
-            pos = layout.index(R[:, :, None], R[:, None, :])
-            if kc * rc * rc <= SCHUR_CHUNK:  # whole components per chunk
-                step = SCHUR_CHUNK // (kc * rc * rc)
-                chunks = [(slice(a, a + step), slice(None)) for a in range(0, n, step)]
-            else:  # runs of one component's rows
-                step = max(1, SCHUR_CHUNK // (kc * rc))
-                chunks = [(slice(a, a + 1), slice(i, i + step))
-                          for a in range(n) for i in range(0, rc, step)]
-            self.classes.append((vals, coord, pos, chunks))
-
-    def add_to(self, flat: np.ndarray, w: np.ndarray) -> None:
-        """Add the term for H^-1 = diag(w) into the layout's ``flat``."""
-        for vals, coord, pos, chunks in self.classes:
-            aw = vals * w[coord][:, :, None]  # a_ik w_k
-            for g, i in chunks:
-                flat[pos[g, i]] += _sum_down(aw[:, g, i, None] * vals[:, g, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -958,28 +965,14 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     nu = sum(dims)
 
     # every 1x1 block is one coordinate of the nonnegative cone; the others
-    # are matrix blocks, each with the Schur-row pattern of the rows it touches
+    # are matrix blocks
     lp_blocks = [bi for bi, d in enumerate(dims) if d == 1]
     mat_blocks = [bi for bi, d in enumerate(dims) if d > 1]
     lp = np.array([slices[bi].start for bi in lp_blocks], dtype=np.int64)
     # A^T is applied seven times per iteration: stored once as CSR it adds
     # the same products in the same order as the CSC view, about 5x faster
     AT = A.T.tocsr()
-    A_csc = A.tocsc()
-    A_lp = A_csc[:, lp]
-    schur_rows = []
-    for bi in mat_blocks:
-        sub = A_csc[:, slices[bi]].tocsr()
-        rows = np.flatnonzero(np.diff(sub.indptr))
-        schur_rows.append((rows, _SchurRows(sub[rows], dims[bi]) if len(rows) else None))
-    # groups of coupled rows: each nonnegative coordinate, then each matrix block
-    block_rows = [rows for rows, _ in schur_rows]
-    layout = _SchurLayout(
-        m, np.concatenate([A_lp.indices, *block_rows]),
-        np.concatenate([np.repeat(np.arange(len(lp)), np.diff(A_lp.indptr)),
-                        *(np.full(len(r), len(lp) + k) for k, r in enumerate(block_rows))]))
-    schur_targets = [layout.block(rows) if len(rows) else None for rows in block_rows]
-    lp_schur = _LpSchur(A_lp, layout)
+    plan = _SchurPlan(A, lp, [(slices[bi], dims[bi]) for bi in mat_blocks])
 
     # identity start
     X = [np.eye(dims[bi]) for bi in mat_blocks]
@@ -1082,29 +1075,19 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         t1 = time.perf_counter()
         seconds["scaling"] = t1 - t0
 
-        # Schur complement  M = sum_blocks B_b B_b^T + A_lp diag(x/z) A_lp^T,
-        # per connected component
-        layout.flat.fill(0.0)
-        for (_, sr), target, sc in zip(schur_rows, schur_targets, scalings):
-            if sr is not None:
-                B = sr.rows(sc.R)
-                BB = B @ B.T
-                Mc, runs = target
-                for ma, ba in runs:
-                    for mb, bb in runs:
-                        Mc[ma, mb] += BB[ba, bb]
-        lp_schur.add_to(layout.flat, w_lp)
+        # Schur complement  M = sum_blocks B_b B_b^T + A_lp diag(x/z) A_lp^T
+        plan.build([sc.R for sc in scalings], w_lp)
         t2 = time.perf_counter()
         seconds["schur"] = t2 - t1
 
-        schur, entry["jitter"] = layout.factor()
+        schur, entry["jitter"] = plan.factor()
         if schur is None:
             msg = "Schur complement factorization failed"
             break
 
         # formed empty, this factor and its products slow the fits by 1-3%
         if nf:
-            MA = layout.solve(schur, Af)
+            MA = plan.solve(schur, Af)
             S_F = Af.T @ MA
             try:
                 L_F = np.linalg.cholesky(S_F + 1e-14 * np.eye(nf) * max(1.0, np.trace(S_F) / nf))
@@ -1125,7 +1108,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
 
         def solve_reduced(g, u_F):
             """(dxF, dy) of [M dy + AF dxF = g; -AF^T dy = u_F]."""
-            g1 = layout.solve(schur, g)
+            g1 = plan.solve(schur, g)
             if not nf:  # skips the empty products, as the factor above does
                 return np.zeros(0), g1
             dxF = _cho_solve(L_F, Af.T @ g1 + u_F)

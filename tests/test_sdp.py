@@ -615,31 +615,45 @@ def _interleaved_problem():
     return p
 
 
-def _solve_keeping_layout(p, monkeypatch, max_iter=None, one_component=False):
-    """solve_sdp(p, max_iter) and the _SchurLayout it built; ``one_component``
+def _solve_keeping_plan(p, monkeypatch, max_iter=None, one_component=False):
+    """solve_sdp(p, max_iter) and the _SchurPlan it built; ``one_component``
     adds a group of all rows, so M is factored densely as a whole."""
     made = []
+    components = sdp._components
 
-    class Kept(sdp._SchurLayout):
-        def __init__(self, m, rows, groups):
-            if one_component:
-                rows = np.concatenate([rows, np.arange(m)])
-                groups = np.concatenate([groups, np.full(m, groups.max() + 1)])
-            super().__init__(m, rows, groups)
+    class Kept(sdp._SchurPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
             made.append(self)
 
+    def joined(m, rows, groups):
+        return components(m, np.concatenate([rows, np.arange(m)]),
+                          np.concatenate([groups, np.full(m, groups.max() + 1)]))
+
     with monkeypatch.context() as mp:
-        mp.setattr(sdp, "_SchurLayout", Kept)
+        mp.setattr(sdp, "_SchurPlan", Kept)
+        if one_component:
+            mp.setattr(sdp, "_components", joined)
         sol = solve_sdp(p, max_iter)
     return sol, made[0]
 
 
+def _assembled(plan):
+    """The Schur matrix ``plan.flat`` holds, as a dense m x m array."""
+    m = sum(map(len, plan.rows)) + len(plan.singles)
+    M = np.zeros((m, m))
+    for rows, Mc in zip(plan.rows, plan.mats):
+        M[np.ix_(rows, rows)] = Mc
+    M[plan.singles, plan.singles] = plan.diag
+    return M
+
+
 def test_schur_components_of_disjoint_blocks(monkeypatch):
-    _, layout = _solve_keeping_layout(_component_problem(), monkeypatch)
-    assert [r.tolist() for r in layout.rows] == [[0, 1, 2, 3], [4, 5]]
-    assert layout.singles.tolist() == [6, 7]
-    assert [Mc.shape for Mc in layout.mats] == [(4, 4), (2, 2)]
-    assert layout.flat.shape == (16 + 4 + 2,)
+    _, plan = _solve_keeping_plan(_component_problem(), monkeypatch)
+    assert [r.tolist() for r in plan.rows] == [[0, 1, 2, 3], [4, 5]]
+    assert plan.singles.tolist() == [6, 7]
+    assert [Mc.shape for Mc in plan.mats] == [(4, 4), (2, 2)]
+    assert plan.flat.shape == (16 + 4 + 2,)
 
 
 def test_slice_adds_match_ix_scatter(monkeypatch):
@@ -655,43 +669,39 @@ def test_slice_adds_match_ix_scatter(monkeypatch):
             return B
 
     monkeypatch.setattr(sdp, "_SchurRows", Recorded)
-    _, layout = _solve_keeping_layout(p, monkeypatch, max_iter=1)
-    assert [r.tolist() for r in layout.rows] == [list(range(10))]
+    _, plan = _solve_keeping_plan(p, monkeypatch, max_iter=1)
+    assert [r.tolist() for r in plan.rows] == [list(range(10))]
     A = sdp._Preprocessed(p).A_psd.toarray()
     block_rows = [np.flatnonzero(np.abs(A[:, sl]).sum(axis=1)) for sl in p.block_slices()]
-    assert [len(layout.block(rows)[1]) for rows in block_rows] == [4, 3]
-    ref = np.zeros_like(layout.mats[0])
+    assert [len(plan.block(rows)[1]) for rows in block_rows] == [4, 3]
+    ref = np.zeros_like(plan.mats[0])
     for rows, B in zip(block_rows, made):
         ref[np.ix_(rows, rows)] += B @ B.T
-    assert np.array_equal(layout.mats[0], ref)
+    assert np.array_equal(plan.mats[0], ref)
 
 
 def test_component_solve_matches_dense_solve(monkeypatch):
     # at the identity start W = I and x/z = 1, so iteration 1 assembles
     # M = A A^T over the scaled kept rows; max_iter = 1 leaves it in place
     for p in (_component_problem(), _interleaved_problem()):
-        _, layout = _solve_keeping_layout(p, monkeypatch, max_iter=1)
+        _, plan = _solve_keeping_plan(p, monkeypatch, max_iter=1)
         pre = sdp._Preprocessed(p)
         A = pre.A_psd.toarray()
         M = A @ A.T
-        assembled = np.zeros_like(M)
-        for rows, Mc in zip(layout.rows, layout.mats):
-            assembled[np.ix_(rows, rows)] = Mc
-        assembled[layout.singles, layout.singles] = layout.diag
-        assert np.abs(assembled - M).max() <= 1e-14 * np.abs(M).max()
-        factors, jitter = layout.factor()
+        assert np.abs(_assembled(plan) - M).max() <= 1e-14 * np.abs(M).max()
+        factors, jitter = plan.factor()
         assert jitter == 0.0
         rng = np.random.default_rng(0)
         for g in (rng.standard_normal(len(M)), pre.A_free, rng.standard_normal((len(M), 3))):
             ref = np.linalg.solve(M, g)
-            assert _rel_err(layout.solve(factors, g), ref) <= 1e-10
+            assert _rel_err(plan.solve(factors, g), ref) <= 1e-10
 
 
 def test_components_end_optimal_at_the_dense_objective(monkeypatch):
     p = _component_problem()
-    sol, _ = _solve_keeping_layout(p, monkeypatch)
-    dense, layout = _solve_keeping_layout(p, monkeypatch, one_component=True)
-    assert [r.tolist() for r in layout.rows] == [list(range(8))]
+    sol, _ = _solve_keeping_plan(p, monkeypatch)
+    dense, plan = _solve_keeping_plan(p, monkeypatch, one_component=True)
+    assert [r.tolist() for r in plan.rows] == [list(range(8))]
     tol = sdp.DEFAULT_TOL
     for s in (sol, dense):
         assert s.status == "optimal", s.message
@@ -758,7 +768,7 @@ def test_free_columns_stay_c_ordered_without_a_dead_column():
 
 
 # ---------------------------------------------------------------------------
-# the LP Schur term in scipy's summation order
+# the plan's LP Schur term in scipy's summation order
 
 
 def _lp_pattern(p):
@@ -771,30 +781,33 @@ def _lp_pattern(p):
 
 
 def _lp_plan(A_lp, block_rows=()):
-    """A layout of A_lp's rows joined by its coordinates and by ``block_rows``,
-    and the LP Schur plan added into it."""
+    """The plan of A_lp's rows joined by its coordinates and by ``block_rows``:
+    each of those becomes a 2x2 block whose entry (0, 0) its rows touch."""
     m, L = A_lp.shape
-    rows = np.concatenate([A_lp.indices, *block_rows]).astype(np.int64)
-    groups = np.concatenate([np.repeat(np.arange(L), np.diff(A_lp.indptr)),
-                             *(np.full(len(r), L + k) for k, r in enumerate(block_rows))])
-    layout = sdp._SchurLayout(m, rows, groups.astype(np.int64))
-    return layout, sdp._LpSchur(A_lp, layout)
+    cols = []
+    for rows in block_rows:
+        col = np.zeros((m, 3))
+        col[rows, 0] = 1.0
+        cols.append(sp.csc_matrix(col))
+    A = sp.hstack([A_lp, *cols]).tocsr()
+    return sdp._SchurPlan(A, np.arange(L), [(slice(L + 3 * k, L + 3 * k + 3), 2)
+                                             for k in range(len(block_rows))])
 
 
 def _lp_term_matches_scipy(A_lp, block_rows=(), draws=50):
-    """Whether, for ``draws`` random w, the plan adds into a random layout
-    what scipy's A_lp diag(w) A_lp^T adds at layout.index, bit for bit."""
-    layout, plan = _lp_plan(A_lp, block_rows)
+    """Whether, for ``draws`` random w, the plan adds onto a random Schur
+    matrix what scipy's A_lp diag(w) A_lp^T adds, bit for bit."""
+    plan = _lp_plan(A_lp, block_rows)
     A_csr = A_lp.tocsr()
     rng = np.random.default_rng(0)
     for _ in range(draws):
         w = 10.0 ** rng.uniform(-6.0, 6.0, A_lp.shape[1])
-        base = rng.standard_normal(layout.flat.shape)
-        got, ref = base.copy(), base.copy()
-        plan.add_to(got, w)
+        plan.flat[:] = rng.standard_normal(plan.flat.shape)
+        ref = _assembled(plan)
+        plan.add_lp(w)
         S = (A_csr @ sp.diags(w) @ A_csr.T).tocoo()
-        ref[layout.index(S.row, S.col)] += S.data
-        if not np.array_equal(got.view(np.int64), ref.view(np.int64)):
+        ref[S.row, S.col] += S.data
+        if not np.array_equal(_assembled(plan).view(np.int64), ref.view(np.int64)):
             return False
     return True
 
@@ -805,14 +818,13 @@ def _random_lp_matrix(rng, mask):
     return sp.csc_matrix(np.where(mask, vals, 0.0))
 
 
-def _class_shapes(plan):
-    """(K, components, r) of each class of the plan."""
-    return sorted(vals.shape for vals, *_ in plan.classes)
+def _group_shapes(plan):
+    """(K, r) of each multi-row component's LP group, and (K, S) of the
+    singleton rows' array."""
+    return sorted(vals.shape for vals, *_ in plan.lp_groups), plan.lp_singles[1].shape
 
 
-def test_lp_term_of_a_fit_matches_scipy_bits():
-    # one dense group of 36 rows and 30 multipliers, inside the component
-    # the 72 rows form through the fit's matrix block
+def _fit_plan_problem():
     from issynth.consistency import _fit_problem
 
     rng = np.random.default_rng(1)
@@ -821,17 +833,33 @@ def test_lp_term_of_a_fit_matches_scipy_bits():
     Cs = np.einsum("ta,tb->tab", r, r) - np.eye(n)
     Bs = -np.einsum("ta,tb->tab", xi, r)
     As = np.einsum("ta,tb->tab", xi, xi)
-    A_lp, block_rows = _lp_pattern(_fit_problem(Cs, Bs, As, margin=1e-6))
-    layout, plan = _lp_plan(A_lp, block_rows)
-    assert _class_shapes(plan) == [(30, 1, 36)]
-    assert [len(rows) for rows in layout.rows] == [72]
+    return _fit_problem(Cs, Bs, As, margin=1e-6)
+
+
+def test_lp_term_of_a_fit_matches_scipy_bits():
+    # one dense group of 36 rows and 30 multipliers, inside the component
+    # the 72 rows form through the fit's matrix block
+    A_lp, block_rows = _lp_pattern(_fit_plan_problem())
+    plan = _lp_plan(A_lp, block_rows)
+    assert [len(rows) for rows in plan.rows] == [72]
+    assert _group_shapes(plan) == ([(30, 36)], (1, 0))
     assert _lp_term_matches_scipy(A_lp, block_rows)
 
 
+def test_fit_lp_rows_form_one_group_inside_their_component(monkeypatch):
+    # rows 0-35 carry the multipliers, rows 36-71 only the matrix block
+    _, plan = _solve_keeping_plan(_fit_plan_problem(), monkeypatch, max_iter=1)
+    assert [len(rows) for rows in plan.rows] == [72] and not len(plan.singles)
+    [(vals, coords, chunks, (Mc, runs))] = plan.lp_groups
+    assert vals.shape == (30, 36) and Mc.shape == (72, 72)
+    assert runs == [(slice(0, 36), slice(0, 36))]
+    assert np.all(np.diff(coords) < 0)
+
+
 def test_lp_term_of_single_row_groups_matches_scipy_bits():
-    # step V's pattern: each coordinate touches one row; the lone row of 12
-    # coordinates is a class of one entry, which np.add.reduce would sum
-    # pairwise
+    # step V's pattern: each coordinate touches one row, so every LP row is
+    # a singleton; the lone row of 11 coordinates, summed alone, is one that
+    # np.add.reduce would sum pairwise
     rng = np.random.default_rng(2)
     mask = np.zeros((9, 20), bool)
     for k in range(5):
@@ -839,14 +867,16 @@ def test_lp_term_of_single_row_groups_matches_scipy_bits():
     mask[5, 5:7] = mask[6, 7:9] = True
     mask[7, 9:21] = True
     A_lp = _random_lp_matrix(rng, mask)
-    assert _class_shapes(_lp_plan(A_lp)[1]) == [(1, 5, 1), (2, 2, 1), (11, 1, 1)]
+    plan = _lp_plan(A_lp)
+    assert _group_shapes(plan) == ([], (11, 8)) and plan.rows == []
     assert _lp_term_matches_scipy(A_lp)
+    assert _lp_term_matches_scipy(A_lp[[7]])
 
 
 def test_lp_term_of_mixed_groups_matches_scipy_bits(monkeypatch):
     # components of several shapes, dense and not, with rows and coordinates
-    # shuffled; with a small SCHUR_CHUNK the sums run over chunks of
-    # components and of one component's rows
+    # shuffled; with a small SCHUR_CHUNK the sums run over runs of a
+    # component's rows
     rng = np.random.default_rng(3)
     chain = np.eye(5, 6, dtype=bool) | np.eye(5, 6, 1, dtype=bool)  # not dense
     parts = [np.ones((3, 4), bool)] * 3 + [np.ones((1, 1), bool)] * 2 + [
@@ -854,8 +884,8 @@ def test_lp_term_of_mixed_groups_matches_scipy_bits(monkeypatch):
     mask = sla.block_diag(*parts).astype(bool)
     mask = mask[rng.permutation(mask.shape[0])][:, rng.permutation(mask.shape[1])]
     A_lp = _random_lp_matrix(rng, mask)
-    assert _class_shapes(_lp_plan(A_lp)[1]) == [
-        (1, 2, 1), (3, 1, 2), (4, 3, 3), (6, 1, 5), (10, 1, 12)]
+    assert _group_shapes(_lp_plan(A_lp)) == (
+        [(3, 2), (4, 3), (4, 3), (4, 3), (6, 5), (10, 12)], (1, 2))
     assert _lp_term_matches_scipy(A_lp)
     for chunk in (40, 300):
         monkeypatch.setattr(sdp, "SCHUR_CHUNK", chunk)
@@ -864,7 +894,8 @@ def test_lp_term_of_mixed_groups_matches_scipy_bits(monkeypatch):
 
 def test_lp_term_inside_a_matrix_block_component_matches_scipy_bits():
     # a block joins rows of three LP groups and two rows of none, so the
-    # groups sit at scattered positions of one component
+    # groups' rows sit at scattered positions of one component and share
+    # one array, zero where two rows share no coordinate
     rng = np.random.default_rng(4)
     mask = np.zeros((10, 7), bool)
     mask[[0, 3, 6], 0:3] = True
@@ -872,9 +903,9 @@ def test_lp_term_inside_a_matrix_block_component_matches_scipy_bits():
     mask[[2, 8], 5:7] = True
     A_lp = _random_lp_matrix(rng, mask)
     block_rows = [np.array([0, 2, 4, 5, 9])]
-    layout, plan = _lp_plan(A_lp, block_rows)
-    assert [r.tolist() for r in layout.rows] == [[0, 1, 2, 3, 4, 5, 6, 8, 9]]
-    assert _class_shapes(plan) == [(2, 2, 2), (3, 1, 3)]
+    plan = _lp_plan(A_lp, block_rows)
+    assert [r.tolist() for r in plan.rows] == [[0, 1, 2, 3, 4, 5, 6, 8, 9]]
+    assert _group_shapes(plan) == ([(7, 7)], (1, 0))
     assert _lp_term_matches_scipy(A_lp, block_rows)
 
 
@@ -883,8 +914,8 @@ def test_lp_term_of_a_chunked_group_matches_scipy_bits():
     # component's rows are summed in runs
     rng = np.random.default_rng(5)
     A_lp = _random_lp_matrix(rng, np.ones((10, 700), bool))
-    _, plan = _lp_plan(A_lp)
-    assert 700 * 10 * 10 > sdp.SCHUR_CHUNK and len(plan.classes[0][3]) > 1
+    plan = _lp_plan(A_lp)
+    assert 700 * 10 * 10 > sdp.SCHUR_CHUNK and len(plan.lp_groups[0][2]) > 1
     assert _lp_term_matches_scipy(A_lp, draws=10)
 
 
@@ -895,11 +926,29 @@ def test_lp_term_without_scalar_blocks_does_no_work():
     p.add_row([(g, 0, 1, 1.0), (g, 1, 1, 1.0)], rhs=1.0)
     A_lp, block_rows = _lp_pattern(p)
     assert A_lp.shape == (2, 0)
-    layout, plan = _lp_plan(A_lp, block_rows)
-    assert plan.classes == []
-    flat = np.arange(layout.flat.size, dtype=float)
-    plan.add_to(flat, np.zeros(0))
-    assert np.array_equal(flat, np.arange(layout.flat.size))
+    plan = _lp_plan(A_lp, block_rows)
+    assert _group_shapes(plan) == ([], (1, 0))
+    plan.flat[:] = np.arange(plan.flat.size)
+    plan.add_lp(np.zeros(0))
+    assert np.array_equal(plan.flat, np.arange(plan.flat.size))
+
+
+@pytest.mark.parametrize("problem", ["fit", "components"])
+def test_one_graph_pass_per_solve(problem, monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    p = _fit_plan_problem() if problem == "fit" else _component_problem()
+    calls = []
+    real = csgraph.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counted)
+    sol = solve_sdp(p)
+    assert sol.status == "optimal"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1153,6 +1202,30 @@ class TestIndexValidation:
             SdpProblem.from_json_dict(_two_blocks_json(rows_free=[]))
         with pytest.raises(ValueError, match="differ in length"):
             SdpProblem.from_json_dict(_two_blocks_json(rhs=[1.0, 2.0]))
+
+    @pytest.mark.parametrize("dim, named", [
+        (1.5, "must be an integer, got 1.5"),
+        (np.float64(2.0), "must be an integer"),
+        ("2", "must be an integer, got '2'"),
+        (0, "must be >= 1, got 0"),
+        (np.int64(-1), "must be >= 1, got -1"),
+    ])
+    def test_add_block_rejects_a_bad_dimension(self, dim, named):
+        p = SdpProblem()
+        with pytest.raises(ValueError, match=re.escape(named)):
+            p.add_block(dim)
+        assert p.block_dims == [] and p.n_psd == 0
+
+    @pytest.mark.parametrize("changes, named", [
+        # zip would drop the block without a name
+        ({"block_names": ["block0"]}, "block_dims (2) and block_names (1) differ in length"),
+        ({"block_names": ["a", "b", "c"]}, "block_dims (2) and block_names (3) differ in length"),
+        # int() would make it a 2x2 block
+        ({"block_dims": [2.5, 3]}, "block dimension must be an integer, got 2.5"),
+    ])
+    def test_json_rejects_bad_blocks(self, changes, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SdpProblem.from_json_dict(_two_blocks_json(**changes))
 
 
 # ---------------------------------------------------------------------------
