@@ -455,14 +455,14 @@ def _fit_weight(lin: np.ndarray) -> np.ndarray:
 def _fit_solve(prob: SdpProblem, data: tuple, W_obj: np.ndarray, margin: float):
     """One fit step in unit coordinates: ``prob`` (``_fit_problem`` of data
     at margin) solved with weight W_obj, as (A_t, B_t, tau_t), or None when
-    it is infeasible at a positive margin."""
+    it ends neither optimal nor feasible at a positive margin."""
     Cs, Bs, As = data
     T, n, p = Cs.shape[0], Cs.shape[1], As.shape[1]
     _fit_objective(prob, W_obj, n)
     sol = solve_sdp(prob)
+    if margin > 0.0 and sol.status not in ("optimal", "feasible"):
+        return None
     if sol.status == "infeasible":
-        if margin > 0.0:
-            return None
         raise ConsistencyError("ellipsoid fit infeasible: no bounded consistent set")
     if sol.status == "unbounded":
         raise ConsistencyError("ellipsoid fit unbounded: shape matrix grows without limit")
@@ -479,7 +479,7 @@ def _fit_solve(prob: SdpProblem, data: tuple, W_obj: np.ndarray, margin: float):
 def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
                    margin: float):
     """Warm-up solve plus FIT_ITERS steps at one margin: (best, history) in raw
-    data units, or None when a solve is infeasible at a positive margin.
+    data units, or None when a solve fails at a positive margin.
 
     The constraints are built once (``_fit_problem``); each of the
     1 + FIT_ITERS solves replaces only the objective, so the problem object
@@ -545,8 +545,9 @@ def solve_overapprox(
             f"too little excitation: stacked regressors have rank {rank} < N+M = {p}")
     unit, zeta0, rho = _fit_coordinates(dm)
     data = (unit.C, unit.B, unit.A)
-    # the margin trims a negligible sliver of volume; drop it only if it
-    # makes the constraint set empty (extremely flat consistency sets)
+    # the margin trims a negligible sliver of volume; drop it only if a
+    # solve at it fails: it can make the constraint set empty (extremely
+    # flat consistency sets) or leave too thin an interior to converge
     for margin in (1e-6, 1e-8, 0.0):
         fit = _fit_at_margin(data, zeta0, rho, dm.delta, margin)
         if fit is not None:

@@ -37,6 +37,12 @@ point solve degrades.  The solver sees the smaller blocks; `SosSolution.gram`
 returns each raw PSD block (H under a margin) over its declared basis, with
 exact zeros at the pruned positions, and the compiled index lists them per
 block under "pruned".
+
+`SosSolution` is the read side of the compiled index: `gram` returns a
+constraint's PSD blocks as above, `certificate` packs them with their
+bases, variable names and, under a margin, t and the margin mask, and
+`ray_family` names the row family an infeasible solve's dual ray
+concentrates on.
 """
 
 from __future__ import annotations
@@ -455,7 +461,8 @@ class SosProgram:
             "gram_blocks": gram_blocks,
             "row_families": row_families,
             "grams": [
-                {"name": con.name, "meta": con.meta, "margin_mask": con.margin_mask,
+                {"name": con.name, "meta": con.meta, "margin": con.margin,
+                 "margin_mask": con.margin_mask,
                  "blocks": [[list(e) for e in blk] for blk in con.blocks],
                  "pruned": drop}
                 for con, drop in zip(self._grams, pruned)
@@ -592,6 +599,51 @@ class SosSolution:
                 G[np.ix_(keep, keep)] = self.sdp.blocks[next(ids)]
             out.append(G)
         return out
+
+    def certificate(self, handle: int) -> dict:
+        """The constraint's certificate as JSON data.
+
+        "blocks" are the `gram` blocks, "block_exps" each block's declared
+        basis as exponent tuples over "vars", the variable names (a matrix
+        constraint's row selectors "_q<i>" first).  Under a margin t the
+        entry also carries "margin", t's value, and "margin_mask", the 0/1
+        diagonal D that t shifts, so the target is the Gram polynomial of
+        each block plus t times its masked diagonal.
+        """
+        entry = self.index["grams"][handle]
+        meta = entry["meta"]
+        names = [v.name for v in meta["vars"]]
+        if meta["kind"] == "matrix":
+            names = [f"_q{i}" for i in range(meta["n_rows"])] + names
+        cert = {
+            "blocks": [G.tolist() for G in self.gram(handle)],
+            "block_exps": [[list(e) for e in blk] for blk in entry["blocks"]],
+            "vars": names,
+        }
+        if entry["margin"] is not None:
+            cert["margin"] = self.coeff_values[entry["margin"]]
+            cert["margin_mask"] = [[float(v) for v in blk]
+                                   for blk in entry["margin_mask"]]
+        return cert
+
+    def ray_family(self) -> str:
+        """Name the row family the dual improving ray concentrates on.
+
+        The families are the compiled index's "row_families": each Gram
+        constraint's matching rows, by constraint name, and each run of
+        linear rows with one `add_linear` family label.  The score of a
+        family is its share of the ray's absolute mass.
+        """
+        fams = self.index["row_families"]
+        y = np.abs(np.asarray(self.sdp.y, dtype=float))
+        if y.size == 0 or y.max() == 0.0 or not fams:
+            return "no dual ray available"
+        scores: dict[str, float] = {}
+        for name, a, b in fams:
+            scores[name] = scores.get(name, 0.0) + float(y[a:b].sum())
+        total = sum(scores.values()) or 1.0
+        name, mass = max(scores.items(), key=lambda t: t[1])
+        return f"dual ray concentrates on {name} rows ({100.0 * mass / total:.0f}% of mass)"
 
 
 # ---------------------------------------------------------------------------

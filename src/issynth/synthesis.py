@@ -11,6 +11,15 @@ once, because its Gram matrix is then not certified; otherwise the step is
 accepted only if the extracted tuple satisfies the matrix inequality
 pointwise on a sampled box.
 
+`_step` runs one step from the last accepted `SynthesisResult` and returns
+the step's history record with the new result, or None if it rejected the
+step; `alternate` is the loop over `_step` that carries the result from
+step to step.  Certificates and the dual-ray diagnosis of an infeasible
+step are read through `SosSolution.certificate` and
+`SosSolution.ray_family`; this module reads no compiled index.  No default
+configuration reaches the accepted path; `alternate`'s docstring says how
+that path was checked.
+
 Scale note: the constraints are nearly homogeneous in (V, lambda, alphas,
 Grams), so without a normalization the solver parks the whole problem at
 the epsilon floors, where the required decay alpha3 >= epsilon*r^2 is a
@@ -22,9 +31,10 @@ makes the epsilon floors negligible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -369,25 +379,6 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
 # alternation
 
 
-def _localize_infeasibility(sol) -> str:
-    """Name the constraint family the dual improving ray concentrates on.
-
-    The families are the Gram constraints, by name, and the labelled
-    linear groups of `assemble_theorem1`: the a1, a3 and a4 gates, the a1
-    pin and the V/lambda caps.
-    """
-    fams = sol.index.get("row_families", [])
-    y = np.abs(np.asarray(sol.sdp.y, dtype=float))
-    if y.size == 0 or y.max() == 0.0 or not fams:
-        return "no dual ray available"
-    scores: dict[str, float] = {}
-    for name, a, b in fams:
-        scores[name] = scores.get(name, 0.0) + float(y[a:b].sum())
-    total = sum(scores.values()) or 1.0
-    name, mass = max(scores.items(), key=lambda t: t[1])
-    return f"dual ray concentrates on {name} rows ({100.0 * mass / total:.0f}% of mass)"
-
-
 def _eps_row(epsilon: float) -> float:
     """Gate level for alpha coefficient sums, a hair above epsilon."""
     return epsilon + max(1e-7, 1e-6 * epsilon)
@@ -413,36 +404,6 @@ def _chop(p: Polynomial) -> Polynomial:
         return p
     cut = CHOP_REL * max(1.0, max(abs(c) for c in p.terms.values()))
     return Polynomial(p.vars, {e: c for e, c in p.terms.items() if abs(c) >= cut})
-
-
-def _cert_entry(sol, h: int) -> dict:
-    entry = sol.index["grams"][h]
-    meta = entry["meta"]
-    if meta["kind"] == "matrix":
-        names = [f"_q{i}" for i in range(meta["n_rows"])] \
-            + [v.name for v in meta["vars"]]
-    else:
-        names = [v.name for v in meta["vars"]]
-    return {
-        "blocks": [G.tolist() for G in sol.gram(h)],
-        "block_exps": [[list(e) for e in blk] for blk in entry["blocks"]],
-        "vars": names,
-    }
-
-
-def _extract_certificates(sol, legend) -> dict:
-    """Matrix-slot certificates from the coupled solve.
-
-    The s4 blocks are the raw PSD blocks: they certify
-    s4 - margin * (masked Gram diagonal), with the margin and mask stored
-    alongside.
-    """
-    certs = {"s4": _cert_entry(sol, legend["s_handles"]["s4"])}
-    entry = sol.index["grams"][legend["s_handles"]["s4"]]
-    certs["s4"]["margin"] = float(sol.coeff(legend["t"]))
-    certs["s4"]["margin_mask"] = [
-        [float(v) for v in blk] for blk in entry["margin_mask"]]
-    return certs
 
 
 def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
@@ -481,7 +442,7 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
                 f"envelope refit {name} failed with status {sol.status}")
         vals[name] = _clip_alpha(
             np.array([sol.coeff(c) for c in cs]), prefix.rstrip("_"))
-        certs[name] = _cert_entry(sol, h)
+        certs[name] = sol.certificate(h)
 
     prog = SosProgram()
     lam_p = lam if lam.vars == xevars else lam.extend(xevars)
@@ -491,80 +452,67 @@ def _refit_envelopes(V: Polynomial, lam: Polynomial, cfg: SynthesisConfig,
     if sol.status not in ("optimal", "feasible"):
         raise SynthesisError(
             f"multiplier floor re-certification failed: {sol.status}")
-    certs["s3"] = _cert_entry(sol, h)
+    certs["s3"] = sol.certificate(h)
     return vals["s1"], vals["s2"], certs
 
 
-def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig) -> SynthesisResult:
-    """Run the two-step alternation and return a fully verified result.
+def _step(ell: ConsistencyEllipsoid, cfg: SynthesisConfig, rnd: int, step: str,
+          prev: SynthesisResult | None) -> tuple[dict, SynthesisResult | None]:
+    """One alternation step from the last accepted result, prev (None before
+    the first step): its history record, and the accepted result or None.
 
-    The first step fixes k = cfg.k_init and fits (V, lambda, alphas); the
-    second fixes (V, lambda) and refits (k, alphas); rounds repeat the pair.
-    A first step that is infeasible, returns a negative Gram margin t, or
-    whose extracted tuple fails the sampled matrix check, raises; a later
-    failure stops the loop and the last accepted step is returned.  The
-    returned tuple is re-verified by the independent oracles before being
-    handed back; verification failure of a solver-accepted result is a hard
-    error.
+    Step "V" fixes prev's controller (cfg.k_init before the first step) and
+    fits (V, lambda, alphas); step "k" fixes prev's (V, lambda) and refits
+    (k, alpha3, alpha4), carrying prev's envelopes and their certificates
+    over.  A step is rejected, with the record's status and diagnostic
+    naming why, when the solve is not optimal or feasible, when its Gram
+    margin t is negative, when extraction fails, or when the extracted
+    tuple violates the matrix inequality on the sample box.  The result
+    carries no history and no ellipsoid hash; `alternate` adds both.
     """
-    k_cur: tuple[Polynomial, ...] = cfg.k_init
-    V_cur: Polynomial | None = None
-    lam_cur: Polynomial | None = None
-    best: dict | None = None
-    history: list[dict] = []
-
-    def run_step(rnd: int, step: str) -> bool:
-        nonlocal k_cur, V_cur, lam_cur, best
-        fixed = {"k": list(k_cur)} if step == "V" else \
-            {"V": V_cur, "lambda": lam_cur}
-        prog, legend = assemble_theorem1(ell, cfg, fixed)
-        t0 = time.perf_counter()
-        sol = prog.solve()
-        rec = {"round": rnd, "step": step, "status": sol.status,
-               "seconds": round(time.perf_counter() - t0, 3)}
-        if sol.status not in ("optimal", "feasible"):
-            rec["diagnostic"] = _localize_infeasibility(sol)
-            history.append(rec)
-            return False
-        t_val = float(sol.coeff(legend["t"]))
-        rec["t"] = t_val
+    if step == "V":
+        fixed = {"k": list(prev.k if prev else cfg.k_init)}
+    else:
+        fixed = {"V": prev.V, "lambda": prev.lam}
+    prog, legend = assemble_theorem1(ell, cfg, fixed)
+    t0 = time.perf_counter()
+    sol = prog.solve()
+    rec = {"round": rnd, "step": step, "status": sol.status,
+           "seconds": round(time.perf_counter() - t0, 3)}
+    # a SynthesisError rejects the step with the status last set here
+    status = sol.status
+    try:
+        if status not in ("optimal", "feasible"):
+            raise SynthesisError(sol.ray_family())
+        t_val = rec["t"] = float(sol.coeff(legend["t"]))
         rec["objective"] = None if sol.objective is None else -float(sol.objective)
         if t_val < 0.0:
             # the PSD block holds G - t*D, so t < 0 leaves the Gram matrix G
             # itself uncertified; no envelope refit or box check can help
-            rec["status"] = "negative-margin"
-            rec["diagnostic"] = f"Gram margin t = {t_val:.6g} < 0"
-            history.append(rec)
-            return False
+            status = "negative-margin"
+            raise SynthesisError(f"Gram margin t = {t_val:.6g} < 0")
+        status = "extraction-failure"
         # alpha extraction with gate repair: the coupled solve can leave a
         # sum a hair under the epsilon gate, so bump the r^2 coefficient
         eps_row = _eps_row(cfg.epsilon)
-        try:
-            ext = {}
-            for nm, cs in legend["alpha_coeffs"].items():
-                v = _clip_alpha(np.array([sol.coeff(c) for c in cs]), nm)
-                if v.sum() < eps_row:
-                    v[0] += eps_row - v.sum()
-                ext[nm] = v
-            if step == "V":
-                V_new = _chop(sol.value(legend["V"]))
-                lam_new = _chop(sol.value(legend["lam"]))
-                k_new = tuple(legend["k"])  # k_cur over the state variables
-                a1_new, a2_new, env_certs = _refit_envelopes(
-                    V_new, lam_new, cfg, legend["xvars"], legend["xevars"])
-            else:
-                V_new, lam_new = V_cur, lam_cur
-                k_new = tuple(_chop(sol.value(kj)) for kj in legend["k"])
-                # V and lambda are unchanged, so the envelope fits carry over
-                a1_new, a2_new = best["alpha"][0], best["alpha"][1]
-                env_certs = {nm: best["certificates"][nm]
-                             for nm in ("s1", "s2", "s3")}
-        except SynthesisError as exc:
-            rec["status"] = "extraction-failure"
-            rec["diagnostic"] = str(exc)
-            history.append(rec)
-            return False
-        alphas = (a1_new, a2_new, ext["a3"], ext["a4"])
+        ext = {}
+        for nm, cs in legend["alpha_coeffs"].items():
+            v = _clip_alpha(np.array([sol.coeff(c) for c in cs]), nm)
+            if v.sum() < eps_row:
+                v[0] += eps_row - v.sum()
+            ext[nm] = v
+        if step == "V":
+            V, lam = _chop(sol.value(legend["V"])), _chop(sol.value(legend["lam"]))
+            k = tuple(legend["k"])  # prev's controller over the state variables
+            a1, a2, certs = _refit_envelopes(
+                V, lam, cfg, legend["xvars"], legend["xevars"])
+        else:
+            V, lam = prev.V, prev.lam
+            k = tuple(_chop(sol.value(kj)) for kj in legend["k"])
+            # V and lambda are unchanged, so the envelope fits carry over
+            a1, a2 = prev.alpha[:2]
+            certs = {nm: prev.certificates[nm] for nm in ("s1", "s2", "s3")}
+        status = "feasibility-loss"
         # t >= 0 certifies the Gram matrix, but the acceptance test is that
         # the extracted tuple satisfies the matrix inequality pointwise on
         # the sample box
@@ -572,48 +520,58 @@ def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig) -> SynthesisResul
         XE = rng.uniform(-cfg.check_box, cfg.check_box,
                          size=(cfg.check_samples, 2 * ell.bases.n))
         M = _verify.theorem1_matrix_values(
-            ell, ell.bases, V_new, k_new, lam_new, alphas[2], alphas[3], XE)
-        worst = float(np.linalg.eigvalsh(M)[:, -1].max())
-        rec["box_worst"] = worst
+            ell, ell.bases, V, k, lam, ext["a3"], ext["a4"], XE)
+        worst = rec["box_worst"] = float(np.linalg.eigvalsh(M)[:, -1].max())
         if worst > 1e-6:
-            rec["status"] = "feasibility-loss"
-            rec["diagnostic"] = (
+            raise SynthesisError(
                 "solver-accepted step violates the matrix inequality on the "
                 f"sample box (worst eigenvalue {worst:.3e})")
-            history.append(rec)
-            return False
-        V_cur, lam_cur, k_cur = V_new, lam_new, k_new
-        best = {
-            "k": k_cur, "V": V_cur, "lam": lam_cur, "alpha": alphas,
-            "certificates": {**env_certs, **_extract_certificates(sol, legend)},
-            "margin": t_val,
-        }
+    except SynthesisError as exc:
+        rec["status"], rec["diagnostic"] = status, str(exc)
+        return rec, None
+    # the s4 blocks are the raw PSD blocks: they certify s4 minus the margin
+    # on the masked Gram diagonal, with the margin and mask stored alongside
+    certs["s4"] = sol.certificate(legend["s_handles"]["s4"])
+    return rec, SynthesisResult(
+        bases=ell.bases, k=k, V=V, alpha=(a1, a2, ext["a3"], ext["a4"]), lam=lam,
+        epsilon=cfg.epsilon, certificates=certs, margin=t_val)
+
+
+def alternate(ell: ConsistencyEllipsoid, cfg: SynthesisConfig) -> SynthesisResult:
+    """Run the two-step alternation and return a fully verified result.
+
+    A loop over `_step`, (round, step) in (1, "V"), (1, "k"), (2, "V"), ...
+    for cfg.rounds rounds; each step starts from the last accepted
+    `SynthesisResult`.  The loop stops at the first rejected step: if that
+    is the first step, it raises SynthesisError (infeasible-first-step, with
+    the record's status and diagnostic); otherwise the last accepted result
+    is returned, with every step's record as its history.  The returned
+    tuple is re-verified by the independent oracles before being handed
+    back; verification failure of a solver-accepted result is a hard error.
+
+    No test or benchmark configuration reaches the accepted path at the
+    defaults (every first step V ends negative-margin).  It was checked on
+    a six-trajectory Khalil data set under a patch that is not part of the
+    code: Gram rows of degree deg_lambda // 2, a margin on only the
+    elements linear in x, and t <= 1.  There rounds 1 and 2 were accepted
+    and all seven oracles passed; CHANGES.md gives the recipe and the
+    sha256 of each result's JSON.
+    """
+    accepted: SynthesisResult | None = None
+    history: list[dict] = []
+    for rnd, step in itertools.product(range(1, cfg.rounds + 1), ("V", "k")):
+        rec, res = _step(ell, cfg, rnd, step, accepted)
         history.append(rec)
-        return True
-
-    stopped = False
-    for rnd in range(1, cfg.rounds + 1):
-        for step in ("V", "k"):
-            ok = run_step(rnd, step)
-            if not ok:
-                if best is None:
-                    rec = history[-1]
-                    raise SynthesisError(
-                        "infeasible-first-step (bad k_init): status "
-                        f"{rec['status']}, {rec.get('diagnostic', '')}")
-                stopped = True
-                break
-        if stopped:
+        if res is None:
             break
-
-    assert best is not None
-    res = SynthesisResult(
-        bases=ell.bases, k=best["k"], V=best["V"], alpha=best["alpha"],
-        lam=best["lam"], epsilon=cfg.epsilon,
-        certificates=best["certificates"], history=history,
-        margin=best["margin"],
-        ellipsoid_hash=hashlib.sha256(ell.to_json().encode()).hexdigest(),
-    )
+        accepted = res
+    if accepted is None:
+        raise SynthesisError(
+            "infeasible-first-step (bad k_init): status "
+            f"{rec['status']}, {rec['diagnostic']}")
+    res = replace(
+        accepted, history=history,
+        ellipsoid_hash=hashlib.sha256(ell.to_json().encode()).hexdigest())
     reports = _verify.verify_suite(res, ell)
     failed = [r for r in reports if not r.passed]
     if failed:

@@ -97,6 +97,19 @@ class TestScalarSos:
                                     np.random.default_rng(0))
         assert ok, err
 
+    def test_certificate_rebuilds_the_target(self, xv):
+        target = parse_poly("x^4 - 2*x^2 + 1", xv)
+        prog = SosProgram()
+        h = prog.add_scalar_sos(target, monomial_basis(xv, 2))
+        sol = prog.solve()
+        cert = sol.certificate(h)
+        assert cert["vars"] == ["x"] and "margin" not in cert
+        vs = variables(cert["vars"])
+        recon = Polynomial.zero(vs)
+        for G, exps in zip(cert["blocks"], cert["block_exps"]):
+            recon = recon + gram_polynomial(np.array(G), [tuple(e) for e in exps], vs)
+        assert max_coeff(recon - target.extend(vs)) <= 1e-8
+
     def test_negative_square_infeasible(self, xv):
         prog = SosProgram()
         prog.add_scalar_sos(parse_poly("-x^2", xv), monomial_basis(xv, 1))
@@ -160,6 +173,28 @@ class TestMargin:
         sol = prog.solve()
         assert sol.status == "optimal"
         assert abs(sol.coeff(t) - (2.0 * np.sqrt(2.0) - 2.0)) <= 1e-6
+
+    def test_certificate_carries_the_margin(self, xv):
+        # the blocks of [[x^4 + 1]] certify it only with t on the masked
+        # diagonal: q0^2 (x^4 + 1) = sum of z^T (H + t D) z over the blocks
+        prog = SosProgram()
+        t = prog.new_coeff("t")
+        h = prog.add_matrix_sos([[parse_poly("x^4 + 1", xv)]],
+                                z_bases=[monomial_basis(xv, 2)], margin=t)
+        prog.set_objective([(t, 1.0)], "max")
+        sol = prog.solve()
+        cert = sol.certificate(h)
+        assert cert["vars"] == ["_q0", "x"]
+        assert cert["margin"] == sol.coeff(t)
+        assert cert["margin_mask"] == [[0.0, 1.0, 1.0]]
+        vs = variables(cert["vars"])
+        recon = Polynomial.zero(vs)
+        for G, exps, mask in zip(cert["blocks"], cert["block_exps"],
+                                 cert["margin_mask"]):
+            H = np.array(G) + cert["margin"] * np.diag(mask)
+            recon = recon + gram_polynomial(H, [tuple(e) for e in exps], vs)
+        target = Polynomial(vs, {(2, 4): 1.0, (2, 0): 1.0})
+        assert max_coeff(recon - target) <= 1e-8
 
     def test_negative_margin_measures_infeasibility(self, xv):
         # [[-x^2/2]] is not SOS; its x^2 row reads H11 + t = -1/2, so the

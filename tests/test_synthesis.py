@@ -1,11 +1,12 @@
 """Tests for the theorem-1 program assembly and the alternation's error paths.
 
 Most build programs (step V and step K) or run tiny solves only.  The
-negative-margin test runs alternate up to its first step-V solve, and the
-step-V regression test solves five full step-V programs (about 7 s, one
-BLAS thread, 2 vCPU).
+negative-margin test runs alternate up to its first step-V solve, the loop
+test runs it over a stand-in for `_step`, and the step-V regression test
+solves five full step-V programs (about 7 s, one BLAS thread, 2 vCPU).
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from issynth.consistency import build_data_matrices, ellipsoid_params, solve_overapprox
 from issynth.poly import Polynomial, monomial_basis, parse_poly, variables
 from issynth.sdp import format_trace, validate_solution
+from issynth import synthesis
 from issynth import verify as _verify
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
 from issynth.sos import AffinePoly, SosProgram
@@ -21,7 +23,6 @@ from issynth.synthesis import (
     SynthesisConfig,
     SynthesisError,
     SynthesisResult,
-    _localize_infeasibility,
     _refit_envelopes,
     alternate,
     assemble_theorem1,
@@ -139,7 +140,7 @@ def test_localize_infeasibility_names_the_binding_family():
     assert sol.status == "infeasible"
     assert [name for name, _, _ in sol.index["row_families"]] == ["s", "pin", "caps"]
     assert re.fullmatch(r"dual ray concentrates on caps rows \(\d+% of mass\)",
-                        _localize_infeasibility(sol))
+                        sol.ray_family())
 
 
 def test_fixed_must_name_one_side(khalil_ell, k_lin):
@@ -243,3 +244,33 @@ def test_negative_margin_fails_before_the_box_check(khalil_ell, k_lin, monkeypat
         alternate(khalil_ell, SynthesisConfig(k_init=(k_lin,)))
     t = float(re.search(r"t = (\S+) < 0", str(err.value)).group(1))
     assert -0.6 < t < -0.5
+
+
+def test_alternate_carries_the_last_accepted_step(khalil_ell, k_lin, monkeypatch):
+    # no test configuration reaches an accepted step, so _step is replaced:
+    # each step starts from the last accepted result, the loop stops at the
+    # first rejection, and that result comes back with every record
+    xev = variables(["x1", "x2", "e1", "e2"])
+    seen = []
+
+    def fake_step(ell, cfg, rnd, step, prev):
+        seen.append(prev)
+        rec = {"round": rnd, "step": step, "status": "optimal"}
+        if (rnd, step) == (2, "k"):
+            rec.update(status="feasibility-loss", diagnostic="box")
+            return rec, None
+        return rec, SynthesisResult(
+            bases=ell.bases, k=(k_lin,), V=parse_poly("x1^2 + x2^2", k_lin.vars),
+            alpha=(np.ones(1),) * 4, lam=Polynomial.constant(xev, 1.0),
+            epsilon=cfg.epsilon, certificates={}, margin=float(len(seen)))
+
+    monkeypatch.setattr(synthesis, "_step", fake_step)
+    monkeypatch.setattr(_verify, "verify_suite", lambda res, ell: [])
+    res = alternate(khalil_ell, SynthesisConfig(k_init=(k_lin,), rounds=3))
+    assert [None if p is None else p.margin for p in seen] == [None, 1.0, 2.0, 3.0]
+    assert res.margin == 3.0
+    assert [(h["round"], h["step"], h["status"]) for h in res.history] == [
+        (1, "V", "optimal"), (1, "k", "optimal"), (2, "V", "optimal"),
+        (2, "k", "feasibility-loss")]
+    assert res.ellipsoid_hash == hashlib.sha256(khalil_ell.to_json().encode()).hexdigest()
+    assert seen[-1].history == [] and seen[-1].ellipsoid_hash == ""

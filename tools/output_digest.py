@@ -6,7 +6,10 @@ the solver must keep.  The outputs:
 
 - the khalil-step experiment (T = 30, spacing 0.05, d_radius 0.05,
   x0 = (0.5, -0.5), collection seed 0, k = -x1 - x2, default synthesis
-  config): its ellipsoid JSON and step V's ``SdpSolution`` JSON;
+  config): its ellipsoid JSON and step V's ``SdpSolution`` JSON, and the
+  outcome of ``alternate`` on it: the ``SynthesisError`` text of a rejected
+  first step verbatim, or else the digest of the result's JSON without
+  the history's ``seconds``;
 - the six-trajectory fit of khalil-fit-multi seed 0, operations 0-5
   (T = 15 per trajectory from six x0 on the radius-0.8 circle, d_radius
   0.01, trajectory j of operation i collected with a seed from
@@ -20,13 +23,14 @@ Only public ``issynth`` calls are used.  Run from the repository root:
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
 from issynth.consistency import Dataset, build_data_matrices, solve_overapprox
 from issynth.poly import parse_poly
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
-from issynth.synthesis import SynthesisConfig, assemble_theorem1
+from issynth.synthesis import SynthesisConfig, SynthesisError, alternate, assemble_theorem1
 
 
 def digest(text: str) -> str:
@@ -39,10 +43,21 @@ def khalil_step() -> list[tuple[str, str]]:
                            x0=(0.5, -0.5), seed=0)
     ell = solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
     k = parse_poly("-x1 - x2", sys.bases.vars)
-    prog, _ = assemble_theorem1(ell, SynthesisConfig(k_init=(k,)), {"k": [k]})
+    cfg = SynthesisConfig(k_init=(k,))
+    prog, _ = assemble_theorem1(ell, cfg, {"k": [k]})
     sol = prog.solve()
+    try:
+        res = alternate(ell, cfg)
+    except SynthesisError as exc:
+        outcome = str(exc)
+    else:
+        d = res.to_json_dict()
+        d["history"] = [{key: v for key, v in h.items() if key != "seconds"}
+                        for h in d["history"]]
+        outcome = digest(json.dumps(d, sort_keys=True))
     return [("khalil-step ellipsoid", digest(ell.to_json())),
-            ("khalil-step step-V solution", digest(sol.sdp.to_json()))]
+            ("khalil-step step-V solution", digest(sol.sdp.to_json())),
+            ("khalil-step alternate", outcome)]
 
 
 def khalil_fit_multi(ops: int = 6) -> list[tuple[str, str]]:
