@@ -95,10 +95,8 @@ objective is then approximate, the gap may be open) and
 Inputs are checked at the boundary, once.  ``SdpProblem`` rejects a block
 dimension that is not a positive integer, a block, entry or free index out
 of range, and a coefficient, right-hand side or objective value that is
-not finite, both as it is built and as it is read from JSON, where the
-block, row and objective lists must also agree in length; the error names
-the row, entry or list.  Inside the loop the
-triangular solves call LAPACK directly, without scipy's per-call
+not finite, as it is built; the error names the row or entry.  Inside the
+loop the triangular solves call LAPACK directly, without scipy's per-call
 finiteness scans, and each search direction is checked once: numpy's
 Cholesky returns NaN factors for a non-finite Schur complement rather than
 raising, and such a direction ends the solve as a stall.
@@ -330,47 +328,6 @@ class SdpProblem:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SdpProblem":
-        p = cls()
-        dims, names = d["block_dims"], d["block_names"]
-        if len(dims) != len(names):
-            raise ValueError(f"block_dims ({len(dims)}) and block_names ({len(names)}) "
-                             "differ in length")
-        for dim, name in zip(dims, names):
-            p.add_block(dim, name)
-        p.free_names = list(d["free_names"])
-        p._rows_psd = [[(int(k), float(v)) for k, v in row] for row in d["rows_psd"]]
-        p._rows_free = [[(int(k), float(v)) for k, v in row] for row in d["rows_free"]]
-        p._rhs = [float(x) for x in d["rhs"]]
-        p._c_psd = {int(k): float(v) for k, v in d["c_psd"]}
-        p._c_free = {int(k): float(v) for k, v in d["c_free"]}
-        if not len(p._rows_psd) == len(p._rows_free) == len(p._rhs):
-            raise ValueError("rows_psd, rows_free and rhs differ in length")
-        psd = [k for row in p._rows_psd for k, _ in row] + list(p._c_psd)
-        free = [k for row in p._rows_free for k, _ in row] + list(p._c_free)
-        for coords, n, what in ((psd, p.n_psd, "svec coordinate"),
-                                (free, p.n_free, "free index")):
-            bad = [k for k in coords if not 0 <= k < n]
-            if bad:
-                raise ValueError(f"{what} {bad[0]} outside [0, {n})")
-        for r, (prow, frow, rhs) in enumerate(zip(p._rows_psd, p._rows_free, p._rhs)):
-            if not math.isfinite(rhs):
-                raise _not_finite(f"row {r}: rhs", rhs)
-            for where, row in (("svec coordinate", prow), ("free variable", frow)):
-                for k, v in row:
-                    if not math.isfinite(v):
-                        raise _not_finite(f"row {r}: coefficient of {where} {k}", v)
-        for where, obj in (("svec coordinate", p._c_psd), ("free variable", p._c_free)):
-            for k, v in obj.items():
-                if not math.isfinite(v):
-                    raise _not_finite(f"objective coefficient of {where} {k}", v)
-        return p
-
-    @classmethod
-    def from_json(cls, s: str) -> "SdpProblem":
-        return cls.from_json_dict(json.loads(s))
-
 
 # ---------------------------------------------------------------------------
 # solution container
@@ -408,23 +365,6 @@ class SdpSolution:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SdpSolution":
-        return cls(
-            status=d["status"],
-            objective=d["objective"],
-            blocks=[np.array(B) for B in d["blocks"]],
-            free=np.array(d["free"]),
-            y=np.array(d["y"]),
-            z_blocks=[np.array(B) for B in d["z_blocks"]],
-            iterations=int(d["iterations"]),
-            message=d.get("message", ""),
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "SdpSolution":
-        return cls.from_json_dict(json.loads(s))
-
 
 # ---------------------------------------------------------------------------
 # Nesterov-Todd scaling of the matrix blocks
@@ -439,8 +379,6 @@ def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     (``test_cho_solve_matches_scipy``), without its finiteness scans, since
     solve_sdp checks its directions instead.
     """
-    if B.size == 0:
-        return np.empty_like(B)
     X, info = dpotrs(L.T, B, lower=0)
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
@@ -448,16 +386,14 @@ def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve L X = B for lower triangular L.
+    """Solve L X = B for a C-ordered lower triangular L.
 
     LAPACK trtrs with the arguments ``scipy.linalg.solve_triangular(L, B,
-    lower=True)`` passes it: L itself when it is Fortran-ordered, else the
-    transposed upper system on L^T, whose memory already is Fortran order.
+    lower=True)`` passes it for such an L: the transposed upper system on
+    L^T, whose memory already is Fortran order.  Every caller passes
+    numpy's Cholesky output, which is C-ordered.
     """
-    if L.flags.f_contiguous:
-        X, info = dtrtrs(L, B, lower=1)
-    else:
-        X, info = dtrtrs(L.T, B, lower=0, trans=1)
+    X, info = dtrtrs(L.T, B, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info:
@@ -1284,10 +1220,10 @@ def format_trace(trace: Sequence[dict]) -> str:
 def validate_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
     """Recompute residuals from the original problem data, never from solver state."""
     A_psd, A_free, b, c_psd, c_free = prob.arrays()
-    if sol.status in ("infeasible", "unbounded") or not sol.blocks:
+    if sol.status in ("infeasible", "unbounded") or len(sol.blocks) != len(prob.block_dims):
         return {"status": sol.status, "checked": False}
-    xv = np.concatenate([svec(B) for B in sol.blocks])
-    # a solution read from JSON may carry no free values or no duals
+    xv = np.concatenate([np.zeros(0), *map(svec, sol.blocks)])
+    # a hand-built solution may carry no free values or no duals
     vfree = sol.free if sol.free.size else np.zeros(prob.n_free)
     r = A_psd @ xv + A_free @ vfree - b
     primal_eq = float(np.linalg.norm(r) / (1.0 + np.linalg.norm(b)))

@@ -251,7 +251,7 @@ class SosProgram:
 
     def template(self, vars: tuple[Variable, ...],
                  monomials: Sequence[Polynomial],
-                 prefix: str = "c") -> tuple[AffinePoly, list[CoeffVar]]:
+                 prefix: str) -> tuple[AffinePoly, list[CoeffVar]]:
         """Fresh affine template  sum_i c_i * m_i  over the given monomials."""
         cs = self.new_coeffs(prefix, len(monomials))
         lin = {}

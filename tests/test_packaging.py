@@ -71,4 +71,4 @@ def test_settable_option_count():
             elif isinstance(node, ast.ClassDef) and _is_record_class(node):
                 count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
         per_file[path.name] = count
-    assert sum(per_file.values()) == 111, per_file
+    assert sum(per_file.values()) == 110, per_file

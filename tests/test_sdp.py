@@ -1,7 +1,6 @@
 """Tests for the interior-point SDP solver."""
 
 import itertools
-import json
 import re
 
 import numpy as np
@@ -418,6 +417,29 @@ def _validated_label(p, sol):
     return sol.status
 
 
+def _free_only_problem():
+    # min v subject to v = 2: no blocks, one free variable
+    p = SdpProblem()
+    v = p.add_free("v")
+    p.add_row(free_entries=[(v, 1.0)], rhs=2.0)
+    p.set_objective_free(v, 1.0)
+    return p
+
+
+def test_validate_solution_checks_a_problem_without_blocks():
+    p = _free_only_problem()
+    sol = solve_sdp(p)
+    assert sol.status == "optimal" and sol.free.tolist() == [2.0]
+    val = validate_solution(p, sol)
+    assert val["checked"] and val["ok"], val
+    wrong = SdpSolution(status="feasible", objective=3.0, free=np.array([3.0]))
+    assert not validate_solution(p, wrong)["ok"]
+    # a solution without the problem's blocks is not checked
+    q = _free_only_problem()
+    q.add_block(2)
+    assert validate_solution(q, sol) == {"status": "optimal", "checked": False}
+
+
 def test_iteration_limit_labels_best_iterate_by_validation():
     p = _stall_problem()
     n_opt = solve_sdp(p).iterations
@@ -538,23 +560,20 @@ def test_cho_solve_matches_scipy(order):
         for B in (rng.standard_normal(n), rng.standard_normal((n, 3)),
                   np.asfortranarray(rng.standard_normal((n, 3)))):
             assert _same_array_bits(sdp._cho_solve(L, B), sla.cho_solve((L, True), B))
-    empty = np.zeros((0, 0))
-    for B in (np.zeros(0), np.zeros((0, 2))):
-        assert sdp._cho_solve(empty, B).shape == sla.cho_solve((empty, True), B).shape
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_solve_lower_matches_scipy(order):
+def test_solve_lower_matches_scipy():
     rng = np.random.default_rng(1)
+    # numpy's Cholesky factors, C-ordered, as the solver passes them
     for n in (1, 2, 7, 40):
         G = rng.standard_normal((n, n))
-        L = np.asarray(np.linalg.cholesky(G @ G.T + n * np.eye(n)), order=order)
+        L = np.linalg.cholesky(G @ G.T + n * np.eye(n))
         T = rng.standard_normal((n, n))
         # the solver passes an identity, a C-ordered matrix and a transpose view
         for B in (np.eye(n), T, T.T, rng.standard_normal(n)):
             assert _same_array_bits(sdp._solve_lower(L, B),
                                     sla.solve_triangular(L, B, lower=True))
-    singular = np.asarray([[1.0, 0.0], [1.0, 0.0]], order=order)
+    singular = np.array([[1.0, 0.0], [1.0, 0.0]])
     for solve in (sdp._solve_lower, lambda L, B: sla.solve_triangular(L, B, lower=True)):
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             solve(singular, np.ones(2))
@@ -1026,28 +1045,6 @@ def test_trace_records_schur_jitter(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-class TestSerialization:
-    def test_problem_roundtrip(self):
-        p = _random_feasible_sdp(np.random.default_rng(3), 5, 6, 2)
-        q = SdpProblem.from_json(p.to_json())
-        assert q.to_json() == p.to_json()
-        s1 = solve_sdp(p).to_json()
-        s2 = solve_sdp(q).to_json()
-        assert s1 == s2
-
-    def test_solution_roundtrip(self):
-        p = _random_feasible_sdp(np.random.default_rng(4), 4, 5, 1)
-        sol = solve_sdp(p)
-        back = SdpSolution.from_json(sol.to_json())
-        assert back.status == sol.status
-        assert np.allclose(back.blocks[0], sol.blocks[0])
-        assert back.to_json() == sol.to_json()
-
-
-# ---------------------------------------------------------------------------
 # problem container
 
 
@@ -1087,7 +1084,8 @@ def test_clear_objective_keeps_rows_and_the_next_solve_sees_only_the_new_objecti
     solve_sdp(p)
     p.clear_objective()
     assert p.to_json_dict() == {**before, "c_psd": [], "c_free": []}
-    fresh = SdpProblem.from_json_dict({**before, "c_psd": [], "c_free": []})
+    fresh = _random_feasible_sdp(np.random.default_rng(12), 4, 5, nf=1, ns=2)
+    fresh.clear_objective()
     for q in (p, fresh):
         q.set_objective_entry(0, 0, 1, 1.5)
         q.set_objective_entry(1, 0, 0, 2.0)
@@ -1153,14 +1151,6 @@ def _two_blocks():
     return p
 
 
-def _two_blocks_json(**changes):
-    p = _two_blocks()
-    p.add_row([(0, 0, 0, 1.0)], [(0, 1.0)], rhs=1.0)
-    d = p.to_json_dict()
-    d.update(changes)
-    return d
-
-
 class TestIndexValidation:
     @pytest.mark.parametrize("block", [-1, -2, 2])
     def test_add_row_rejects_block_outside_range(self, block):
@@ -1183,26 +1173,6 @@ class TestIndexValidation:
         with pytest.raises(IndexError, match="free variable"):
             p.set_objective_free(idx, 1.0)
 
-    @pytest.mark.parametrize("coord", [-1, 9])
-    def test_json_rejects_svec_coordinate_outside_range(self, coord):
-        with pytest.raises(ValueError, match="svec coordinate"):
-            SdpProblem.from_json_dict(_two_blocks_json(rows_psd=[[[coord, 1.0]]]))
-        with pytest.raises(ValueError, match="svec coordinate"):
-            SdpProblem.from_json_dict(_two_blocks_json(c_psd=[[coord, 1.0]]))
-
-    @pytest.mark.parametrize("idx", [-1, 1])
-    def test_json_rejects_free_index_outside_range(self, idx):
-        with pytest.raises(ValueError, match="free index"):
-            SdpProblem.from_json_dict(_two_blocks_json(rows_free=[[[idx, 1.0]]]))
-        with pytest.raises(ValueError, match="free index"):
-            SdpProblem.from_json_dict(_two_blocks_json(c_free=[[idx, 1.0]]))
-
-    def test_json_rejects_row_lists_of_unequal_length(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            SdpProblem.from_json_dict(_two_blocks_json(rows_free=[]))
-        with pytest.raises(ValueError, match="differ in length"):
-            SdpProblem.from_json_dict(_two_blocks_json(rhs=[1.0, 2.0]))
-
     @pytest.mark.parametrize("dim, named", [
         (1.5, "must be an integer, got 1.5"),
         (np.float64(2.0), "must be an integer"),
@@ -1215,17 +1185,6 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match=re.escape(named)):
             p.add_block(dim)
         assert p.block_dims == [] and p.n_psd == 0
-
-    @pytest.mark.parametrize("changes, named", [
-        # zip would drop the block without a name
-        ({"block_names": ["block0"]}, "block_dims (2) and block_names (1) differ in length"),
-        ({"block_names": ["a", "b", "c"]}, "block_dims (2) and block_names (3) differ in length"),
-        # int() would make it a 2x2 block
-        ({"block_dims": [2.5, 3]}, "block dimension must be an integer, got 2.5"),
-    ])
-    def test_json_rejects_bad_blocks(self, changes, named):
-        with pytest.raises(ValueError, match=re.escape(named)):
-            SdpProblem.from_json_dict(_two_blocks_json(**changes))
 
 
 # ---------------------------------------------------------------------------
@@ -1265,17 +1224,3 @@ def test_objective_rejects_non_finite_coefficient(bad):
     with pytest.raises(ValueError, match="objective coefficient of free variable 0"):
         p.set_objective_free(0, bad)
     assert p.to_json_dict()["c_psd"] == [] and p.to_json_dict()["c_free"] == []
-
-
-@pytest.mark.parametrize("field, value, named", [
-    ("rhs", [float("nan")], "row 0: rhs"),
-    ("rows_psd", [[[0, float("inf")]]], "row 0: coefficient of svec coordinate 0"),
-    ("rows_free", [[[0, float("-inf")]]], "row 0: coefficient of free variable 0"),
-    ("c_psd", [[3, float("nan")]], "objective coefficient of svec coordinate 3"),
-    ("c_free", [[0, float("inf")]], "objective coefficient of free variable 0"),
-])
-def test_json_rejects_non_finite_values(field, value, named):
-    # json.dumps writes NaN and Infinity and json.loads reads them back
-    text = json.dumps(_two_blocks_json(**{field: value}))
-    with pytest.raises(ValueError, match=f"{re.escape(named)} is not finite"):
-        SdpProblem.from_json(text)

@@ -14,6 +14,7 @@ from issynth.poly import Polynomial, parse_poly, variables
 from issynth.verify import (
     alpha_poly_in,
     alpha_values,
+    check_certificates,
     check_dissipation_sampled,
     check_kinf_gates,
     check_lambda_floor,
@@ -283,6 +284,59 @@ def test_kinf_gates():
     assert not check_kinf_gates(res).passed
     res.alpha = ([0.0], [2.0], [1.0], [10.0])  # sum below epsilon
     assert not check_kinf_gates(res).passed
+
+
+# ---------------------------------------------------------------------------
+# Gram certificates
+
+
+# s4's Gram matrix over (q0*x1, q0*e1, q1, q2, q3) for scalar_instance, whose
+# quadratic form is minus the theorem-1 form; its smallest eigenvalue is 2.54
+S4_GRAM = np.array([[3.0, 1.0, -2.0, -1.0, 1.0],
+                    [1.0, 10.0, 0.0, 0.0, 1.0],
+                    [-2.0, 0.0, 20.0, 0.0, 0.0],
+                    [-1.0, 0.0, 0.0, 20.0, 0.0],
+                    [1.0, 1.0, 0.0, 0.0, 20.0]])
+
+
+def scalar_certificates(G4=S4_GRAM, **margin):
+    """Closed-form certificates of scalar_instance: s1 = 0.5 x1^2,
+    s2 = x1^2, s3 = lam - epsilon and s4 with Gram matrix G4."""
+    def cert(G, exps, names):
+        return {"blocks": [np.asarray(G).tolist()], "block_exps": [exps], "vars": names}
+    q = [[int(i == j) for j in range(4)] for i in range(4)]
+    return {
+        "s1": cert([[0.5]], [[1]], ["x1"]),
+        "s2": cert([[1.0]], [[1]], ["x1"]),
+        "s3": cert([[10.0 - 1e-4]], [[0, 0]], ["x1", "e1"]),
+        "s4": {**cert(G4, [q[0] + [1, 0], q[0] + [0, 1], q[1] + [0, 0], q[2] + [0, 0],
+                           q[3] + [0, 0]], ["_q0", "_q1", "_q2", "_q3", "x1", "e1"]),
+               **margin},
+    }
+
+
+def test_certificates_closed_form():
+    res, ell = scalar_instance()
+    res.certificates = scalar_certificates()
+    rep = check_certificates(res, ell, np.random.default_rng(5))
+    assert rep.passed, rep.worst
+    assert rep.details["s4"]["min_eig"] > 2.5
+    G = S4_GRAM.copy()
+    G[0, 0] += 1e-2
+    res.certificates = scalar_certificates(G)
+    assert not check_certificates(res, ell, np.random.default_rng(5)).passed
+
+
+def test_certificates_add_the_margin_back():
+    res, ell = scalar_instance()
+    mask = [1.0, 1.0, 0.0, 0.0, 0.0]
+    shifted = S4_GRAM - 0.5 * np.diag(mask)
+    res.certificates = scalar_certificates(shifted, margin=0.5, margin_mask=[mask])
+    rep = check_certificates(res, ell, np.random.default_rng(5))
+    assert rep.passed, rep.worst
+    assert rep.details["s4"]["margin"] == 0.5
+    res.certificates = scalar_certificates(shifted, margin_mask=[mask])
+    assert not check_certificates(res, ell, np.random.default_rng(5)).passed
 
 
 # ---------------------------------------------------------------------------

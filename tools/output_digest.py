@@ -1,15 +1,15 @@
 """Print a sha256 digest of each solver output the benchmark workloads produce.
 
 Two checkouts whose digests agree give the same ellipsoids and the same
-step-V solution bit for bit, which is what a pure speed-up or refactor of
-the solver must keep.  The outputs:
+step-V program and solution bit for bit, which is what a pure speed-up or
+refactor of the solver must keep.  The outputs:
 
 - the khalil-step experiment (T = 30, spacing 0.05, d_radius 0.05,
   x0 = (0.5, -0.5), collection seed 0, k = -x1 - x2, default synthesis
-  config): its ellipsoid JSON and step V's ``SdpSolution`` JSON, and the
-  outcome of ``alternate`` on it: the ``SynthesisError`` text of a rejected
-  first step verbatim, or else the digest of the result's JSON without
-  the history's ``seconds``;
+  config): its ellipsoid JSON, step V's compiled ``SdpProblem`` JSON and
+  ``SdpSolution`` JSON, and the outcome of ``alternate`` on it: the
+  ``SynthesisError`` text of a rejected first step verbatim, or else the
+  digest of the result's JSON without the history's ``seconds``;
 - the six-trajectory fit of khalil-fit-multi seed 0, operations 0-5
   (T = 15 per trajectory from six x0 on the radius-0.8 circle, d_radius
   0.01, trajectory j of operation i collected with a seed from
@@ -56,6 +56,7 @@ def khalil_step() -> list[tuple[str, str]]:
                         for h in d["history"]]
         outcome = digest(json.dumps(d, sort_keys=True))
     return [("khalil-step ellipsoid", digest(ell.to_json())),
+            ("khalil-step step-V program", digest(sol.problem.to_json())),
             ("khalil-step step-V solution", digest(sol.sdp.to_json())),
             ("khalil-step alternate", outcome)]
 
