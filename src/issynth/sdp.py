@@ -100,6 +100,12 @@ loop the triangular solves call LAPACK directly, without scipy's per-call
 finiteness scans, and each search direction is checked once: numpy's
 Cholesky returns NaN factors for a non-finite Schur complement rather than
 raising, and such a direction ends the solve as a stall.
+
+scipy is imported inside the functions that use it, so the first
+``solve_sdp``, ``SdpProblem.arrays`` or ``validate_solution`` call loads it
+and a process that only simulates never does: imported at the top, it was
+0.19-0.26 s of a fresh process's 0.27-0.35 s ``import issynth`` and 26 of
+its 57 MiB resident (medians of 7 processes, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -115,8 +121,6 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrs, dtrtrs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -285,6 +289,8 @@ class SdpProblem:
 
     def arrays(self):
         """Assemble (A_psd csr, A_free csr, b, c_psd, c_free)."""
+        import scipy.sparse as sp
+
         m = self.n_rows
 
         def csr(rows, n_cols):
@@ -379,7 +385,11 @@ def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     (``test_cho_solve_matches_scipy``), without its finiteness scans, since
     solve_sdp checks its directions instead.
     """
-    X, info = dpotrs(L.T, B, lower=0)
+    # this form finds the loaded module in 0.4 us a call, ``from ... import``
+    # in 1.0 us; the two LAPACK wrappers run about 1,600 times a step-V solve
+    import scipy.linalg.lapack as lapack
+
+    X, info = lapack.dpotrs(L.T, B, lower=0)
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return X
@@ -393,7 +403,9 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     L^T, whose memory already is Fortran order.  Every caller passes
     numpy's Cholesky output, which is C-ordered.
     """
-    X, info = dtrtrs(L.T, B, lower=0, trans=1)
+    import scipy.linalg.lapack as lapack
+
+    X, info = lapack.dtrtrs(L.T, B, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info:
@@ -554,7 +566,7 @@ def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray
     """
     if not m:  # np.split of an empty order would give one empty component
         return []
-    # here, not at the top: it loads scipy.sparse.linalg (3 MiB, 25 ms)
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     n = m + groups.max(initial=-1) + 1
@@ -778,6 +790,8 @@ class _Preprocessed:
     """Problem after free-only-row elimination and row scaling."""
 
     def __init__(self, prob: SdpProblem):
+        import scipy.sparse as sp
+
         A_psd, A_free, b, c_psd, c_free = prob.arrays()
         m = prob.n_rows
         psd_nnz = np.diff(A_psd.indptr)

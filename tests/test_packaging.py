@@ -1,8 +1,13 @@
 """Packaging metadata: every declared entry point and export must resolve,
-and the package imports only public numpy and scipy modules."""
+the package imports only public numpy and scipy modules, and a process that
+only simulates never loads scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -47,6 +52,39 @@ def test_no_private_numpy_or_scipy_imports():
                 if head in ("numpy", "scipy") and any(p.startswith("_") for p in rest):
                     found.append(f"{path.name}:{node.lineno} imports {name}")
     assert not found, found
+
+
+# in a fresh process: this test session has scipy loaded already
+SIMULATE_THEN_SOLVE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import issynth, issynth.consistency
+    from issynth import simulate, sos, synthesis, verify
+    from issynth.poly import parse_poly, variables
+
+    khalil = simulate.khalil_system()
+    k = parse_poly("-x1^3 - 8*x2", khalil.bases.vars)
+    r2 = parse_poly("r^2", variables(["r"]))
+    simulate.event_triggered_run(khalil, [k], r2, r2, 0.9, x0=[2.0, -2.0], horizon=0.2)
+    simulate.integrate(khalil, lambda x: np.array([k.eval(x)]), [2.0, -2.0], 0.2, 1e-3)
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+    # min G00 + G11 subject to G01 = 1: the first solve loads scipy itself
+    p = issynth.SdpProblem()
+    g = p.add_block(2)
+    p.add_row(psd_entries=[(g, 0, 1, 1.0)], rhs=1.0)
+    p.set_objective_entry(g, 0, 0, 1.0)
+    p.set_objective_entry(g, 1, 1, 1.0)
+    print(issynth.solve_sdp(p).status)
+""")
+
+
+def test_simulation_never_loads_scipy_and_the_first_solve_does():
+    env = {**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", SIMULATE_THEN_SOLVE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "optimal"], run.stdout
 
 
 def _is_record_class(node: ast.ClassDef) -> bool:
