@@ -7,8 +7,9 @@ Samples (t, u, x, xdot) of an input-affine polynomial system
 constrain the unknown coefficient pair [A B].  Each sample's quadratic
 matrix inequality on [A B] is fixed by its regressor xi = [Z(x); W(x) u],
 its derivative xdot and delta; this module stacks those rows, fits a
-matrix ellipsoid that contains every consistent [A B] by semidefinite
-programming with a linearized determinant objective, and exposes
+matrix ellipsoid that contains every consistent [A B], the one of largest
+det(A_bar) among those an S-procedure certificate admits, by one
+semidefinite program per tried margin, and exposes
 membership tests both for the exact per-sample sets and for the fitted
 ellipsoid.  The fit first checks excitation: unless the stacked regressors
 have full column rank N+M, some direction of [A B] is unconstrained and
@@ -367,14 +368,14 @@ def assemble_overapprox_lmi(
 
 
 def _fit_problem(Cs: np.ndarray, Bs: np.ndarray, As: np.ndarray, margin: float) -> SdpProblem:
-    """The constraints of a linearized fit step, as an SDP over P = -S - margin*I >= 0
-    and the multipliers, without an objective.
+    """The data constraints of the fit, as an SDP over P = -S - margin*I >= 0
+    (block 0) and the multipliers (blocks 1..T), without an objective.
 
-    Every step at one margin solves these constraints; ``_fit_objective``
-    sets each step's objective.  A positive margin makes the returned
-    certificate hold strictly, so it survives the round trip back to raw
-    data units (the congruence blows constraint residuals up by 1/rho^2).
-    A_bar is P33 + margin*I.
+    ``_add_logdet`` appends the objective and its rows after these, so row
+    0, whose rhs is 1 - margin, stays first.  A positive margin makes the
+    returned certificate hold strictly, so it survives the round trip back
+    to raw data units (the congruence blows constraint residuals up by
+    1/rho^2).  A_bar is P33 + margin*I.
     """
     T, n = Cs.shape[:2]
     p = As.shape[1]
@@ -406,16 +407,45 @@ def _fit_problem(Cs: np.ndarray, Bs: np.ndarray, As: np.ndarray, margin: float) 
     return prob
 
 
-def _fit_objective(prob: SdpProblem, W_obj: np.ndarray, n: int) -> None:
-    """Make minimize -trace(W_obj @ A_bar) the only objective of a fit problem
-    with n states, whose block 0 is P; the margin shift of A_bar only adds a
-    constant."""
-    p = W_obj.shape[0]
-    prob.clear_objective()
+def _add_logdet(prob: SdpProblem, n: int, p: int, margin: float) -> None:
+    """Make maximizing det(A_t)^(1/p) the objective of a ``_fit_problem``
+    with n states, whose A_t = P33 + margin*I is p x p.
+
+    Some Delta, lower triangular with diagonal delta, makes the block
+    [[A_t, Delta], [Delta^T, Diag(delta)]] PSD exactly when delta >= 0 and
+    prod(delta) <= det(A_t).  A binary tree of 2 x 2
+    blocks [[u, s], [s, v]] >= 0, each s <= sqrt(u v), takes the geometric
+    mean of the leaves delta, padded to a power of two by the root's s:
+    then s_root <= prod(delta)^(1/p), and the objective is -s_root
+    (Ben-Tal & Nemirovski, Lectures on Modern Convex Optimization, 2001).
+    Everything is a block entry, so the problem has no free variables.
+    """
+    D = prob.add_block(2 * p, "logdet")
+    # upper left: A_t = P33 + margin I
     for a in range(p):
-        prob.set_objective_entry(0, n + p + a, n + p + a, -W_obj[a, a])
+        for b in range(a, p):
+            prob.add_row([(D, a, b, 1.0), (0, n + p + a, n + p + b, -1.0)],
+                         rhs=margin if a == b else 0.0)
+    # upper right: Delta lower triangular; lower right: Diag(delta)
+    for a in range(p):
         for b in range(a + 1, p):
-            prob.set_objective_entry(0, n + p + a, n + p + b, -2.0 * W_obj[a, b])
+            prob.add_row([(D, a, p + b, 1.0)], rhs=0.0)
+            prob.add_row([(D, p + a, p + b, 1.0)], rhs=0.0)
+        prob.add_row([(D, p + a, p + a, 1.0), (D, a, p + a, -1.0)], rhs=0.0)
+    # heap order: node k has children 2k + 1 and 2k + 2; the last q are leaves
+    q = 1 << (p - 1).bit_length()
+    tree = [prob.add_block(2, f"mean{k}") for k in range(q - 1)]
+
+    def value(k: int) -> tuple[int, int, int]:
+        if k < q - 1:
+            return tree[k], 0, 1
+        leaf = k - (q - 1)
+        return (D, leaf, p + leaf) if leaf < p else value(0)
+
+    for k, blk in enumerate(tree):
+        for c in (0, 1):
+            prob.add_row([(blk, c, c, 1.0), (*value(2 * k + 1 + c), -1.0)], rhs=0.0)
+    prob.set_objective_entry(*value(0), -1.0)
 
 
 def _fit_coordinates(dm: DataMatrices) -> tuple[DataMatrices, np.ndarray, float]:
@@ -438,27 +468,15 @@ def _fit_coordinates(dm: DataMatrices) -> tuple[DataMatrices, np.ndarray, float]
     return DataMatrices(dm.xi / s_xi, resid, 1.0), zeta0, sqd / s_xi
 
 
-# linearized determinant-maximization steps after the warm-up solve
-FIT_ITERS = 5
-
-
-def _fit_weight(lin: np.ndarray) -> np.ndarray:
-    """Scale-free objective weight A_prev^{-1} at a linearization point."""
-    p = lin.shape[0]
-    # ridge keeps the weight finite when the linearization point is flat
-    lam_max = float(np.linalg.eigvalsh(lin)[-1])
-    W = np.linalg.inv(lin + 1e-6 * max(1.0, lam_max) * np.eye(p))
-    W = 0.5 * (W + W.T)
-    return W * (p / np.trace(W))
-
-
-def _fit_solve(prob: SdpProblem, data: tuple, W_obj: np.ndarray, margin: float):
-    """One fit step in unit coordinates: ``prob`` (``_fit_problem`` of data
-    at margin) solved with weight W_obj, as (A_t, B_t, tau_t), or None when
-    it ends neither optimal nor feasible at a positive margin."""
+def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
+                   margin: float):
+    """The max-det fit at one margin, in raw data units: (logdet, A_bar,
+    B_bar, tau), or None when its one solve ends neither optimal nor
+    feasible at a positive margin."""
     Cs, Bs, As = data
     T, n, p = Cs.shape[0], Cs.shape[1], As.shape[1]
-    _fit_objective(prob, W_obj, n)
+    prob = _fit_problem(Cs, Bs, As, margin)
+    _add_logdet(prob, n, p, margin)
     sol = solve_sdp(prob)
     if margin > 0.0 and sol.status not in ("optimal", "feasible"):
         return None
@@ -469,73 +487,28 @@ def _fit_solve(prob: SdpProblem, data: tuple, W_obj: np.ndarray, margin: float):
     if sol.status not in ("optimal", "feasible"):
         raise ConsistencyError(f"ellipsoid fit failed: {sol.message or sol.status}")
     Pm = sol.blocks[0]
-    A_t = 0.5 * (Pm[n + p:, n + p:] + Pm[n + p:, n + p:].T)
-    A_t = A_t + margin * np.eye(p)
-    B_t = -Pm[n + p:, :n].copy()
-    tau_t = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(T)])
-    return A_t, B_t, tau_t
-
-
-def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
-                   margin: float):
-    """Warm-up solve plus FIT_ITERS steps at one margin: (best, history) in raw
-    data units, or None when a solve fails at a positive margin.
-
-    The constraints are built once (``_fit_problem``); each of the
-    1 + FIT_ITERS solves replaces only the objective, so the problem object
-    ends holding the last step's.  history holds, per step, the best
-    candidate so far: best_logdet (which ``ConsistencyEllipsoid.to_json``
-    writes), A_bar and B_bar.
-    """
-    prob = _fit_problem(*data, margin)
-    # warmup solve fixes the linearization point; a raw trace objective
-    # tends to collapse onto the best-excited regressor direction, so its
-    # optimizer is only used as the starting weight, never reported
-    As = data[2]
-    step = _fit_solve(prob, data, _fit_weight(0.5 * (As.mean(axis=0) + As.mean(axis=0).T)), margin)
-    if step is None:
-        return None
-    lin_point = step[0]
-
-    best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
-    history: list[dict] = []
-    for _ in range(FIT_ITERS):
-        step = _fit_solve(prob, data, _fit_weight(lin_point), margin)
-        if step is None:
-            return None
-        A_t, B_t, tau_t = step
-        A_bar = A_t / rho ** 2
-        B_bar = B_t / rho - A_bar @ zeta0
-        tau = tau_t * (1.0 / delta)
-        sign, ld = np.linalg.slogdet(A_bar)
-        logdet = float(ld) if sign > 0 else -np.inf
-        if best is None or logdet >= best[0]:
-            best = (logdet, A_bar, B_bar, tau)
-            lin_point = A_t
-        else:
-            # overshoot: damp toward the rejected candidate and retry
-            lin_point = 0.5 * (lin_point + A_t)
-        history.append({"best_logdet": best[0], "A_bar": best[1], "B_bar": best[2]})
-    return best, history
+    A_t = 0.5 * (Pm[n + p:, n + p:] + Pm[n + p:, n + p:].T) + margin * np.eye(p)
+    A_bar = A_t / rho ** 2
+    B_bar = -Pm[n + p:, :n] / rho - A_bar @ zeta0
+    tau = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(T)]) * (1.0 / delta)
+    sign, ld = np.linalg.slogdet(A_bar)
+    return (float(ld) if sign > 0 else -np.inf), A_bar, B_bar, tau
 
 
 def solve_overapprox(
     dm: DataMatrices, bases: RegressorBases | None = None,
 ) -> ConsistencyEllipsoid:
-    """Fit the consistency ellipsoid by iterated linearized determinant maximization.
+    """Fit the max-det consistency ellipsoid: one SDP solve per tried margin.
 
     Before any solve the stacked regressors must have full column rank N+M
     (rank counted above 1e-9 of the largest singular value); otherwise the
     data leave some direction of [A B] unconstrained and ConsistencyError
-    names the rank and N+M.  Iteration j maximizes trace(A_prev^{-1} A_bar)
-    subject to the data constraint.  A_prev starts at the mean regressor
-    outer product; a pure trace objective (A_prev = I) collapses onto the
-    dominant regressor direction and gives a useless rank-one linearization
-    point.  Every solver-accepted candidate satisfies the constraint, so each
-    is a valid overapproximation; the best log-determinant candidate seen so
-    far is kept, which makes the reported per-iteration sequence
-    nondecreasing.  Rejected steps halve the linearization move instead of
-    terminating.
+    names the rank and N+M.  The solve maximizes det(A_bar)^(1/p), p = N+M,
+    subject to the data constraint (``_fit_problem`` and ``_add_logdet``),
+    which gives the smallest ellipsoid the S-procedure certificate admits
+    (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 1998).
+    ``history`` holds one entry: best_logdet (log det A_bar, which
+    ``to_json`` writes as ``fit_logdets``), A_bar and B_bar.
     """
     p = dm.xi.shape[1]
     sv = np.linalg.svd(dm.xi, compute_uv=False)
@@ -552,7 +525,7 @@ def solve_overapprox(
         fit = _fit_at_margin(data, zeta0, rho, dm.delta, margin)
         if fit is not None:
             break
-    (logdet, A_bar, B_bar, tau), history = fit
+    logdet, A_bar, B_bar, tau = fit
     if not np.isfinite(logdet):
         raise ConsistencyError("degenerate ellipsoid: fitted shape matrix is singular")
     if tau.min() < -1e-10:
@@ -566,7 +539,7 @@ def solve_overapprox(
         )
     ell = ellipsoid_params(A_bar, B_bar)
     ell.tau = tau
-    ell.history = history
+    ell.history = [{"best_logdet": logdet, "A_bar": A_bar, "B_bar": B_bar}]
     ell.bases = bases
     return ell
 

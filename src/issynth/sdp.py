@@ -57,7 +57,20 @@ cost r^2 K products per iteration even where they share few coordinates;
 in the benchmark's programs they are singletons (step V) or dense (the
 fits).
 
-When free variables remain, every KKT solve is refined
+Free variables v enter through their Schur complement
+S_F = A_F^T M^-1 A_F.  Its factor is the R of a QR of G = L^-1 A_F, where
+L L^T = M are the plan's component factors (``_SchurPlan.solve_lower``):
+R^T R = G^T G = S_F.  Forming S_F squares the condition number of G, and
+a Cholesky factor of it needed a small diagonal shift to exist.  On
+step V of the benchmark experiment with the max-det ellipsoid (collection
+seed 0, k = -2 x2 - x1^2) that shift stalls the free-variable dual
+residual while the matrix part converges: the solve ends ``feasible``
+after 116 iterations, with Schur jitter from iteration 24.  Without the
+shift the Cholesky fails at iteration 24 of collection seed 6,
+k = -x1 - x2.  The QR needs no shift and does not fail; ``_Preprocessed``
+drops the free directions no row sees, so G has full column rank.
+
+When free variables remain, every KKT solve is also refined
 ``KKT_REFINE_STEPS`` times: it is solved again with the same factors for
 the residuals of the free-variable equation and of the primal rows.
 Without that, the free-variable dual residual of the synthesis programs
@@ -65,9 +78,9 @@ stalls near 1e-6 and whether such a solve ends ``optimal`` depends on
 rounding.  A component whose Cholesky fails is retried with its own
 diagonal shifted (the trace's ``jitter``, the largest shift of the
 iteration).  No solve of the benchmark workloads needs this fallback, but
-some small random and matrix SOS programs do, and so does the ellipsoid
-fit of collection seed 1 of the benchmark's experiment, which fails
-without it.
+some small random and matrix SOS programs do.  Of the ellipsoid fits of
+the benchmark's experiment at collection seeds 0-19, only seed 15's
+infeasible attempt at margin 1e-6 uses it (from iteration 34).
 
 A matrix block of dimension d keeps its NT scaling W = R R^T as the d x d
 factor R; H^-1 and W^-1 act through d x d products, and its Schur rows
@@ -84,10 +97,9 @@ the residuals and the seconds of every phase.
 A solve ends in one of three ways.  It converges (``optimal``: scaled
 primal and dual residuals and gap within ``DEFAULT_TOL``), it finds an
 improving ray (``infeasible`` or ``unbounded``), or it stalls: tau
-collapses without a clean ray, an iterate leaves the cone, the Schur or
-free-variable Schur factorization fails, a search direction is not
-finite, the step length falls below ``MIN_STEP``, or the iteration limit
-is reached.  A stall reports the best iterate seen, which is ``feasible``
+collapses without a clean ray, an iterate leaves the cone, the Schur
+factorization fails, a search direction is not finite, the step length
+falls below ``MIN_STEP``, or the iteration limit is reached.  A stall reports the best iterate seen, which is ``feasible``
 exactly when it passes ``validate_solution`` on the original data (its
 objective is then approximate, the gap may be open) and
 ``numerical-failure`` otherwise.  The message names the stop.
@@ -98,8 +110,8 @@ of range, and a coefficient, right-hand side or objective value that is
 not finite, as it is built; the error names the row or entry.  Inside the
 loop the triangular solves call LAPACK directly, without scipy's per-call
 finiteness scans, and each search direction is checked once: numpy's
-Cholesky returns NaN factors for a non-finite Schur complement rather than
-raising, and such a direction ends the solve as a stall.
+Cholesky and QR return NaN factors for a non-finite Schur complement rather
+than raising, and such a direction ends the solve as a stall.
 
 scipy is imported inside the functions that use it, so the first
 ``solve_sdp``, ``SdpProblem.arrays`` or ``validate_solution`` call loads it
@@ -267,11 +279,6 @@ class SdpProblem:
             raise _not_finite(f"objective coefficient of free variable {idx}", coeff)
         self._check_free(idx)
         self._c_free[idx] = self._c_free.get(idx, 0.0) + coeff
-
-    def clear_objective(self) -> None:
-        """Drop every objective coefficient; blocks, free variables and rows stay."""
-        self._c_psd.clear()
-        self._c_free.clear()
 
     # -- frozen arrays ------------------------------------------------
 
@@ -740,6 +747,16 @@ class _SchurPlan:
         d, j = _factor_with_jitter(self.diag, _positive)
         return (None if d is None else (factors, d)), max(jitter, j)
 
+    def solve_lower(self, factors, g: np.ndarray) -> np.ndarray:
+        """L^-1 g for the factor L L^T = M, one component at a time; g has m rows."""
+        Ls, d = factors
+        out = np.empty_like(g)
+        for rows, L in zip(self.rows, Ls):
+            out[rows] = _solve_lower(L, g[rows])
+        s = self.singles
+        out[s] = g[s] / np.sqrt(d)[:, None]
+        return out
+
     def solve(self, factors, g: np.ndarray) -> np.ndarray:
         """M^-1 g, one component at a time; g is a vector or has m rows."""
         Ls, d = factors
@@ -837,15 +854,18 @@ class _Preprocessed:
         self.c_free_orig = c_free
         self.A_free_kept_orig = A_free_kept
 
-        # free columns that appear nowhere force either a pin or unboundedness
-        dead = np.linalg.norm(self.A_free, axis=0) <= 1e-14
-        self.unbounded_free = bool(np.any(dead & (np.abs(self.c_free) > 1e-12)))
-        # only when one is dead: the copy is Fortran-ordered, so step V's bits change
-        if np.any(dead):
-            keep = ~dead
-            self.N = self.N[:, keep]
-            self.A_free = self.A_free[:, keep]
-            self.c_free = self.c_free[keep]
+        # free directions no kept row sees, the null space of A_free: with a
+        # cost they make the problem unbounded, without one they are dropped,
+        # so the free-variable Schur complement is nonsingular.  Only then are
+        # the columns rewritten, since a copy changes step V's bits
+        _, sv, Vt = np.linalg.svd(np.linalg.qr(self.A_free, mode="r"))
+        tol = max(self.A_free.shape) * np.finfo(float).eps * sv.max(initial=0.0)
+        keep, null = np.split(Vt, [int(np.sum(sv > tol))])
+        self.unbounded_free = bool(np.any(np.abs(null @ self.c_free) > 1e-12))
+        if len(null):
+            self.N = self.N @ keep.T
+            self.A_free = self.A_free @ keep.T
+            self.c_free = keep @ self.c_free
 
         # row equilibration on the kept rows
         rn = np.sqrt(np.asarray(self.A_psd.multiply(self.A_psd).sum(axis=1)).ravel()
@@ -899,7 +919,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         return SdpSolution(
             status="unbounded",
             objective=None,
-            message="objective depends on a free variable no equality touches",
+            message="objective depends on a free direction no equality touches",
         )
 
     dims = prob.block_dims
@@ -1035,17 +1055,13 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             msg = "Schur complement factorization failed"
             break
 
-        # formed empty, this factor and its products slow the fits by 1-3%
+        # formed empty, this factor and its products slow the fits by 1-3%;
+        # R_F^T R_F = AF^T M^-1 AF = S_F
         if nf:
             MA = plan.solve(schur, Af)
-            S_F = Af.T @ MA
-            try:
-                L_F = np.linalg.cholesky(S_F + 1e-14 * np.eye(nf) * max(1.0, np.trace(S_F) / nf))
-            except np.linalg.LinAlgError:
-                msg = "free-variable Schur factorization failed"
-                break
+            R_F = np.linalg.qr(plan.solve_lower(schur, Af), mode="r")
         else:
-            MA, L_F = None, None
+            MA, R_F = None, None
         t3 = time.perf_counter()
         seconds["factor"] = t3 - t2
 
@@ -1061,7 +1077,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             g1 = plan.solve(schur, g)
             if not nf:  # skips the empty products, as the factor above does
                 return np.zeros(0), g1
-            dxF = _cho_solve(L_F, Af.T @ g1 + u_F)
+            dxF = _cho_solve(R_F.T, Af.T @ g1 + u_F)
             return dxF, g1 - MA @ dxF
 
         def solve_kkt(u_K, u_F, u_y):
@@ -1127,7 +1143,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
                 a = min(a, -kappa / dkappa)
             return a
 
-        # predictor; np.linalg.cholesky returns NaN factors rather than
+        # predictor; np.linalg.cholesky and qr return NaN factors rather than
         # raising, so a non-finite M or S_F first shows in a direction
         dxFa, dya, dtaua, dkappaa, dxKa, dza, dXa, dZa = direction(0.0, None, 0.0, 0.0)
         if not _finite(dxKa, dza, dxFa, dya, dtaua, dkappaa):

@@ -500,8 +500,8 @@ class _RatioFrom:
 
 
 # each stall forced at iteration k of _stall_problem: one 8x8 block, 10 rows
-# touching it and 2 free variables, so one scaling per iteration, 10x10 Schur
-# and 2x2 free-variable Schur complements, and four PSD step-length tests
+# touching it and 2 free variables, so one scaling, a 10x10 Schur complement,
+# a 2x2 free-variable Schur factor and four PSD step-length tests per iteration
 STALLS = {
     "tau collapsed without clean certificate":
         lambda mp, k: mp.setattr(sdp, "INFEAS_RATIO", _RatioFrom(k)),
@@ -509,8 +509,6 @@ STALLS = {
         lambda mp, k: mp.setattr(sdp, "_BlockScaling", _from_call(k, sdp._BlockScaling, _fail)),
     "Schur complement factorization failed":
         lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_failing(k, (10, 10))),
-    "free-variable Schur factorization failed":
-        lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_failing(k, (2, 2))),
     "non-finite direction":
         lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_nan(k, (10, 10))),
     "step length 0.00e+00 below minimum":
@@ -535,8 +533,13 @@ def test_forced_stall_labels_best_iterate_by_validation(message, monkeypatch):
 
 
 def test_nan_free_variable_factor_ends_as_non_finite_direction(monkeypatch):
+    # the free-variable Schur factor is the R of a QR, which returns NaN
+    # for a NaN matrix rather than raising; QR call k + 1 is iteration k's,
+    # after the rank check of the free columns
     p = _stall_problem()
-    monkeypatch.setattr(np.linalg, "cholesky", _cholesky_nan(3, (2, 2)))
+    real = np.linalg.qr
+    nan = _from_call(4, real, lambda G, mode: np.full((G.shape[1],) * 2, np.nan))
+    monkeypatch.setattr(np.linalg, "qr", lambda G, mode="reduced": nan(G, mode))
     sol = solve_sdp(p)
     assert (sol.iterations, sol.message) == (3, "non-finite direction")
     _validated_label(p, sol)
@@ -770,8 +773,8 @@ def test_components_match_union_find_in_order():
 
 
 def test_free_columns_stay_c_ordered_without_a_dead_column():
-    # a boolean column copy of A_free is Fortran-ordered and changes step
-    # V's bits, so the reduced free columns are copied only when one is dead
+    # a copy of A_free changes step V's bits, so the free columns are
+    # rewritten only when some direction of them is in no kept row
     p = SdpProblem()
     g = p.add_block(3)
     v = [p.add_free() for _ in range(4)]
@@ -784,6 +787,32 @@ def test_free_columns_stay_c_ordered_without_a_dead_column():
     assert pre.A_free.shape == (3, 3)
     assert np.linalg.norm(pre.A_free, axis=0).min() > 1e-14
     assert pre.A_free.flags.c_contiguous
+
+
+def test_free_directions_no_row_sees_are_dropped_or_unbounded():
+    # v0 + v1 + v2 is the only free direction the two rows see, so the
+    # free-variable Schur complement would be singular (rank 1 of 3, with
+    # fewer rows than free variables); the other two directions are dropped,
+    # and a cost along one of them makes the problem unbounded
+    def problem(cost):
+        p = SdpProblem()
+        g = p.add_block(2)
+        v = [p.add_free() for _ in range(3)]
+        p.add_row([(g, 0, 0, 1.0)], [(i, 1.0) for i in v], rhs=1.0)
+        p.add_row([(g, 1, 1, 1.0)], [(i, 1.0) for i in v], rhs=2.0)
+        p.set_objective_entry(g, 0, 0, 1.0)
+        p.set_objective_entry(g, 1, 1, 1.0)
+        for i, c in zip(v, cost):
+            p.set_objective_free(i, c)
+        return p
+
+    assert sdp._Preprocessed(problem((0.0, 0.0, 0.0))).A_free.shape == (2, 1)
+    # min (1 - s) + (2 - s) with 1 - s >= 0, s = v0 + v1 + v2: s = 1
+    sol = solve_sdp(problem((0.0, 0.0, 0.0)))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1.0, abs=1e-6)
+    assert sol.free.sum() == pytest.approx(1.0, abs=1e-6)
+    assert solve_sdp(problem((1.0, -1.0, 0.0))).status == "unbounded"
 
 
 # ---------------------------------------------------------------------------
@@ -1075,23 +1104,6 @@ def test_arrays_match_the_entry_loop():
                 a, r = getattr(got, attr), getattr(ref, attr)
                 assert a.dtype == r.dtype and np.array_equal(a.view(np.uint8), r.view(np.uint8))
         assert np.array_equal(b, np.array(q._rhs))
-
-
-def test_clear_objective_keeps_rows_and_the_next_solve_sees_only_the_new_objective():
-    rng = np.random.default_rng(12)
-    p = _random_feasible_sdp(rng, 4, 5, nf=1, ns=2)
-    before = p.to_json_dict()
-    solve_sdp(p)
-    p.clear_objective()
-    assert p.to_json_dict() == {**before, "c_psd": [], "c_free": []}
-    fresh = _random_feasible_sdp(np.random.default_rng(12), 4, 5, nf=1, ns=2)
-    fresh.clear_objective()
-    for q in (p, fresh):
-        q.set_objective_entry(0, 0, 1, 1.5)
-        q.set_objective_entry(1, 0, 0, 2.0)
-        q.set_objective_free(0, -0.25)
-    assert p.to_json() == fresh.to_json()
-    assert solve_sdp(p).to_json() == solve_sdp(fresh).to_json()
 
 
 # ---------------------------------------------------------------------------

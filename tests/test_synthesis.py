@@ -89,14 +89,18 @@ def test_step_k_compiled_shape(khalil_ell, k_lin):
 
 
 @pytest.mark.parametrize("seed, k", [(2, "-x1 - x2"), (9, "-x1 - x2"), (0, "-x2"),
-                                     (0, "-2*x2 - x1^2"), (1, "-x2")])
+                                     (0, "-2*x2 - x1^2"), (1, "-x2"), (3, "-x2"),
+                                     (5, "-2*x2 - x1^2")])
 def test_step_v_ends_optimal(seed, k):
     # the benchmark's experiment (x0 = (0.5, -0.5), T = 30, d_radius 0.05).
     # Seeds 2 and 9 used to end numerical-failure after 128-142 iterations,
     # because s4 had no strictly feasible point until its structurally zero
-    # row-0 element was pruned.  The last two cases ended feasible (37 and
-    # 121 iterations, Schur jitter in 12 and 13) until the free-variable
-    # KKT solves were refined; every case now converges without jitter
+    # row-0 element was pruned.  (0, -x2) and (1, -x2) ended feasible (37
+    # and 121 iterations, Schur jitter in 12 and 13) until the free-variable
+    # KKT solves were refined.  The last two stalled (168 and 175
+    # iterations) until the free-variable Schur factor came from a QR of
+    # L^-1 A_F without a diagonal shift; every case now converges without
+    # jitter
     sys = khalil_system()
     exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
                            x0=(0.5, -0.5), seed=seed)

@@ -15,17 +15,25 @@ refactor of the solver must keep.  The outputs:
   0.01, trajectory j of operation i collected with a seed from
   ``SeedSequence([0, i, j])``): each operation's ellipsoid JSON.
 
-Only public ``issynth`` calls are used.  Run from the repository root:
+Only public ``issynth`` calls are used.  Like the test suite's
+``conftest.py``, the tool sets OpenBLAS, OpenMP and MKL to one thread
+before numpy is imported, unless the environment already sets a count: at
+two OpenBLAS threads the step-V solution rounds differently and its digest
+changes.  Run from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/output_digest.py
+    PYTHONPATH=src python3 tools/output_digest.py
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 
-import numpy as np
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402  (BLAS reads its thread count on import)
 
 from issynth.consistency import Dataset, build_data_matrices, solve_overapprox
 from issynth.poly import parse_poly
