@@ -518,9 +518,12 @@ def solve_overapprox(
             f"too little excitation: stacked regressors have rank {rank} < N+M = {p}")
     unit, zeta0, rho = _fit_coordinates(dm)
     data = (unit.C, unit.B, unit.A)
-    # the margin trims a negligible sliver of volume; drop it only if a
-    # solve at it fails: it can make the constraint set empty (extremely
-    # flat consistency sets) or leave too thin an interior to converge
+    # the margin is not negligible: in unit coordinates it is the size of
+    # A_t's smallest eigenvalue on ordinary data.  On the khalil-step
+    # experiment (collection seeds 0-19) 1e-6 is infeasible on 9 seeds and
+    # binds on the other 11, where it costs 0.27-1.74 nats of log det
+    # against 1e-8.  A margin is dropped only when its solve fails: it can
+    # make the constraint set empty or leave too thin an interior to converge
     for margin in (1e-6, 1e-8, 0.0):
         fit = _fit_at_margin(data, zeta0, rho, dm.delta, margin)
         if fit is not None:

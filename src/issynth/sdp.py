@@ -38,19 +38,20 @@ structure.  It finds the components in one pass of scipy's csgraph
 nonnegative coordinates and the matrix blocks) and keeps each component of
 two or more rows as a dense matrix in one buffer, followed by the rows
 that share nothing with another row as one diagonal.  Each iteration it
-forms M there, factors each component on its own (``np.linalg.cholesky``)
-and solves with those factors.  On a problem whose rows form one component
-and that has no free variables this is the same arithmetic, bit for bit,
-as one dense factorization of M.  A term over some rows of a component
-adds into it one run of consecutive positions by another, as slices,
-which adds what an ``np.ix_`` scatter adds; component rows stay ascending,
-since another order would change the Cholesky bits.  Each matrix block
-adds its Gram matrix B B^T (below), and then the nonnegative cone adds its
-term.  Every 1x1 block is one coordinate x_i >= 0 of that single cone: its
-scaling is elementwise (H^-1 = diag(x/z)) and its step length is a
-min-ratio test.  Its term A_lp diag(x/z) A_lp^T has the bits of scipy's
-sparse triple product without its per-call cost: entry (i, j) is the sum
-of (a_ik w_k) a_jk over k from the largest k down, one k at a time.  The
+forms M's lower triangle there, factors each component on its own with
+LAPACK potrf (``_cholesky``), which reads only that triangle, and solves
+with those factors.  On a problem whose rows form one component and that
+has no free variables this is the same arithmetic, bit for bit, as one
+dense factorization of M.  A term over some rows of a component adds into
+it one run of consecutive positions by another, as slices, which adds what
+an ``np.ix_`` scatter adds; component rows stay ascending, since another
+order would change the Cholesky bits.  Each matrix block adds its term
+A_b P_b^T (below), and then the nonnegative cone adds its term.  Every 1x1
+block is one coordinate x_i >= 0 of that single cone: its scaling is
+elementwise (H^-1 = diag(x/z)) and its step length is a min-ratio test.
+Its term A_lp diag(x/z) A_lp^T has the bits of scipy's sparse triple
+product without its per-call cost: entry (i, j) is the sum of
+(a_ik w_k) a_jk over k from the largest k down, one k at a time.  The
 cone's rows of each component are one dense array, and those of all
 singleton rows one zero-padded array, so r such rows over K coordinates
 cost r^2 K products per iteration even where they share few coordinates;
@@ -80,19 +81,26 @@ diagonal shifted (the trace's ``jitter``, the largest shift of the
 iteration).  No solve of the benchmark workloads needs this fallback, but
 some small random and matrix SOS programs do.  Of the ellipsoid fits of
 the benchmark's experiment at collection seeds 0-19, only seed 15's
-infeasible attempt at margin 1e-6 uses it (from iteration 34).
+infeasible attempt at margin 1e-6 uses it (from iteration 39).
 
 A matrix block of dimension d keeps its NT scaling W = R R^T as the d x d
-factor R; H^-1 and W^-1 act through d x d products, and its Schur rows
-svec(R^T A_i R) are gathered from the rows of R over each row's few
-entries (Todd, Toh & Tutuncu 1998; Fujisawa, Kojima & Nakata 1997).  A
-row's entries are added in the order in which ``np.add.reduceat`` adds
-those of a row of up to 8 entries, so such rows have its bits without its
-per-row cost (``_SchurRows``).  Memory per iteration is O(m_c^2) per Schur
-component of m_c rows plus, per matrix block, O(m_b * svec(d)) for its
-rows (m_b rows touch it) and O(d^2) for its scaling; nothing of order
-svec(d)^2 is formed.  Each solution carries a per-iteration trace with
-the residuals and the seconds of every phase.
+factor R; H^-1 and W^-1 act through d x d products (Todd, Toh & Tutuncu
+1998).  Its Schur term is A_b P_b^T, where row j of P_b is
+svec(W A_j W), gathered from the rows of W over row j's few entries and
+only at the coordinates A_b's rows have (Fujisawa, Kojima & Nakata 1997);
+it is formed chunk by chunk of rows, and only in the lower triangle
+(``_SchurRows``).  On step V of the benchmark experiment that takes the
+Schur build from 21.4-24.3 ms per iteration, as B B^T with
+B = svec(R^T A_i R), to 10.4-11.9 ms, and the factorization of its
+697-row component from 13.1-14.4 ms (``np.linalg.cholesky``) to
+8.1-8.4 ms (one BLAS thread, medians of 150 at iterations 5-20).  Every
+row's entries are summed level by level over all the rows at once, so no
+row pays a per-row call, as one ``np.add.reduceat`` segment would.  Memory
+per iteration is O(m_c^2) per Schur component of m_c rows plus, per
+matrix block, O(m_b^2) for its term (m_b rows touch it), O(SCHUR_CHUNK)
+for its gather and O(d^2) for its scaling; nothing of order svec(d)^2 is
+formed.  Each solution carries a per-iteration trace with the residuals
+and the seconds of every phase.
 
 A solve ends in one of three ways.  It converges (``optimal``: scaled
 primal and dual residuals and gap within ``DEFAULT_TOL``), it finds an
@@ -108,10 +116,11 @@ Inputs are checked at the boundary, once.  ``SdpProblem`` rejects a block
 dimension that is not a positive integer, a block, entry or free index out
 of range, and a coefficient, right-hand side or objective value that is
 not finite, as it is built; the error names the row or entry.  Inside the
-loop the triangular solves call LAPACK directly, without scipy's per-call
-finiteness scans, and each search direction is checked once: numpy's
-Cholesky and QR return NaN factors for a non-finite Schur complement rather
-than raising, and such a direction ends the solve as a stall.
+loop the factorizations and triangular solves call LAPACK directly,
+without scipy's per-call finiteness scans, and each search direction is
+checked once: OpenBLAS's potrf and numpy's QR return NaN factors for a
+non-finite Schur complement rather than raising, and such a direction ends
+the solve as a stall.
 
 scipy is imported inside the functions that use it, so the first
 ``solve_sdp``, ``SdpProblem.arrays`` or ``validate_solution`` call loads it
@@ -387,7 +396,7 @@ def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve L L^T X = B for a lower Cholesky factor L.
 
     LAPACK potrs on the upper factor L^T, whose memory is Fortran order
-    when L is C-ordered as numpy's Cholesky returns it, so it is not copied;
+    when L is C-ordered as ``_cholesky`` returns it, so it is not copied;
     the bits are those of ``scipy.linalg.cho_solve((L, True), B)``
     (``test_cho_solve_matches_scipy``), without its finiteness scans, since
     solve_sdp checks its directions instead.
@@ -407,8 +416,9 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     LAPACK trtrs with the arguments ``scipy.linalg.solve_triangular(L, B,
     lower=True)`` passes it for such an L: the transposed upper system on
-    L^T, whose memory already is Fortran order.  Every caller passes
-    numpy's Cholesky output, which is C-ordered.
+    L^T, whose memory already is Fortran order.  Every caller passes a
+    C-ordered factor: ``_cholesky``'s of a Schur component, or numpy's
+    Cholesky of a block's X or Z (``_BlockScaling``).
     """
     import scipy.linalg.lapack as lapack
 
@@ -459,51 +469,61 @@ def _winv_svec(Rinv: np.ndarray, U: np.ndarray) -> np.ndarray:
     return svec(_congruence(Rinv.T, U))
 
 
-# elements (entries x svec coordinates) one chunk of a Schur-row gather holds:
-# 512 KiB temporaries stay in cache, so the 584 rows of step V's d = 44 block
-# take 8.2 ms against 13.3 ms in one unchunked pass (one BLAS thread), and
-# memory stays bounded for any d
-SCHUR_CHUNK = 1 << 16
+# elements (entries x entries) one chunk of a Schur-term gather holds: its
+# temporaries stay in cache, and the chunks of whole rows along the diagonal
+# bound the part of the upper triangle formed; step V's d = 44 block (584
+# rows, 990 entries) takes 7.4-8.0 ms at 2^15, 10.1-11.1 ms at 2^16 and
+# 9.3-10.0 ms at 2^14 (one BLAS thread, medians of 150)
+SCHUR_CHUNK = 1 << 15
 
 
 class _SchurRows:
-    """Rows b_i = svec(R^T A_i R) of the rows touching one matrix block.
+    """The lower triangle of one matrix block's Schur term A_b H^-1 A_b^T.
 
-    M = B B^T is that block's share of the Schur complement.  A row's
-    matrix A_i has few entries, so R^T A_i R is a sum of rank-2 products
-    of rows of R, one per entry.  Each row's first product is written
-    straight into B; the products of its other entries are summed in
-    entry order, level by level over the rows, and added to it once, so a
-    row of entries g0, g1, g2, ... is g0 + ((g1 + g2) + ...).  That is the
-    order in which numpy 2.4's ``np.add.reduceat`` sums a segment of up to
-    8 entries, so such rows have the bits of one reduceat per chunk
-    without its per-segment cost; reduceat sums the tail of a longer
-    segment pairwise, which differs from this order by rounding only.  The
-    rows are gathered in chunks of whole rows, which keeps temporaries at
-    O(SCHUR_CHUNK) instead of O(nnz * svec(d)).
+    Entry (j, i) of the term is a_i . P_j with P_j = svec(W A_j W), W = R R^T
+    and a_i row i's coefficients on the block, so the term is A_b P^T, formed
+    without B B^T for B = svec(R^T A_i R) (Fujisawa, Kojima & Nakata 1997).
+    A row's matrix A_j has few entries, so W A_j W is a sum of rank-2
+    products of rows of W, one per entry, and A_b needs P_j only where its
+    rows have entries: entry (e, f) of the gather, for an entry e = (p, q)
+    of row j and f = (s, t) of row i, is W[p, s] W[q, t] + W[q, s] W[p, t]
+    times e's coefficient.  Each row's first product is written straight
+    into its P_j; the products of its other entries are summed in entry
+    order, level by level over the rows, and added to it once, so that no
+    row pays a per-row call.  Then each i sums its entries of P_j, weighted
+    by a_i and the svec scale, first entry first, level by level again.
+    The rows are gathered in chunks of whole rows, [r0, r1), against the
+    entries of rows 0 .. r1 - 1 only: that is the lower triangle, which is
+    all potrf reads of M, and the chunk's own square, whose part above the
+    diagonal stays in the term as formed.  Above those squares the term is
+    zero.  Temporaries stay O(SCHUR_CHUNK) instead of O(nnz^2).
     """
 
     def __init__(self, A_blk: sp.csr_matrix, d: int):
         """``A_blk``: the block's columns of the rows touching it, no row empty."""
-        iu, ju, _ = svec_indices(d)
-        self.d = d
+        iu, ju, scale = svec_indices(d)
         self.m = A_blk.shape[0]
         indptr, nnz = A_blk.indptr, np.diff(A_blk.indptr)
-        p, q = iu[A_blk.indices], ju[A_blk.indices]
-        # smat halves an off-diagonal svec value onto two slots through 1/sqrt2;
-        # the rank-2 product below counts a diagonal entry twice
-        coef = A_blk.data * np.where(p == q, 0.5, 1.0 / np.sqrt(2.0))
-        per_chunk = max(1, SCHUR_CHUNK // svec_dim(d))
+        # each entry's matrix position, its coefficient in the gather (smat
+        # halves an off-diagonal svec value onto two slots through 1/sqrt2;
+        # the rank-2 product counts a diagonal entry twice) and its weight
+        # in the product
+        self.p, self.q = iu[A_blk.indices], ju[A_blk.indices]
+        coef = A_blk.data * np.where(self.p == self.q, 0.5, 1.0 / np.sqrt(2.0))
+        self.weight = A_blk.data * scale[A_blk.indices]
+        per_chunk = max(1, SCHUR_CHUNK // A_blk.nnz)
         starts = [0]
         for r in range(1, self.m):
             if indptr[r + 1] - indptr[starts[-1]] > per_chunk:
                 starts.append(r)
         self.bounds = list(zip(starts, starts[1:] + [self.m]))
-        # per chunk, its entries in the order rows() adds them: each row's
+        # per chunk, its entries in the order term() adds them: each row's
         # first entry; of the rows of two or more entries (``multi``, the
         # most entries first, so the rows that have a k-th entry are a
         # prefix), every second entry, then every third, and so on, where
-        # ``levels`` holds each level's start and length
+        # ``levels`` holds each level's start and length; then the entries
+        # the product reads per level: the first of every row below r1,
+        # then the k-th of those that have one
         self.plan = []
         for r0, r1 in self.bounds:
             multi = r0 + np.flatnonzero(nnz[r0:r1] > 1)
@@ -512,26 +532,33 @@ class _SchurRows:
             e = np.concatenate([indptr[r0:r1]]
                                + [indptr[multi[:c]] + k for k, c in enumerate(counts, 1)])
             offs = np.cumsum([r1 - r0] + counts)
-            self.plan.append((p[e], q[e], coef[e, None], multi, list(zip(offs[:-1], counts))))
+            below = [np.flatnonzero(nnz[:r1] > k) for k in range(1, nnz[:r1].max())]
+            self.plan.append((self.p[e], self.q[e], coef[e, None], multi - r0,
+                              list(zip(offs[:-1], counts)), indptr[r1], indptr[:r1],
+                              [(i, indptr[i] + k) for k, i in enumerate(below, 1)]))
 
-    def rows(self, R: np.ndarray) -> np.ndarray:
-        iu, ju, scale = svec_indices(self.d)
-        RI = R[:, iu]
-        RJ = R[:, ju]
-        B = np.empty((self.m, len(iu)))
-        for (r0, r1), (p, q, coef, multi, levels) in zip(self.bounds, self.plan):
-            G = RI[p] * RJ[q]
-            G += RI[q] * RJ[p]
+    def term(self, W: np.ndarray) -> np.ndarray:
+        """The term's lower triangle for the block's scaling W = R R^T."""
+        WP, WQ = W[:, self.p], W[:, self.q]
+        S = np.zeros((self.m, self.m))
+        for (r0, r1), (p, q, coef, multi, levels, n, first, later) in zip(self.bounds, self.plan):
+            I, J = WP[:, :n], WQ[:, :n]
+            G = I[p] * J[q]
+            G += I[q] * J[p]
             G *= coef
-            B[r0:r1] = G[:r1 - r0]
+            P = G[:r1 - r0]
             if levels:
-                o, n = levels[0]
-                tail = G[o:o + n]
-                for o, n in levels[1:]:
-                    tail[:n] += G[o:o + n]
-                B[multi] += tail
-        B *= scale
-        return B
+                o, k = levels[0]
+                tail = G[o:o + k]
+                for o, k in levels[1:]:
+                    tail[:k] += G[o:o + k]
+                P[multi] += tail
+            P *= self.weight[:n]
+            Sc = S[r0:r1, :r1]
+            Sc[...] = P[:, first]
+            for i, f in later:
+                Sc[:, i] += P[:, f]
+        return S
 
 
 def _max_step_psd(L: np.ndarray, Delta: np.ndarray) -> float:
@@ -711,12 +738,16 @@ class _SchurPlan:
         return self.flat[o:o + n * n].reshape(n, n), runs
 
     def build(self, Rs: Sequence[np.ndarray], w: np.ndarray) -> None:
-        """Form M in ``flat`` for the matrix blocks' scaling factors ``Rs``
-        and H^-1 = diag(w) on the nonnegative coordinates."""
+        """Form M's lower triangle in ``flat`` for the matrix blocks' scaling
+        factors ``Rs`` and H^-1 = diag(w) on the nonnegative coordinates.
+
+        Above the diagonal ``flat`` holds what the terms add there (all of
+        the cone's term, part of each block's), which nothing reads.
+        """
         self.flat.fill(0.0)
         for k, schur_rows, target in self.blocks:
-            B = schur_rows.rows(Rs[k])
-            _add_runs(*target, B @ B.T)
+            R = Rs[k]
+            _add_runs(*target, schur_rows.term(R @ R.T))
         self.add_lp(w)
 
     def add_lp(self, w: np.ndarray) -> None:
@@ -734,12 +765,12 @@ class _SchurPlan:
         Each component is factored by itself first; only a failed
         factorization shifts that component's diagonal, and ``jitter`` is
         the largest shift.  ``factors`` is None when a component fails even
-        shifted.  The factors stay in numpy's C order, which ``_cho_solve``
-        hands potrs as the upper factor L^T without a copy.
+        shifted.  The factors are ``_cholesky``'s, C-ordered, which
+        ``_cho_solve`` hands potrs as the upper factor L^T without a copy.
         """
         factors, jitter = [], 0.0
         for Mc in self.mats:
-            L, j = _factor_with_jitter(Mc, np.linalg.cholesky)
+            L, j = _factor_with_jitter(Mc, _cholesky)
             jitter = max(jitter, j)
             if L is None:
                 return None, jitter
@@ -766,6 +797,26 @@ class _SchurPlan:
         s = self.singles
         out[s] = g[s] / (d if g.ndim == 1 else d[:, None])
         return out
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of M, C-ordered, from M's lower triangle.
+
+    LAPACK potrf factors M^T, whose memory is Fortran order when M is
+    C-ordered, as U^T U from its upper triangle, which is M's lower one, and
+    U^T is L in C order.  A matrix that is not positive definite raises
+    ``LinAlgError``.  A NaN matrix does not: OpenBLAS's potrf, like numpy's
+    Cholesky, returns a NaN factor, and the solve ends at its non-finite
+    direction.
+    """
+    import scipy.linalg.lapack as lapack
+
+    U, info = lapack.dpotrf(M.T, lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"not positive definite: leading minor {info}")
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return U.T
 
 
 def _positive(d: np.ndarray) -> np.ndarray:
@@ -1045,7 +1096,8 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         t1 = time.perf_counter()
         seconds["scaling"] = t1 - t0
 
-        # Schur complement  M = sum_blocks B_b B_b^T + A_lp diag(x/z) A_lp^T
+        # Schur complement  M = sum_blocks A_b P_b^T + A_lp diag(x/z) A_lp^T,
+        # its lower triangle
         plan.build([sc.R for sc in scalings], w_lp)
         t2 = time.perf_counter()
         seconds["schur"] = t2 - t1
@@ -1143,8 +1195,8 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
                 a = min(a, -kappa / dkappa)
             return a
 
-        # predictor; np.linalg.cholesky and qr return NaN factors rather than
-        # raising, so a non-finite M or S_F first shows in a direction
+        # predictor; potrf and qr return NaN factors rather than raising, so
+        # a non-finite M or S_F first shows in a direction
         dxFa, dya, dtaua, dkappaa, dxKa, dza, dXa, dZa = direction(0.0, None, 0.0, 0.0)
         if not _finite(dxKa, dza, dxFa, dya, dtaua, dkappaa):
             msg = "non-finite direction"

@@ -480,10 +480,13 @@ def test_fit_of_an_ordinary_data_set(khalil):
     assert membership(khalil.AB, ell).residual < -0.5
 
 
-@pytest.mark.parametrize("seed", [2, 11, 16])
+@pytest.mark.parametrize("seed", range(20))
 def test_inverse_square_root_residual_of_khalil_step_fits(khalil, seed):
-    # the five-step fit left cond A_bar at 5e7-2e8 here, and |X X A_bar - I|
-    # at 4.9e-9-5.3e-9, against ellipsoid_params' bound of 1e-8
+    # the five-step fit left cond A_bar at up to 2e8 here, and |X X A_bar - I|
+    # at up to 5.3e-9 (seeds 2, 11, 15, 16, 19), against ellipsoid_params'
+    # bound of 1e-8; the max-det fit leaves cond A_bar <= 1.5e6 and the
+    # residual <= 2.5e-10, so a rounding-level change to the solver no longer
+    # decides whether a fit raises
     ell = solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(seed))))
     X = ell.A_bar_inv_sqrt
     assert np.abs(X @ X @ ell.A_bar - np.eye(len(X))).max() <= 1e-9

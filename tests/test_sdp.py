@@ -83,22 +83,6 @@ def _rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
-def _reduceat_schur_rows(A: sp.csr_matrix, d: int, R: np.ndarray) -> np.ndarray:
-    """Schur rows as one np.add.reduceat over every entry's rank-2 product,
-    then scaled: the bit-exact reference of _SchurRows.rows for rows of up
-    to 8 entries."""
-    iu, ju, scale = svec_indices(d)
-    p, q = iu[A.indices], ju[A.indices]
-    coef = A.data * np.where(p == q, 0.5, 1.0 / np.sqrt(2.0))
-    RI, RJ = R[:, iu], R[:, ju]
-    G = RI[p] * RJ[q]
-    G += RI[q] * RJ[p]
-    G *= coef[:, None]
-    B = np.add.reduceat(G, A.indptr[:-1], axis=0)
-    B *= scale
-    return B
-
-
 class TestScalingProducts:
     """The solver's d x d products against the O(d^4) congruence matrices."""
 
@@ -108,14 +92,13 @@ class TestScalingProducts:
         d = 12
         n = svec_dim(d)
         # every svec coordinate in exactly one row, 1-4 entries per row, as
-        # in SOS coefficient matching; plus a few denser rows
+        # in SOS coefficient matching; plus a few denser rows, which share
+        # coordinates with the others, and rows of 1, 2, 3, 8 and 9 entries;
+        # (0, 0) is a diagonal entry
         perm = rng.permutation(n)
         cuts = np.sort(rng.choice(np.arange(1, n), size=n // 2, replace=False))
         rows = [list(part) for part in np.split(perm, cuts)]
         rows += [list(rng.choice(n, size=20, replace=False)) for _ in range(3)]
-        # and for certain rows of 1, 2 and 3 entries, and of 8 and 9, the
-        # longest segment reduceat sums in entry order and the shortest it
-        # sums pairwise; (0, 0) is a diagonal entry
         rows += [[0], [1, 2], [3, 4, 5], list(range(6, 14)), list(range(14, 23))]
         assert {1, 2, 3, 8, 9, 20} <= {len(r) for r in rows}
         A = sp.csr_matrix(
@@ -123,17 +106,20 @@ class TestScalingProducts:
              np.concatenate(rows), np.cumsum([0] + [len(r) for r in rows])),
             shape=(len(rows), n))
         R = _factor_with_condition(rng, d, cond)
-        ref = A @ _congruence_matrix(R)
-        exact = _reduceat_schur_rows(A, d, R)
-        short = np.diff(A.indptr) <= 8
-        whole = _SchurRows(A, d).rows(R)
-        assert _rel_err(whole, ref) <= 1e-12
-        assert _rel_err(whole[~short], ref[~short]) <= 1e-12
-        assert np.array_equal(whole[short], exact[short])
-        monkeypatch.setattr(sdp, "SCHUR_CHUNK", 3 * n)
+        W = R @ R.T
+        ref = np.tril(A @ _congruence_matrix(W) @ A.T.toarray())
+        whole = _SchurRows(A, d)
+        assert len(whole.bounds) == 1
+        assert _rel_err(np.tril(whole.term(W)), ref) <= 1e-12
+        # in chunks, each entry of the lower triangle keeps its bits, and
+        # above the chunks' squares the term is zero
+        monkeypatch.setattr(sdp, "SCHUR_CHUNK", 4 * A.nnz)
         chunked = _SchurRows(A, d)
         assert len(chunked.bounds) > 5
-        assert np.array_equal(chunked.rows(R), whole)
+        S = chunked.term(W)
+        assert np.array_equal(np.tril(S), np.tril(whole.term(W)))
+        for r0, r1 in chunked.bounds:
+            assert not S[r0:r1, r1:].any()
 
     @pytest.mark.parametrize("cond", [1.0e1, 1.0e8])
     def test_hinv_and_winv_match_oracle(self, cond):
@@ -474,19 +460,6 @@ def _fail(*args):
     raise np.linalg.LinAlgError("forced")
 
 
-def _cholesky_nan(k, shape):
-    """np.linalg.cholesky that returns an all-NaN factor of matrices of
-    ``shape`` from the k-th on, as numpy does for a NaN matrix."""
-    real = np.linalg.cholesky
-    nan = _from_call(k, real, lambda M: np.full(M.shape, np.nan))
-    return lambda M: nan(M) if M.shape == shape else real(M)
-
-
-def _cholesky_failing(k, shape):
-    """np.linalg.cholesky that fails on matrices of ``shape`` from the k-th on."""
-    real = np.linalg.cholesky
-    failing = _from_call(k, real, _fail)
-    return lambda M: failing(M) if M.shape == shape else real(M)
 
 
 class _RatioFrom:
@@ -500,17 +473,21 @@ class _RatioFrom:
 
 
 # each stall forced at iteration k of _stall_problem: one 8x8 block, 10 rows
-# touching it and 2 free variables, so one scaling, a 10x10 Schur complement,
-# a 2x2 free-variable Schur factor and four PSD step-length tests per iteration
+# touching it and 2 free variables, so one scaling, a 10x10 Schur complement
+# (one _cholesky call), a 2x2 free-variable Schur factor and four PSD
+# step-length tests per iteration.  OpenBLAS's potrf returns a NaN factor for
+# a NaN Schur complement rather than raising, and _cho_solve passes it on
+# into the directions: "non-finite direction" is forced by such a factor
 STALLS = {
     "tau collapsed without clean certificate":
         lambda mp, k: mp.setattr(sdp, "INFEAS_RATIO", _RatioFrom(k)),
     "iterate left the cone":
         lambda mp, k: mp.setattr(sdp, "_BlockScaling", _from_call(k, sdp._BlockScaling, _fail)),
     "Schur complement factorization failed":
-        lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_failing(k, (10, 10))),
+        lambda mp, k: mp.setattr(sdp, "_cholesky", _from_call(k, sdp._cholesky, _fail)),
     "non-finite direction":
-        lambda mp, k: mp.setattr(np.linalg, "cholesky", _cholesky_nan(k, (10, 10))),
+        lambda mp, k: mp.setattr(sdp, "_cholesky", _from_call(
+            k, sdp._cholesky, lambda M: np.full(M.shape, np.nan))),
     "step length 0.00e+00 below minimum":
         lambda mp, k: mp.setattr(sdp, "_max_step_psd",
                                  _from_call(4 * k - 3, sdp._max_step_psd, lambda *a: 0.0)),
@@ -580,6 +557,20 @@ def test_solve_lower_matches_scipy():
     for solve in (sdp._solve_lower, lambda L, B: sla.solve_triangular(L, B, lower=True)):
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             solve(singular, np.ones(2))
+
+
+def test_cholesky_matches_numpy():
+    rng = np.random.default_rng(2)
+    # 72 and 697: the fits' Schur complement and step V's largest component
+    for n in (1, 2, 7, 40, 72, 697):
+        G = rng.standard_normal((n, n))
+        M = G @ G.T + n * np.eye(n)
+        L = sdp._cholesky(M)
+        ref = np.linalg.cholesky(M)
+        assert L.flags.c_contiguous and np.array_equal(L, np.tril(L))
+        assert _rel_err(L, ref) <= 1e-14
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        sdp._cholesky(np.diag([1.0, -1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -679,16 +670,16 @@ def test_schur_components_of_disjoint_blocks(monkeypatch):
 
 
 def test_slice_adds_match_ix_scatter(monkeypatch):
-    # each block's B B^T adds into the component run by run; the sum must
+    # each block's term adds into the component run by run; the sum must
     # be, bit for bit, that of an np.ix_ scatter in the same block order
     p = _interleaved_problem()
     made = []
 
     class Recorded(sdp._SchurRows):
-        def rows(self, R):
-            B = super().rows(R)
-            made.append(B.copy())
-            return B
+        def term(self, W):
+            S = super().term(W)
+            made.append(S.copy())
+            return S
 
     monkeypatch.setattr(sdp, "_SchurRows", Recorded)
     _, plan = _solve_keeping_plan(p, monkeypatch, max_iter=1)
@@ -697,8 +688,8 @@ def test_slice_adds_match_ix_scatter(monkeypatch):
     block_rows = [np.flatnonzero(np.abs(A[:, sl]).sum(axis=1)) for sl in p.block_slices()]
     assert [len(plan.block(rows)[1]) for rows in block_rows] == [4, 3]
     ref = np.zeros_like(plan.mats[0])
-    for rows, B in zip(block_rows, made):
-        ref[np.ix_(rows, rows)] += B @ B.T
+    for rows, S in zip(block_rows, made):
+        ref[np.ix_(rows, rows)] += S
     assert np.array_equal(plan.mats[0], ref)
 
 
@@ -717,6 +708,45 @@ def test_component_solve_matches_dense_solve(monkeypatch):
         for g in (rng.standard_normal(len(M)), pre.A_free, rng.standard_normal((len(M), 3))):
             ref = np.linalg.solve(M, g)
             assert _rel_err(plan.solve(factors, g), ref) <= 1e-10
+
+
+def _congruence_by_smat(W):
+    """The matrix of v -> svec(W smat(v) W), one column per svec coordinate."""
+    d = len(W)
+    return np.column_stack([svec(W @ smat(e, d) @ W) for e in np.eye(svec_dim(d))])
+
+
+@pytest.mark.parametrize("chunk", [sdp.SCHUR_CHUNK, 64])
+def test_build_matches_dense_schur_complement(chunk, monkeypatch):
+    # rows of up to 10 entries per block that share coordinates, as step V at
+    # deg_V = 4 and general programs have, over a 6- and a 9-block and eight
+    # nonnegative coordinates; M = sum_b A_b (W_b (x)s W_b) A_b^T +
+    # A_lp diag(w) A_lp^T, of which build forms the lower triangle
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    dims, n_lp, m = (6, 9), 8, 60
+    widths = [svec_dim(d) for d in dims]
+    offsets = np.cumsum([n_lp] + widths)
+    A = np.zeros((m, offsets[-1]))
+    for i in range(m):
+        for b, width in enumerate(widths):
+            if rng.random() < 0.6:
+                k = int(rng.integers(1, 11))
+                A[i, offsets[b] + rng.choice(width, size=k, replace=False)] = rng.standard_normal(k)
+        if rng.random() < 0.3 or not A[i].any():
+            A[i, rng.integers(n_lp)] = rng.standard_normal()
+    Rs = [_factor_with_condition(rng, d, 1e4) for d in dims]
+    w = 10.0 ** rng.uniform(-3.0, 3.0, n_lp)
+    plan = sdp._SchurPlan(sp.csr_matrix(A), np.arange(n_lp),
+                          [(slice(o, o + width), d) for o, width, d in zip(offsets, widths, dims)])
+    if chunk == 64:
+        assert all(len(rows.bounds) > 3 for _, rows, _ in plan.blocks)
+    plan.build(Rs, w)
+    ref = A[:, :n_lp] * w @ A[:, :n_lp].T
+    for o, width, R in zip(offsets, widths, Rs):
+        A_b = A[:, o:o + width]
+        ref += A_b @ _congruence_by_smat(R @ R.T) @ A_b.T
+    assert _rel_err(np.tril(_assembled(plan)), np.tril(ref)) <= 1e-12
 
 
 def test_components_end_optimal_at_the_dense_objective(monkeypatch):
@@ -1046,15 +1076,15 @@ def test_format_trace_one_line_per_iteration():
 
 
 def test_trace_records_schur_jitter(monkeypatch):
-    # an LP has no matrix block, so every Cholesky is the Schur factorization;
-    # failing the first one makes iteration 1 retry on M + jitter * I
+    # failing the first Schur factorization makes iteration 1 retry on
+    # M + jitter * I
     p = SdpProblem()
     x = [p.add_block(1) for _ in range(3)]
     p.add_row(psd_entries=[(xi, 0, 0, 1.0) for xi in x], rhs=4.0)
     p.add_row(psd_entries=[(x[0], 0, 0, 1.0), (x[2], 0, 0, -1.0)], rhs=1.0)
     for xi, cost in zip(x, (2.0, 3.0, 1.0)):
         p.set_objective_entry(xi, 0, 0, cost)
-    cholesky = np.linalg.cholesky
+    cholesky = sdp._cholesky
     seen = []
 
     def fail_first(M):
@@ -1063,7 +1093,7 @@ def test_trace_records_schur_jitter(monkeypatch):
             raise np.linalg.LinAlgError("forced")
         return cholesky(M)
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail_first)
+    monkeypatch.setattr(sdp, "_cholesky", fail_first)
     sol = solve_sdp(p)
     monkeypatch.undo()
     assert sol.status == "optimal"

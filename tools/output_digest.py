@@ -15,6 +15,12 @@ refactor of the solver must keep.  The outputs:
   0.01, trajectory j of operation i collected with a seed from
   ``SeedSequence([0, i, j])``): each operation's ellipsoid JSON.
 
+When a change alters the bits on purpose, every digest changes, so some
+lines also print the values that show by how much: each ellipsoid's
+log det A_bar and |X X A_bar - I|max (X = A_bar^-1/2, which
+``ellipsoid_params`` bounds by 1e-8), and step V's status, iteration count
+and margin t.
+
 Only public ``issynth`` calls are used.  Like the test suite's
 ``conftest.py``, the tool sets OpenBLAS, OpenMP and MKL to one thread
 before numpy is imported, unless the environment already sets a count: at
@@ -45,15 +51,24 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def khalil_step() -> list[tuple[str, str]]:
+def ellipsoid_digest(name: str, ell) -> tuple[str, str, str]:
+    """The ellipsoid's digest, with its log det A_bar and |X X A_bar - I|max."""
+    X = ell.A_bar_inv_sqrt
+    residual = np.abs(X @ X @ ell.A_bar - np.eye(len(X))).max()
+    return (name, digest(ell.to_json()),
+            f"logdet {np.linalg.slogdet(ell.A_bar)[1]:.9g}, residual {residual:.2e}")
+
+
+def khalil_step() -> list[tuple[str, str, str]]:
     sys = khalil_system()
     exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
                            x0=(0.5, -0.5), seed=0)
     ell = solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
     k = parse_poly("-x1 - x2", sys.bases.vars)
     cfg = SynthesisConfig(k_init=(k,))
-    prog, _ = assemble_theorem1(ell, cfg, {"k": [k]})
+    prog, legend = assemble_theorem1(ell, cfg, {"k": [k]})
     sol = prog.solve()
+    t = float(sol.coeff(legend["t"]))
     try:
         res = alternate(ell, cfg)
     except SynthesisError as exc:
@@ -63,13 +78,14 @@ def khalil_step() -> list[tuple[str, str]]:
         d["history"] = [{key: v for key, v in h.items() if key != "seconds"}
                         for h in d["history"]]
         outcome = digest(json.dumps(d, sort_keys=True))
-    return [("khalil-step ellipsoid", digest(ell.to_json())),
-            ("khalil-step step-V program", digest(sol.problem.to_json())),
-            ("khalil-step step-V solution", digest(sol.sdp.to_json())),
-            ("khalil-step alternate", outcome)]
+    return [ellipsoid_digest("khalil-step ellipsoid", ell),
+            ("khalil-step step-V program", digest(sol.problem.to_json()), ""),
+            ("khalil-step step-V solution", digest(sol.sdp.to_json()),
+             f"{sol.status}, {sol.sdp.iterations} iterations, t {t:.9g}"),
+            ("khalil-step alternate", outcome, "")]
 
 
-def khalil_fit_multi(ops: int = 6) -> list[tuple[str, str]]:
+def khalil_fit_multi(ops: int = 6) -> list[tuple[str, str, str]]:
     sys = khalil_system()
     d_radius = 0.01
     angles = np.pi / 6 + np.arange(6) * np.pi / 3
@@ -84,13 +100,13 @@ def khalil_fit_multi(ops: int = 6) -> list[tuple[str, str]]:
             samples.extend(collect_dataset(sys, exp).samples)
         dm = build_data_matrices(Dataset(sys.bases, d_radius ** 2, samples))
         ell = solve_overapprox(dm, bases=sys.bases)
-        out.append((f"khalil-fit-multi op {i} ellipsoid", digest(ell.to_json())))
+        out.append(ellipsoid_digest(f"khalil-fit-multi op {i} ellipsoid", ell))
     return out
 
 
 def main() -> None:
-    for name, h in khalil_step() + khalil_fit_multi():
-        print(f"{h}  {name}")
+    for name, h, values in khalil_step() + khalil_fit_multi():
+        print(f"{h}  {name}" + (f" ({values})" if values else ""))
 
 
 if __name__ == "__main__":
