@@ -471,8 +471,8 @@ def _fit_coordinates(dm: DataMatrices) -> tuple[DataMatrices, np.ndarray, float]
 def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
                    margin: float):
     """The max-det fit at one margin, in raw data units: (logdet, A_bar,
-    B_bar, tau), or None when its one solve ends neither optimal nor
-    feasible at a positive margin."""
+    B_bar, tau, iterations), iterations being its one solve's, or None when
+    that solve ends neither optimal nor feasible at a positive margin."""
     Cs, Bs, As = data
     T, n, p = Cs.shape[0], Cs.shape[1], As.shape[1]
     prob = _fit_problem(Cs, Bs, As, margin)
@@ -492,7 +492,7 @@ def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
     B_bar = -Pm[n + p:, :n] / rho - A_bar @ zeta0
     tau = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(T)]) * (1.0 / delta)
     sign, ld = np.linalg.slogdet(A_bar)
-    return (float(ld) if sign > 0 else -np.inf), A_bar, B_bar, tau
+    return (float(ld) if sign > 0 else -np.inf), A_bar, B_bar, tau, sol.iterations
 
 
 def solve_overapprox(
@@ -508,7 +508,8 @@ def solve_overapprox(
     which gives the smallest ellipsoid the S-procedure certificate admits
     (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 1998).
     ``history`` holds one entry: best_logdet (log det A_bar, which
-    ``to_json`` writes as ``fit_logdets``), A_bar and B_bar.
+    ``to_json`` writes as ``fit_logdets``), A_bar, B_bar, the margin whose
+    solve gave them and that solve's iteration count, ``iterations``.
     """
     p = dm.xi.shape[1]
     sv = np.linalg.svd(dm.xi, compute_uv=False)
@@ -528,7 +529,7 @@ def solve_overapprox(
         fit = _fit_at_margin(data, zeta0, rho, dm.delta, margin)
         if fit is not None:
             break
-    logdet, A_bar, B_bar, tau = fit
+    logdet, A_bar, B_bar, tau, iterations = fit
     if not np.isfinite(logdet):
         raise ConsistencyError("degenerate ellipsoid: fitted shape matrix is singular")
     if tau.min() < -1e-10:
@@ -542,7 +543,8 @@ def solve_overapprox(
         )
     ell = ellipsoid_params(A_bar, B_bar)
     ell.tau = tau
-    ell.history = [{"best_logdet": logdet, "A_bar": A_bar, "B_bar": B_bar}]
+    ell.history = [{"best_logdet": logdet, "A_bar": A_bar, "B_bar": B_bar,
+                    "margin": margin, "iterations": iterations}]
     ell.bases = bases
     return ell
 

@@ -49,14 +49,11 @@ order would change the Cholesky bits.  Each matrix block adds its term
 A_b P_b^T (below), and then the nonnegative cone adds its term.  Every 1x1
 block is one coordinate x_i >= 0 of that single cone: its scaling is
 elementwise (H^-1 = diag(x/z)) and its step length is a min-ratio test.
-Its term A_lp diag(x/z) A_lp^T has the bits of scipy's sparse triple
-product without its per-call cost: entry (i, j) is the sum of
-(a_ik w_k) a_jk over k from the largest k down, one k at a time.  The
-cone's rows of each component are one dense array, and those of all
-singleton rows one zero-padded array, so r such rows over K coordinates
-cost r^2 K products per iteration even where they share few coordinates;
-in the benchmark's programs they are singletons (step V) or dense (the
-fits).
+Its term A_lp diag(x/z) A_lp^T is one dense product per component of
+its rows, and a weighted sum of squares for the rows that share nothing,
+so r cone rows over K coordinates cost r^2 K products per iteration even
+where they share few coordinates; in the benchmark's programs they are
+singletons (step V) or dense (the fits).
 
 Free variables v enter through their Schur complement
 S_F = A_F^T M^-1 A_F.  Its factor is the R of a QR of G = L^-1 A_F, where
@@ -469,11 +466,13 @@ def _winv_svec(Rinv: np.ndarray, U: np.ndarray) -> np.ndarray:
     return svec(_congruence(Rinv.T, U))
 
 
-# elements (entries x entries) one chunk of a Schur-term gather holds: its
-# temporaries stay in cache, and the chunks of whole rows along the diagonal
-# bound the part of the upper triangle formed; step V's d = 44 block (584
-# rows, 990 entries) takes 7.4-8.0 ms at 2^15, 10.1-11.1 ms at 2^16 and
-# 9.3-10.0 ms at 2^14 (one BLAS thread, medians of 150)
+# elements (entries x entries) one chunk of a matrix block's Schur-term
+# gather holds; only ``_SchurRows`` reads it, since the cone's term is one
+# product per component.  The chunk's temporaries stay in cache, and the
+# chunks of whole rows along the diagonal bound the part of the upper
+# triangle formed; step V's d = 44 block (584 rows, 990 entries) takes
+# 7.4-8.0 ms at 2^15, 10.1-11.1 ms at 2^16 and 9.3-10.0 ms at 2^14 (one
+# BLAS thread, medians of 150)
 SCHUR_CHUNK = 1 << 15
 
 
@@ -610,18 +609,6 @@ def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _sum_down(P: np.ndarray) -> np.ndarray:
-    """P[0] + P[1] + ... added one term at a time, in that order.
-
-    ``np.add.reduce`` over the leading axis adds so whenever the result has
-    two or more entries; for a single entry it sums P[1:] pairwise, so that
-    case takes the last partial sum of ``np.add.accumulate`` instead.
-    """
-    if P[0].size > 1:
-        return np.add.reduce(P, axis=0)
-    return np.add.accumulate(P, axis=0)[-1]
-
-
 def _add_runs(Mc: np.ndarray, runs: list, S: np.ndarray) -> None:
     """Add S, a term over some rows of a component, into its matrix ``Mc``
     through the runs ``_SchurPlan.block`` gives for those rows."""
@@ -640,20 +627,11 @@ class _SchurPlan:
     follow as one diagonal, ``diag``.  With a single component of all m
     rows, ``mats[0]`` is laid out exactly as a dense m x m matrix.
 
-    The nonnegative cone's term has the bits of scipy's ``csr_matmat``,
-    which forms entry (i, j) of (A_lp diag(w)) A_lp^T as the sum of the
-    products (a_ik w_k) a_jk over the coordinates k that rows i and j
-    share, the largest k first, one product at a time.  ``lp_groups``
-    holds per component the K x r array of its cone rows (coordinates
-    descending, rows ascending), its coordinates, its chunks of rows of
-    about ``SCHUR_CHUNK`` products and its runs; ``lp_singles`` holds the
-    singleton rows' places in ``diag``, their K x S array (each column
-    descending, zero-padded) and its coordinates.  Every product is
-    formed, zero where a row lacks the coordinate, and summed over k in
-    that order (``_sum_down``).  A zero product leaves a nonzero partial
-    sum as it is, so each entry scipy forms has its bits; an entry that
-    sums to zero, which scipy leaves out, adds a signed zero, which leaves
-    every entry of ``flat`` as it is, since none holds -0.0.
+    The nonnegative cone's term A_lp diag(w) A_lp^T takes one BLAS product
+    per component, vals^T (diag(w) vals) for the dense K x r array ``vals``
+    of its r cone rows over their K coordinates (``lp_groups``, with the
+    coordinates and the runs), and one ``np.bincount`` of the singleton
+    rows' a_ik^2 w_k into ``diag`` (``lp_singles``).
     """
 
     def __init__(self, A: sp.csr_matrix, lp: np.ndarray, blocks: Sequence[tuple[slice, int]]):
@@ -692,29 +670,19 @@ class _SchurPlan:
         self.blocks = [(k, _SchurRows(sub[r], d), self.block(r))
                        for k, (sub, r, (_, d)) in enumerate(zip(subs, block_rows, blocks)) if len(r)]
 
-        # the cone's entries, by row and then by coordinate descending
-        by = np.lexsort((-col, row))
-        row, col, val = row[by], col[by], A_lp.data[by]
-        comp = comp_of[row]
+        # the cone's entries: per component of two or more rows a dense
+        # K x r array, coordinates and rows ascending; those of singleton
+        # rows by their places in diag, squared
+        comp, val = comp_of[row], A_lp.data
         self.lp_groups = []
         for c in np.unique(comp[comp >= 0]):
             e = comp == c
             r, ks = np.unique(row[e]), np.unique(col[e])
             vals = np.zeros((len(ks), len(r)))
-            vals[len(ks) - 1 - np.searchsorted(ks, col[e]), np.searchsorted(r, row[e])] = val[e]
-            step = max(1, SCHUR_CHUNK // vals.size)
-            chunks = [slice(i, i + step) for i in range(0, len(r), step)]
-            self.lp_groups.append((vals, ks[::-1].copy(), chunks, self.block(r)))
+            vals[np.searchsorted(ks, col[e]), np.searchsorted(r, row[e])] = val[e]
+            self.lp_groups.append((vals, ks, self.block(r)))
         e = comp < 0
-        r, first, count = np.unique(row[e], return_index=True, return_counts=True)
-        s = np.repeat(np.arange(len(r)), count)  # each entry's column
-        k = np.arange(len(s)) - np.repeat(first, count)  # and its place in it
-        # one coordinate at least, so that an array of no rows still sums;
-        # the padding is a zero at the row's first coordinate
-        vals = np.zeros((count.max(initial=1), len(r)))
-        coords = np.tile(col[e][first], (len(vals), 1))
-        vals[k, s], coords[k, s] = val[e], col[e]
-        self.lp_singles = (np.searchsorted(self.singles, r), vals, coords)
+        self.lp_singles = (np.searchsorted(self.singles, row[e]), val[e] ** 2, col[e])
 
     def block(self, rows: np.ndarray):
         """The matrix view of the component holding ``rows`` (ascending), and
@@ -752,12 +720,10 @@ class _SchurPlan:
 
     def add_lp(self, w: np.ndarray) -> None:
         """Add the nonnegative cone's term A_lp diag(w) A_lp^T into ``flat``."""
-        for vals, coords, chunks, target in self.lp_groups:
-            aw = vals * w[coords][:, None]  # a_ik w_k
-            _add_runs(*target, np.concatenate(
-                [_sum_down(aw[:, i, None] * vals[:, None, :]) for i in chunks]))
-        at, vals, coords = self.lp_singles
-        self.diag[at] += _sum_down(vals * w[coords] * vals)
+        for vals, coords, target in self.lp_groups:
+            _add_runs(*target, vals.T @ (w[coords, None] * vals))
+        at, squares, coords = self.lp_singles
+        self.diag += np.bincount(at, squares * w[coords], len(self.diag))
 
     def factor(self):
         """``(factors, jitter)`` of the components as ``flat`` holds them.

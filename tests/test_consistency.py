@@ -491,3 +491,25 @@ def test_inverse_square_root_residual_of_khalil_step_fits(khalil, seed):
     X = ell.A_bar_inv_sqrt
     assert np.abs(X @ X @ ell.A_bar - np.eye(len(X))).max() <= 1e-9
     assert membership(khalil.AB, ell).ok
+
+
+@pytest.mark.parametrize("seed, margin, statuses",
+                         [(0, 1e-6, ["optimal"]), (1, 1e-8, ["infeasible", "optimal"])])
+def test_fit_history_names_its_margin_and_iterations(khalil, seed, margin, statuses, monkeypatch):
+    # the margin ladder on the khalil-step experiment: seed 0's data fit at
+    # the first margin; seed 1's solve there ends infeasible, so its fit
+    # comes from the next margin's solve
+    solves = []
+    solve = consistency.solve_sdp
+
+    def recorded_solve(prob, *args):
+        solves.append(solve(prob, *args))
+        return solves[-1]
+
+    monkeypatch.setattr(consistency, "solve_sdp", recorded_solve)
+    ell = solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(seed))))
+    assert [s.status for s in solves] == statuses
+    [h] = ell.history
+    assert h["margin"] == margin
+    assert h["iterations"] == solves[-1].iterations > 0
+    assert ell.to_json_dict()["fit_logdets"] == [h["best_logdet"]]

@@ -720,33 +720,38 @@ def _congruence_by_smat(W):
 def test_build_matches_dense_schur_complement(chunk, monkeypatch):
     # rows of up to 10 entries per block that share coordinates, as step V at
     # deg_V = 4 and general programs have, over a 6- and a 9-block and eight
-    # nonnegative coordinates; M = sum_b A_b (W_b (x)s W_b) A_b^T +
-    # A_lp diag(w) A_lp^T, of which build forms the lower triangle
+    # nonnegative coordinates; and one more row that alone touches a 3-block
+    # and two more coordinates, so its diagonal gets the block's term through
+    # a 1x1 view and the cone's term as a singleton.  M = sum_b A_b (W_b (x)s
+    # W_b) A_b^T + A_lp diag(w) A_lp^T, of which build forms the lower triangle
     monkeypatch.setattr(sdp, "SCHUR_CHUNK", chunk)
     rng = np.random.default_rng(5)
-    dims, n_lp, m = (6, 9), 8, 60
+    dims, n_lp, m = (6, 9, 3), 10, 60
     widths = [svec_dim(d) for d in dims]
     offsets = np.cumsum([n_lp] + widths)
-    A = np.zeros((m, offsets[-1]))
+    A = np.zeros((m + 1, offsets[-1]))
     for i in range(m):
-        for b, width in enumerate(widths):
+        for b, width in enumerate(widths[:2]):
             if rng.random() < 0.6:
                 k = int(rng.integers(1, 11))
                 A[i, offsets[b] + rng.choice(width, size=k, replace=False)] = rng.standard_normal(k)
         if rng.random() < 0.3 or not A[i].any():
-            A[i, rng.integers(n_lp)] = rng.standard_normal()
+            A[i, rng.integers(n_lp - 2)] = rng.standard_normal()
+    A[m, [n_lp - 2, n_lp - 1, offsets[2], offsets[2] + 4]] = rng.standard_normal(4)
     Rs = [_factor_with_condition(rng, d, 1e4) for d in dims]
     w = 10.0 ** rng.uniform(-3.0, 3.0, n_lp)
     plan = sdp._SchurPlan(sp.csr_matrix(A), np.arange(n_lp),
                           [(slice(o, o + width), d) for o, width, d in zip(offsets, widths, dims)])
+    assert plan.singles.tolist() == [m]
     if chunk == 64:
-        assert all(len(rows.bounds) > 3 for _, rows, _ in plan.blocks)
+        assert all(len(rows.bounds) > 3 for _, rows, _ in plan.blocks[:2])
     plan.build(Rs, w)
     ref = A[:, :n_lp] * w @ A[:, :n_lp].T
     for o, width, R in zip(offsets, widths, Rs):
         A_b = A[:, o:o + width]
         ref += A_b @ _congruence_by_smat(R @ R.T) @ A_b.T
     assert _rel_err(np.tril(_assembled(plan)), np.tril(ref)) <= 1e-12
+    assert abs(plan.diag[0] - ref[m, m]) <= 1e-12 * ref[m, m]
 
 
 def test_components_end_optimal_at_the_dense_objective(monkeypatch):
@@ -846,7 +851,7 @@ def test_free_directions_no_row_sees_are_dropped_or_unbounded():
 
 
 # ---------------------------------------------------------------------------
-# the plan's LP Schur term in scipy's summation order
+# the plan's LP Schur term against scipy's
 
 
 def _lp_pattern(p):
@@ -874,18 +879,22 @@ def _lp_plan(A_lp, block_rows=()):
 
 def _lp_term_matches_scipy(A_lp, block_rows=(), draws=50):
     """Whether, for ``draws`` random w, the plan adds onto a random Schur
-    matrix what scipy's A_lp diag(w) A_lp^T adds, bit for bit."""
+    matrix what scipy's A_lp diag(w) A_lp^T adds, in the lower triangle and
+    within the forward error of dot products of K = A_lp.shape[1] terms:
+    |got - ref| <= K eps (|A_lp| diag(w) |A_lp|^T) + 4 eps |ref|."""
     plan = _lp_plan(A_lp, block_rows)
     A_csr = A_lp.tocsr()
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(0)
     for _ in range(draws):
         w = 10.0 ** rng.uniform(-6.0, 6.0, A_lp.shape[1])
         plan.flat[:] = rng.standard_normal(plan.flat.shape)
         ref = _assembled(plan)
         plan.add_lp(w)
-        S = (A_csr @ sp.diags(w) @ A_csr.T).tocoo()
-        ref[S.row, S.col] += S.data
-        if not np.array_equal(_assembled(plan).view(np.int64), ref.view(np.int64)):
+        ref += (A_csr @ sp.diags(w) @ A_csr.T).toarray()
+        bound = (A_lp.shape[1] * eps * (abs(A_csr) @ sp.diags(w) @ abs(A_csr).T).toarray()
+                 + 4.0 * eps * np.abs(ref))
+        if np.any(np.tril(np.abs(_assembled(plan) - ref) - bound) > 0.0):
             return False
     return True
 
@@ -897,9 +906,8 @@ def _random_lp_matrix(rng, mask):
 
 
 def _group_shapes(plan):
-    """(K, r) of each multi-row component's LP group, and (K, S) of the
-    singleton rows' array."""
-    return sorted(vals.shape for vals, *_ in plan.lp_groups), plan.lp_singles[1].shape
+    """(K, r) of each multi-row component's LP group."""
+    return sorted(vals.shape for vals, *_ in plan.lp_groups)
 
 
 def _fit_plan_problem():
@@ -920,7 +928,7 @@ def test_lp_term_of_a_fit_matches_scipy_bits():
     A_lp, block_rows = _lp_pattern(_fit_plan_problem())
     plan = _lp_plan(A_lp, block_rows)
     assert [len(rows) for rows in plan.rows] == [72]
-    assert _group_shapes(plan) == ([(30, 36)], (1, 0))
+    assert _group_shapes(plan) == [(30, 36)]
     assert _lp_term_matches_scipy(A_lp, block_rows)
 
 
@@ -928,16 +936,14 @@ def test_fit_lp_rows_form_one_group_inside_their_component(monkeypatch):
     # rows 0-35 carry the multipliers, rows 36-71 only the matrix block
     _, plan = _solve_keeping_plan(_fit_plan_problem(), monkeypatch, max_iter=1)
     assert [len(rows) for rows in plan.rows] == [72] and not len(plan.singles)
-    [(vals, coords, chunks, (Mc, runs))] = plan.lp_groups
+    [(vals, coords, (Mc, runs))] = plan.lp_groups
     assert vals.shape == (30, 36) and Mc.shape == (72, 72)
     assert runs == [(slice(0, 36), slice(0, 36))]
-    assert np.all(np.diff(coords) < 0)
 
 
 def test_lp_term_of_single_row_groups_matches_scipy_bits():
     # step V's pattern: each coordinate touches one row, so every LP row is
-    # a singleton; the lone row of 11 coordinates, summed alone, is one that
-    # np.add.reduce would sum pairwise
+    # a singleton, of one to eleven coordinates
     rng = np.random.default_rng(2)
     mask = np.zeros((9, 20), bool)
     for k in range(5):
@@ -946,15 +952,14 @@ def test_lp_term_of_single_row_groups_matches_scipy_bits():
     mask[7, 9:21] = True
     A_lp = _random_lp_matrix(rng, mask)
     plan = _lp_plan(A_lp)
-    assert _group_shapes(plan) == ([], (11, 8)) and plan.rows == []
+    assert _group_shapes(plan) == [] and plan.rows == []
     assert _lp_term_matches_scipy(A_lp)
     assert _lp_term_matches_scipy(A_lp[[7]])
 
 
-def test_lp_term_of_mixed_groups_matches_scipy_bits(monkeypatch):
-    # components of several shapes, dense and not, with rows and coordinates
-    # shuffled; with a small SCHUR_CHUNK the sums run over runs of a
-    # component's rows
+def test_lp_term_of_mixed_groups_matches_scipy_bits():
+    # components of several shapes, dense and not, and two singleton rows,
+    # with rows and coordinates shuffled
     rng = np.random.default_rng(3)
     chain = np.eye(5, 6, dtype=bool) | np.eye(5, 6, 1, dtype=bool)  # not dense
     parts = [np.ones((3, 4), bool)] * 3 + [np.ones((1, 1), bool)] * 2 + [
@@ -962,12 +967,8 @@ def test_lp_term_of_mixed_groups_matches_scipy_bits(monkeypatch):
     mask = sla.block_diag(*parts).astype(bool)
     mask = mask[rng.permutation(mask.shape[0])][:, rng.permutation(mask.shape[1])]
     A_lp = _random_lp_matrix(rng, mask)
-    assert _group_shapes(_lp_plan(A_lp)) == (
-        [(3, 2), (4, 3), (4, 3), (4, 3), (6, 5), (10, 12)], (1, 2))
+    assert _group_shapes(_lp_plan(A_lp)) == [(3, 2), (4, 3), (4, 3), (4, 3), (6, 5), (10, 12)]
     assert _lp_term_matches_scipy(A_lp)
-    for chunk in (40, 300):
-        monkeypatch.setattr(sdp, "SCHUR_CHUNK", chunk)
-        assert _lp_term_matches_scipy(A_lp, draws=10)
 
 
 def test_lp_term_inside_a_matrix_block_component_matches_scipy_bits():
@@ -983,17 +984,15 @@ def test_lp_term_inside_a_matrix_block_component_matches_scipy_bits():
     block_rows = [np.array([0, 2, 4, 5, 9])]
     plan = _lp_plan(A_lp, block_rows)
     assert [r.tolist() for r in plan.rows] == [[0, 1, 2, 3, 4, 5, 6, 8, 9]]
-    assert _group_shapes(plan) == ([(7, 7)], (1, 0))
+    assert _group_shapes(plan) == [(7, 7)]
     assert _lp_term_matches_scipy(A_lp, block_rows)
 
 
 def test_lp_term_of_a_chunked_group_matches_scipy_bits():
-    # 700 coordinates on 10 rows: 70,000 products exceed SCHUR_CHUNK, so the
-    # component's rows are summed in runs
+    # a wide group: 700 coordinates on 10 rows, so each entry sums 700 products
     rng = np.random.default_rng(5)
     A_lp = _random_lp_matrix(rng, np.ones((10, 700), bool))
-    plan = _lp_plan(A_lp)
-    assert 700 * 10 * 10 > sdp.SCHUR_CHUNK and len(plan.lp_groups[0][2]) > 1
+    assert _group_shapes(_lp_plan(A_lp)) == [(700, 10)]
     assert _lp_term_matches_scipy(A_lp, draws=10)
 
 
@@ -1005,7 +1004,7 @@ def test_lp_term_without_scalar_blocks_does_no_work():
     A_lp, block_rows = _lp_pattern(p)
     assert A_lp.shape == (2, 0)
     plan = _lp_plan(A_lp, block_rows)
-    assert _group_shapes(plan) == ([], (1, 0))
+    assert _group_shapes(plan) == []
     plan.flat[:] = np.arange(plan.flat.size)
     plan.add_lp(np.zeros(0))
     assert np.array_equal(plan.flat, np.arange(plan.flat.size))

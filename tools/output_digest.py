@@ -17,7 +17,8 @@ refactor of the solver must keep.  The outputs:
 
 When a change alters the bits on purpose, every digest changes, so some
 lines also print the values that show by how much: each ellipsoid's
-log det A_bar and |X X A_bar - I|max (X = A_bar^-1/2, which
+log det A_bar, the margin its fit solve succeeded at and that solve's
+iteration count, and |X X A_bar - I|max (X = A_bar^-1/2, which
 ``ellipsoid_params`` bounds by 1e-8), and step V's status, iteration count
 and margin t.
 
@@ -52,11 +53,14 @@ def digest(text: str) -> str:
 
 
 def ellipsoid_digest(name: str, ell) -> tuple[str, str, str]:
-    """The ellipsoid's digest, with its log det A_bar and |X X A_bar - I|max."""
+    """The ellipsoid's digest, with its log det A_bar, its fit's margin and
+    iterations, and |X X A_bar - I|max."""
     X = ell.A_bar_inv_sqrt
     residual = np.abs(X @ X @ ell.A_bar - np.eye(len(X))).max()
+    [fit] = ell.history
     return (name, digest(ell.to_json()),
-            f"logdet {np.linalg.slogdet(ell.A_bar)[1]:.9g}, residual {residual:.2e}")
+            f"logdet {np.linalg.slogdet(ell.A_bar)[1]:.9g}, margin {fit['margin']:g}, "
+            f"{fit['iterations']} fit iterations, residual {residual:.2e}")
 
 
 def khalil_step() -> list[tuple[str, str, str]]:
