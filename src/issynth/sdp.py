@@ -66,7 +66,10 @@ residual while the matrix part converges: the solve ends ``feasible``
 after 116 iterations, with Schur jitter from iteration 24.  Without the
 shift the Cholesky fails at iteration 24 of collection seed 6,
 k = -x1 - x2.  The QR needs no shift and does not fail; ``_Preprocessed``
-drops the free directions no row sees, so G has full column rank.
+drops the free directions no row sees, so G has full column rank.  The
+same G gives M^-1 A_F = L^-T G by one more triangular solve per
+component, where a potrs on A_F takes two: on step V's 10 free columns
+0.48 ms per iteration instead of 0.83 (one BLAS thread, medians of 140).
 
 When free variables remain, every KKT solve is also refined
 ``KKT_REFINE_STEPS`` times: it is solved again with the same factors for
@@ -75,14 +78,31 @@ Without that, the free-variable dual residual of the synthesis programs
 stalls near 1e-6 and whether such a solve ends ``optimal`` depends on
 rounding.  A component whose Cholesky fails is retried with its own
 diagonal shifted (the trace's ``jitter``, the largest shift of the
-iteration).  No solve of the benchmark workloads needs this fallback, but
-some small random and matrix SOS programs do.  Of the ellipsoid fits of
-the benchmark's experiment at collection seeds 0-19, only seed 15's
-infeasible attempt at margin 1e-6 uses it (from iteration 39).
+iteration).  No solve of the benchmark workloads needs this fallback, nor
+any ellipsoid fit of the benchmark's experiment at collection seeds 0-19,
+but some small random and matrix SOS programs do.
 
-A matrix block of dimension d keeps its NT scaling W = R R^T as the d x d
-factor R; H^-1 and W^-1 act through d x d products (Todd, Toh & Tutuncu
-1998).  Its Schur term is A_b P_b^T, where row j of P_b is
+The matrix blocks of one dimension d form a class (``_BlockClass``), and
+the solver holds a class's X, Z and NT scaling W = R R^T (``_Scaling``)
+as stacks of k d x d matrices, one per block.  So each operation on them
+is one numpy call per class, however many blocks it has: the scaling's
+Cholesky factors and SVD; H^-1 and W^-1, which act through d x d
+products (Todd, Toh & Tutuncu 1998); the corrector products; the iterate
+update; and svec and smat, one gather each from indices found once per
+solve.  A class's step length to the boundary of its cone is -1 over the
+smallest eigenvalue of L^-1 Delta L^-T, where L^-1, the inverse of a
+Cholesky factor of X or Z, is formed once per iteration and read by the
+predictor and the corrector (Toh, Todd & Tutuncu 1999).  The max-det
+ellipsoid fit has three classes: its 14-block, its 12-block and the
+seven 2 x 2 blocks of its geometric-mean tree.  Step V has four classes
+of one block.  On the fit of khalil-fit-multi's operation 0 (143 rows,
+21 iterations) that takes an iteration from 4.6-6.0 ms, with calls per
+block, to 2.7-3.1 ms: scaling 0.52-0.60 to 0.34-0.38 ms, directions
+2.2-2.5 to 0.97-1.09 and step length 0.70-0.81 to 0.38-0.42, with the
+Schur build and factorization as they were (one BLAS thread, 2 vCPU,
+medians of 30 solves in each of three runs).
+
+Each matrix block's Schur term is A_b P_b^T, where row j of P_b is
 svec(W A_j W), gathered from the rows of W over row j's few entries and
 only at the coordinates A_b's rows have (Fujisawa, Kojima & Nakata 1997);
 it is formed chunk by chunk of rows, and only in the lower triangle
@@ -94,10 +114,10 @@ B = svec(R^T A_i R), to 10.4-11.9 ms, and the factorization of its
 row's entries are summed level by level over all the rows at once, so no
 row pays a per-row call, as one ``np.add.reduceat`` segment would.  Memory
 per iteration is O(m_c^2) per Schur component of m_c rows plus, per
-matrix block, O(m_b^2) for its term (m_b rows touch it), O(SCHUR_CHUNK)
-for its gather and O(d^2) for its scaling; nothing of order svec(d)^2 is
-formed.  Each solution carries a per-iteration trace with the residuals
-and the seconds of every phase.
+matrix block, O(m_b^2) for its term (m_b rows touch it) and O(SCHUR_CHUNK)
+for its gather, and O(k d^2) per class for its scaling; nothing of order
+svec(d)^2 is formed.  Each solution carries a per-iteration trace with the
+residuals and the seconds of every phase.
 
 A solve ends in one of three ways.  It converges (``optimal``: scaled
 primal and dual residuals and gap within ``DEFAULT_TOL``), it finds an
@@ -399,7 +419,7 @@ def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     solve_sdp checks its directions instead.
     """
     # this form finds the loaded module in 0.4 us a call, ``from ... import``
-    # in 1.0 us; the two LAPACK wrappers run about 1,600 times a step-V solve
+    # in 1.0 us; potrs and trtrs run about 880 times a step-V solve
     import scipy.linalg.lapack as lapack
 
     X, info = lapack.dpotrs(L.T, B, lower=0)
@@ -408,18 +428,18 @@ def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve L X = B for a C-ordered lower triangular L.
+def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool) -> np.ndarray:
+    """Solve L X = B, or L^T X = B when ``transposed``, for a C-ordered
+    lower triangular L.
 
-    LAPACK trtrs with the arguments ``scipy.linalg.solve_triangular(L, B,
-    lower=True)`` passes it for such an L: the transposed upper system on
-    L^T, whose memory already is Fortran order.  Every caller passes a
-    C-ordered factor: ``_cholesky``'s of a Schur component, or numpy's
-    Cholesky of a block's X or Z (``_BlockScaling``).
+    LAPACK trtrs on L^T, whose memory already is Fortran order; for L X = B
+    these are the arguments ``scipy.linalg.solve_triangular(L, B,
+    lower=True)`` passes for such an L.  Every caller passes ``_cholesky``'s
+    factor of a Schur component.
     """
     import scipy.linalg.lapack as lapack
 
-    X, info = lapack.dtrtrs(L.T, B, lower=0, trans=1)
+    X, info = lapack.dtrtrs(L.T, B, lower=0, trans=0 if transposed else 1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info:
@@ -427,43 +447,73 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-class _BlockScaling:
-    """NT scaling W = R R^T of one matrix block: W Z W = X, R^-1 X R^-T = R^T Z R = diag(lam)."""
+def _congruence(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Q S Q^T, symmetrized, for each matrix of the stacks Q and S."""
+    T = Q @ S @ Q.mT
+    return 0.5 * (T + T.mT)
+
+
+class _BlockClass:
+    """The k matrix blocks of one dimension d > 1, whose matrices the solver
+    holds stacked in one (k, d, d) array.
+
+    ``cols[i]`` are block ``blocks[i]``'s svec columns in the problem's
+    vector.  ``svec`` and ``smat`` move between the two forms with one
+    gather per class, and give the bits of ``svec`` and ``smat`` per block.
+    """
+
+    def __init__(self, d: int, blocks: list[int], starts: list[int]):
+        iu, ju, scale = svec_indices(d)
+        n = svec_dim(d)
+        self.d, self.blocks = d, blocks
+        self.cols = np.add.outer(starts, np.arange(n))
+        # entry (i, j) of a block is its svec coordinate pos[i, j] over that
+        # coordinate's scale
+        pos = np.empty((d, d), np.int64)
+        pos[iu, ju] = pos[ju, iu] = np.arange(n)
+        self._mat_cols, self._mat_scale = self.cols[:, pos], scale[pos]
+        self._upper, self._scale = iu * d + ju, scale
+
+    def svec(self, M: np.ndarray) -> np.ndarray:
+        """The svec rows, (k, svec_dim(d)), of the stacked symmetric M."""
+        return M.reshape(len(M), -1)[:, self._upper] * self._scale
+
+    def smat(self, v: np.ndarray) -> np.ndarray:
+        """The class's blocks of the svec vector v, stacked."""
+        return v[self._mat_cols] / self._mat_scale
+
+    def hinv(self, R: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """H^-1 v on the class's coordinates: the svec rows of W S W for
+        S = smat(v) and W = R R^T, by d x d products (Todd, Toh & Tutuncu 1998).
+
+        Both the middle factor R^T S R and the result are symmetrized; without
+        that the rounding asymmetry feeds back into the iterates: 8 of the 15
+        randomized test problems then need 18-28 iterations instead of 11-12
+        and end ``feasible``.
+        """
+        return self.svec(_congruence(R, _congruence(R.mT, self.smat(v))))
+
+    def winv(self, Rinv: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """The svec rows of R^-T U R^-1: scaled-space matrices U back in the space of Z."""
+        return self.svec(_congruence(Rinv.mT, U))
+
+
+class _Scaling:
+    """NT scaling W = R R^T of a class's blocks, stacked: per block W Z W = X
+    and R^-1 X R^-T = R^T Z R = diag(lam).  ``Lx_inv`` and ``Lz_inv`` are
+    the inverses of the Cholesky factors of X and Z, formed once per
+    iteration for the step lengths of the predictor and the corrector.
+    """
 
     def __init__(self, X: np.ndarray, Z: np.ndarray):
-        d = X.shape[0]
-        self.Lx = np.linalg.cholesky(X)
-        self.Lz = np.linalg.cholesky(Z)
-        M = self.Lz.T @ self.Lx
-        U, sv, Vt = np.linalg.svd(M)
-        self.lam = sv  # spectrum of the scaled point
-        s_isqrt = 1.0 / np.sqrt(sv)
-        self.R = self.Lx @ Vt.T * s_isqrt[None, :]
-        Lx_inv = _solve_lower(self.Lx, np.eye(d))
-        self.Rinv = (np.sqrt(sv)[:, None] * Vt) @ Lx_inv
-
-
-def _congruence(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Q S Q^T, symmetrized."""
-    T = Q @ S @ Q.T
-    return 0.5 * (T + T.T)
-
-
-def _hinv_svec(R: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H^-1 v = svec(W S W) for S = smat(v), W = R R^T, by d x d products.
-
-    Both the middle factor R^T S R and the result are symmetrized; without
-    that the rounding asymmetry feeds back into the iterates: 8 of the 15
-    randomized test problems then need 18-28 iterations instead of 11-12
-    and end ``feasible``.
-    """
-    d = R.shape[0]
-    return svec(_congruence(R, _congruence(R.T, smat(v, d))))
-
-
-def _winv_svec(Rinv: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """svec(R^-T U R^-1): a scaled-space matrix U back in the space of Z."""
-    return svec(_congruence(Rinv.T, U))
+        Lx = np.linalg.cholesky(X)
+        Lz = np.linalg.cholesky(Z)
+        U, sv, Vt = np.linalg.svd(Lz.mT @ Lx)
+        self.lam = sv  # spectra of the scaled points
+        self.R = Lx @ Vt.mT * (1.0 / np.sqrt(sv))[:, None, :]
+        self.Lx_inv = np.linalg.inv(Lx)
+        self.Lz_inv = np.linalg.inv(Lz)
+        self.Rinv = (np.sqrt(sv)[:, :, None] * Vt) @ self.Lx_inv
 
 
 # elements (entries x entries) one chunk of a matrix block's Schur-term
@@ -560,12 +610,12 @@ class _SchurRows:
         return S
 
 
-def _max_step_psd(L: np.ndarray, Delta: np.ndarray) -> float:
-    """Largest a with  M + a*Delta >= 0,  M = L L^T."""
-    T = _solve_lower(L, Delta)
-    T = _solve_lower(L, T.T)
-    w = np.linalg.eigvalsh(0.5 * (T + T.T))
-    wmin = w[0]
+def _max_step_psd(L_inv: np.ndarray, Delta: np.ndarray) -> float:
+    """Largest a with  M + a*Delta >= 0  for every block of a class, given
+    L^-1 for M = L L^T: -1 over the smallest eigenvalue of L^-1 Delta L^-T,
+    or inf when none is negative (Toh, Todd & Tutuncu 1999)."""
+    T = L_inv @ Delta @ L_inv.mT
+    wmin = np.linalg.eigvalsh(0.5 * (T + T.mT))[:, 0].min()
     if wmin >= -1e-16:
         return np.inf
     return -1.0 / wmin
@@ -744,12 +794,13 @@ class _SchurPlan:
         d, j = _factor_with_jitter(self.diag, _positive)
         return (None if d is None else (factors, d)), max(jitter, j)
 
-    def solve_lower(self, factors, g: np.ndarray) -> np.ndarray:
-        """L^-1 g for the factor L L^T = M, one component at a time; g has m rows."""
+    def solve_lower(self, factors, g: np.ndarray, transposed: bool) -> np.ndarray:
+        """L^-1 g, or L^-T g when ``transposed``, for the factor L L^T = M,
+        one component at a time; g has m rows."""
         Ls, d = factors
         out = np.empty_like(g)
         for rows, L in zip(self.rows, Ls):
-            out[rows] = _solve_lower(L, g[rows])
+            out[rows] = _solve_lower(L, g[rows], transposed)
         s = self.singles
         out[s] = g[s] / np.sqrt(d)[:, None]
         return out
@@ -952,18 +1003,23 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     nu = sum(dims)
 
     # every 1x1 block is one coordinate of the nonnegative cone; the others
-    # are matrix blocks
+    # are matrix blocks, in one class per dimension, ordered by first block
     lp_blocks = [bi for bi, d in enumerate(dims) if d == 1]
-    mat_blocks = [bi for bi, d in enumerate(dims) if d > 1]
     lp = np.array([slices[bi].start for bi in lp_blocks], dtype=np.int64)
+    by_dim: dict[int, list[int]] = {}
+    for bi, d in enumerate(dims):
+        if d > 1:
+            by_dim.setdefault(d, []).append(bi)
+    classes = [_BlockClass(d, bis, [slices[bi].start for bi in bis]) for d, bis in by_dim.items()]
     # A^T is applied seven times per iteration: stored once as CSR it adds
     # the same products in the same order as the CSC view, about 5x faster
     AT = A.T.tocsr()
-    plan = _SchurPlan(A, lp, [(slices[bi], dims[bi]) for bi in mat_blocks])
+    # the plan takes the matrix blocks class by class
+    plan = _SchurPlan(A, lp, [(slices[bi], cl.d) for cl in classes for bi in cl.blocks])
 
-    # identity start
-    X = [np.eye(dims[bi]) for bi in mat_blocks]
-    Z = [np.eye(dims[bi]) for bi in mat_blocks]
+    # identity start; X, Z and the scalings hold one stack per class
+    X = [np.tile(np.eye(cl.d), (len(cl.blocks), 1, 1)) for cl in classes]
+    Z = [Xc.copy() for Xc in X]
     x = np.ones(len(lp))
     z = np.ones(len(lp))
     y = np.zeros(m)
@@ -972,17 +1028,18 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     def to_vec(mats, v):
         out = np.empty(n_psd)
         out[lp] = v
-        for bi, Mk in zip(mat_blocks, mats):
-            out[slices[bi]] = svec(Mk)
+        for cl, M in zip(classes, mats):
+            out[cl.cols] = cl.svec(M)
         return out
 
     def to_mats(v):
-        return [smat(v[slices[bi]], dims[bi]) for bi in mat_blocks]
+        return [cl.smat(v) for cl in classes]
 
     def to_blocks(mats, v):
         out: list = [None] * len(dims)
-        for bi, Mk in zip(mat_blocks, mats):
-            out[bi] = 0.5 * (Mk + Mk.T)
+        for cl, M in zip(classes, mats):
+            for bi, Mk in zip(cl.blocks, 0.5 * (M + M.mT)):
+                out[bi] = Mk
         for bi, vk in zip(lp_blocks, v):
             out[bi] = np.array([[vk]])
         return out
@@ -1051,10 +1108,11 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             msg = "tau collapsed without clean certificate"
             break
 
-        # NT scalings: per matrix block, elementwise x/z on the nonnegative cone
+        # NT scalings: per class of matrix blocks, elementwise x/z on the
+        # nonnegative cone
         t0 = time.perf_counter()
         try:
-            scalings = [_BlockScaling(Xk, Zk) for Xk, Zk in zip(X, Z)]
+            scalings = [_Scaling(Xc, Zc) for Xc, Zc in zip(X, Z)]
         except np.linalg.LinAlgError:
             msg = "iterate left the cone"
             break
@@ -1064,7 +1122,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
 
         # Schur complement  M = sum_blocks A_b P_b^T + A_lp diag(x/z) A_lp^T,
         # its lower triangle
-        plan.build([sc.R for sc in scalings], w_lp)
+        plan.build([R for sc in scalings for R in sc.R], w_lp)
         t2 = time.perf_counter()
         seconds["schur"] = t2 - t1
 
@@ -1074,10 +1132,12 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             break
 
         # formed empty, this factor and its products slow the fits by 1-3%;
-        # R_F^T R_F = AF^T M^-1 AF = S_F
+        # for G = L^-1 AF, R_F^T R_F = G^T G = AF^T M^-1 AF = S_F and
+        # L^-T G = M^-1 AF
         if nf:
-            MA = plan.solve(schur, Af)
-            R_F = np.linalg.qr(plan.solve_lower(schur, Af), mode="r")
+            G = plan.solve_lower(schur, Af, False)
+            R_F = np.linalg.qr(G, mode="r")
+            MA = plan.solve_lower(schur, G, True)
         else:
             MA, R_F = None, None
         t3 = time.perf_counter()
@@ -1086,8 +1146,8 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         def apply_Hinv(v):
             out = np.empty_like(v)
             out[lp] = w_lp * v[lp]
-            for bi, sc in zip(mat_blocks, scalings):
-                out[slices[bi]] = _hinv_svec(sc.R, v[slices[bi]])
+            for cl, sc in zip(classes, scalings):
+                out[cl.cols] = cl.hinv(sc.R, v)
             return out
 
         def solve_reduced(g, u_F):
@@ -1122,17 +1182,13 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
 
         def direction(sigma, corr_mats, corr_lp, corr_tk):
             eta = 1.0 - sigma
-            # W^-1 applied to the scaled complementarity residual, per block
+            # W^-1 applied to the scaled complementarity residual, per class
             rhs_u = -eta * Rd_psd
-            for k, (bi, sc) in enumerate(zip(mat_blocks, scalings)):
+            for cl, sc, corr in zip(classes, scalings, corr_mats):
                 lam = sc.lam
-                Dc = -np.diag(lam**2)
-                if sigma:
-                    Dc = Dc + sigma * mu * np.eye(len(lam))
-                if corr_mats is not None:
-                    Dc = Dc - corr_mats[k]
-                Umat = 2.0 * Dc / (lam[:, None] + lam[None, :])
-                rhs_u[slices[bi]] += _winv_svec(sc.Rinv, Umat)
+                Dc = (sigma * mu - lam**2)[:, :, None] * np.eye(cl.d) - corr
+                Umat = 2.0 * Dc / (lam[:, :, None] + lam[:, None, :])
+                rhs_u[cl.cols] += cl.winv(sc.Rinv, Umat)
             rhs_u[lp] += (sigma * mu - x * z - corr_lp) / x
             u_F = -eta * Rd_free
             u_y = -eta * Rp
@@ -1153,8 +1209,8 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
 
         def max_step(dxK, dz, dX, dZ, dtau, dkappa):
             a = min(_max_step_lp(x, dxK[lp]), _max_step_lp(z, dz[lp]))
-            for sc, dXm, dZm in zip(scalings, dX, dZ):
-                a = min(a, _max_step_psd(sc.Lx, dXm), _max_step_psd(sc.Lz, dZm))
+            for sc, dXc, dZc in zip(scalings, dX, dZ):
+                a = min(a, _max_step_psd(sc.Lx_inv, dXc), _max_step_psd(sc.Lz_inv, dZc))
             if dtau < 0:
                 a = min(a, -tau / dtau)
             if dkappa < 0:
@@ -1163,7 +1219,8 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
 
         # predictor; potrf and qr return NaN factors rather than raising, so
         # a non-finite M or S_F first shows in a direction
-        dxFa, dya, dtaua, dkappaa, dxKa, dza, dXa, dZa = direction(0.0, None, 0.0, 0.0)
+        dxFa, dya, dtaua, dkappaa, dxKa, dza, dXa, dZa = direction(
+            0.0, [0.0] * len(classes), 0.0, 0.0)
         if not _finite(dxKa, dza, dxFa, dya, dtaua, dkappaa):
             msg = "non-finite direction"
             break
@@ -1177,12 +1234,12 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
         sigma = min(max(sigma, 1e-8), 1.0 - 1e-8)
 
-        # corrector terms (W^-T dx_aff) o (W dz_aff): per matrix block, and
-        # dx o dz on the nonnegative cone
+        # corrector terms (W^-T dx_aff) o (W dz_aff): per class, and dx o dz
+        # on the nonnegative cone
         corr_mats = []
-        for sc, dXm, dZm in zip(scalings, dXa, dZa):
-            Xi = sc.Rinv @ dXm @ sc.Rinv.T
-            Om = sc.R.T @ dZm @ sc.R
+        for sc, dXc, dZc in zip(scalings, dXa, dZa):
+            Xi = sc.Rinv @ dXc @ sc.Rinv.mT
+            Om = sc.R.mT @ dZc @ sc.R
             corr_mats.append(0.5 * (Xi @ Om + Om @ Xi))
         corr_lp = dxKa[lp] * dza[lp]
         corr_tk = dtaua * dkappaa
@@ -1203,11 +1260,11 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             msg = f"step length {a:.2e} below minimum"
             break
 
-        for k, (dXk, dZk) in enumerate(zip(dX, dZ)):
-            X[k] = X[k] + a * dXk
-            Z[k] = Z[k] + a * dZk
-            X[k] = 0.5 * (X[k] + X[k].T)
-            Z[k] = 0.5 * (Z[k] + Z[k].T)
+        for k, (dXc, dZc) in enumerate(zip(dX, dZ)):
+            X[k] = X[k] + a * dXc
+            Z[k] = Z[k] + a * dZc
+            X[k] = 0.5 * (X[k] + X[k].mT)
+            Z[k] = 0.5 * (Z[k] + Z[k].mT)
         x = x + a * dxK[lp]
         z = z + a * dz[lp]
         xf = xf + a * dxF

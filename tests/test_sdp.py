@@ -12,9 +12,7 @@ import issynth.sdp as sdp
 from issynth.sdp import (
     SdpProblem,
     SdpSolution,
-    _hinv_svec,
     _SchurRows,
-    _winv_svec,
     format_trace,
     smat,
     solve_sdp,
@@ -129,12 +127,153 @@ class TestScalingProducts:
         Rinv = np.linalg.inv(R)
         K = _congruence_matrix(R)
         J = _congruence_matrix(Rinv.T)
+        one = sdp._BlockClass(d, [0], [0])
         for _ in range(3):
             S = rng.standard_normal((d, d))
             S = S + S.T
             v = svec(S)
-            assert _rel_err(_hinv_svec(R, v), K @ (K.T @ v)) <= 1e-12
-            assert _rel_err(_winv_svec(Rinv, S), J @ v) <= 1e-12
+            assert _rel_err(one.hinv(R[None], v)[0], K @ (K.T @ v)) <= 1e-12
+            assert _rel_err(one.winv(Rinv[None], S[None])[0], J @ v) <= 1e-12
+
+
+def _pd_stack(rng, k, d, cond):
+    """k random positive definite d x d matrices, each of condition number cond."""
+    Q = np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+    ev = np.logspace(0.0, -np.log10(cond), d) * rng.uniform(0.5, 2.0, (k, 1))
+    return (Q * ev[:, None, :]) @ Q.mT
+
+
+def _sym_stack(rng, k, d):
+    S = rng.standard_normal((k, d, d))
+    return S + S.mT
+
+
+CLASS_SHAPES = list(itertools.product([1, 3, 7], [2, 3, 9]))
+
+
+class TestStackedClasses:
+    """A class of k blocks of dimension d, slice by slice against the
+    one-block references."""
+
+    @pytest.mark.parametrize("k, d", CLASS_SHAPES)
+    def test_scaling_per_slice(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        X, Z = _pd_stack(rng, k, d, 1e4), _pd_stack(rng, k, d, 1e4)
+        sc = sdp._Scaling(X, Z)
+        for i in range(k):
+            W, lam = sc.R[i] @ sc.R[i].T, np.diag(sc.lam[i])
+            assert _rel_err(W @ Z[i] @ W, X[i]) <= 1e-12
+            assert _rel_err(sc.Rinv[i] @ X[i] @ sc.Rinv[i].T, lam) <= 1e-12
+            assert _rel_err(sc.R[i].T @ Z[i] @ sc.R[i], lam) <= 1e-12
+
+    @pytest.mark.parametrize("k, d", CLASS_SHAPES)
+    def test_svec_hinv_and_winv_per_slice(self, k, d):
+        rng = np.random.default_rng(20 * k + d)
+        n = svec_dim(d)
+        # the blocks' columns out of order and apart in a longer vector
+        starts = list(3 + (n + 2) * rng.permutation(k))
+        cl = sdp._BlockClass(d, list(range(k)), starts)
+        v = rng.standard_normal(3 + (n + 2) * k)
+        U = _sym_stack(rng, k, d)
+        R = np.stack([_factor_with_condition(rng, d, 1e4) for _ in range(k)])
+        Rinv = np.linalg.inv(R)
+        S, H, Wi = cl.smat(v), cl.hinv(R, v), cl.winv(Rinv, U)
+        for i, s in enumerate(starts):
+            vi = v[s:s + n]
+            assert _same_array_bits(S[i], smat(vi, d))
+            assert _same_array_bits(cl.svec(U)[i], svec(U[i]))
+            K, J = _congruence_matrix(R[i]), _congruence_matrix(Rinv[i].T)
+            assert _rel_err(H[i], K @ (K.T @ vi)) <= 1e-12
+            assert _rel_err(Wi[i], J @ svec(U[i])) <= 1e-12
+
+    @pytest.mark.parametrize("k, d", CLASS_SHAPES)
+    def test_step_length_per_slice(self, k, d):
+        rng = np.random.default_rng(30 * k + d)
+        X, Z = _pd_stack(rng, k, d, 1e4), _pd_stack(rng, k, d, 1e4)
+        sc = sdp._Scaling(X, Z)
+        for M, L_inv in ((X, sc.Lx_inv), (Z, sc.Lz_inv)):
+            D = _sym_stack(rng, k, d)
+            # the smallest eigenvalue of the pencil (D_i, M_i) over the blocks
+            w = min(sla.eigh(D[i], M[i], eigvals_only=True)[0] for i in range(k))
+            assert w < 0.0
+            assert abs(sdp._max_step_psd(L_inv, D) + 1.0 / w) <= 1e-10 / abs(w)
+            # no block limits a step along PSD directions
+            assert sdp._max_step_psd(L_inv, _pd_stack(rng, k, d, 1e2)) == np.inf
+
+
+def _random_class_sdp(rng):
+    """Strictly feasible: five 2x2, two 3x3 and one 6x6 block in mixed order,
+    four nonnegative coordinates and a free variable, the rhs evaluated at
+    an interior point and a positive definite objective."""
+    dims = [2, 3, 2, 2, 6, 2, 1, 1, 3, 2, 1, 1]
+    p = SdpProblem()
+    blocks = [p.add_block(d) for d in dims]
+    v = p.add_free("v")
+    X0 = [_pd_stack(rng, 1, d, 10.0)[0] for d in dims]
+    v0 = rng.standard_normal()
+    for r in range(30):
+        entries = []
+        for b in rng.choice(len(dims), size=2, replace=False):
+            i, j = sorted(rng.integers(0, dims[b], size=2))
+            entries.append((blocks[b], int(i), int(j), float(rng.standard_normal())))
+        fe = [(v, float(rng.standard_normal()))] if r % 3 == 0 else []
+        rhs = sum(c * X0[b][i, j] for b, i, j, c in entries) + sum(c * v0 for _, c in fe)
+        p.add_row(entries, fe, rhs)
+    for b, d in zip(blocks, dims):
+        C = _pd_stack(rng, 1, d, 10.0)[0]
+        for i, j in zip(*np.triu_indices(d)):
+            p.set_objective_entry(b, int(i), int(j), float(C[i, j] if i == j else 2 * C[i, j]))
+    return p
+
+
+def _classes_of(p, monkeypatch):
+    """(d, blocks) of each class solve_sdp forms for p, and how often it
+    calls _Scaling and _max_step_psd in one iteration."""
+    made, calls = [], {"_Scaling": 0, "_max_step_psd": 0}
+
+    class Kept(sdp._BlockClass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def counted(name):
+        real = getattr(sdp, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "_BlockClass", Kept)
+        for name in calls:
+            mp.setattr(sdp, name, counted(name))
+        solve_sdp(p, 1)
+    return [(cl.d, cl.blocks) for cl in made], calls
+
+
+def test_random_classes_end_optimal(monkeypatch):
+    p = _random_class_sdp(np.random.default_rng(12))
+    classes, calls = _classes_of(p, monkeypatch)
+    assert classes == [(2, [0, 2, 3, 5, 9]), (3, [1, 8]), (6, [4])]
+    # one scaling and four step-length tests per class and iteration
+    assert calls == {"_Scaling": 3, "_max_step_psd": 12}
+    sol = solve_sdp(p)
+    assert sol.status == "optimal", sol.message
+    assert validate_solution(p, sol)["ok"]
+    assert [B.shape for B in sol.blocks] == [(d, d) for d in p.block_dims]
+
+
+def test_fit_forms_three_classes(monkeypatch):
+    # the max-det fit: the 14-block, 30 multipliers, the 12-block of the
+    # log det and the seven 2x2 blocks of its geometric-mean tree
+    from issynth.consistency import _add_logdet
+
+    p = _fit_plan_problem()
+    _add_logdet(p, 2, 6, 1e-6)
+    classes, calls = _classes_of(p, monkeypatch)
+    assert classes == [(14, [0]), (12, [31]), (2, list(range(32, 39)))]
+    assert calls == {"_Scaling": 3, "_max_step_psd": 12}
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +612,18 @@ class _RatioFrom:
 
 
 # each stall forced at iteration k of _stall_problem: one 8x8 block, 10 rows
-# touching it and 2 free variables, so one scaling, a 10x10 Schur complement
-# (one _cholesky call), a 2x2 free-variable Schur factor and four PSD
-# step-length tests per iteration.  OpenBLAS's potrf returns a NaN factor for
-# a NaN Schur complement rather than raising, and _cho_solve passes it on
-# into the directions: "non-finite direction" is forced by such a factor
+# touching it and 2 free variables, so per iteration one class of one block,
+# with one scaling (_Scaling) and four step-length tests (_max_step_psd: X
+# and Z, predictor and corrector), a 10x10 Schur complement (one _cholesky
+# call) and a 2x2 free-variable Schur factor.  OpenBLAS's potrf returns a
+# NaN factor for a NaN Schur complement rather than raising, and _cho_solve
+# passes it on into the directions: "non-finite direction" is forced by such
+# a factor
 STALLS = {
     "tau collapsed without clean certificate":
         lambda mp, k: mp.setattr(sdp, "INFEAS_RATIO", _RatioFrom(k)),
     "iterate left the cone":
-        lambda mp, k: mp.setattr(sdp, "_BlockScaling", _from_call(k, sdp._BlockScaling, _fail)),
+        lambda mp, k: mp.setattr(sdp, "_Scaling", _from_call(k, sdp._Scaling, _fail)),
     "Schur complement factorization failed":
         lambda mp, k: mp.setattr(sdp, "_cholesky", _from_call(k, sdp._cholesky, _fail)),
     "non-finite direction":
@@ -544,19 +685,21 @@ def test_cho_solve_matches_scipy(order):
 
 def test_solve_lower_matches_scipy():
     rng = np.random.default_rng(1)
-    # numpy's Cholesky factors, C-ordered, as the solver passes them
-    for n in (1, 2, 7, 40):
+    # C-ordered Cholesky factors, as _cholesky gives the solver
+    for n, transposed in itertools.product((1, 2, 7, 40), (False, True)):
+        trans = "T" if transposed else "N"
         G = rng.standard_normal((n, n))
-        L = np.linalg.cholesky(G @ G.T + n * np.eye(n))
+        L = sdp._cholesky(G @ G.T + n * np.eye(n))
         T = rng.standard_normal((n, n))
-        # the solver passes an identity, a C-ordered matrix and a transpose view
         for B in (np.eye(n), T, T.T, rng.standard_normal(n)):
-            assert _same_array_bits(sdp._solve_lower(L, B),
-                                    sla.solve_triangular(L, B, lower=True))
+            assert _same_array_bits(sdp._solve_lower(L, B, transposed),
+                                    sla.solve_triangular(L, B, lower=True, trans=trans))
     singular = np.array([[1.0, 0.0], [1.0, 0.0]])
-    for solve in (sdp._solve_lower, lambda L, B: sla.solve_triangular(L, B, lower=True)):
+    for transposed, trans in ((False, "N"), (True, "T")):
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solve(singular, np.ones(2))
+            sdp._solve_lower(singular, np.ones(2), transposed)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            sla.solve_triangular(singular, np.ones(2), lower=True, trans=trans)
 
 
 def test_cholesky_matches_numpy():

@@ -62,6 +62,17 @@ def test_step_v_compiled_shape(khalil_ell, k_lin):
     assert sum(1 for d in prob.block_dims if d == 1) == 159
 
 
+def test_step_v_forms_one_class_per_block(khalil_ell, k_lin, monkeypatch):
+    # step V's four Gram blocks have four dimensions: four classes of one
+    from test_sdp import _classes_of
+
+    prob = assemble_theorem1(khalil_ell, SynthesisConfig(k_init=(k_lin,)),
+                             {"k": [k_lin]})[0].compile()[0]
+    classes, calls = _classes_of(prob, monkeypatch)
+    assert [(d, len(blocks)) for d, blocks in classes] == [(24, 1), (44, 1), (5, 1), (15, 1)]
+    assert calls == {"_Scaling": 4, "_max_step_psd": 16}
+
+
 def test_step_v_target_matches_reference(khalil_ell, k_lin, monkeypatch):
     # s4's lifted target, written straight into term maps, compiles to the
     # same bytes as the reference built by AffinePoly arithmetic
