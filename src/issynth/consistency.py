@@ -88,29 +88,25 @@ class RegressorBases:
         return self.vars == other.vars and self.Z == other.Z and self.W == other.W
 
     def regressor(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        """Stacked regressor [Z(x); W(x) u] of length N+M."""
+        """Stacked regressor [Z(x); W(x) u] of length N+M.
+
+        The entries come from one `eval_floats` call.  With one input
+        column, W(x) u is ``0.0 + w*u`` per row: what the float64 matrix
+        product gives, signed zeros included.  Wider W(x) u is a numpy
+        product.
+        """
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
             raise ValueError(f"expected input of length {self.m}, got {u.shape}")
         pt = np.asarray(x, dtype=float)
         if pt.shape != (self.n,):
             raise ValueError(f"expected point of length {self.n}, got {pt.shape}")
-        return np.array(self.regressor_floats(pt.tolist(), u.tolist()))
-
-    def regressor_floats(self, xs: list[float], us: list[float]) -> list[float]:
-        """`regressor` on lists of Python floats, unchecked.
-
-        With one input column, W(x) u is ``0.0 + w*u`` per row: what the
-        float64 matrix product gives, signed zeros included.  Wider W(x) u
-        stays a numpy product, whose BLAS summation order Python cannot
-        reproduce.
-        """
-        vals = eval_floats(self._flat, xs)
-        w = vals[self.N:]
+        vals = eval_floats(self._flat, pt.tolist())
+        z, w = vals[:self.N], vals[self.N:]
         if self.m == 1:
-            u = us[0]
-            return vals[:self.N] + [0.0 + wi * u for wi in w]
-        return vals[:self.N] + (np.array(w).reshape(self.M, self.m) @ np.array(us)).tolist()
+            u0 = float(u[0])
+            return np.array(z + [0.0 + wi * u0 for wi in w])
+        return np.concatenate([z, np.array(w).reshape(self.M, self.m) @ u])
 
     def to_json_dict(self) -> dict:
         return {

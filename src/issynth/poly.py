@@ -9,12 +9,13 @@ Point evaluation has one implementation, `eval_all`: several polynomials at
 one point, on Python floats, bitwise equal to the term loop on float64
 scalars (see its docstring).  Each polynomial runs its own kernel, a
 straight-line function compiled from its terms on first use
-(`_compile_kernel`).  `eval_floats` is `eval_all` without the point
-conversion and check, for callers that already hold Python floats;
-`Polynomial.eval` calls `eval_all` for one polynomial, and
-`Polynomial.eval_many` runs the same kernel once on the columns of an
-array of points, with numpy's array arithmetic (not bitwise equal to
-`eval`; see its docstring).
+(`compile_kernel`, which also compiles several term dicts into one
+function that returns their sums, as `simulate`'s true field does).
+`eval_floats` is `eval_all` without the point conversion and check, for
+callers that already hold Python floats; `Polynomial.eval` calls
+`eval_all` for one polynomial, and `Polynomial.eval_many` runs the same
+kernel once on the columns of an array of points, with numpy's array
+arithmetic (not bitwise equal to `eval`; see its docstring).
 
 numpy stays where Python floats cannot give float64's answer: a power that
 overflows raises on Python floats, so the kernels are rerun on float64
@@ -32,7 +33,7 @@ import numpy as np
 # Coefficients with |c| below this are treated as exact zeros.
 ZERO_TOL = 1e-14
 
-# Terms per statement in a compiled kernel (see _compile_kernel).
+# Terms per statement in a compiled kernel (see compile_kernel).
 _KERNEL_CHUNK = 64
 
 
@@ -69,7 +70,7 @@ def grlex_key(exps: tuple[int, ...]) -> tuple:
 class Polynomial:
     """Immutable-by-convention sparse polynomial over a fixed variable tuple."""
 
-    # kernel: the compiled evaluator of `terms` (see _compile_kernel),
+    # kernel: the compiled evaluator of `terms` (see compile_kernel),
     # filled on first read by __getattr__; equality, hashing and pickling
     # leave it out
     __slots__ = ("vars", "terms", "kernel")
@@ -104,7 +105,7 @@ class Polynomial:
         # reached only when normal lookup fails, so at most once for kernel
         if name != "kernel":
             raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
-        self.kernel = _compile_kernel(len(self.vars), self.terms)
+        self.kernel = compile_kernel(len(self.vars), [self.terms], as_list=False)
         return self.kernel
 
     def __getstate__(self):
@@ -335,10 +336,17 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _compile_kernel(n: int, terms: Mapping[tuple[int, ...], float]) -> Callable[..., float]:
+def compile_kernel(
+    n: int,
+    components: Sequence[Mapping[tuple[int, ...], float]],
+    as_list: bool,
+) -> Callable[..., float | list[float]]:
     """Straight-line function of n positional coordinates that evaluates
-    `terms` as ``0.0 + c0*x0**e0*x1**e1 + c1*...`` in stored term order,
-    leaving out zero exponents.
+    each term dict in `components` as ``0.0 + c0*x0**e0*x1**e1 + c1*...``
+    in stored term order, leaving out zero exponents and writing an
+    exponent of one as the bare coordinate (``x**1`` is ``x`` exactly).
+    It returns the sum of the one component, or with `as_list` the list
+    of every component's sum.
 
     The coefficients are bound as closure values, never printed into the
     source, so inf, nan and -0.0 keep their bits.  Sums of many terms are
@@ -346,29 +354,34 @@ def _compile_kernel(n: int, terms: Mapping[tuple[int, ...], float]) -> Callable[
     left-to-right addition order and the parser's nesting depth small.
     """
     xs = [f"x{i}" for i in range(n)]
-    products = [
-        "*".join([f"c{j}"] + [f"{x}**{e}" for x, e in zip(xs, exps) if e])
-        for j, exps in enumerate(terms)
-    ]
-    body = ["t = 0.0"] + [
-        f"t = t + {' + '.join(products[k:k + _KERNEL_CHUNK])}"
-        for k in range(0, len(products), _KERNEL_CHUNK)
-    ]
-    src = (f"def make({', '.join(f'c{j}' for j in range(len(products)))}):\n"
+    coeffs: list[float] = []
+    body: list[str] = []
+    for i, terms in enumerate(components):
+        products = []
+        for exps, c in terms.items():
+            products.append("*".join([f"c{len(coeffs)}"] + [
+                x if e == 1 else f"{x}**{e}" for x, e in zip(xs, exps) if e]))
+            coeffs.append(c)
+        chunks = [" + ".join(products[k:k + _KERNEL_CHUNK])
+                  for k in range(0, len(products), _KERNEL_CHUNK)]
+        body.append(f"t{i} = 0.0" + (f" + {chunks[0]}" if chunks else ""))
+        body += [f"t{i} = t{i} + {chunk}" for chunk in chunks[1:]]
+    sums = ", ".join(f"t{i}" for i in range(len(components)))
+    body.append(f"return [{sums}]" if as_list else f"return {sums}")
+    src = (f"def make({', '.join(f'c{j}' for j in range(len(coeffs)))}):\n"
            f"    def kernel({', '.join(xs)}):\n"
            + "".join(f"        {line}\n" for line in body)
-           + "        return t\n"
-           "    return kernel\n")
+           + "    return kernel\n")
     namespace: dict = {}
     exec(src, namespace)
-    return namespace["make"](*terms.values())
+    return namespace["make"](*coeffs)
 
 
 def eval_all(polys: Sequence[Polynomial], point: Sequence[float]) -> list[float]:
     """Evaluate several polynomials at one point, as Python floats.
 
     The point is converted once to a list of Python floats and handed to
-    each polynomial's kernel (see `_compile_kernel`).  Each term is
+    each polynomial's kernel (see `compile_kernel`).  Each term is
     ``c * x_i**e_i * ...`` over the nonzero exponents in variable order,
     added in stored term order: the same IEEE operations as on float64
     scalars, both calling the C library's ``pow``, so results are bitwise

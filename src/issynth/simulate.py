@@ -9,13 +9,14 @@ error.
 `integrate`, `collect_dataset` and `event_triggered_run` carry the state as
 a list of Python floats through one RK4 step, `_rk4_step`, which does the
 float64 vector form's operations in its order, so every array they return
-is bitwise what that form gives.  Polynomials (regressors, controller,
-comparison functions) go through `poly.eval_floats`.  numpy stays only for
-the sums whose BLAS summation order Python cannot reproduce: [A_star
-B_star] times the regressor, a W(x) u with more than one input column, and
-the x.x under the comparison functions' norm; and it builds the returned
-arrays.  Each of the three loops holds one numpy error state for its whole
-run (see `GroundTruthSystem.field_floats`).
+is bitwise what that form gives with the same field.  The true field is one
+straight-line function of (x, u), compiled from the system's expanded terms
+(`GroundTruthSystem.field_floats`), so each RK4 stage is one call that sums
+each component left to right; the controller and comparison functions go
+through `poly.eval_floats`.  numpy stays for the x.x under the comparison
+functions' norm, whose BLAS summation order Python cannot reproduce, and
+builds the returned arrays.  Each of the three loops holds one numpy error
+state for its whole run (see `GroundTruthSystem.field_floats`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .consistency import Dataset, RegressorBases, Sample
-from .poly import Polynomial, eval_floats, parse_poly, variables
+from .poly import Polynomial, compile_kernel, eval_floats, parse_poly, variables
 
 ControlLaw = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, Sequence[float]]
 
@@ -38,7 +39,16 @@ COLLECT_STEP = 1e-3
 
 @dataclass(frozen=True)
 class GroundTruthSystem:
-    """True dynamics xdot = A_star Z(x) + B_star W(x) u over known regressors."""
+    """True dynamics xdot = A_star Z(x) + B_star W(x) u over known regressors.
+
+    The field is expanded once, at construction, into one term dict per
+    state component over the n + m variables (x, u) (`field_terms`): the
+    terms of A_star[i, j] Z_j(x), then of B_star[i, k] W_kl(x) u_l for
+    each row k and input l, each coefficient the product of the matrix
+    entry and the regressor's coefficient.  A monomial that several
+    regressors share keeps its first position, its coefficients summed in
+    that order; only coefficients that come out exactly zero are left out.
+    """
 
     A_star: np.ndarray  # (n, N)
     B_star: np.ndarray  # (n, M)
@@ -55,6 +65,35 @@ class GroundTruthSystem:
         object.__setattr__(self, "A_star", A)
         object.__setattr__(self, "B_star", B)
         object.__setattr__(self, "AB", np.hstack([A, B]))
+        # the regressor factors Z_j and W_kl u_l in order, and per state
+        # component the matrix entry that multiplies each
+        no_u = (0,) * b.m
+        unit_u = [tuple(int(k == l) for k in range(b.m)) for l in range(b.m)]
+        factors = [(p, no_u) for p in b.Z] + [(p, unit_u[l]) for row in b.W
+                                             for l, p in enumerate(row)]
+        field_terms = []
+        for row in np.hstack([A, np.repeat(B, b.m, axis=1)]).tolist():
+            terms: dict[tuple[int, ...], float] = {}
+            for a, (p, u_exps) in zip(row, factors):
+                for exps, c in p.terms.items():
+                    key = exps + u_exps
+                    terms[key] = terms.get(key, 0.0) + a * c
+            field_terms.append({e: c for e, c in terms.items() if c != 0.0})
+        object.__setattr__(self, "field_terms", tuple(field_terms))
+
+    # kernel: `field_terms` compiled into one straight-line function of
+    # (x, u) that returns the n components as a list (poly.compile_kernel),
+    # filled on first read by __getattr__; pickling leaves it out
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails, so at most once for kernel
+        if name != "kernel":
+            raise AttributeError(f"'GroundTruthSystem' object has no attribute {name!r}")
+        kernel = compile_kernel(self.n + self.m, self.field_terms, as_list=True)
+        object.__setattr__(self, "kernel", kernel)
+        return kernel
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "kernel"}
 
     @property
     def n(self) -> int:
@@ -66,10 +105,20 @@ class GroundTruthSystem:
 
     def field_floats(self, xs: list[float], us: list[float]) -> list[float]:
         """Noiseless state derivative at a state and input given as lists
-        of Python floats, unchecked.  The product with [A_star B_star]
-        stays a numpy (BLAS) product, for its summation order;
-        ``ndarray.dot`` makes the same BLAS call as ``@`` at less call
-        overhead.
+        of Python floats, unchecked: one call of the compiled field.
+
+        Each component is its `field_terms` summed left to right from
+        0.0, each term ``c*x_i**e_i*...*u_l`` over its nonzero exponents,
+        the same IEEE operations as on float64 scalars, as in
+        `poly.eval_all`.  Where a power overflows (a Python float raises)
+        the field is rerun on float64 scalars, which give inf or nan.
+
+        For `khalil_system` (matrix entries 0 or +-1, at most two nonzero
+        terms per component) every product is exact and the one addition
+        has one result, so at every finite regressor the field is bitwise
+        the BLAS product [A_star B_star] @ regressor.  Where a regressor
+        overflows, that product also multiplies inf by the zero entries,
+        which gives nan where the field has none.
 
         Sets no numpy error state: an escaping state overflows to inf or
         nan, and the caller decides whether that warns.  `integrate`,
@@ -77,7 +126,10 @@ class GroundTruthSystem:
         ``np.errstate(over="ignore", invalid="ignore")`` around their whole
         loop and stop on the first non-finite state.
         """
-        return self.AB.dot(np.array(self.bases.regressor_floats(xs, us))).tolist()
+        try:
+            return self.kernel(*xs, *us)
+        except OverflowError:
+            return self.kernel(*map(np.float64, xs), *map(np.float64, us))
 
 
 def khalil_system() -> GroundTruthSystem:

@@ -1,5 +1,7 @@
 """Tests for ground-truth integration, data collection, and event triggering."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -291,13 +293,46 @@ class TestEventTriggeredRun:
 # float64 vector reference: the numpy RK4 loops the float loops replaced
 
 
-def field_ref(sys, x, u):
-    """The field as the vector loops computed it: regressor values from
-    eval_all, then numpy products for W(x) u and [A_star B_star] xi."""
+def field_ref(sys):
+    """The field in the documented term order, as a function of (x, u) on
+    float64 scalars.
+
+    Per state component i: the terms of A_star[i, j] Z_j(x), then of
+    B_star[i, k] W_kl(x) u_l, each coefficient the matrix entry times the
+    regressor's coefficient; a monomial met again adds its coefficient at
+    its first position; exactly zero coefficients are left out; the terms
+    c * x_i**e_i * ... (* u_l) are summed left to right from 0.0.
+    """
     b = sys.bases
-    vals = eval_all(b.Z + tuple(p for row in b.W for p in row), x)
-    w = np.array(vals[b.N:]).reshape(b.M, b.m)
-    return sys.AB @ np.concatenate([np.array(vals[:b.N]), w @ u])
+    components = []
+    for i in range(b.n):
+        factors = [(sys.A_star[i, j], p, None) for j, p in enumerate(b.Z)]
+        factors += [(sys.B_star[i, k], p, l)
+                    for k, row in enumerate(b.W) for l, p in enumerate(row)]
+        coeffs = {}
+        for a, p, l in factors:
+            for exps, c in p.terms.items():
+                coeffs[exps, l] = coeffs.get((exps, l), 0.0) + float(a) * c
+        components.append([(np.float64(c), exps, l) for (exps, l), c in coeffs.items()
+                           if c != 0.0])
+
+    def field(x, u):
+        x = [np.float64(v) for v in x]
+        u = [np.float64(v) for v in u]
+        out = []
+        for terms in components:
+            total = np.float64(0.0)
+            for v, exps, l in terms:
+                for xi, e in zip(x, exps):
+                    if e:
+                        v = v * xi**e
+                if l is not None:
+                    v = v * u[l]
+                total = total + v
+            out.append(total)
+        return np.array(out)
+
+    return field
 
 
 def rk4_step_ref(f, x, h):
@@ -309,7 +344,8 @@ def rk4_step_ref(f, x, h):
 
 
 def integrate_ref(sys, law, x0, horizon, h):
-    f = lambda s: field_ref(sys, s, np.asarray(law(s), dtype=float).reshape(sys.m))
+    field = field_ref(sys)
+    f = lambda s: field(s, np.asarray(law(s), dtype=float).reshape(sys.m))
     x = np.asarray(x0, dtype=float).reshape(-1)
     times, states, diverged = [0.0], [x.copy()], False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,6 +360,7 @@ def integrate_ref(sys, law, x0, horizon, h):
 
 
 def collect_dataset_ref(sys, cfg):
+    field = field_ref(sys)
     rng = np.random.default_rng(cfg.seed)
     x = cfg.x0.copy()
     substeps = max(1, int(round(cfg.sample_spacing / COLLECT_STEP)))
@@ -333,15 +370,16 @@ def collect_dataset_ref(sys, cfg):
         for i in range(cfg.T):
             u = rng.uniform(-cfg.u_bound, cfg.u_bound, size=sys.m)
             d = _ball_sample(rng, sys.n, cfg.d_radius)
-            xdot = field_ref(sys, x, u) + d
+            xdot = field(x, u) + d
             samples.append(Sample(i * cfg.sample_spacing, u, x.copy(), xdot))
             for _ in range(substeps):
-                x = rk4_step_ref(lambda s: field_ref(sys, s, u), x, hs)
+                x = rk4_step_ref(lambda s: field(s, u), x, hs)
             assert np.isfinite(x).all()
     return Dataset(sys.bases, cfg.d_radius ** 2, samples)
 
 
 def event_run_ref(sys, k, alpha3, alpha4, sigma, x0, horizon, h):
+    field = field_ref(sys)
     a3 = lambda r: float64_eval(alpha3, [r])
     a4 = lambda r: float64_eval(alpha4, [r])
     control_at = lambda x: np.array(eval_all(k, x))
@@ -355,7 +393,7 @@ def event_run_ref(sys, k, alpha3, alpha4, sigma, x0, horizon, h):
     consecutive = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, int(round(horizon / h)) + 1):
-            x = rk4_step_ref(lambda s: field_ref(sys, s, u), x, h)
+            x = rk4_step_ref(lambda s: field(s, u), x, h)
             if not np.isfinite(x).all():
                 diverged = True
                 break
@@ -457,6 +495,52 @@ class TestGroundTruthSystem:
     def test_benchmark_field(self, khalil):
         want = [-2.0 + 4.0 * (-1.0), 3.0]
         assert np.allclose(khalil.field_floats([2.0, -1.0], [3.0]), want)
+
+    def test_khalil_field_is_the_blas_product(self, khalil):
+        # every entry of [A_star B_star] is 0 or +-1 and each component has
+        # at most two nonzero terms, so each product is exact and the
+        # left-to-right sum has the BLAS product's bits
+        rng = np.random.default_rng(31)
+        field, AB, reg = khalil.field_floats, khalil.AB, khalil.bases.regressor
+        signs = np.array([-1.0, 1.0])
+        for _ in range(10_000):
+            x = rng.choice(signs, 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            u = rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)], 1)
+            assert np.array(field(x.tolist(), u.tolist())).tobytes() == (AB @ reg(x, u)).tobytes()
+        for x in ([0.0, -0.0], [-0.0, 1.0], [1.0, 1.0], [-1.0, -1.0]):  # signed-zero sums
+            for u in ([0.0], [-0.0]):
+                assert np.array(field(x, u)).tobytes() == (AB @ reg(x, u)).tobytes()
+
+    def test_overflow_reruns_on_float64(self, khalil):
+        # x1^2 overflows: the rerun gives float64's inf and nan in the terms
+        # the field keeps; BLAS multiplies the regressor's inf by the zero
+        # coefficients the field leaves out, which makes every entry nan
+        ref = field_ref(khalil)
+        for x, u, want in (([1e200, 2.0], [0.5], [np.inf, 0.5]),
+                           ([-1e200, 0.0], [-0.25], [np.nan, -0.25])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = khalil.field_floats(x, u)
+                blas = khalil.AB @ khalil.bases.regressor(x, u)
+                assert np.array(got).tobytes() == ref(x, u).tobytes()
+            assert all(type(v) is np.float64 for v in got)
+            np.testing.assert_array_equal(got, want)
+            assert np.isnan(blas).all()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            khalil.field_floats([1e200, 2.0], [0.5])
+
+    def test_tiny_coefficient_kept(self):
+        sys = scalar_system(1e-16)
+        assert sys.field_terms == ({(1, 0): 1e-16},)
+        assert sys.field_floats([3.0], [1.0]) == [3e-16]
+
+    def test_pickle_and_deepcopy_keep_the_field(self, khalil):
+        x, u = [0.3, -1.7], [0.25]
+        want = khalil.field_floats(x, u)  # compiles the kernel
+        for other in (pickle.loads(pickle.dumps(khalil)), copy.deepcopy(khalil)):
+            assert "kernel" not in other.__dict__
+            assert other.bases == khalil.bases and same_array(other.AB, khalil.AB)
+            assert other.field_terms == khalil.field_terms
+            assert other.field_floats(x, u) == want
 
     def test_shape_validation(self, khalil):
         with pytest.raises(ValueError, match="A_star"):

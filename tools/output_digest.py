@@ -1,8 +1,8 @@
-"""Print a sha256 digest of each solver output the benchmark workloads produce.
+"""Print a sha256 digest of each output the benchmark workloads produce.
 
-Two checkouts whose digests agree give the same ellipsoids and the same
-step-V program and solution bit for bit, which is what a pure speed-up or
-refactor of the solver must keep.  The outputs:
+Two checkouts whose digests agree give the same ellipsoids, step-V program
+and solution, collected dataset and closed-loop runs bit for bit, which is
+what a pure speed-up or refactor must keep.  The outputs:
 
 - the khalil-step experiment (T = 30, spacing 0.05, d_radius 0.05,
   x0 = (0.5, -0.5), collection seed 0, k = -x1 - x2, default synthesis
@@ -13,14 +13,21 @@ refactor of the solver must keep.  The outputs:
 - the six-trajectory fit of khalil-fit-multi seed 0, operations 0-5
   (T = 15 per trajectory from six x0 on the radius-0.8 circle, d_radius
   0.01, trajectory j of operation i collected with a seed from
-  ``SeedSequence([0, i, j])``): each operation's ellipsoid JSON.
+  ``SeedSequence([0, i, j])``): each operation's ellipsoid JSON, and
+  operation 0's six-trajectory dataset JSON;
+- the closed-loop runs of seed 0, operations 0-2 (x0 drawn uniformly from
+  the unit disk by ``default_rng([0, i])``, k = -x1 - x2, alpha3 = 0.1 r^2,
+  alpha4 = r^2, sigma 0.5, horizon 10, step 1e-3): the event-triggered
+  run's arrays (times, states, inputs, errors, alpha3, alpha4, event
+  flags, event times) and the continuous-feedback ``integrate`` run's
+  times and states.
 
 When a change alters the bits on purpose, every digest changes, so some
 lines also print the values that show by how much: each ellipsoid's
 log det A_bar, the margin its fit solve succeeded at and that solve's
 iteration count, and |X X A_bar - I|max (X = A_bar^-1/2, which
-``ellipsoid_params`` bounds by 1e-8), and step V's status, iteration count
-and margin t.
+``ellipsoid_params`` bounds by 1e-8), step V's status, iteration count
+and margin t, and each closed-loop run's event count and final |x|.
 
 Only public ``issynth`` calls are used.  Like the test suite's
 ``conftest.py``, the tool sets OpenBLAS, OpenMP and MKL to one thread
@@ -43,13 +50,23 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (BLAS reads its thread count on import)
 
 from issynth.consistency import Dataset, build_data_matrices, solve_overapprox
-from issynth.poly import parse_poly
-from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
+from issynth.poly import parse_poly, variables
+from issynth.simulate import (ExperimentConfig, collect_dataset, event_triggered_run,
+                              integrate, khalil_system)
 from issynth.synthesis import SynthesisConfig, SynthesisError, alternate, assemble_theorem1
 
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def arrays_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def ellipsoid_digest(name: str, ell) -> tuple[str, str, str]:
@@ -102,14 +119,39 @@ def khalil_fit_multi(ops: int = 6) -> list[tuple[str, str, str]]:
             exp = ExperimentConfig(T=15, sample_spacing=0.05, u_bound=1.0,
                                    d_radius=d_radius, x0=x0, seed=seed)
             samples.extend(collect_dataset(sys, exp).samples)
-        dm = build_data_matrices(Dataset(sys.bases, d_radius ** 2, samples))
-        ell = solve_overapprox(dm, bases=sys.bases)
+        ds = Dataset(sys.bases, d_radius ** 2, samples)
+        if i == 0:
+            out.append((f"khalil-fit-multi op {i} dataset", digest(ds.to_json()), ""))
+        ell = solve_overapprox(build_data_matrices(ds), bases=sys.bases)
         out.append(ellipsoid_digest(f"khalil-fit-multi op {i} ellipsoid", ell))
     return out
 
 
+def closed_loop(ops: int = 3) -> list[tuple[str, str, str]]:
+    sys = khalil_system()
+    k = parse_poly("-x1 - x2", sys.bases.vars)
+    r = variables(["r"])
+    alpha3, alpha4 = parse_poly("0.1*r^2", r), parse_poly("r^2", r)
+    out = []
+    for i in range(ops):
+        rng = np.random.default_rng([0, i])
+        radius, angle = np.sqrt(rng.random()), 2.0 * np.pi * rng.random()
+        x0 = radius * np.array([np.cos(angle), np.sin(angle)])
+        et = event_triggered_run(sys, [k], alpha3, alpha4, 0.5, x0, 10.0, 1e-3)
+        ref = integrate(sys, lambda x: np.array([k.eval(x)]), x0, 10.0, 1e-3)
+        out.append((f"closed-loop op {i} event run",
+                    arrays_digest(et.times, et.states, et.inputs, et.errors, et.alpha3,
+                                  et.alpha4, et.event_flags, et.event_times,
+                                  [et.sigma, et.diverged, et.storm]),
+                    f"{et.event_count} events, |x(T)| {np.linalg.norm(et.states[-1]):.9g}"))
+        out.append((f"closed-loop op {i} integrate",
+                    arrays_digest(ref.times, ref.states, [ref.diverged]),
+                    f"|x(T)| {np.linalg.norm(ref.states[-1]):.9g}"))
+    return out
+
+
 def main() -> None:
-    for name, h, values in khalil_step() + khalil_fit_multi():
+    for name, h, values in khalil_step() + khalil_fit_multi() + closed_loop():
         print(f"{h}  {name}" + (f" ({values})" if values else ""))
 
 
