@@ -5,21 +5,22 @@ ordered tuple of variables.  All arithmetic is exact up to float rounding;
 coefficients below ZERO_TOL are dropped so the zero polynomial has an empty
 term map.
 
-Point evaluation has one implementation, `eval_all`: several polynomials at
-one point, on Python floats, bitwise equal to the term loop on float64
-scalars (see its docstring).  Each polynomial runs its own kernel, a
+Point evaluation has one implementation: each polynomial's kernel, a
 straight-line function compiled from its terms on first use
 (`compile_kernel`, which also compiles several term dicts into one
-function that returns their sums, as `simulate`'s true field does).
+function that returns their sums, as `simulate`'s true field does), run
+on Python floats, bitwise equal to the term loop on float64 scalars (see
+`eval_all`).  `eval_all` evaluates several polynomials at one point,
 `eval_floats` is `eval_all` without the point conversion and check, for
-callers that already hold Python floats; `Polynomial.eval` calls
-`eval_all` for one polynomial, and `Polynomial.eval_many` runs the same
+callers that already hold Python floats, and `Polynomial.eval` checks its
+one point and calls its kernel.  `Polynomial.eval_many` runs the same
 kernel once on the columns of an array of points, with numpy's array
 arithmetic (not bitwise equal to `eval`; see its docstring).
 
 numpy stays where Python floats cannot give float64's answer: a power that
 overflows raises on Python floats, so the kernels are rerun on float64
-scalars, which give inf or nan and warn as numpy's error state says.
+scalars, which give inf or nan and warn as numpy's error state says
+(`_call_floats`, which `simulate`'s field and RK4 step use too).
 """
 
 from __future__ import annotations
@@ -217,7 +218,11 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------
 
     def eval(self, point: Sequence[float]) -> float:
-        return eval_all((self,), point)[0]
+        """Value at one point, with `eval_all`'s check and bits."""
+        pt = np.asarray(point, dtype=float)
+        if pt.shape != (len(self.vars),):
+            raise ValueError(f"expected point of length {len(self.vars)}, got {pt.shape}")
+        return _call_floats(self.kernel, pt.tolist())
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (npoints, nvars) array of points in one shot.
@@ -401,11 +406,19 @@ def eval_all(polys: Sequence[Polynomial], point: Sequence[float]) -> list[float]
 def eval_floats(polys: Sequence[Polynomial], xs: list[float]) -> list[float]:
     """`eval_all` on a point that already is a list of Python floats, one
     per variable of every polynomial; neither is checked."""
+    return _call_floats(lambda *v: [p.kernel(*v) for p in polys], xs)
+
+
+def _call_floats(f: Callable, xs: Sequence[float], *lead):
+    """``f(*lead, *xs)`` with the coordinates `xs` as Python floats; where
+    a power overflows (a Python float raises, float64 gives inf) the call
+    is rerun with `xs` as float64 scalars, which give inf or nan as float64
+    does, with numpy's error state deciding whether the overflow warns.
+    Every other IEEE operation has the same result on both types."""
     try:
-        return [p.kernel(*xs) for p in polys]
+        return f(*lead, *xs)
     except OverflowError:
-        xs = [np.float64(x) for x in xs]
-        return [p.kernel(*xs) for p in polys]
+        return f(*lead, *map(np.float64, xs))
 
 
 def monomial_basis(

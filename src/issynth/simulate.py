@@ -7,20 +7,23 @@ updates are triggered by a comparison-function condition on the measurement
 error.
 
 `integrate`, `collect_dataset` and `event_triggered_run` carry the state as
-a list of Python floats through one RK4 step, `_rk4_step`, which does the
-float64 vector form's operations in its order, so every array they return
-is bitwise what that form gives with the same field.  The true field is one
-straight-line function of (x, u), compiled from the system's expanded terms
-(`GroundTruthSystem.field_floats`), so each RK4 stage is one call that sums
-each component left to right; the controller and comparison functions go
-through `poly.eval_floats`.  numpy stays for the x.x under the comparison
-functions' norm, whose BLAS summation order Python cannot reproduce, and
-builds the returned arrays.  Each of the three loops holds one numpy error
-state for its whole run (see `GroundTruthSystem.field_floats`).
+a list of Python floats through one RK4 step, generated once per state and
+input dimension as straight-line code (`_rk4_step`) that does the float64
+vector form's operations in its order, so every array they return is
+bitwise what that form gives with the same field.  The true field is one
+straight-line function of (x, u), compiled from the system's expanded
+terms (`GroundTruthSystem.kernel`), so each RK4 stage is one call that
+sums each component left to right; the controller and comparison
+functions go through `poly.eval_floats`.  numpy stays for the x.x under
+the comparison functions' norm, whose BLAS summation order Python cannot
+reproduce, and builds the returned arrays.  Each of the three loops holds
+one numpy error state for its whole run (see
+`GroundTruthSystem.field_floats`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -28,7 +31,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .consistency import Dataset, RegressorBases, Sample
-from .poly import Polynomial, compile_kernel, eval_floats, parse_poly, variables
+from .poly import Polynomial, _call_floats, compile_kernel, eval_floats, parse_poly, variables
 
 ControlLaw = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, Sequence[float]]
 
@@ -126,10 +129,7 @@ class GroundTruthSystem:
         ``np.errstate(over="ignore", invalid="ignore")`` around their whole
         loop and stop on the first non-finite state.
         """
-        try:
-            return self.kernel(*xs, *us)
-        except OverflowError:
-            return self.kernel(*map(np.float64, xs), *map(np.float64, us))
+        return _call_floats(self.kernel, xs + us)
 
 
 def khalil_system() -> GroundTruthSystem:
@@ -173,20 +173,39 @@ class Trajectory:
     diverged: bool = False
 
 
-def _rk4_step(f: Callable[[list[float]], list[float]], x: list[float], h: float) -> list[float]:
-    """One classical Runge-Kutta step on Python floats.
+@functools.cache
+def _rk4_step(n: int, m: int) -> Callable[..., list[float]]:
+    """One classical Runge-Kutta step on n states and m inputs, as
+    straight-line code: ``step(F, uf, h, *x)`` returns the next state as a
+    list.
 
-    Componentwise the same IEEE operations, in the same order, as the
-    float64 vector form: stages at x + (0.5*h)*k and x + h*k, then
-    x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4).
+    F is a compiled field, F(*x, *u) -> list of n derivatives
+    (`GroundTruthSystem.kernel`), and uf(*x) gives the list of m inputs at
+    each stage.  Componentwise the step does the float64 vector form's
+    IEEE operations in its order: hh = 0.5*h, stages at x + hh*k and
+    x + h*k, then x + (h/6.0)*(a + 2.0*b + 2.0*c + d) summed left to right.
+    Callers go through `poly._call_floats`, which reruns the whole step on
+    float64 coordinates where a power overflows.
     """
-    hh = 0.5 * h
-    k1 = f(x)
-    k2 = f([xi + hh * ki for xi, ki in zip(x, k1)])
-    k3 = f([xi + hh * ki for xi, ki in zip(x, k2)])
-    k4 = f([xi + h * ki for xi, ki in zip(x, k3)])
-    h6 = h / 6.0
-    return [xi + h6 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    us = ", ".join(f"u{l}" for l in range(m))
+
+    def stage(k: str, at: str) -> list[str]:
+        args = ", ".join(f"{at}{i}" for i in range(n))
+        return [f"{us}, = uf({args})",
+                f"{', '.join(f'{k}{i}' for i in range(n))}, = F({args}, {us})"]
+
+    def move(k: str, scale: str) -> list[str]:
+        return [f"y{i} = x{i} + {scale} * {k}{i}" for i in range(n)]
+
+    body = (["hh = 0.5 * h"] + stage("a", "x") + move("a", "hh") + stage("b", "y")
+            + move("b", "hh") + stage("c", "y") + move("c", "h") + stage("d", "y")
+            + ["h6 = h / 6.0", "return [" + ", ".join(
+                f"x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)) + "]"])
+    src = (f"def step(F, uf, h, {', '.join(f'x{i}' for i in range(n))}):\n"
+           + "".join(f"    {line}\n" for line in body))
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["step"]
 
 
 def _finite(x: list[float]) -> bool:
@@ -200,11 +219,12 @@ def _initial_state(x0: Sequence[float], n: int) -> list[float]:
     return x.tolist()
 
 
-def _as_control(law: ControlLaw, m: int) -> Callable[[list[float]], list[float]]:
+def _as_control(law: ControlLaw, m: int) -> Callable[..., list[float]]:
+    """The RK4 step's stage-input callback uf(*x) for a control law."""
     if callable(law):
-        return lambda x: np.asarray(law(np.array(x)), dtype=float).reshape(m).tolist()
+        return lambda *x: np.asarray(law(np.array(x)), dtype=float).reshape(m).tolist()
     held = np.asarray(law, dtype=float).reshape(m).tolist()
-    return lambda x: held
+    return lambda *x: held
 
 
 def integrate(
@@ -223,9 +243,8 @@ def integrate(
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    u_of = _as_control(control_law, sys.m)
-    field = sys.field_floats
-    f = lambda s: field(s, u_of(s))
+    uf = _as_control(control_law, sys.m)
+    step, F = _rk4_step(sys.n, sys.m), sys.kernel
     steps = int(round(horizon / h))
     x = _initial_state(x0, sys.n)
     times = [0.0]
@@ -233,7 +252,7 @@ def integrate(
     diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
-            x = _rk4_step(f, x, h)
+            x = _call_floats(step, x, F, uf, h)
             if not _finite(x):
                 diverged = True
                 break
@@ -272,6 +291,7 @@ def collect_dataset(sys: GroundTruthSystem, cfg: ExperimentConfig) -> Dataset:
     substeps = max(1, int(round(cfg.sample_spacing / COLLECT_STEP)))
     hs = cfg.sample_spacing / substeps
     field = sys.field_floats
+    step, F = _rk4_step(sys.n, sys.m), sys.kernel
     samples: list[Sample] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.T):
@@ -280,9 +300,9 @@ def collect_dataset(sys: GroundTruthSystem, cfg: ExperimentConfig) -> Dataset:
             us = u.tolist()
             xdot = np.array(field(x, us)) + d
             samples.append(Sample(i * cfg.sample_spacing, u, np.array(x), xdot))
-            f = lambda s: field(s, us)
+            uf = lambda *s: us
             for _ in range(substeps):
-                x = _rk4_step(f, x, hs)
+                x = _call_floats(step, x, F, uf, hs)
             if not _finite(x):
                 raise RuntimeError(
                     f"divergence during data collection after sample {i} "
@@ -377,8 +397,8 @@ def event_triggered_run(
     x = _initial_state(x0, sys.n)
     held_x = np.array(x)
     u = eval_floats(kf, x)
-    field = sys.field_floats
-    f = lambda s: field(s, u)  # the input held at call time
+    step, F = _rk4_step(sys.n, sys.m), sys.kernel
+    uf = lambda *s: u  # the input held at call time
     zeros = np.zeros(sys.n)
     times = [0.0]
     states = [x]
@@ -393,7 +413,7 @@ def event_triggered_run(
     consecutive = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
-            x = _rk4_step(f, x, h)
+            x = _call_floats(step, x, F, uf, h)
             if not _finite(x):
                 diverged = True
                 break
