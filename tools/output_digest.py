@@ -18,9 +18,10 @@ what a pure speed-up or refactor must keep.  The outputs:
 - the closed-loop runs of seed 0, operations 0-2 (x0 drawn uniformly from
   the unit disk by ``default_rng([0, i])``, k = -x1 - x2, alpha3 = 0.1 r^2,
   alpha4 = r^2, sigma 0.5, horizon 10, step 1e-3): the event-triggered
-  run's arrays (times, states, inputs, errors, alpha3, alpha4, event
-  flags, event times) and the continuous-feedback ``integrate`` run's
-  times and states.
+  run's trajectory (times, states, inputs, errors, event flags and event
+  times), its alpha3 and alpha4 arrays on a line of their own, so a
+  change that rounds only the comparison functions shows by itself, and
+  the continuous-feedback ``integrate`` run's times and states.
 
 When a change alters the bits on purpose, every digest changes, so some
 lines also print the values that show by how much: each ellipsoid's
@@ -140,10 +141,11 @@ def closed_loop(ops: int = 3) -> list[tuple[str, str, str]]:
         et = event_triggered_run(sys, [k], alpha3, alpha4, 0.5, x0, 10.0, 1e-3)
         ref = integrate(sys, lambda x: np.array([k.eval(x)]), x0, 10.0, 1e-3)
         out.append((f"closed-loop op {i} event run",
-                    arrays_digest(et.times, et.states, et.inputs, et.errors, et.alpha3,
-                                  et.alpha4, et.event_flags, et.event_times,
-                                  [et.sigma, et.diverged, et.storm]),
+                    arrays_digest(et.times, et.states, et.inputs, et.errors, et.event_flags,
+                                  et.event_times, [et.sigma, et.diverged, et.storm]),
                     f"{et.event_count} events, |x(T)| {np.linalg.norm(et.states[-1]):.9g}"))
+        out.append((f"closed-loop op {i} event run alpha3, alpha4",
+                    arrays_digest(et.alpha3, et.alpha4), ""))
         out.append((f"closed-loop op {i} integrate",
                     arrays_digest(ref.times, ref.states, [ref.diverged]),
                     f"|x(T)| {np.linalg.norm(ref.states[-1]):.9g}"))
