@@ -222,7 +222,7 @@ class Polynomial:
         pt = np.asarray(point, dtype=float)
         if pt.shape != (len(self.vars),):
             raise ValueError(f"expected point of length {len(self.vars)}, got {pt.shape}")
-        return _call_floats(self.kernel, pt.tolist())
+        return _call_floats(self.kernel, *pt.tolist())
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (npoints, nvars) array of points in one shot.
@@ -406,19 +406,20 @@ def eval_all(polys: Sequence[Polynomial], point: Sequence[float]) -> list[float]
 def eval_floats(polys: Sequence[Polynomial], xs: list[float]) -> list[float]:
     """`eval_all` on a point that already is a list of Python floats, one
     per variable of every polynomial; neither is checked."""
-    return _call_floats(lambda *v: [p.kernel(*v) for p in polys], xs)
+    return _call_floats(lambda *v: [p.kernel(*v) for p in polys], *xs)
 
 
-def _call_floats(f: Callable, xs: Sequence[float], *lead):
-    """``f(*lead, *xs)`` with the coordinates `xs` as Python floats; where
-    a power overflows (a Python float raises, float64 gives inf) the call
-    is rerun with `xs` as float64 scalars, which give inf or nan as float64
-    does, with numpy's error state deciding whether the overflow warns.
-    Every other IEEE operation has the same result on both types."""
+def _call_floats(f: Callable, *args):
+    """``f(*args)`` with the coordinates as Python floats; where a power
+    overflows (a Python float raises, float64 gives inf) the call is rerun
+    with every float argument as a float64 scalar, which gives inf or nan
+    as float64 does, with numpy's error state deciding whether the
+    overflow warns.  Every other IEEE operation has the same result on
+    both types."""
     try:
-        return f(*lead, *xs)
+        return f(*args)
     except OverflowError:
-        return f(*lead, *map(np.float64, xs))
+        return f(*[np.float64(a) if isinstance(a, float) else a for a in args])
 
 
 def monomial_basis(

@@ -13,11 +13,15 @@ vector form's operations in its order, so every array they return is
 bitwise what that form gives with the same field.  The true field is one
 straight-line function of (x, u), compiled from the system's expanded
 terms (`GroundTruthSystem.kernel`), so each RK4 stage is one call that
-sums each component left to right; the controller and comparison
-functions go through `poly.eval_floats`.  numpy stays for the x.x under
-the comparison functions' norm, whose BLAS summation order Python cannot
-reproduce, and builds the returned arrays.  Each of the three loops holds
-one numpy error state for its whole run (see
+sums each component left to right; the controller goes through
+`poly.eval_floats`.  The event trigger is on Python floats too: the
+measurement error is a list, each norm is math.sqrt of the squares added
+left to right (`_norm`), and the comparison functions' kernels are called
+on it directly.  That norm is not numpy's x.dot(x), which OpenBLAS
+computes for short vectors with fused multiply-adds, so alpha3 and alpha4
+differ from a numpy norm's by rounding.  numpy only builds the returned
+arrays and reruns a step on float64 where a power overflows.  Each of the
+three loops holds one numpy error state for its whole run (see
 `GroundTruthSystem.field_floats`).
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -40,9 +45,12 @@ ControlLaw = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, Sequence[floa
 COLLECT_STEP = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthSystem:
     """True dynamics xdot = A_star Z(x) + B_star W(x) u over known regressors.
+
+    Systems compare and hash by identity: an elementwise comparison of the
+    array fields has no single truth value.
 
     The field is expanded once, at construction, into one term dict per
     state component over the n + m variables (x, u) (`field_terms`): the
@@ -129,7 +137,7 @@ class GroundTruthSystem:
         ``np.errstate(over="ignore", invalid="ignore")`` around their whole
         loop and stop on the first non-finite state.
         """
-        return _call_floats(self.kernel, xs + us)
+        return _call_floats(self.kernel, *xs, *us)
 
 
 def khalil_system() -> GroundTruthSystem:
@@ -252,7 +260,7 @@ def integrate(
     diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
-            x = _call_floats(step, x, F, uf, h)
+            x = _call_floats(step, F, uf, h, *x)
             if not _finite(x):
                 diverged = True
                 break
@@ -302,7 +310,7 @@ def collect_dataset(sys: GroundTruthSystem, cfg: ExperimentConfig) -> Dataset:
             samples.append(Sample(i * cfg.sample_spacing, u, np.array(x), xdot))
             uf = lambda *s: us
             for _ in range(substeps):
-                x = _call_floats(step, x, F, uf, hs)
+                x = _call_floats(step, F, uf, hs, *x)
             if not _finite(x):
                 raise RuntimeError(
                     f"divergence during data collection after sample {i} "
@@ -330,18 +338,23 @@ def _check_kinf(alpha: Polynomial, name: str) -> None:
         raise ValueError(f"{name} must have a positive coefficient sum")
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm as a Python float: the dot-then-sqrt numpy's 1-D norm does."""
-    return math.sqrt(x.dot(x))
+def _norm(v: list[float]) -> float:
+    """Euclidean norm of a list of Python floats: math.sqrt of the squares
+    added left to right from 0.0."""
+    total = 0.0
+    for c in v:
+        total += c * c
+    return math.sqrt(total)
 
 
-def _scalar_fn(alpha, name: str) -> Callable[[float], float]:
+def _kinf_kernel(alpha, name: str) -> Callable[[float], float]:
+    """The compiled kernel of a checked class-K-infinity polynomial."""
     if not isinstance(alpha, Polynomial):
         raise TypeError(f"{name} must be a Polynomial, got {type(alpha).__name__}")
     if len(alpha.vars) != 1:
         raise ValueError(f"{name} must be a polynomial in a single variable")
     _check_kinf(alpha, name)
-    return lambda r: eval_floats((alpha,), [r])[0]
+    return alpha.kernel
 
 
 @dataclass
@@ -387,25 +400,26 @@ def event_triggered_run(
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    a3 = _scalar_fn(alpha3, "alpha3")
-    a4 = _scalar_fn(alpha4, "alpha4")
+    a3 = _kinf_kernel(alpha3, "alpha3")
+    a4 = _kinf_kernel(alpha4, "alpha4")
     kf = [ki if ki.vars == sys.bases.vars else ki.extend(sys.bases.vars) for ki in k]
     if len(kf) != sys.m:
         raise ValueError(f"controller has {len(kf)} components, expected {sys.m}")
 
     steps = int(round(horizon / h))
     x = _initial_state(x0, sys.n)
-    held_x = np.array(x)
+    held_x = x
     u = eval_floats(kf, x)
     step, F = _rk4_step(sys.n, sys.m), sys.kernel
     uf = lambda *s: u  # the input held at call time
-    zeros = np.zeros(sys.n)
+    zeros = [0.0] * sys.n
+    a4_zero = _call_floats(a4, 0.0)
     times = [0.0]
     states = [x]
     inputs = [u]
     errors = [zeros]
-    a3s = [a3(_norm(held_x))]
-    a4s = [a4(0.0)]
+    a3s = [_call_floats(a3, _norm(x))]
+    a4s = [a4_zero]
     flags = [1]
     event_times = [0.0]
     diverged = False
@@ -413,21 +427,20 @@ def event_triggered_run(
     consecutive = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
-            x = _call_floats(step, x, F, uf, h)
+            x = _call_floats(step, F, uf, h, *x)
             if not _finite(x):
                 diverged = True
                 break
             t = j * h
-            xa = np.array(x)
-            e = held_x - xa
-            v3 = a3(_norm(xa))
-            v4 = a4(_norm(e))
+            e = list(map(operator.sub, held_x, x))
+            v3 = _call_floats(a3, _norm(x))
+            v4 = _call_floats(a4, _norm(e))
             fired = 0
             if v4 > sigma * v3:
-                held_x = xa
+                held_x = x
                 u = eval_floats(kf, x)
                 e = zeros
-                v4 = a4(0.0)
+                v4 = a4_zero
                 event_times.append(t)
                 fired = 1
                 consecutive += 1

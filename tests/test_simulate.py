@@ -20,6 +20,7 @@ from issynth.simulate import (
     ExperimentConfig,
     GroundTruthSystem,
     _ball_sample,
+    _rk4_step,
     collect_dataset,
     event_triggered_run,
     integrate,
@@ -378,12 +379,21 @@ def collect_dataset_ref(sys, cfg):
     return Dataset(sys.bases, cfg.d_radius ** 2, samples)
 
 
+def norm_ref(v):
+    """The documented norm on float64 scalars: the square root of the
+    squares added left to right from 0.0."""
+    total = np.float64(0.0)
+    for c in v:
+        total = total + c * c
+    return np.sqrt(total)
+
+
 def event_run_ref(sys, k, alpha3, alpha4, sigma, x0, horizon, h):
     field = field_ref(sys)
     a3 = lambda r: float64_eval(alpha3, [r])
     a4 = lambda r: float64_eval(alpha4, [r])
     control_at = lambda x: np.array(eval_all(k, x))
-    norm = lambda x: np.sqrt(x.dot(x))
+    norm = norm_ref
     x = np.asarray(x0, dtype=float).reshape(-1)
     held_x = x.copy()
     u = control_at(held_x)
@@ -435,6 +445,18 @@ def dense_system() -> GroundTruthSystem:
     return GroundTruthSystem(A, B, RegressorBases(vs, Z, W))
 
 
+def three_state_system() -> GroundTruthSystem:
+    """Three states, dense random A_star and B_star, one input through a
+    3-row W(x)."""
+    vs = variables(["x1", "x2", "x3"])
+    rng = np.random.default_rng(8)
+    Z = [parse_poly(s, vs) for s in ("x1", "x2", "x3", "x1*x3", "x2^2", "x1^2*x3", "x3^3")]
+    W = [[parse_poly(s, vs)] for s in ("1", "x2", "1 + x1*x3")]
+    A = 0.3 * rng.standard_normal((3, 7)) - np.eye(3, 7)
+    B = 0.5 * rng.standard_normal((3, 3))
+    return GroundTruthSystem(A, B, RegressorBases(vs, Z, W))
+
+
 def same_array(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -442,7 +464,7 @@ def same_array(a, b) -> bool:
 class TestBitwiseEqualToNumpyLoops:
     """The float RK4 loops against the float64 vector loops above."""
 
-    @pytest.fixture(scope="class", params=["khalil", "dense"])
+    @pytest.fixture(scope="class", params=["khalil", "dense", "three"])
     def case(self, request, khalil):
         rv = variables(["r"])
         if request.param == "khalil":
@@ -450,6 +472,11 @@ class TestBitwiseEqualToNumpyLoops:
             angles = np.pi / 6 + np.arange(6) * np.pi / 3
             x0s = 0.8 * np.column_stack([np.cos(angles), np.sin(angles)])
             return khalil, k, parse_poly("0.1*r^2", rv), parse_poly("r^2", rv), 0.5, x0s
+        if request.param == "three":
+            sys = three_state_system()
+            k = [parse_poly("-x1 - x2 - 0.5*x3 - x2^3", sys.bases.vars)]
+            x0s = np.random.default_rng(9).uniform(-0.8, 0.8, size=(3, 3))
+            return sys, k, parse_poly("0.1*r^2", rv), parse_poly("r^2", rv), 0.5, x0s
         sys = dense_system()
         k = [parse_poly("-x1 - 0.5*x2", sys.bases.vars),
              parse_poly("0.2*x1 - x2 - x1^3", sys.bases.vars)]
@@ -474,6 +501,18 @@ class TestBitwiseEqualToNumpyLoops:
             assert got.to_json() == want.to_json()
             for a, b in zip(got.samples, want.samples):
                 assert a.t == b.t and all(same_array(p, q) for p, q in zip(a[1:], b[1:]))
+
+    def test_integrate_finite_escape(self):
+        # xdot = x^2 from x0 = 1 escapes at t = 1.  From the last finite
+        # state a power overflows on Python floats, so that step is rerun
+        # on float64, gives a non-finite state and ends the run
+        sys = scalar_system(1.0, quadratic=True)
+        traj = integrate(sys, [0.0], x0=[1.0], horizon=2.0, h=1e-3)
+        times, states, diverged = integrate_ref(sys, lambda x: [0.0], [1.0], 2.0, 1e-3)
+        assert diverged and traj.diverged
+        assert same_array(traj.times, times) and same_array(traj.states, states)
+        with pytest.raises(OverflowError):
+            _rk4_step(1, 1)(sys.kernel, lambda *x: [0.0], 1e-3, *traj.states[-1].tolist())
 
     def test_event_triggered_run(self, case):
         sys, k, a3, a4, sigma, x0s = case
@@ -541,6 +580,11 @@ class TestGroundTruthSystem:
             assert other.bases == khalil.bases and same_array(other.AB, khalil.AB)
             assert other.field_terms == khalil.field_terms
             assert other.field_floats(x, u) == want
+
+    def test_systems_compare_and_hash_by_identity(self):
+        a, b = khalil_system(), khalil_system()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_shape_validation(self, khalil):
         with pytest.raises(ValueError, match="A_star"):
