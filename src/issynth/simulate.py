@@ -19,9 +19,10 @@ measurement error is a list, each norm is math.sqrt of the squares added
 left to right (`_norm`), and the comparison functions' kernels are called
 on it directly.  That norm is not numpy's x.dot(x), which OpenBLAS
 computes for short vectors with fused multiply-adds, so alpha3 and alpha4
-differ from a numpy norm's by rounding.  numpy only builds the returned
-arrays and reruns a step on float64 where a power overflows.  Each of the
-three loops holds one numpy error state for its whole run (see
+differ from a numpy norm's by rounding.  Besides a callable control law's
+array round trip, numpy only builds the returned arrays and reruns a step
+on float64 scalars where a power overflows.  Each of the three loops holds
+one numpy error state for its whole run (see
 `GroundTruthSystem.field_floats`).
 """
 
