@@ -393,12 +393,11 @@ def event_run_ref(sys, k, alpha3, alpha4, sigma, x0, horizon, h):
     a3 = lambda r: float64_eval(alpha3, [r])
     a4 = lambda r: float64_eval(alpha4, [r])
     control_at = lambda x: np.array(eval_all(k, x))
-    norm = norm_ref
     x = np.asarray(x0, dtype=float).reshape(-1)
     held_x = x.copy()
     u = control_at(held_x)
     times, states, inputs, errors = [0.0], [x.copy()], [u.copy()], [np.zeros(sys.n)]
-    a3s, a4s, flags, event_times = [a3(norm(x))], [a4(0.0)], [1], [0.0]
+    a3s, a4s, flags, event_times = [a3(norm_ref(x))], [a4(0.0)], [1], [0.0]
     diverged = storm = False
     consecutive = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -409,7 +408,7 @@ def event_run_ref(sys, k, alpha3, alpha4, sigma, x0, horizon, h):
                 break
             t = j * h
             e = held_x - x
-            v3, v4 = a3(norm(x)), a4(norm(e))
+            v3, v4 = a3(norm_ref(x)), a4(norm_ref(e))
             fired = 0
             if v4 > sigma * v3:
                 held_x = x.copy()
