@@ -9,7 +9,7 @@ matrix inequality on [A B] is fixed by its regressor xi = [Z(x); W(x) u],
 its derivative xdot and delta; this module stacks those rows, fits a
 matrix ellipsoid that contains every consistent [A B], the one of largest
 det(A_bar) among those an S-procedure certificate admits, by one
-semidefinite program per tried margin, and exposes
+semidefinite program, and exposes
 membership tests both for the exact per-sample sets and for the fitted
 ellipsoid.  The fit first checks excitation: unless the stacked regressors
 have full column rank N+M, some direction of [A B] is unconstrained and
@@ -32,8 +32,8 @@ class ConsistencyError(RuntimeError):
     """Ellipsoid fit failed.
 
     The reason is too little excitation in the data (stacked regressors of
-    rank below N+M, found before any solve), or an infeasible, unbounded or
-    degenerate fit.
+    rank below N+M, found before any solve), a fit solve that ends neither
+    optimal nor feasible, or a degenerate fit.
     """
 
 
@@ -205,7 +205,7 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ta,tb->tab", a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrices:
     """Raw sample rows: regressors xi_i = [Z(x_i); W(x_i) u_i] and derivatives.
 
@@ -214,6 +214,7 @@ class DataMatrices:
     below.  The ellipsoid fit needs the stacked regressors to have full
     column rank N+M (enough excitation); with fewer independent rows the
     consistent set is unbounded and the fit raises ConsistencyError.
+    Instances compare and hash by identity: the fields are arrays.
     """
 
     xi: np.ndarray    # (T, N+M)
@@ -363,6 +364,11 @@ def assemble_overapprox_lmi(
     return S
 
 
+# the fit's certificate holds with this much to spare in unit coordinates;
+# 1e-6 is as large as A_t's smallest eigenvalue on ordinary data
+FIT_MARGIN = 1e-8
+
+
 def _fit_problem(Cs: np.ndarray, Bs: np.ndarray, As: np.ndarray, margin: float) -> SdpProblem:
     """The data constraints of the fit, as an SDP over P = -S - margin*I >= 0
     (block 0) and the multipliers (blocks 1..T), without an objective.
@@ -464,37 +470,10 @@ def _fit_coordinates(dm: DataMatrices) -> tuple[DataMatrices, np.ndarray, float]
     return DataMatrices(dm.xi / s_xi, resid, 1.0), zeta0, sqd / s_xi
 
 
-def _fit_at_margin(data: tuple, zeta0: np.ndarray, rho: float, delta: float,
-                   margin: float):
-    """The max-det fit at one margin, in raw data units: (logdet, A_bar,
-    B_bar, tau, iterations), iterations being its one solve's, or None when
-    that solve ends neither optimal nor feasible at a positive margin."""
-    Cs, Bs, As = data
-    T, n, p = Cs.shape[0], Cs.shape[1], As.shape[1]
-    prob = _fit_problem(Cs, Bs, As, margin)
-    _add_logdet(prob, n, p, margin)
-    sol = solve_sdp(prob)
-    if margin > 0.0 and sol.status not in ("optimal", "feasible"):
-        return None
-    if sol.status == "infeasible":
-        raise ConsistencyError("ellipsoid fit infeasible: no bounded consistent set")
-    if sol.status == "unbounded":
-        raise ConsistencyError("ellipsoid fit unbounded: shape matrix grows without limit")
-    if sol.status not in ("optimal", "feasible"):
-        raise ConsistencyError(f"ellipsoid fit failed: {sol.message or sol.status}")
-    Pm = sol.blocks[0]
-    A_t = 0.5 * (Pm[n + p:, n + p:] + Pm[n + p:, n + p:].T) + margin * np.eye(p)
-    A_bar = A_t / rho ** 2
-    B_bar = -Pm[n + p:, :n] / rho - A_bar @ zeta0
-    tau = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(T)]) * (1.0 / delta)
-    sign, ld = np.linalg.slogdet(A_bar)
-    return (float(ld) if sign > 0 else -np.inf), A_bar, B_bar, tau, sol.iterations
-
-
 def solve_overapprox(
     dm: DataMatrices, bases: RegressorBases | None = None,
 ) -> ConsistencyEllipsoid:
-    """Fit the max-det consistency ellipsoid: one SDP solve per tried margin.
+    """Fit the max-det consistency ellipsoid by one SDP solve at FIT_MARGIN.
 
     Before any solve the stacked regressors must have full column rank N+M
     (rank counted above 1e-9 of the largest singular value); otherwise the
@@ -502,10 +481,11 @@ def solve_overapprox(
     names the rank and N+M.  The solve maximizes det(A_bar)^(1/p), p = N+M,
     subject to the data constraint (``_fit_problem`` and ``_add_logdet``),
     which gives the smallest ellipsoid the S-procedure certificate admits
-    (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 1998).
-    ``history`` holds one entry: best_logdet (log det A_bar, which
-    ``to_json`` writes as ``fit_logdets``), A_bar, B_bar, the margin whose
-    solve gave them and that solve's iteration count, ``iterations``.
+    (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 1998).  A solve
+    that ends neither optimal nor feasible raises ConsistencyError naming
+    its status and message.  ``history`` holds one entry: best_logdet
+    (log det A_bar, which ``to_json`` writes as ``fit_logdets``), the
+    margin and the solve's iteration count, ``iterations``.
     """
     p = dm.xi.shape[1]
     sv = np.linalg.svd(dm.xi, compute_uv=False)
@@ -514,19 +494,19 @@ def solve_overapprox(
         raise ConsistencyError(
             f"too little excitation: stacked regressors have rank {rank} < N+M = {p}")
     unit, zeta0, rho = _fit_coordinates(dm)
-    data = (unit.C, unit.B, unit.A)
-    # the margin is not negligible: in unit coordinates it is the size of
-    # A_t's smallest eigenvalue on ordinary data.  On the khalil-step
-    # experiment (collection seeds 0-19) 1e-6 is infeasible on 9 seeds and
-    # binds on the other 11, where it costs 0.27-1.74 nats of log det
-    # against 1e-8.  A margin is dropped only when its solve fails: it can
-    # make the constraint set empty or leave too thin an interior to converge
-    for margin in (1e-6, 1e-8, 0.0):
-        fit = _fit_at_margin(data, zeta0, rho, dm.delta, margin)
-        if fit is not None:
-            break
-    logdet, A_bar, B_bar, tau, iterations = fit
-    if not np.isfinite(logdet):
+    T, n = unit.xdot.shape
+    prob = _fit_problem(unit.C, unit.B, unit.A, FIT_MARGIN)
+    _add_logdet(prob, n, p, FIT_MARGIN)
+    sol = solve_sdp(prob)
+    if sol.status not in ("optimal", "feasible"):
+        raise ConsistencyError(f"ellipsoid fit ended {sol.status}: {sol.message}")
+    Pm = sol.blocks[0]
+    A_t = 0.5 * (Pm[n + p:, n + p:] + Pm[n + p:, n + p:].T) + FIT_MARGIN * np.eye(p)
+    A_bar = A_t / rho ** 2
+    B_bar = -Pm[n + p:, :n] / rho - A_bar @ zeta0
+    tau = np.array([float(sol.blocks[1 + i][0, 0]) for i in range(T)]) * (1.0 / dm.delta)
+    sign, logdet = np.linalg.slogdet(A_bar)
+    if sign <= 0:
         raise ConsistencyError("degenerate ellipsoid: fitted shape matrix is singular")
     if tau.min() < -1e-10:
         raise ConsistencyError(f"negative multiplier {tau.min():.3e} returned by the fit")
@@ -539,8 +519,8 @@ def solve_overapprox(
         )
     ell = ellipsoid_params(A_bar, B_bar)
     ell.tau = tau
-    ell.history = [{"best_logdet": logdet, "A_bar": A_bar, "B_bar": B_bar,
-                    "margin": margin, "iterations": iterations}]
+    ell.history = [{"best_logdet": float(logdet), "margin": FIT_MARGIN,
+                    "iterations": sol.iterations}]
     ell.bases = bases
     return ell
 

@@ -10,12 +10,12 @@ straight-line function compiled from its terms on first use
 (`compile_kernel`, which also compiles several term dicts into one
 function that returns their sums, as `simulate`'s true field does), run
 on Python floats, bitwise equal to the term loop on float64 scalars (see
-`eval_all`).  `eval_all` evaluates several polynomials at one point,
-`eval_floats` is `eval_all` without the point conversion and check, for
-callers that already hold Python floats, and `Polynomial.eval` checks its
-one point and calls its kernel.  `Polynomial.eval_many` runs the same
-kernel once on the columns of an array of points, with numpy's array
-arithmetic (not bitwise equal to `eval`; see its docstring).
+`eval_floats`).  `Polynomial.eval` checks its one point and calls its
+kernel; `eval_floats` evaluates several polynomials at a point that
+already is a list of Python floats, unchecked.  `Polynomial.eval_many`
+runs the same kernel once on the columns of an array of points, with
+numpy's array arithmetic (not bitwise equal to `eval`; see its
+docstring).
 
 numpy stays where Python floats cannot give float64's answer: a power that
 overflows raises on Python floats, so the kernels are rerun on float64
@@ -218,7 +218,8 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------
 
     def eval(self, point: Sequence[float]) -> float:
-        """Value at one point, with `eval_all`'s check and bits."""
+        """Value at one point, with `eval_floats`'s bits; the point must have
+        one coordinate per variable."""
         pt = np.asarray(point, dtype=float)
         if pt.shape != (len(self.vars),):
             raise ValueError(f"expected point of length {len(self.vars)}, got {pt.shape}")
@@ -382,30 +383,20 @@ def compile_kernel(
     return namespace["make"](*coeffs)
 
 
-def eval_all(polys: Sequence[Polynomial], point: Sequence[float]) -> list[float]:
+def eval_floats(polys: Sequence[Polynomial], xs: list[float]) -> list[float]:
     """Evaluate several polynomials at one point, as Python floats.
 
-    The point is converted once to a list of Python floats and handed to
-    each polynomial's kernel (see `compile_kernel`).  Each term is
-    ``c * x_i**e_i * ...`` over the nonzero exponents in variable order,
-    added in stored term order: the same IEEE operations as on float64
-    scalars, both calling the C library's ``pow``, so results are bitwise
-    equal to a float64 evaluation.  Where a Python float power overflows
-    (it raises, float64 gives inf) the kernels are rerun on float64
-    scalars, so inf and nan come out as float64 gives them, with numpy's
-    error state deciding whether the overflow warns.
+    The point must be a list of Python floats, one per variable of every
+    polynomial; neither is checked.  It is handed to each polynomial's
+    kernel (see `compile_kernel`).  Each term is ``c * x_i**e_i * ...``
+    over the nonzero exponents in variable order, added in stored term
+    order: the same IEEE operations as on float64 scalars, both calling the
+    C library's ``pow``, so results are bitwise equal to a float64
+    evaluation.  Where a Python float power overflows (it raises, float64
+    gives inf) the kernels are rerun on float64 scalars, so inf and nan
+    come out as float64 gives them, with numpy's error state deciding
+    whether the overflow warns.
     """
-    pt = np.asarray(point, dtype=float)
-    n = len(pt) if pt.ndim == 1 else -1
-    for p in polys:
-        if len(p.vars) != n:
-            raise ValueError(f"expected point of length {len(p.vars)}, got {pt.shape}")
-    return eval_floats(polys, pt.tolist())
-
-
-def eval_floats(polys: Sequence[Polynomial], xs: list[float]) -> list[float]:
-    """`eval_all` on a point that already is a list of Python floats, one
-    per variable of every polynomial; neither is checked."""
     return _call_floats(lambda *v: [p.kernel(*v) for p in polys], *xs)
 
 

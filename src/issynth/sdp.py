@@ -78,9 +78,10 @@ Without that, the free-variable dual residual of the synthesis programs
 stalls near 1e-6 and whether such a solve ends ``optimal`` depends on
 rounding.  A component whose Cholesky fails is retried with its own
 diagonal shifted (the trace's ``jitter``, the largest shift of the
-iteration).  No solve of the benchmark workloads needs this fallback, nor
-any ellipsoid fit of the benchmark's experiment at collection seeds 0-19,
-but some small random and matrix SOS programs do.
+iteration).  At one BLAS thread and at two, no ellipsoid fit of the
+benchmark's experiment at collection seeds 0-19 or of khalil-fit-multi's
+seed 0, operations 0-5, needs this fallback, nor does step V at
+collection seed 0; some small random and matrix SOS programs do.
 
 The matrix blocks of one dimension d form a class (``_BlockClass``), and
 the solver holds a class's X, Z and NT scaling W = R R^T (``_Scaling``)

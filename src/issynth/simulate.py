@@ -122,7 +122,7 @@ class GroundTruthSystem:
         Each component is its `field_terms` summed left to right from
         0.0, each term ``c*x_i**e_i*...*u_l`` over its nonzero exponents,
         the same IEEE operations as on float64 scalars, as in
-        `poly.eval_all`.  Where a power overflows (a Python float raises)
+        `poly.eval_floats`.  Where a power overflows (a Python float raises)
         the field is rerun on float64 scalars, which give inf or nan.
 
         For `khalil_system` (matrix entries 0 or +-1, at most two nonzero
@@ -156,9 +156,12 @@ def khalil_system() -> GroundTruthSystem:
     return GroundTruthSystem(A_star, B_star, RegressorBases(vs, Z, W))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Open-loop experiment: T records at fixed spacing under random input."""
+    """Open-loop experiment: T records at fixed spacing under random input.
+
+    Configs compare and hash by identity, as systems do: x0 is an array.
+    """
 
     T: int
     sample_spacing: float

@@ -21,6 +21,7 @@ from issynth.consistency import (
     solve_overapprox,
 )
 from issynth.poly import Polynomial, parse_poly, variables
+from issynth.sdp import SdpSolution
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
 from test_poly import float64_eval
 
@@ -45,6 +46,22 @@ def dmats(dataset):
 @pytest.fixture(scope="module")
 def ellipsoid(dmats):
     return solve_overapprox(dmats)
+
+
+@pytest.fixture
+def fit_solves(monkeypatch):
+    """(margin, solution) of each solve_sdp call solve_overapprox makes; row
+    0's rhs is 1 - margin."""
+    solves = []
+    solve = consistency.solve_sdp
+
+    def recorded_solve(prob, *args):
+        sol = solve(prob, *args)
+        solves.append((round(1.0 - prob.arrays()[2][0], 12), sol))
+        return sol
+
+    monkeypatch.setattr(consistency, "solve_sdp", recorded_solve)
+    return solves
 
 
 def khalil_step_experiment(seed: int) -> ExperimentConfig:
@@ -235,6 +252,11 @@ class TestDataMatrices:
         with pytest.raises(ValueError, match="delta"):
             build_data_matrices(Dataset(khalil.bases, 0.0, [s]))
 
+    def test_data_matrices_compare_and_hash_by_identity(self, dataset, dmats):
+        other = build_data_matrices(dataset)
+        assert dmats == dmats and dmats != other
+        assert len({dmats, other, dmats}) == 2
+
     def test_only_raw_rows_are_stored(self, dmats):
         assert [f.name for f in dataclasses.fields(DataMatrices)] == ["xi", "xdot", "delta"]
         i = 7
@@ -288,35 +310,27 @@ class TestSolveOverapprox:
         assert membership(khalil.AB, ellipsoid).residual <= 1e-6
 
     def test_logdet_reaches_the_max_det_floor(self, khalil, ellipsoid):
-        # the five-step linearized fit ended at 73.46; the max-det one-solve
-        # fit reaches 80.91
+        # the five-step linearized fit ended at 73.46; the max-det fit
+        # reaches 80.91 at margin 1e-6 and 80.94 at FIT_MARGIN
         assert [h["best_logdet"] for h in ellipsoid.history] == [
             np.linalg.slogdet(ellipsoid.A_bar)[1]]
         assert ellipsoid.history[0]["best_logdet"] >= 80.9
         assert membership(khalil.AB, ellipsoid).ok
 
-    def test_one_solve_per_tried_margin(self, khalil, dmats, monkeypatch):
-        # each margin is one max-det solve; a failed solve at a positive
-        # margin falls through to the next margin.  Row 0's rhs is 1 - margin
-        solves = []
-        solve = consistency.solve_sdp
-
-        def recorded_solve(prob, *args):
-            sol = solve(prob, *args)
-            solves.append((round(1.0 - prob.arrays()[2][0], 12), sol.status))
-            return sol
-
-        monkeypatch.setattr(consistency, "solve_sdp", recorded_solve)
+    def test_one_solve_at_the_fit_margin(self, khalil, dmats, fit_solves):
+        # also on seed 2's data, where a solve at 1e-6 ends infeasible
         solve_overapprox(dmats)
-        assert solves == [(1e-6, "optimal")]
-        solves.clear()
+        assert [(m, sol.status) for m, sol in fit_solves] == [(1e-8, "optimal")]
+        fit_solves.clear()
         solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(2))))
-        assert solves == [(1e-6, "infeasible"), (1e-8, "optimal")]
+        assert [(m, sol.status) for m, sol in fit_solves] == [(1e-8, "optimal")]
 
-    def test_every_reported_iterate_contains_truth(self, khalil, ellipsoid):
-        for h in ellipsoid.history:
-            ell_it = ellipsoid_params(h["A_bar"], h["B_bar"])
-            assert membership(khalil.AB, ell_it).residual <= 1e-6
+    def test_failed_solve_raises_with_its_status_and_message(self, dmats, monkeypatch):
+        failed = SdpSolution(status="numerical-failure", objective=None,
+                             message="iterate left the cone")
+        monkeypatch.setattr(consistency, "solve_sdp", lambda prob: failed)
+        with pytest.raises(ConsistencyError, match="numerical-failure: iterate left the cone"):
+            solve_overapprox(dmats)
 
     def test_shape_matrix_well_posed(self, ellipsoid):
         w = np.linalg.eigvalsh(ellipsoid.A_bar)
@@ -469,9 +483,9 @@ def test_ellipsoid_json_keeps_fit_history():
 
 
 def test_fit_of_an_ordinary_data_set(khalil):
-    # T = 40 from x0 = (2, -2) with small noise: the margin-1e-6 solve ends
-    # infeasible and the 1e-8 one optimal, with log det 68.87 (the five-step
-    # linearized fit reached 59.14) and the true [A B] strictly inside
+    # T = 40 from x0 = (2, -2) with small noise, where a solve at margin 1e-6
+    # ends infeasible: the fit reaches log det 68.87 (the five-step
+    # linearized fit reached 59.14) with the true [A B] strictly inside
     # (residual about -0.93)
     cfg = ExperimentConfig(T=40, sample_spacing=0.05, u_bound=1.0,
                            d_radius=1e-3, x0=[2.0, -2.0], seed=0)
@@ -481,35 +495,28 @@ def test_fit_of_an_ordinary_data_set(khalil):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_inverse_square_root_residual_of_khalil_step_fits(khalil, seed):
+def test_inverse_square_root_residual_of_khalil_step_fits(khalil, seed, fit_solves):
     # the five-step fit left cond A_bar at up to 2e8 here, and |X X A_bar - I|
     # at up to 5.3e-9 (seeds 2, 11, 15, 16, 19), against ellipsoid_params'
     # bound of 1e-8; the max-det fit leaves cond A_bar <= 1.5e6 and the
     # residual <= 2.5e-10, so a rounding-level change to the solver no longer
     # decides whether a fit raises
     ell = solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(seed))))
+    assert [sol.status for _, sol in fit_solves] == ["optimal"]
     X = ell.A_bar_inv_sqrt
     assert np.abs(X @ X @ ell.A_bar - np.eye(len(X))).max() <= 1e-9
     assert membership(khalil.AB, ell).ok
 
 
-@pytest.mark.parametrize("seed, margin, statuses",
-                         [(0, 1e-6, ["optimal"]), (1, 1e-8, ["infeasible", "optimal"])])
-def test_fit_history_names_its_margin_and_iterations(khalil, seed, margin, statuses, monkeypatch):
-    # the margin ladder on the khalil-step experiment: seed 0's data fit at
-    # the first margin; seed 1's solve there ends infeasible, so its fit
-    # comes from the next margin's solve
-    solves = []
-    solve = consistency.solve_sdp
-
-    def recorded_solve(prob, *args):
-        solves.append(solve(prob, *args))
-        return solves[-1]
-
-    monkeypatch.setattr(consistency, "solve_sdp", recorded_solve)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_history_names_its_margin_and_iterations(khalil, seed, fit_solves):
+    # on the khalil-step experiment seed 0's data used to fit at 1e-6, and
+    # seed 1's solve at 1e-6 ends infeasible
     ell = solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(seed))))
-    assert [s.status for s in solves] == statuses
+    [(_, sol)] = fit_solves
+    assert sol.status == "optimal"
     [h] = ell.history
-    assert h["margin"] == margin
-    assert h["iterations"] == solves[-1].iterations > 0
+    assert sorted(h) == ["best_logdet", "iterations", "margin"]
+    assert h["margin"] == consistency.FIT_MARGIN == 1e-8
+    assert h["iterations"] == sol.iterations > 0
     assert ell.to_json_dict()["fit_logdets"] == [h["best_logdet"]]

@@ -10,7 +10,6 @@ import pytest
 from issynth.poly import (
     Polynomial,
     Variable,
-    eval_all,
     eval_floats,
     monomial_basis,
     parse_poly,
@@ -39,7 +38,7 @@ def random_poly(rng, vars, max_deg=4, n_terms=6, scale=2.0):
 
 def float64_eval(p, point):
     """Reference evaluator: the term loop on numpy float64 scalars that
-    eval_all must reproduce bit for bit."""
+    eval_floats and Polynomial.eval must reproduce bit for bit."""
     pt = np.asarray(point, dtype=float)
     if pt.shape != (len(p.vars),):
         raise ValueError(f"expected point of length {len(p.vars)}, got {pt.shape}")
@@ -302,7 +301,7 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             parse_poly("x1", xy).eval([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            eval_all((parse_poly("x1", xy),), [[1.0, 2.0]])
+            parse_poly("x1", xy).eval([[1.0, 2.0]])
         with pytest.raises(ValueError):
             parse_poly("x1", xy).eval_many(np.zeros((3, 3)))
 
@@ -317,11 +316,10 @@ class TestScalarEvaluator:
         for _ in range(1000):
             pt = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4, size=3)
             want = [float64_eval(p, pt) for p in polys]
-            got = eval_all(polys, pt)
+            got = eval_floats(polys, pt.tolist())
             assert all(type(v) is float for v in got)
             assert all(same_bits(g, w) for g, w in zip(got, want))
             assert all(same_bits(p.eval(list(pt)), w) for p, w in zip(polys, want))
-            assert all(same_bits(g, w) for g, w in zip(eval_floats(polys, pt.tolist()), want))
 
     def test_kernel_keeps_coefficient_bits(self):
         # the constructor drops a -0.0 coefficient, so set the terms directly;
@@ -348,11 +346,11 @@ class TestScalarEvaluator:
             pt = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4, size=3)
             with np.errstate(invalid="ignore"):
                 want = [float64_eval(p, pt) for p in polys]
-            got = eval_all(polys, pt)
+            got = eval_floats(polys, pt.tolist())
             assert all(type(v) is float for v in got)
             assert all(same_bits(g, w) for g, w in zip(got, want)), (pt, got, want)
-        assert same_bits(eval_all(polys[2:3], [1.0, 1.0, 1.0])[0], nan_payload)
-        assert eval_all(polys[3:4], [1.0, 2.0, 3.0]) == [0.0]
+        assert same_bits(polys[2].eval([1.0, 1.0, 1.0]), nan_payload)
+        assert polys[3].eval([1.0, 2.0, 3.0]) == 0.0
 
     def test_evaluated_polynomial_pickles_and_compares_equal(self, xy):
         p = parse_poly("x1^3 - 2.5*x1*x2 + 0.25", xy)
@@ -367,12 +365,12 @@ class TestScalarEvaluator:
         for pt in ([1e200, 1e200], [-1e200, 3.0], [1e200, -1e-200], [np.inf, 1.0], [np.nan, 1e200]):
             with np.errstate(over="ignore", invalid="ignore"):
                 want = [float64_eval(p, pt) for p in polys]
-                got = eval_all(polys, pt)
+                got = [p.eval(pt) for p in polys]
                 unchecked = eval_floats(polys, [float(v) for v in pt])
             assert all(same_bits(g, w) for g, w in zip(got, want)), (pt, got, want)
             assert all(same_bits(g, w) for g, w in zip(unchecked, want)), (pt, unchecked, want)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = eval_all(polys, [1e200, 1e200])
+            got = [p.eval([1e200, 1e200]) for p in polys]
         assert got[:2] == [np.inf, -np.inf] and np.isnan(got[2])
         assert got[3:] == [np.inf, 1e200]
 

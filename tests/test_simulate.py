@@ -13,7 +13,7 @@ from issynth.consistency import (
     Sample,
     membership_instantaneous,
 )
-from issynth.poly import Polynomial, eval_all, parse_poly, variables
+from issynth.poly import Polynomial, parse_poly, variables
 from issynth.simulate import (
     COLLECT_STEP,
     EventTrace,
@@ -392,7 +392,7 @@ def event_run_ref(sys, k, alpha3, alpha4, sigma, x0, horizon, h):
     field = field_ref(sys)
     a3 = lambda r: float64_eval(alpha3, [r])
     a4 = lambda r: float64_eval(alpha4, [r])
-    control_at = lambda x: np.array(eval_all(k, x))
+    control_at = lambda x: np.array([p.eval(x) for p in k])
     x = np.asarray(x0, dtype=float).reshape(-1)
     held_x = x.copy()
     u = control_at(held_x)
@@ -582,6 +582,12 @@ class TestGroundTruthSystem:
 
     def test_systems_compare_and_hash_by_identity(self):
         a, b = khalil_system(), khalil_system()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_configs_compare_and_hash_by_identity(self):
+        a, b = (ExperimentConfig(T=5, sample_spacing=0.1, u_bound=1.0, d_radius=0.0,
+                                 x0=[1.0, 2.0], seed=0) for _ in range(2))
         assert a == a and a != b
         assert len({a, b, a}) == 2
 

@@ -25,10 +25,10 @@ what a pure speed-up or refactor must keep.  The outputs:
 
 When a change alters the bits on purpose, every digest changes, so some
 lines also print the values that show by how much: each ellipsoid's
-log det A_bar, the margin its fit solve succeeded at and that solve's
-iteration count, and |X X A_bar - I|max (X = A_bar^-1/2, which
-``ellipsoid_params`` bounds by 1e-8), step V's status, iteration count
-and margin t, and each closed-loop run's event count and final |x|.
+log det A_bar, its fit solve's margin and iteration count, and
+|X X A_bar - I|max (X = A_bar^-1/2, which ``ellipsoid_params`` bounds by
+1e-8), step V's status, iteration count and margin t, and each
+closed-loop run's event count and final |x|.
 
 Only public ``issynth`` calls are used.  Like the test suite's
 ``conftest.py``, the tool sets OpenBLAS, OpenMP and MKL to one thread
