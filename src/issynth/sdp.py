@@ -42,7 +42,12 @@ forms M's lower triangle there, factors each component on its own with
 LAPACK potrf (``_cholesky``), which reads only that triangle, and solves
 with those factors.  On a problem whose rows form one component and that
 has no free variables this is the same arithmetic, bit for bit, as one
-dense factorization of M.  A term over some rows of a component adds into
+dense factorization of M.  Every solve with a factor, as in SDPT3 (Toh,
+Todd & Tutuncu 1999), is a pair of triangular solves, LAPACK trtrs
+(``_solve_lower``): M^-1 g = L^-T (L^-1 g).  On step V's 697-row
+component the pair takes 51 us for one right-hand side where LAPACK
+potrs, which solves with the whole factor in one call, takes 128 us; on
+143 rows 4.5 against 7.2 us (one BLAS thread, 2 vCPU).  A term over some rows of a component adds into
 it one run of consecutive positions by another, as slices, which adds what
 an ``np.ix_`` scatter adds; component rows stay ascending, since another
 order would change the Cholesky bits.  Each matrix block adds its term
@@ -67,21 +72,27 @@ after 116 iterations, with Schur jitter from iteration 24.  Without the
 shift the Cholesky fails at iteration 24 of collection seed 6,
 k = -x1 - x2.  The QR needs no shift and does not fail; ``_Preprocessed``
 drops the free directions no row sees, so G has full column rank.  The
-same G gives M^-1 A_F = L^-T G by one more triangular solve per
-component, where a potrs on A_F takes two: on step V's 10 free columns
-0.48 ms per iteration instead of 0.83 (one BLAS thread, medians of 140).
+same G serves every KKT solve, and M^-1 A_F is never formed: for
+h = L^-1 g, A_F^T M^-1 g = G^T h, S_F dxF = G^T h + u_F takes two
+triangular solves with R^T, and dy = L^-T (h - G dxF).
 
 When free variables remain, every KKT solve is also refined
 ``KKT_REFINE_STEPS`` times: it is solved again with the same factors for
 the residuals of the free-variable equation and of the primal rows.
 Without that, the free-variable dual residual of the synthesis programs
 stalls near 1e-6 and whether such a solve ends ``optimal`` depends on
-rounding.  A component whose Cholesky fails is retried with its own
-diagonal shifted (the trace's ``jitter``, the largest shift of the
-iteration).  At one BLAS thread and at two, no ellipsoid fit of the
-benchmark's experiment at collection seeds 0-19 or of khalil-fit-multi's
-seed 0, operations 0-5, needs this fallback, nor does step V at
-collection seed 0; some small random and matrix SOS programs do.
+rounding.  A component whose Cholesky fails is retried once, with its
+own diagonal shifted by max(1e-14 * its mean diagonal, 1e-14) (the
+trace's ``jitter``, the largest shift of the iteration); when that fails
+too the solve stalls.  At one BLAS thread and at two, no ellipsoid fit of
+the benchmark's experiment at collection seeds 0-19 or of
+khalil-fit-multi's seed 0, operations 0-19, needs this retry, nor does
+any step V at collection seeds 0-9 with k = -x1 - x2, -x2 or
+-2 x2 - x1^2.  Its users are small test programs, and each retry there
+succeeds on that one shift: two with linearly dependent rows (the
+contradiction test and the random classes) and four full-rank ones whose
+factorization fails only in the endgame, at mu near 1e-8 (the quadratic
+form, the cross term, the star split and a strictly feasible problem).
 
 The matrix blocks of one dimension d form a class (``_BlockClass``), and
 the solver holds a class's X, Z and NT scaling W = R R^T (``_Scaling``)
@@ -410,34 +421,19 @@ class SdpSolution:
 # Nesterov-Todd scaling of the matrix blocks
 
 
-def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve L L^T X = B for a lower Cholesky factor L.
+def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool) -> np.ndarray:
+    """Solve L X = B, or L^T X = B when ``transposed``, for a lower
+    triangular L.
 
-    LAPACK potrs on the upper factor L^T, whose memory is Fortran order
-    when L is C-ordered as ``_cholesky`` returns it, so it is not copied;
-    the bits are those of ``scipy.linalg.cho_solve((L, True), B)``
-    (``test_cho_solve_matches_scipy``), without its finiteness scans, since
-    solve_sdp checks its directions instead.
+    LAPACK trtrs on L^T, whose memory is Fortran order when L is C-ordered;
+    for L X = B these are the arguments ``scipy.linalg.solve_triangular(L,
+    B, lower=True)`` passes for such an L, without its finiteness scans,
+    since solve_sdp checks its directions instead.  The callers pass
+    ``_cholesky``'s factor of a Schur component, and R_F^T for the R_F of
+    the free-variable QR; every solve with a factor is two of these calls.
     """
     # this form finds the loaded module in 0.4 us a call, ``from ... import``
-    # in 1.0 us; potrs and trtrs run about 880 times a step-V solve
-    import scipy.linalg.lapack as lapack
-
-    X, info = lapack.dpotrs(L.T, B, lower=0)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return X
-
-
-def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool) -> np.ndarray:
-    """Solve L X = B, or L^T X = B when ``transposed``, for a C-ordered
-    lower triangular L.
-
-    LAPACK trtrs on L^T, whose memory already is Fortran order; for L X = B
-    these are the arguments ``scipy.linalg.solve_triangular(L, B,
-    lower=True)`` passes for such an L.  Every caller passes ``_cholesky``'s
-    factor of a Schur component.
-    """
+    # in 1.0 us; trtrs runs about 1,600 times a step-V solve
     import scipy.linalg.lapack as lapack
 
     X, info = lapack.dtrtrs(L.T, B, lower=0, trans=0 if transposed else 1)
@@ -777,13 +773,14 @@ class _SchurPlan:
         self.diag += np.bincount(at, squares * w[coords], len(self.diag))
 
     def factor(self):
-        """``(factors, jitter)`` of the components as ``flat`` holds them.
+        """``(factors, jitter)``: the lower Cholesky factor of each
+        component, C-ordered as ``_cholesky`` gives it, and the square roots
+        of the singleton rows' diagonal (``_positive``).
 
         Each component is factored by itself first; only a failed
-        factorization shifts that component's diagonal, and ``jitter`` is
-        the largest shift.  ``factors`` is None when a component fails even
-        shifted.  The factors are ``_cholesky``'s, C-ordered, which
-        ``_cho_solve`` hands potrs as the upper factor L^T without a copy.
+        factorization shifts that component's diagonal, once
+        (``_factor_with_jitter``), and ``jitter`` is the largest shift.
+        ``factors`` is None when a component fails even shifted.
         """
         factors, jitter = [], 0.0
         for Mc in self.mats:
@@ -797,21 +794,12 @@ class _SchurPlan:
 
     def solve_lower(self, factors, g: np.ndarray, transposed: bool) -> np.ndarray:
         """L^-1 g, or L^-T g when ``transposed``, for the factor L L^T = M,
-        one component at a time; g has m rows."""
+        one component at a time; g is a vector or has m rows.  M^-1 g is
+        L^-T (L^-1 g)."""
         Ls, d = factors
         out = np.empty_like(g)
         for rows, L in zip(self.rows, Ls):
             out[rows] = _solve_lower(L, g[rows], transposed)
-        s = self.singles
-        out[s] = g[s] / np.sqrt(d)[:, None]
-        return out
-
-    def solve(self, factors, g: np.ndarray) -> np.ndarray:
-        """M^-1 g, one component at a time; g is a vector or has m rows."""
-        Ls, d = factors
-        out = np.empty_like(g)
-        for rows, L in zip(self.rows, Ls):
-            out[rows] = _cho_solve(L, g[rows])
         s = self.singles
         out[s] = g[s] / (d if g.ndim == 1 else d[:, None])
         return out
@@ -838,34 +826,30 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
 
 
 def _positive(d: np.ndarray) -> np.ndarray:
-    """The factor of a diagonal: a copy of it, when every entry is positive."""
+    """The factor of a diagonal, its square roots, when every entry is positive."""
     if np.any(d <= 0.0):
         raise np.linalg.LinAlgError("diagonal is not positive")
-    return d.copy()
+    return np.sqrt(d)
 
 
 def _factor_with_jitter(M: np.ndarray, factor):
     """``(factor(M), jitter)``, shifting M's diagonal in place only when factor fails.
 
     ``M`` is one component's matrix or, with ``_positive``, the singleton
-    rows' diagonal.  After M itself, shifts of 1e-14 to 1e-10 times its
-    mean diagonal are tried; when all fail the factor is None.
+    rows' diagonal.  After M itself one shift is tried, 1e-14 times its mean
+    diagonal and at least 1e-14; when that fails too the factor is None.
     """
     try:
         return factor(M), 0.0
     except np.linalg.LinAlgError:
         pass
     diag = np.diag_indices(len(M)) if M.ndim == 2 else slice(None)
-    M_diag = M[diag].copy()
-    base = M_diag.sum() / len(M)
-    for attempt in range(5):
-        jitter = max(base * 10.0 ** (attempt - 14), 1e-14)
-        M[diag] = M_diag + jitter
-        try:
-            return factor(M), jitter
-        except np.linalg.LinAlgError:
-            pass
-    return None, jitter
+    jitter = max(M[diag].sum() / len(M) * 1e-14, 1e-14)
+    M[diag] += jitter
+    try:
+        return factor(M), jitter
+    except np.linalg.LinAlgError:
+        return None, jitter
 
 
 # ---------------------------------------------------------------------------
@@ -879,38 +863,27 @@ class _Preprocessed:
         import scipy.sparse as sp
 
         A_psd, A_free, b, c_psd, c_free = prob.arrays()
-        m = prob.n_rows
         psd_nnz = np.diff(A_psd.indptr)
-        free_nnz = np.diff(A_free.indptr)
-        self.free_only_rows = np.where((psd_nnz == 0) & (free_nnz > 0))[0]
-        self.zero_rows = np.where((psd_nnz == 0) & (free_nnz == 0))[0]
-        self.kept_rows = np.where(psd_nnz > 0)[0]
-        self.inconsistent = False
-        self.orig_m = m
-
-        for r in self.zero_rows:
-            if abs(b[r]) > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
-                self.inconsistent = True
+        # rows without matrix entries, empty ones too, constrain only v
+        self.free_only_rows = np.flatnonzero(psd_nnz == 0)
+        self.kept_rows = np.flatnonzero(psd_nnz > 0)
+        self.orig_m = prob.n_rows
 
         nf = prob.n_free
         A_free = A_free.toarray()  # two sparse row selections cost a fit 0.15 ms
         Rf = A_free[self.free_only_rows]
         rf = b[self.free_only_rows]
-        self.x_part = np.zeros(nf)
-        self.N = np.eye(nf)
-        if len(self.free_only_rows):
-            # x_free = x_part + N q, with R_f x_free = r_f.  Only U[:, :rank]
-            # is used, so U stays thin; Vt must be square for the null space
-            # N, which the thin form already is unless R_f is wide
-            U, sv, Vt = np.linalg.svd(Rf, full_matrices=Rf.shape[0] < nf)
-            tol = max(Rf.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
-            rank = int(np.sum(sv > max(tol, 1e-12)))
-            if rank:
-                self.x_part = Vt[:rank].T @ ((U[:, :rank].T @ rf) / sv[:rank])
-            resid = Rf @ self.x_part - rf
-            if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(rf)):
-                self.inconsistent = True
-            self.N = Vt[rank:].T  # (nf, nf - rank)
+        # x_free = x_part + N q, with R_f x_free = r_f.  Only U[:, :rank] is
+        # used, so U stays thin; Vt must be square for the null space N, which
+        # the thin form already is unless R_f is wide.  Without such rows Vt
+        # is the identity, and so is N
+        U, sv, Vt = np.linalg.svd(Rf, full_matrices=Rf.shape[0] < nf)
+        tol = max(Rf.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
+        rank = int(np.sum(sv > max(tol, 1e-12)))
+        self.x_part = Vt[:rank].T @ ((U[:, :rank].T @ rf) / sv[:rank])
+        resid = Rf @ self.x_part - rf
+        self.inconsistent = bool(np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(rf)))
+        self.N = Vt[rank:].T  # (nf, nf - rank)
         self.Rf = Rf
 
         self.A_psd = A_psd[self.kept_rows]
@@ -958,12 +931,10 @@ class _Preprocessed:
         """
         y = np.zeros(self.orig_m)
         y[self.kept_rows] = y_kept * self.row_scale
-        if len(self.free_only_rows):
-            rhs = -self.A_free_kept_orig.T @ y[self.kept_rows]
-            if not ray:
-                rhs = rhs + self.c_free_orig
-            sol, *_ = np.linalg.lstsq(self.Rf.T, rhs, rcond=None)
-            y[self.free_only_rows] = sol
+        rhs = -self.A_free_kept_orig.T @ y[self.kept_rows]
+        if not ray:
+            rhs = rhs + self.c_free_orig
+        y[self.free_only_rows], *_ = np.linalg.lstsq(self.Rf.T, rhs, rcond=None)
         return y
 
 
@@ -1133,14 +1104,12 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             break
 
         # formed empty, this factor and its products slow the fits by 1-3%;
-        # for G = L^-1 AF, R_F^T R_F = G^T G = AF^T M^-1 AF = S_F and
-        # L^-T G = M^-1 AF
+        # for G = L^-1 AF, R_F^T R_F = G^T G = AF^T M^-1 AF = S_F
         if nf:
             G = plan.solve_lower(schur, Af, False)
             R_F = np.linalg.qr(G, mode="r")
-            MA = plan.solve_lower(schur, G, True)
         else:
-            MA, R_F = None, None
+            G, R_F = None, None
         t3 = time.perf_counter()
         seconds["factor"] = t3 - t2
 
@@ -1152,12 +1121,13 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             return out
 
         def solve_reduced(g, u_F):
-            """(dxF, dy) of [M dy + AF dxF = g; -AF^T dy = u_F]."""
-            g1 = plan.solve(schur, g)
+            """(dxF, dy) of [M dy + AF dxF = g; -AF^T dy = u_F]: for h = L^-1 g,
+            S_F dxF = G^T h + u_F and dy = L^-T (h - G dxF)."""
+            h = plan.solve_lower(schur, g, False)
             if not nf:  # skips the empty products, as the factor above does
-                return np.zeros(0), g1
-            dxF = _cho_solve(R_F.T, Af.T @ g1 + u_F)
-            return dxF, g1 - MA @ dxF
+                return np.zeros(0), plan.solve_lower(schur, h, True)
+            dxF = _solve_lower(R_F.T, _solve_lower(R_F.T, G.T @ h + u_F, False), True)
+            return dxF, plan.solve_lower(schur, h - G @ dxF, True)
 
         def solve_kkt(u_K, u_F, u_y):
             """[H dxK - AK^T dy = u_K; -AF^T dy = u_F; AK dxK + AF dxF = u_y].

@@ -32,6 +32,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -171,10 +172,14 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if self.sample_spacing <= 0.0:
-            raise ValueError("sample_spacing must be positive")
-        if self.u_bound < 0.0 or self.d_radius < 0.0:
-            raise ValueError("u_bound and d_radius must be nonnegative")
+        if not isinstance(self.T, Integral):
+            raise ValueError(f"T must be an integer, got {self.T!r}")
+        if not (math.isfinite(self.sample_spacing) and self.sample_spacing > 0.0):
+            raise ValueError(f"sample_spacing must be finite and positive, got {self.sample_spacing}")
+        for name in ("u_bound", "d_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
 
 
@@ -239,6 +244,19 @@ def _as_control(law: ControlLaw, m: int) -> Callable[..., list[float]]:
     return lambda *x: held
 
 
+def _step_count(horizon: float, h: float) -> int:
+    """The number of steps of size h in [0, horizon]; both must be finite,
+    h positive and horizon nonnegative, and so must their ratio."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step size h must be finite and positive, got {h}")
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    steps = horizon / h
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon / h is not finite: {horizon} / {h}")
+    return int(round(steps))
+
+
 def integrate(
     sys: GroundTruthSystem,
     control_law: ControlLaw,
@@ -253,11 +271,9 @@ def integrate(
     state aborts the run and the partial trajectory is returned with the
     diverged flag set.
     """
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
+    steps = _step_count(horizon, h)
     uf = _as_control(control_law, sys.m)
     step, F = _rk4_step(sys.n, sys.m), sys.kernel
-    steps = int(round(horizon / h))
     x = _initial_state(x0, sys.n)
     times = [0.0]
     states = [x]
@@ -402,15 +418,13 @@ def event_triggered_run(
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
+    steps = _step_count(horizon, h)
     a3 = _kinf_kernel(alpha3, "alpha3")
     a4 = _kinf_kernel(alpha4, "alpha4")
     kf = [ki if ki.vars == sys.bases.vars else ki.extend(sys.bases.vars) for ki in k]
     if len(kf) != sys.m:
         raise ValueError(f"controller has {len(kf)} components, expected {sys.m}")
 
-    steps = int(round(horizon / h))
     x = _initial_state(x0, sys.n)
     held_x = x
     u = eval_floats(kf, x)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -75,8 +76,8 @@ class SynthesisConfig:
 
     def __post_init__(self):
         self.k_init = tuple(self.k_init)
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.deg_V < 1 or self.deg_k < 1 or self.deg_lambda < 0:

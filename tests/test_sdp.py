@@ -343,6 +343,26 @@ class TestKnownProblems:
         sol = solve_sdp(p)
         assert sol.status == "infeasible"
 
+    @pytest.mark.parametrize("rhs, status", [(0.0, "optimal"), (1.0, "infeasible")])
+    def test_empty_row(self, rhs, status):
+        # a row with no entries is eliminated with the free-only rows: 0 = 0
+        # leaves the problem as it was and gets dual 0, 0 = 1 is infeasible
+        # before any iteration
+        p = SdpProblem()
+        g = p.add_block(2)
+        p.add_row(psd_entries=[(g, 0, 0, 1.0), (g, 1, 1, 1.0)], rhs=2.0)
+        p.add_row(rhs=rhs)
+        p.set_objective_entry(g, 0, 0, 1.0)
+        sol = solve_sdp(p)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.objective == pytest.approx(0.0, abs=1e-6)
+            assert sol.y[1] == 0.0
+            assert validate_solution(p, sol)["ok"]
+        else:
+            assert sol.iterations == 0
+            assert "inconsistent" in sol.message
+
     def test_free_only_rows_eliminated(self):
         # v1 + v2 = 3, v1 - v2 = 1 pin the free part exactly
         p = SdpProblem()
@@ -616,9 +636,9 @@ class _RatioFrom:
 # with one scaling (_Scaling) and four step-length tests (_max_step_psd: X
 # and Z, predictor and corrector), a 10x10 Schur complement (one _cholesky
 # call) and a 2x2 free-variable Schur factor.  OpenBLAS's potrf returns a
-# NaN factor for a NaN Schur complement rather than raising, and _cho_solve
-# passes it on into the directions: "non-finite direction" is forced by such
-# a factor
+# NaN factor for a NaN Schur complement rather than raising, and the
+# triangular solves (_solve_lower) pass it on into the directions:
+# "non-finite direction" is forced by such a factor
 STALLS = {
     "tau collapsed without clean certificate":
         lambda mp, k: mp.setattr(sdp, "INFEAS_RATIO", _RatioFrom(k)),
@@ -671,29 +691,25 @@ def _same_array_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_cho_solve_matches_scipy(order):
-    rng = np.random.default_rng(0)
-    # 72 and 697: the fits' Schur complement and step V's largest component
-    for n in (1, 2, 7, 40, 72, 697):
-        G = rng.standard_normal((n, n))
-        L = np.asarray(np.linalg.cholesky(G @ G.T + n * np.eye(n)), order=order)
-        for B in (rng.standard_normal(n), rng.standard_normal((n, 3)),
-                  np.asfortranarray(rng.standard_normal((n, 3)))):
-            assert _same_array_bits(sdp._cho_solve(L, B), sla.cho_solve((L, True), B))
-
-
 def test_solve_lower_matches_scipy():
     rng = np.random.default_rng(1)
-    # C-ordered Cholesky factors, as _cholesky gives the solver
-    for n, transposed in itertools.product((1, 2, 7, 40), (False, True)):
+    # C-ordered Cholesky factors, as _cholesky gives the solver; 72 and 697:
+    # the fits' Schur complement and step V's largest component
+    for n, transposed in itertools.product((1, 2, 7, 40, 72, 697), (False, True)):
         trans = "T" if transposed else "N"
         G = rng.standard_normal((n, n))
         L = sdp._cholesky(G @ G.T + n * np.eye(n))
+        # and R_F^T for the upper R_F of a QR, C-ordered as numpy gives it:
+        # trtrs then gets R_F in Fortran order, as scipy's wrapper passes it
+        # for an upper Fortran-ordered R_F and the flipped transpose
+        R = np.linalg.qr(rng.standard_normal((n + 3, n)), mode="r")
         T = rng.standard_normal((n, n))
         for B in (np.eye(n), T, T.T, rng.standard_normal(n)):
             assert _same_array_bits(sdp._solve_lower(L, B, transposed),
                                     sla.solve_triangular(L, B, lower=True, trans=trans))
+            assert _same_array_bits(sdp._solve_lower(R.T, B, transposed),
+                                    sla.solve_triangular(np.asfortranarray(R), B, lower=False,
+                                                         trans="N" if transposed else "T"))
     singular = np.array([[1.0, 0.0], [1.0, 0.0]])
     for transposed, trans in ((False, "N"), (True, "T")):
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
@@ -850,7 +866,37 @@ def test_component_solve_matches_dense_solve(monkeypatch):
         rng = np.random.default_rng(0)
         for g in (rng.standard_normal(len(M)), pre.A_free, rng.standard_normal((len(M), 3))):
             ref = np.linalg.solve(M, g)
-            assert _rel_err(plan.solve(factors, g), ref) <= 1e-10
+            # M^-1 g = L^-T (L^-1 g)
+            got = plan.solve_lower(factors, plan.solve_lower(factors, g, False), True)
+            assert _rel_err(got, ref) <= 1e-10
+
+
+def test_plan_solve_lower_with_singleton_rows():
+    # rows 0 and 1 share coordinate 0, so they form one component; rows 2
+    # and 3 share nothing and are singletons, whose factor is sqrt(diag).
+    # L^-1 g and L^-T g of a vector and of a matrix g against the dense
+    # Cholesky factor of the assembled M
+    A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0, 0.0, 0.0],
+                                [3.0, 0.0, 1.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.0, 2.0, 0.0],
+                                [0.0, 0.0, 0.0, 0.0, 0.5]]))
+    plan = sdp._SchurPlan(A, np.arange(5), [])
+    assert [r.tolist() for r in plan.rows] == [[0, 1]] and plan.singles.tolist() == [2, 3]
+    w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    plan.build([], w)
+    M = (A.toarray() * w) @ A.toarray().T
+    factors, jitter = plan.factor()
+    assert jitter == 0.0
+    assert np.array_equal(factors[1], np.sqrt(plan.diag))
+    L = np.linalg.cholesky(M)
+    rng = np.random.default_rng(3)
+    for g in (rng.standard_normal(4), rng.standard_normal((4, 3))):
+        for transposed, trans in ((False, "N"), (True, "T")):
+            got = plan.solve_lower(factors, g, transposed)
+            assert got.shape == g.shape
+            assert _rel_err(got, sla.solve_triangular(L, g, lower=True, trans=trans)) <= 1e-14
+            d = np.sqrt(np.diag(M)[2:])
+            assert np.array_equal(got[2:], g[2:] / (d if g.ndim == 1 else d[:, None]))
 
 
 def _congruence_by_smat(W):
@@ -1217,15 +1263,21 @@ def test_format_trace_one_line_per_iteration():
     assert format_trace([]).split() == header
 
 
-def test_trace_records_schur_jitter(monkeypatch):
-    # failing the first Schur factorization makes iteration 1 retry on
-    # M + jitter * I
+def _one_component_problem():
+    """Two rows over three scalars, which they share: M is one 2x2 component."""
     p = SdpProblem()
     x = [p.add_block(1) for _ in range(3)]
     p.add_row(psd_entries=[(xi, 0, 0, 1.0) for xi in x], rhs=4.0)
     p.add_row(psd_entries=[(x[0], 0, 0, 1.0), (x[2], 0, 0, -1.0)], rhs=1.0)
     for xi, cost in zip(x, (2.0, 3.0, 1.0)):
         p.set_objective_entry(xi, 0, 0, cost)
+    return p
+
+
+def test_trace_records_schur_jitter(monkeypatch):
+    # failing the first Schur factorization makes iteration 1 retry on
+    # M + jitter * I
+    p = _one_component_problem()
     cholesky = sdp._cholesky
     seen = []
 
@@ -1243,6 +1295,57 @@ def test_trace_records_schur_jitter(monkeypatch):
     assert jitter > 0.0
     assert np.array_equal(seen[1], seen[0] + jitter * np.eye(2))
     assert all(e["jitter"] == 0.0 for e in sol.trace[1:-1])
+
+
+def test_factor_with_jitter_shifts_once():
+    # one failed factorization is retried once on M + jitter * I, jitter =
+    # max(1e-14 * mean diagonal, 1e-14); the diagonal's factor is its square root
+    calls = []
+
+    def fail_once(M):
+        calls.append(M.copy())
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return sdp._cholesky(M)
+
+    M = np.array([[40.0, 1.0], [1.0, 30.0]])
+    L, jitter = sdp._factor_with_jitter(M, fail_once)
+    assert len(calls) == 2
+    assert jitter == max(1e-14 * 35.0, 1e-14)
+    assert np.array_equal(calls[1], calls[0] + jitter * np.eye(2))
+    assert np.array_equal(L, sdp._cholesky(calls[1]))
+    d, jitter = sdp._factor_with_jitter(np.array([0.0, 1.0]), sdp._positive)
+    assert jitter == 1e-14
+    assert np.array_equal(d, np.sqrt([1e-14, 1.0 + 1e-14]))
+
+    calls.clear()
+
+    def fail(M):
+        calls.append(M.copy())
+        raise np.linalg.LinAlgError("forced")
+
+    M = np.array([[40.0, 1.0], [1.0, 30.0]])
+    assert sdp._factor_with_jitter(M, fail) == (None, max(1e-14 * 35.0, 1e-14))
+    assert len(calls) == 2
+
+
+def test_schur_factorization_fails_after_one_shift(monkeypatch):
+    # a _cholesky that always fails is called on M and on M shifted, then
+    # the solve stops
+    p = _one_component_problem()
+    calls = []
+
+    def fail(M):
+        calls.append(M.copy())
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(sdp, "_cholesky", fail)
+    sol = solve_sdp(p)
+    assert (sol.iterations, sol.message) == (1, "Schur complement factorization failed")
+    assert len(calls) == 2
+    jitter = sol.trace[0]["jitter"]
+    assert jitter == max(1e-14 * np.trace(calls[0]) / 2, 1e-14)
+    assert np.array_equal(calls[1], calls[0] + jitter * np.eye(2))
 
 
 # ---------------------------------------------------------------------------

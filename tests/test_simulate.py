@@ -59,6 +59,20 @@ def r2():
 # fixed-step integration
 
 
+# (horizon, h, the field the error names): NaN and infinities get past a
+# ``<= 0`` check and would fail in int(round(horizon / h)), as would a
+# ratio that overflows, and a negative horizon would return only the start
+# point
+BAD_STEPS = [
+    (1.0, float("nan"), "step size h"),
+    (1.0, float("inf"), "step size h"),
+    (float("nan"), 1e-3, "horizon"),
+    (float("inf"), 1e-3, "horizon"),
+    (-1.0, 1e-3, "horizon"),
+    (1e300, 1e-300, "horizon / h"),
+]
+
+
 class TestIntegrate:
     def test_exponential_decay(self):
         sys = scalar_system(-1.0)
@@ -110,6 +124,13 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="step"):
             integrate(sys, [0.0], x0=[1.0], horizon=1.0, h=0.0)
 
+    @pytest.mark.parametrize("horizon, h, match", BAD_STEPS)
+    def test_non_finite_or_negative_step_rejected(self, horizon, h, match):
+        # rejected by name before any step; horizon 0 stays allowed
+        # (test_zero_horizon)
+        with pytest.raises(ValueError, match=match):
+            integrate(scalar_system(-1.0), [0.0], x0=[1.0], horizon=horizon, h=h)
+
 
 # ---------------------------------------------------------------------------
 # open-loop data collection
@@ -154,6 +175,25 @@ class TestCollectDataset:
                                d_radius=1e-3, x0=[2.0, -2.0], seed=0)
         with pytest.raises(ValueError, match="empty experiment"):
             collect_dataset(khalil, cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("T", 2.5),
+        ("sample_spacing", float("nan")),
+        ("sample_spacing", float("inf")),
+        ("sample_spacing", 0.0),
+        ("u_bound", float("nan")),
+        ("u_bound", float("inf")),
+        ("u_bound", -1.0),
+        ("d_radius", float("nan")),
+        ("d_radius", float("inf")),
+    ])
+    def test_bad_config_rejected_by_name(self, field, value):
+        # each gets past a ``<= 0`` check and would fail in collect_dataset
+        # with a stray error (NaN to integer, OverflowError or TypeError)
+        base = dict(T=20, sample_spacing=0.02, u_bound=10.0, d_radius=1e-3,
+                    x0=[2.0, -2.0], seed=0)
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{**base, field: value})
 
     def test_divergence_during_collection_raises(self):
         sys = scalar_system(1.0, quadratic=True)
@@ -227,6 +267,12 @@ class TestEventTriggeredRun:
             with pytest.raises(ValueError, match="sigma"):
                 event_triggered_run(khalil, k, r2, r2, sigma,
                                     x0=[1.0, 1.0], horizon=0.1)
+
+    @pytest.mark.parametrize("horizon, h, match", BAD_STEPS)
+    def test_non_finite_or_negative_step_rejected(self, khalil, r2, horizon, h, match):
+        k = [parse_poly("-x1^3 - 8*x2", khalil.bases.vars)]
+        with pytest.raises(ValueError, match=match):
+            event_triggered_run(khalil, k, r2, r2, 0.5, x0=[1.0, 1.0], horizon=horizon, h=h)
 
     def test_zero_horizon_single_event(self, khalil, r2):
         k = [parse_poly("-x1^3 - 8*x2", khalil.bases.vars)]

@@ -201,6 +201,8 @@ def test_ellipsoid_without_bases_rejected(khalil_ell, k_lin):
     ({"deg_V": 0}, "degree caps"),
     ({"N3": 0}, "at least one term"),
     ({"deg_k": 0}, "degree caps"),
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"epsilon": float("inf")}, "epsilon"),
 ])
 def test_config_validation(k_lin, kwargs, match):
     with pytest.raises(ValueError, match=match):
