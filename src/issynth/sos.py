@@ -4,7 +4,9 @@ A constraint ``p is SOS`` is compiled by introducing a Gram matrix G over a
 monomial basis z and matching coefficients of  p == z^T G z.  Matrix SOS
 constraints  M(x) = S(y, x) with  y^T M(x) y  a scalar SOS in (y, x)  reuse
 the same machinery: each Gram basis element is a product  y_i * (x-monomial)
-and the target is the expanded quadratic form.  Gram matrices may be split
+and the target is the expanded quadratic form.  A matrix is given by its
+lower triangle, row i with i + 1 entries, so it is symmetric by
+construction and nothing checks or repairs symmetry.  Gram matrices may be split
 into overlapping index blocks (a chordal-style decomposition); the
 constraint then asks for a sum of small PSD Gram blocks instead of one big
 one, which keeps the Schur complement cheap.
@@ -219,8 +221,6 @@ class SosCertificateError(ValueError):
     pass
 
 
-# largest coefficient difference M[i][j] - M[j][i] a matrix SOS target may have
-SYM_TOL = 1e-10
 # lowest Gram eigenvalue extract_certificate clips to zero instead of rejecting
 CERT_MIN_EIG_TOL = 1e-7
 # check_sos_numeric's effort and pass threshold, fixed like verify.py's
@@ -291,35 +291,23 @@ class SosProgram:
                        name: str = "") -> int:
         """Constrain a symmetric polynomial matrix to admit an SOS Gram form.
 
-        entries[i][j] give the matrix; z_bases[i] is the monomial basis
-        attached to row i.  cliques optionally split the Gram into
-        overlapping blocks, each a list of (row, basis_pos) pairs into the
-        corresponding z_bases row.  Entries must agree with their
-        transposes to SYM_TOL.  A margin t follows the module's margin rule.
+        entries is the matrix's lower triangle: row i has i + 1 entries,
+        entries[i][j] for j <= i, so the matrix is symmetric by
+        construction.  z_bases[i] is the monomial basis attached to row i.
+        cliques optionally split the Gram into overlapping blocks, each a
+        list of (row, basis_pos) pairs into the corresponding z_bases row.
+        A margin t follows the module's margin rule.
         """
         self._compiled = None
         n = len(entries)
-        base_vars = None
-        for row in entries:
-            for e in row:
-                if isinstance(e, (AffinePoly, Polynomial)):
-                    base_vars = e.vars
-                    break
-            if base_vars:
-                break
+        for i, row in enumerate(entries):
+            if len(row) != i + 1:
+                raise ValueError(f"row {i} of the lower triangle has {len(row)} entries, "
+                                 f"not {i + 1}")
+        base_vars = next((e.vars for row in entries for e in row
+                          if isinstance(e, (AffinePoly, Polynomial))), None)
         if base_vars is None:
             raise TypeError("matrix SOS constraint needs polynomial entries")
-        M = [[AffinePoly.promote(entries[i][j], base_vars) for j in range(n)]
-             for i in range(n)]
-        # symmetry is required, not silently repaired
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = M[i][j] - M[j][i]
-                err = max((abs(c) for c in d.const.terms.values()), default=0.0)
-                for p in d.lin.values():
-                    err = max(err, max((abs(c) for c in p.terms.values()), default=0.0))
-                if err > SYM_TOL:
-                    raise ValueError(f"matrix asymmetry {err:.2e} at entry ({i},{j})")
 
         # internal quadratic-form variables, one per matrix row
         yvars = tuple(Variable(f"_q{i}", i) for i in range(n))
@@ -331,7 +319,7 @@ class SosProgram:
             y[row] = 1
             return tuple(y) + tuple(exps_x)
 
-        # y^T M y: entry (i, j), j >= i, owns the selector y_i*y_j, so each
+        # y^T M y: entry (j, i), j >= i, owns the selector y_i*y_j, so each
         # of its coefficients lands on a monomial no other entry reaches and
         # is copied, weighted, never summed
         const: dict[tuple[int, ...], float] = {}
@@ -340,9 +328,10 @@ class SosProgram:
             for j in range(i, n):
                 yexp = tuple((k == i) + (k == j) for k in range(n))
                 w = 1.0 if i == j else 2.0
-                for e, c in M[i][j].const.terms.items():
+                entry = AffinePoly.promote(entries[j][i], base_vars)
+                for e, c in entry.const.terms.items():
                     const[yexp + e] = c * w
-                for idx, p in M[i][j].lin.items():
+                for idx, p in entry.lin.items():
                     terms = lin.setdefault(idx, {})
                     for e, c in p.terms.items():
                         terms[yexp + e] = c * w

@@ -307,9 +307,10 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
     zeta = ell.zeta_bar        # (p, n)
     Ainv = ell.A_bar_inv_sqrt  # (p, p)
 
-    # dissipation block matrix, negated into the SOS slot
+    # dissipation block matrix, negated into the SOS slot: its lower
+    # triangle, the form add_matrix_sos takes
     d = 1 + n + p
-    S = [[AffinePoly.promote(0.0, xevars) for _ in range(d)] for _ in range(d)]
+    S = [[AffinePoly.promote(0.0, xevars) for _ in range(i + 1)] for i in range(d)]
     s00 = a4_xe - a3_xe
     for l in range(n):
         zphi = AffinePoly.promote(0.0, xevars)
@@ -319,7 +320,7 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
         s00 = s00 - grad_V[l] * zphi
     S[0][0] = s00
     for i in range(n):
-        S[1 + i][0] = S[0][1 + i] = grad_V[i] * -1.0
+        S[1 + i][0] = grad_V[i] * -1.0
     # exactly one of lambda / phi carries decision variables here
     lam_phi = [lam_xe * AffinePoly.promote(phi_b, xevars) for phi_b in phi]
     for a in range(p):
@@ -328,7 +329,6 @@ def assemble_theorem1(ell: ConsistencyEllipsoid, cfg: SynthesisConfig,
             if abs(Ainv[a, b]) > 0.0:
                 entry = entry - lam_phi[b] * float(Ainv[a, b])
         S[1 + n + a][0] = entry
-        S[0][1 + n + a] = entry
     for i in range(1, d):
         S[i][i] = lam_xe * 2.0
 

@@ -235,28 +235,32 @@ class TestMargin:
 
 class TestMatrixSos:
     def test_rank_one_matrix(self, xv):
-        # [[1, x], [x, x^2]] = (1, x)(1, x)^T
+        # [[1, x], [x, x^2]] = (1, x)(1, x)^T, given by its lower triangle
         one = Polynomial.constant(xv, 1.0)
         x = parse_poly("x", xv)
         prog = SosProgram()
-        h = prog.add_matrix_sos([[one, x], [x, x * x]], [monomial_basis(xv, 1)] * 2)
+        h = prog.add_matrix_sos([[one], [x, x * x]], [monomial_basis(xv, 1)] * 2)
         sol = prog.solve()
         assert sol.status == "optimal"
         assert min(np.linalg.eigvalsh(G)[0] for G in sol.gram(h)) >= -1e-8
 
-    def test_asymmetry_rejected(self, xv):
+    @pytest.mark.parametrize("shape", ["full", "ragged"])
+    def test_entries_other_than_the_lower_triangle_rejected(self, xv, shape):
+        # a full matrix could be asymmetric, so only row i of i + 1 entries
+        # is accepted
         one = Polynomial.constant(xv, 1.0)
         x = parse_poly("x", xv)
+        entries = {"full": [[one, x], [2.0 * x, x * x]], "ragged": [[one], [x]]}[shape]
         prog = SosProgram()
-        with pytest.raises(ValueError, match="asymmetry"):
-            prog.add_matrix_sos([[one, x], [2.0 * x, x * x]], [monomial_basis(xv, 1)] * 2)
+        with pytest.raises(ValueError, match="of the lower triangle has"):
+            prog.add_matrix_sos(entries, [monomial_basis(xv, 1)] * 2)
 
     def test_indefinite_matrix_infeasible(self, xv):
         one = Polynomial.constant(xv, 1.0)
         x = parse_poly("x", xv)
         prog = SosProgram()
         # [[0, x], [x, 0]] has a negative eigenvalue whenever x != 0
-        prog.add_matrix_sos([[0.0 * one, x], [x, 0.0 * one]], [monomial_basis(xv, 1)] * 2)
+        prog.add_matrix_sos([[0.0 * one], [x, 0.0 * one]], [monomial_basis(xv, 1)] * 2)
         assert prog.solve().status == "infeasible"
 
     def test_quadratic_form_matches_at_samples(self, xy):
@@ -269,7 +273,7 @@ class TestMatrixSos:
             M = [[sum((L[k][i] * L[k][j] for k in range(2)), Polynomial.zero(xy))
                   for j in range(2)] for i in range(2)]
             prog = SosProgram()
-            h = prog.add_matrix_sos(M, [basis1] * 2)
+            h = prog.add_matrix_sos([M[0][:1], M[1]], [basis1] * 2)
             sol = prog.solve()
             assert sol.status == "optimal", (trial, sol.sdp.message)
             meta = sol.index["grams"][h]
@@ -295,15 +299,15 @@ class TestMatrixSos:
 
 
 def lifted_target_reference(entries) -> AffinePoly:
-    """y^T M y built by AffinePoly arithmetic: each entry, weighted by 1 on
-    the diagonal and 2 off it, is lifted onto its selector y_i*y_j through
-    the validating Polynomial constructor and added to the running sum.
-    `add_matrix_sos` writes the same coefficients straight into term maps."""
+    """y^T M y for the lower triangle ``entries`` of M, built by AffinePoly
+    arithmetic: each entry, weighted by 1 on the diagonal and 2 off it, is
+    lifted onto its selector y_i*y_j through the validating Polynomial
+    constructor and added to the running sum.  `add_matrix_sos` writes the
+    same coefficients straight into term maps."""
     n = len(entries)
     base_vars = next(e.vars for row in entries for e in row
                      if isinstance(e, (AffinePoly, Polynomial)))
-    M = [[AffinePoly.promote(entries[i][j], base_vars) for j in range(n)]
-         for i in range(n)]
+    M = [[AffinePoly.promote(e, base_vars) for e in row] for row in entries]
     allvars = tuple(Variable(f"_q{i}", i) for i in range(n)) \
         + tuple(Variable(v.name, n + k) for k, v in enumerate(base_vars))
 
@@ -319,7 +323,7 @@ def lifted_target_reference(entries) -> AffinePoly:
             yexp[i] += 1
             yexp[j] += 1
             w = 1.0 if i == j else 2.0
-            target = target + lift_poly(M[i][j] * w, tuple(yexp))
+            target = target + lift_poly(M[j][i] * w, tuple(yexp))
     return target
 
 
@@ -346,14 +350,14 @@ def same_target(a: AffinePoly, b: AffinePoly) -> bool:
 class TestLiftedTarget:
     @staticmethod
     def random_program(xy, cliques):
-        # symmetric 3x3 matrix of quadratics; every entry carries two of
-        # three decision variables, and a margin t
+        # the lower triangle of a 3x3 matrix of quadratics; every entry
+        # carries two of three decision variables, and a margin t
         rng = np.random.default_rng(23)
         prog = SosProgram()
         cs = prog.new_coeffs("c", 3)
         t = prog.new_coeff("t")
         mons = monomial_basis(xy, 2)
-        M = [[None] * 3 for _ in range(3)]
+        M = [[None] * (i + 1) for i in range(3)]
         for i in range(3):
             for j in range(i, 3):
                 e = AffinePoly.promote(sum((float(rng.standard_normal()) * m for m in mons),
@@ -361,7 +365,7 @@ class TestLiftedTarget:
                 for c in rng.choice(cs, size=2, replace=False):
                     m = mons[int(rng.integers(len(mons)))]
                     e = e + AffinePoly.from_var(c, xy) * (float(rng.standard_normal()) * m)
-                M[i][j] = M[j][i] = e
+                M[j][i] = e
         h = prog.add_matrix_sos(M, [monomial_basis(xy, 1)] * 3, cliques=cliques, margin=t)
         prog.set_objective([(t, 1.0)], "max")
         return prog, h, M
@@ -389,7 +393,7 @@ class TestPruning:
         xv = variables(["x"])
         x2 = parse_poly("x^2", xv)
         prog = SosProgram()
-        h = prog.add_matrix_sos([[x2, x2], [x2, x2 + 1.0]],
+        h = prog.add_matrix_sos([[x2], [x2, x2 + 1.0]],
                                 z_bases=[monomial_basis(xv, 1)] * 2)
         prob, index = prog.compile()
         assert index["grams"][h]["pruned"] == [[0]]
