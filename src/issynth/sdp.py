@@ -94,20 +94,22 @@ contradiction test and the random classes) and four full-rank ones whose
 factorization fails only in the endgame, at mu near 1e-8 (the quadratic
 form, the cross term, the star split and a strictly feasible problem).
 
-The matrix blocks of one dimension d form a class (``_BlockClass``), and
-the solver holds a class's X, Z and NT scaling W = R R^T (``_Scaling``)
-as stacks of k d x d matrices, one per block.  So each operation on them
-is one numpy call per class, however many blocks it has: the scaling's
-Cholesky factors and SVD; H^-1 and W^-1, which act through d x d
-products (Todd, Toh & Tutuncu 1998); the corrector products; the iterate
-update; and svec and smat, one gather each from indices found once per
-solve.  A class's step length to the boundary of its cone is -1 over the
-smallest eigenvalue of L^-1 Delta L^-T, where L^-1, the inverse of a
-Cholesky factor of X or Z, is formed once per iteration and read by the
-predictor and the corrector (Toh, Todd & Tutuncu 1999).  The max-det
-ellipsoid fit has three classes: its 14-block, its 12-block and the
-seven 2 x 2 blocks of its geometric-mean tree.  Step V has four classes
-of one block.  On the fit of khalil-fit-multi's operation 0 (143 rows,
+The solver holds the primal and dual iterates only as svec vectors, so
+they are symmetric by construction and one vector update moves them.  The
+matrix blocks of one dimension d form a class (``_BlockClass``).  Where
+the NT scaling W = R R^T (``_Scaling``), the step length and the corrector
+read a class's blocks, it forms them as a stack of k d x d matrices, one
+per block, by one gather (``smat``) from indices found once per solve.  So
+each operation on them is one numpy call per class, however many blocks
+it has: the scaling's Cholesky factors and SVD; H^-1 and W^-1, which act
+through d x d products (Todd, Toh & Tutuncu 1998) and return to svec by
+one gather; and the corrector products.  A class's step length to the
+boundary of its cone is -1 over the smallest eigenvalue of
+L^-1 Delta L^-T, where L^-1, the inverse of a Cholesky factor of X or Z,
+is formed once per iteration and read by the predictor and the corrector
+(Toh, Todd & Tutuncu 1999).  The max-det ellipsoid fit has three
+classes: its 14-block, its 12-block and the seven 2 x 2 blocks of its
+geometric-mean tree.  Step V has four classes of one block.  On the fit of khalil-fit-multi's operation 0 (143 rows,
 21 iterations) that takes an iteration from 4.6-6.0 ms, with calls per
 block, to 2.7-3.1 ms: scaling 0.52-0.60 to 0.34-0.38 ms, directions
 2.2-2.5 to 0.97-1.09 and step length 0.70-0.81 to 0.38-0.42, with the
@@ -132,7 +134,8 @@ svec(d)^2 is formed.  Each solution carries a per-iteration trace with the
 residuals and the seconds of every phase.
 
 A solve ends in one of three ways.  It converges (``optimal``: scaled
-primal and dual residuals and gap within ``DEFAULT_TOL``), it finds an
+primal and dual residuals and gap within ``DEFAULT_TOL``, read from the
+homogeneous model's residuals and objective products over tau), it finds an
 improving ray (``infeasible`` or ``unbounded``), or it stalls: tau
 collapses without a clean ray, an iterate leaves the cone, the Schur
 factorization fails, a search direction is not finite, the step length
@@ -452,11 +455,12 @@ def _congruence(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 class _BlockClass:
     """The k matrix blocks of one dimension d > 1, whose matrices the solver
-    holds stacked in one (k, d, d) array.
+    forms stacked in one (k, d, d) array from its svec vectors.
 
     ``cols[i]`` are block ``blocks[i]``'s svec columns in the problem's
     vector.  ``svec`` and ``smat`` move between the two forms with one
-    gather per class, and give the bits of ``svec`` and ``smat`` per block.
+    gather per class, and give the bits of ``svec`` and ``smat`` per block;
+    ``smat``'s stack is symmetric by construction.
     """
 
     def __init__(self, d: int, blocks: list[int], starts: list[int]):
@@ -898,16 +902,14 @@ class _Preprocessed:
 
         # free directions no kept row sees, the null space of A_free: with a
         # cost they make the problem unbounded, without one they are dropped,
-        # so the free-variable Schur complement is nonsingular.  Only then are
-        # the columns rewritten, since a copy changes step V's bits
+        # so the free-variable Schur complement is nonsingular
         _, sv, Vt = np.linalg.svd(np.linalg.qr(self.A_free, mode="r"))
         tol = max(self.A_free.shape) * np.finfo(float).eps * sv.max(initial=0.0)
         keep, null = np.split(Vt, [int(np.sum(sv > tol))])
         self.unbounded_free = bool(np.any(np.abs(null @ self.c_free) > 1e-12))
-        if len(null):
-            self.N = self.N @ keep.T
-            self.A_free = self.A_free @ keep.T
-            self.c_free = keep @ self.c_free
+        self.N = self.N @ keep.T
+        self.A_free = self.A_free @ keep.T
+        self.c_free = keep @ self.c_free
 
         # row equilibration on the kept rows
         rn = np.sqrt(np.asarray(self.A_psd.multiply(self.A_psd).sum(axis=1)).ravel()
@@ -953,7 +955,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             status="infeasible",
             objective=None,
             y=np.zeros(prob.n_rows),
-            message="linear equalities on free variables are inconsistent",
+            message="equality rows without matrix entries are inconsistent",
         )
     if pre.unbounded_free:
         return SdpSolution(
@@ -989,32 +991,22 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     # the plan takes the matrix blocks class by class
     plan = _SchurPlan(A, lp, [(slices[bi], cl.d) for cl in classes for bi in cl.blocks])
 
-    # identity start; X, Z and the scalings hold one stack per class
-    X = [np.tile(np.eye(cl.d), (len(cl.blocks), 1, 1)) for cl in classes]
-    Z = [Xc.copy() for Xc in X]
-    x = np.ones(len(lp))
-    z = np.ones(len(lp))
+    # identity start; the iterates are held only as svec vectors
+    xv = np.ones(n_psd)
+    for cl in classes:
+        xv[cl.cols] = svec(np.eye(cl.d))
+    zv = xv.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
-
-    def to_vec(mats, v):
-        out = np.empty(n_psd)
-        out[lp] = v
-        for cl, M in zip(classes, mats):
-            out[cl.cols] = cl.svec(M)
-        return out
 
     def to_mats(v):
         return [cl.smat(v) for cl in classes]
 
-    def to_blocks(mats, v):
-        out: list = [None] * len(dims)
-        for cl, M in zip(classes, mats):
-            for bi, Mk in zip(cl.blocks, 0.5 * (M + M.mT)):
-                out[bi] = Mk
-        for bi, vk in zip(lp_blocks, v):
-            out[bi] = np.array([[vk]])
-        return out
+    def to_blocks(v):
+        out = {bi: np.array([[vk]]) for bi, vk in zip(lp_blocks, v[lp])}
+        for cl in classes:
+            out.update(zip(cl.blocks, cl.smat(v)))
+        return [out[bi] for bi in range(len(dims))]
 
     xf = np.zeros(nf)
     norm_b = 1.0 + np.linalg.norm(b)
@@ -1027,46 +1019,38 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     status, msg = None, "iteration limit reached"
 
     for it in range(1, max_iter + 1):
-        xv = to_vec(X, x)
-        zv = to_vec(Z, z)
+        x, z = xv[lp], zv[lp]
         # residuals of the homogeneous model
         Rp = A @ xv + Af @ xf - b * tau
         Rd_psd = -(AT @ y) + c * tau - zv
         Rd_free = -(Af.T @ y) + cf * tau
-        Rg = float(b @ y - c @ xv - cf @ xf - kappa)
+        by = float(b @ y)
+        cx = float(c @ xv + cf @ xf)
+        Rg = by - cx - kappa
         mu = (float(xv @ zv) + tau * kappa) / (nu + 1)
 
-        # convergence metrics at the de-homogenized point
-        xhat = xv / tau
-        xfhat = xf / tau
-        yhat = y / tau
-        zhat = zv / tau
-        pres = np.linalg.norm(A @ xhat + Af @ xfhat - b) / norm_b
-        dres = np.sqrt(
-            np.linalg.norm(AT @ yhat + zhat - c) ** 2
-            + np.linalg.norm(Af.T @ yhat - cf) ** 2
-        ) / norm_c
-        pobj = float(c @ xhat + cf @ xfhat)
-        dobj = float(b @ yhat)
+        # convergence metrics at the de-homogenized point, from the
+        # residuals divided by tau
+        pres = np.linalg.norm(Rp) / tau / norm_b
+        dres = np.sqrt(np.linalg.norm(Rd_psd) ** 2 + np.linalg.norm(Rd_free) ** 2) / tau / norm_c
+        pobj = cx / tau
+        dobj = by / tau
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
-            best = (score, [Xk / tau for Xk in X], x / tau, xfhat.copy(), yhat.copy(),
-                    [Zk / tau for Zk in Z], z / tau, pobj)
+            best = (score, xv / tau, xf / tau, y / tau, zv / tau, pobj)
         entry = {"mu": mu, "pres": float(pres), "dres": float(dres), "gap": gap,
                  "tau": tau, "kappa": kappa, "sigma": None, "step": None, "jitter": None,
                  "seconds": {}}
         trace.append(entry)
         seconds = entry["seconds"]
 
-        if max(pres, dres, gap) <= DEFAULT_TOL:
+        if score <= DEFAULT_TOL:
             status, msg = "optimal", f"converged in {it} iterations"
             break
 
         if tau <= INFEAS_RATIO * kappa:
             # certificate quality decides between the two infeasibility kinds
-            by = float(b @ y)
-            cx = float(c @ xv + cf @ xf)
             dual_ray = np.sqrt(
                 np.linalg.norm(AT @ y + zv) ** 2 + np.linalg.norm(Af.T @ y) ** 2
             )
@@ -1084,7 +1068,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         # nonnegative cone
         t0 = time.perf_counter()
         try:
-            scalings = [_Scaling(Xc, Zc) for Xc, Zc in zip(X, Z)]
+            scalings = [_Scaling(Xc, Zc) for Xc, Zc in zip(to_mats(xv), to_mats(zv))]
         except np.linalg.LinAlgError:
             msg = "iterate left the cone"
             break
@@ -1231,13 +1215,8 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
             msg = f"step length {a:.2e} below minimum"
             break
 
-        for k, (dXc, dZc) in enumerate(zip(dX, dZ)):
-            X[k] = X[k] + a * dXc
-            Z[k] = Z[k] + a * dZc
-            X[k] = 0.5 * (X[k] + X[k].mT)
-            Z[k] = 0.5 * (Z[k] + Z[k].mT)
-        x = x + a * dxK[lp]
-        z = z + a * dz[lp]
+        xv = xv + a * dxK
+        zv = zv + a * dz
         xf = xf + a * dxF
         y = y + a * dy
         tau += a * dtau
@@ -1248,18 +1227,18 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
                           trace=trace)
         sol.y = pre.recover_y(y, ray=True) if status == "infeasible" else np.zeros(prob.n_rows)
         if status == "unbounded":
-            sol.blocks = to_blocks(X, x)
+            sol.blocks = to_blocks(xv)
         return sol
 
     # report the best de-homogenized iterate
-    _, Xb, xb, xfb, yb, Zb, zb, pobj = best
+    _, xb, xfb, yb, zb, pobj = best
     sol = SdpSolution(
         status=status or "numerical-failure",
         objective=pobj + pre.obj_const,
-        blocks=to_blocks(Xb, xb),
+        blocks=to_blocks(xb),
         free=pre.recover_free(xfb),
         y=pre.recover_y(yb),
-        z_blocks=to_blocks(Zb, zb),
+        z_blocks=to_blocks(zb),
         iterations=it,
         message=msg,
         trace=trace,

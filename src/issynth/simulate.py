@@ -180,7 +180,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
+        if not np.isfinite(self.x0).all():
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
 
 @dataclass

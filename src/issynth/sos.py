@@ -300,10 +300,8 @@ class SosProgram:
         """
         self._compiled = None
         n = len(entries)
-        for i, row in enumerate(entries):
-            if len(row) != i + 1:
-                raise ValueError(f"row {i} of the lower triangle has {len(row)} entries, "
-                                 f"not {i + 1}")
+        if any(len(row) != i + 1 for i, row in enumerate(entries)):
+            raise ValueError("entries must be a lower triangle: row i has i + 1 entries")
         base_vars = next((e.vars for row in entries for e in row
                           if isinstance(e, (AffinePoly, Polynomial))), None)
         if base_vars is None:

@@ -21,7 +21,7 @@ from issynth.consistency import (
     solve_overapprox,
 )
 from issynth.poly import Polynomial, parse_poly, variables
-from issynth.sdp import SdpSolution
+from issynth.sdp import SdpSolution, validate_solution
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
 from test_poly import float64_eval
 
@@ -50,14 +50,14 @@ def ellipsoid(dmats):
 
 @pytest.fixture
 def fit_solves(monkeypatch):
-    """(margin, solution) of each solve_sdp call solve_overapprox makes; row
-    0's rhs is 1 - margin."""
+    """(margin, problem, solution) of each solve_sdp call solve_overapprox
+    makes; row 0's rhs is 1 - margin."""
     solves = []
     solve = consistency.solve_sdp
 
     def recorded_solve(prob, *args):
         sol = solve(prob, *args)
-        solves.append((round(1.0 - prob.arrays()[2][0], 12), sol))
+        solves.append((round(1.0 - prob.arrays()[2][0], 12), prob, sol))
         return sol
 
     monkeypatch.setattr(consistency, "solve_sdp", recorded_solve)
@@ -320,10 +320,10 @@ class TestSolveOverapprox:
     def test_one_solve_at_the_fit_margin(self, khalil, dmats, fit_solves):
         # also on seed 2's data, where a solve at 1e-6 ends infeasible
         solve_overapprox(dmats)
-        assert [(m, sol.status) for m, sol in fit_solves] == [(1e-8, "optimal")]
+        assert [(m, sol.status) for m, _, sol in fit_solves] == [(1e-8, "optimal")]
         fit_solves.clear()
         solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(2))))
-        assert [(m, sol.status) for m, sol in fit_solves] == [(1e-8, "optimal")]
+        assert [(m, sol.status) for m, _, sol in fit_solves] == [(1e-8, "optimal")]
 
     def test_failed_solve_raises_with_its_status_and_message(self, dmats, monkeypatch):
         failed = SdpSolution(status="numerical-failure", objective=None,
@@ -502,7 +502,7 @@ def test_inverse_square_root_residual_of_khalil_step_fits(khalil, seed, fit_solv
     # residual <= 2.5e-10, so a rounding-level change to the solver no longer
     # decides whether a fit raises
     ell = solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(seed))))
-    assert [sol.status for _, sol in fit_solves] == ["optimal"]
+    assert [sol.status for _, _, sol in fit_solves] == ["optimal"]
     X = ell.A_bar_inv_sqrt
     assert np.abs(X @ X @ ell.A_bar - np.eye(len(X))).max() <= 1e-9
     assert membership(khalil.AB, ell).ok
@@ -513,10 +513,35 @@ def test_fit_history_names_its_margin_and_iterations(khalil, seed, fit_solves):
     # on the khalil-step experiment seed 0's data used to fit at 1e-6, and
     # seed 1's solve at 1e-6 ends infeasible
     ell = solve_overapprox(build_data_matrices(collect_dataset(khalil, khalil_step_experiment(seed))))
-    [(_, sol)] = fit_solves
+    [(_, _, sol)] = fit_solves
     assert sol.status == "optimal"
     [h] = ell.history
     assert sorted(h) == ["best_logdet", "iterations", "margin"]
     assert h["margin"] == consistency.FIT_MARGIN == 1e-8
     assert h["iterations"] == sol.iterations > 0
     assert ell.to_json_dict()["fit_logdets"] == [h["best_logdet"]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("op", range(5))
+def test_khalil_fit_multi_draws(khalil, seed, op, fit_solves):
+    # the benchmark's khalil-fit-multi data: six trajectories of T = 15 from
+    # x0 on the radius-0.8 circle at 30 + 60 k degrees, d_radius 0.01,
+    # trajectory j of operation op collected with a seed from
+    # SeedSequence([seed, op, j]); a rounding change to the solver must keep
+    # every such fit optimal, valid, around the truth and well conditioned
+    angles = np.pi / 6 + np.arange(6) * np.pi / 3
+    samples = []
+    for j, x0 in enumerate(0.8 * np.column_stack([np.cos(angles), np.sin(angles)])):
+        collection_seed = int(np.random.SeedSequence([seed, op, j]).generate_state(1)[0])
+        cfg = ExperimentConfig(T=15, sample_spacing=0.05, u_bound=1.0, d_radius=0.01,
+                               x0=x0, seed=collection_seed)
+        samples.extend(collect_dataset(khalil, cfg).samples)
+    ell = solve_overapprox(build_data_matrices(Dataset(khalil.bases, 0.01 ** 2, samples)),
+                           bases=khalil.bases)
+    [(_, prob, sol)] = fit_solves
+    assert sol.status == "optimal"
+    assert validate_solution(prob, sol)["ok"]
+    assert membership(khalil.AB, ell).ok
+    X = ell.A_bar_inv_sqrt
+    assert np.abs(X @ X @ ell.A_bar - np.eye(len(X))).max() <= 1e-9

@@ -347,7 +347,8 @@ class TestKnownProblems:
     def test_empty_row(self, rhs, status):
         # a row with no entries is eliminated with the free-only rows: 0 = 0
         # leaves the problem as it was and gets dual 0, 0 = 1 is infeasible
-        # before any iteration
+        # before any iteration, and the message names no free variable the
+        # problem does not have
         p = SdpProblem()
         g = p.add_block(2)
         p.add_row(psd_entries=[(g, 0, 0, 1.0), (g, 1, 1, 1.0)], rhs=2.0)
@@ -362,6 +363,7 @@ class TestKnownProblems:
         else:
             assert sol.iterations == 0
             assert "inconsistent" in sol.message
+            assert "free variable" not in sol.message
 
     def test_free_only_rows_eliminated(self):
         # v1 + v2 = 3, v1 - v2 = 1 pin the free part exactly

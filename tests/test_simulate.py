@@ -186,10 +186,15 @@ class TestCollectDataset:
         ("u_bound", -1.0),
         ("d_radius", float("nan")),
         ("d_radius", float("inf")),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("x0", [float("nan"), 0.0]),
+        ("x0", [0.0, float("inf")]),
     ])
     def test_bad_config_rejected_by_name(self, field, value):
-        # each gets past a ``<= 0`` check and would fail in collect_dataset
-        # with a stray error (NaN to integer, OverflowError or TypeError)
+        # each would fail only later, in collect_dataset, with an error that
+        # does not name the field (NaN to integer, OverflowError, TypeError,
+        # numpy's negative-seed error or a divergence after sample 0)
         base = dict(T=20, sample_spacing=0.02, u_bound=10.0, d_radius=1e-3,
                     x0=[2.0, -2.0], seed=0)
         with pytest.raises(ValueError, match=field):

@@ -252,7 +252,7 @@ class TestMatrixSos:
         x = parse_poly("x", xv)
         entries = {"full": [[one, x], [2.0 * x, x * x]], "ragged": [[one], [x]]}[shape]
         prog = SosProgram()
-        with pytest.raises(ValueError, match="of the lower triangle has"):
+        with pytest.raises(ValueError, match="lower triangle"):
             prog.add_matrix_sos(entries, [monomial_basis(xv, 1)] * 2)
 
     def test_indefinite_matrix_infeasible(self, xv):
@@ -273,7 +273,7 @@ class TestMatrixSos:
             M = [[sum((L[k][i] * L[k][j] for k in range(2)), Polynomial.zero(xy))
                   for j in range(2)] for i in range(2)]
             prog = SosProgram()
-            h = prog.add_matrix_sos([M[0][:1], M[1]], [basis1] * 2)
+            h = prog.add_matrix_sos([M[0][:1], M[1]], [basis1] * 2)  # M's lower triangle
             sol = prog.solve()
             assert sol.status == "optimal", (trial, sol.sdp.message)
             meta = sol.index["grams"][h]
