@@ -6,10 +6,10 @@ constraints  M(x) = S(y, x) with  y^T M(x) y  a scalar SOS in (y, x)  reuse
 the same machinery: each Gram basis element is a product  y_i * (x-monomial)
 and the target is the expanded quadratic form.  A matrix is given by its
 lower triangle, row i with i + 1 entries, so it is symmetric by
-construction and nothing checks or repairs symmetry.  Gram matrices may be split
-into overlapping index blocks (a chordal-style decomposition); the
-constraint then asks for a sum of small PSD Gram blocks instead of one big
-one, which keeps the Schur complement cheap.
+construction.  Gram matrices may be split into overlapping index blocks (a
+chordal-style decomposition); the constraint then asks for a sum of small
+PSD Gram blocks instead of one big one, which keeps the Schur complement
+cheap.
 
 Decision variables enter affinely through `AffinePoly`: a fixed polynomial
 plus polynomial multipliers for named scalar coefficients.  Compilation maps
