@@ -47,11 +47,12 @@ Todd & Tutuncu 1999), is a pair of triangular solves, LAPACK trtrs
 (``_solve_lower``): M^-1 g = L^-T (L^-1 g).  On step V's 697-row
 component the pair takes 51 us for one right-hand side where LAPACK
 potrs, which solves with the whole factor in one call, takes 128 us; on
-143 rows 4.5 against 7.2 us (one BLAS thread, 2 vCPU).  A term over some rows of a component adds into
-it one run of consecutive positions by another, as slices, which adds what
-an ``np.ix_`` scatter adds; component rows stay ascending, since another
-order would change the Cholesky bits.  Each matrix block adds its term
-A_b P_b^T (below), and then the nonnegative cone adds its term.  Every 1x1
+143 rows 4.5 against 7.2 us (one BLAS thread, 2 vCPU).  A term over some
+rows of a component adds into its matrix at those rows' positions there;
+component rows stay ascending, since another order would change the
+Cholesky bits.  Each matrix block adds its term A_b P_b^T (below) straight
+into its component, chunk by chunk of rows, and then the nonnegative cone
+adds its term, through one ``np.ix_`` scatter per component.  Every 1x1
 block is one coordinate x_i >= 0 of that single cone: its scaling is
 elementwise (H^-1 = diag(x/z)) and its step length is a min-ratio test.
 Its term A_lp diag(x/z) A_lp^T is one dense product per component of
@@ -124,12 +125,17 @@ it is formed chunk by chunk of rows, and only in the lower triangle
 Schur build from 21.4-24.3 ms per iteration, as B B^T with
 B = svec(R^T A_i R), to 10.4-11.9 ms, and the factorization of its
 697-row component from 13.1-14.4 ms (``np.linalg.cholesky``) to
-8.1-8.4 ms (one BLAS thread, medians of 150 at iterations 5-20).  Every
-row's entries are summed level by level over all the rows at once, so no
-row pays a per-row call, as one ``np.add.reduceat`` segment would.  Memory
-per iteration is O(m_c^2) per Schur component of m_c rows plus, per
-matrix block, O(m_b^2) for its term (m_b rows touch it) and O(SCHUR_CHUNK)
-for its gather, and O(k d^2) per class for its scaling; nothing of order
+8.1-8.4 ms (one BLAS thread, medians of 150 at iterations 5-20).  Both
+sums over a row's few entries are scipy sparse-times-dense products, one
+call each per chunk, and the second's result adds straight into the
+component at the chunk rows' positions.  Against the level-by-level sums
+and the run-by-run adds of an m_b x m_b term they replaced, that takes
+step V's Schur build from 8.9 to 6.3 ms per iteration and a
+khalil-fit-multi fit's from 0.58 to 0.54 ms (one BLAS thread, 2 vCPU,
+medians of seven interleaved rounds at iterations 5-20).  Memory per
+iteration is O(m_c^2) per Schur component of m_c rows plus, per matrix
+block, O(SCHUR_CHUNK) for a chunk's gather and O(r m_c) for the product
+of its r rows, and O(k d^2) per class for its scaling; nothing of order
 svec(d)^2 is formed.  Each solution carries a per-iteration trace with the
 residuals and the seconds of every phase.
 
@@ -521,94 +527,78 @@ class _Scaling:
 # gather holds; only ``_SchurRows`` reads it, since the cone's term is one
 # product per component.  The chunk's temporaries stay in cache, and the
 # chunks of whole rows along the diagonal bound the part of the upper
-# triangle formed; step V's d = 44 block (584 rows, 990 entries) takes
-# 7.4-8.0 ms at 2^15, 10.1-11.1 ms at 2^16 and 9.3-10.0 ms at 2^14 (one
-# BLAS thread, medians of 150)
+# triangle formed; step V's Schur build takes 6.3-7.0 ms per iteration at
+# 2^15, 6.2-7.1 ms at 2^16 and 7.0-7.5 ms at 2^14 (one BLAS thread, 2 vCPU,
+# medians of five rounds in each of two runs)
 SCHUR_CHUNK = 1 << 15
 
 
 class _SchurRows:
-    """The lower triangle of one matrix block's Schur term A_b H^-1 A_b^T.
+    """The lower triangle of one matrix block's Schur term A_b H^-1 A_b^T,
+    added into the matrix of the component that holds the block's rows.
 
     Entry (j, i) of the term is a_i . P_j with P_j = svec(W A_j W), W = R R^T
     and a_i row i's coefficients on the block, so the term is A_b P^T, formed
     without B B^T for B = svec(R^T A_i R) (Fujisawa, Kojima & Nakata 1997).
     A row's matrix A_j has few entries, so W A_j W is a sum of rank-2
     products of rows of W, one per entry, and A_b needs P_j only where its
-    rows have entries: entry (e, f) of the gather, for an entry e = (p, q)
-    of row j and f = (s, t) of row i, is W[p, s] W[q, t] + W[q, s] W[p, t]
-    times e's coefficient.  Each row's first product is written straight
-    into its P_j; the products of its other entries are summed in entry
-    order, level by level over the rows, and added to it once, so that no
-    row pays a per-row call.  Then each i sums its entries of P_j, weighted
-    by a_i and the svec scale, first entry first, level by level again.
-    The rows are gathered in chunks of whole rows, [r0, r1), against the
+    rows have entries: entry (e, f) of the gather G, for an entry e = (p, q)
+    of row j and f = (s, t) of row i, is W[p, s] W[q, t] + W[q, s] W[p, t].
+    Both sums are sparse products over those few entries, one scipy call
+    each per chunk: ``rows`` sums each row's entries of G weighted by their
+    coefficients, P = rows G, and ``cols`` sums each row i's entries of P_j
+    weighted by a_i and the svec scale, cols P^T, with row i at its
+    position in the component.  Each adds its terms in entry order, so a
+    row of one or two entries per block keeps the bits of any order.  The
+    rows are gathered in chunks of whole rows, [r0, r1), against the
     entries of rows 0 .. r1 - 1 only: that is the lower triangle, which is
     all potrf reads of M, and the chunk's own square, whose part above the
-    diagonal stays in the term as formed.  Above those squares the term is
-    zero.  Temporaries stay O(SCHUR_CHUNK) instead of O(nnz^2).
+    diagonal is added as formed.  A chunk adds into its rows of the
+    component up to the column of its last row, so nothing is added above
+    those squares.  Temporaries stay O(SCHUR_CHUNK) instead of O(nnz^2).
     """
 
-    def __init__(self, A_blk: sp.csr_matrix, d: int):
-        """``A_blk``: the block's columns of the rows touching it, no row empty."""
+    def __init__(self, A_blk: sp.csr_matrix, d: int, loc: np.ndarray):
+        """``A_blk``: the block's columns of the rows touching it, no row
+        empty; ``loc``: those rows' positions, ascending, in their component."""
+        import scipy.sparse as sp
+
         iu, ju, scale = svec_indices(d)
-        self.m = A_blk.shape[0]
-        indptr, nnz = A_blk.indptr, np.diff(A_blk.indptr)
+        m, indptr = A_blk.shape[0], A_blk.indptr
         # each entry's matrix position, its coefficient in the gather (smat
         # halves an off-diagonal svec value onto two slots through 1/sqrt2;
         # the rank-2 product counts a diagonal entry twice) and its weight
         # in the product
         self.p, self.q = iu[A_blk.indices], ju[A_blk.indices]
         coef = A_blk.data * np.where(self.p == self.q, 0.5, 1.0 / np.sqrt(2.0))
-        self.weight = A_blk.data * scale[A_blk.indices]
+        weight = A_blk.data * scale[A_blk.indices]
         per_chunk = max(1, SCHUR_CHUNK // A_blk.nnz)
         starts = [0]
-        for r in range(1, self.m):
+        for r in range(1, m):
             if indptr[r + 1] - indptr[starts[-1]] > per_chunk:
                 starts.append(r)
-        self.bounds = list(zip(starts, starts[1:] + [self.m]))
-        # per chunk, its entries in the order term() adds them: each row's
-        # first entry; of the rows of two or more entries (``multi``, the
-        # most entries first, so the rows that have a k-th entry are a
-        # prefix), every second entry, then every third, and so on, where
-        # ``levels`` holds each level's start and length; then the entries
-        # the product reads per level: the first of every row below r1,
-        # then the k-th of those that have one
-        self.plan = []
-        for r0, r1 in self.bounds:
-            multi = r0 + np.flatnonzero(nnz[r0:r1] > 1)
-            multi = multi[np.argsort(-nnz[multi], kind="stable")]
-            counts = [np.count_nonzero(nnz[multi] > k) for k in range(1, nnz[multi].max(initial=1))]
-            e = np.concatenate([indptr[r0:r1]]
-                               + [indptr[multi[:c]] + k for k, c in enumerate(counts, 1)])
-            offs = np.cumsum([r1 - r0] + counts)
-            below = [np.flatnonzero(nnz[:r1] > k) for k in range(1, nnz[:r1].max())]
-            self.plan.append((self.p[e], self.q[e], coef[e, None], multi - r0,
-                              list(zip(offs[:-1], counts)), indptr[r1], indptr[:r1],
-                              [(i, indptr[i] + k) for k, i in enumerate(below, 1)]))
+        # per chunk: its entries' positions, ``rows``, ``cols`` and the
+        # chunk rows' positions in the component
+        self.chunks = []
+        counts = np.zeros(loc[-1] + 1, np.int64)
+        for r0, r1 in zip(starts, starts[1:] + [m]):
+            e0, e1 = indptr[r0], indptr[r1]
+            rows = sp.csr_matrix((coef[e0:e1], np.arange(e1 - e0), indptr[r0:r1 + 1] - e0))
+            counts[loc[r0:r1]] = np.diff(indptr[r0:r1 + 1])
+            # rows up to the chunk's last row's position, e1 columns
+            ptr = np.concatenate([[0], np.cumsum(counts[:loc[r1 - 1] + 1])])
+            cols = sp.csr_matrix((weight[:e1], np.arange(e1), ptr))
+            self.chunks.append((self.p[e0:e1], self.q[e0:e1], rows, cols, loc[r0:r1]))
 
-    def term(self, W: np.ndarray) -> np.ndarray:
-        """The term's lower triangle for the block's scaling W = R R^T."""
+    def add(self, W: np.ndarray, Mc: np.ndarray) -> None:
+        """Add the term's lower triangle for the block's scaling W = R R^T
+        into the component's matrix ``Mc``."""
         WP, WQ = W[:, self.p], W[:, self.q]
-        S = np.zeros((self.m, self.m))
-        for (r0, r1), (p, q, coef, multi, levels, n, first, later) in zip(self.bounds, self.plan):
-            I, J = WP[:, :n], WQ[:, :n]
+        for p, q, rows, cols, at in self.chunks:
+            I, J = WP[:, :cols.shape[1]], WQ[:, :cols.shape[1]]
             G = I[p] * J[q]
             G += I[q] * J[p]
-            G *= coef
-            P = G[:r1 - r0]
-            if levels:
-                o, k = levels[0]
-                tail = G[o:o + k]
-                for o, k in levels[1:]:
-                    tail[:k] += G[o:o + k]
-                P[multi] += tail
-            P *= self.weight[:n]
-            Sc = S[r0:r1, :r1]
-            Sc[...] = P[:, first]
-            for i, f in later:
-                Sc[:, i] += P[:, f]
-        return S
+            Mc[at, :cols.shape[0]] += (cols @ (rows @ G).T).T
 
 
 def _max_step_psd(L_inv: np.ndarray, Delta: np.ndarray) -> float:
@@ -660,14 +650,6 @@ def _components(m: int, rows: np.ndarray, groups: np.ndarray) -> list[np.ndarray
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _add_runs(Mc: np.ndarray, runs: list, S: np.ndarray) -> None:
-    """Add S, a term over some rows of a component, into its matrix ``Mc``
-    through the runs ``_SchurPlan.block`` gives for those rows."""
-    for ma, ba in runs:
-        for mb, bb in runs:
-            Mc[ma, mb] += S[ba, bb]
-
-
 class _SchurPlan:
     """The Schur complement M = A H^-1 A^T of one solve: its structure,
     found once, and per iteration its build, factorization and solve.
@@ -681,8 +663,9 @@ class _SchurPlan:
     The nonnegative cone's term A_lp diag(w) A_lp^T takes one BLAS product
     per component, vals^T (diag(w) vals) for the dense K x r array ``vals``
     of its r cone rows over their K coordinates (``lp_groups``, with the
-    coordinates and the runs), and one ``np.bincount`` of the singleton
-    rows' a_ik^2 w_k into ``diag`` (``lp_singles``).
+    coordinates, the component's matrix and the rows' ``np.ix_`` positions
+    in it), and one ``np.bincount`` of the singleton rows' a_ik^2 w_k into
+    ``diag`` (``lp_singles``).
     """
 
     def __init__(self, A: sp.csr_matrix, lp: np.ndarray, blocks: Sequence[tuple[slice, int]]):
@@ -717,9 +700,12 @@ class _SchurPlan:
             comp_of[r], self._size[r], self._pos[r], self._base[r] = c, n, np.arange(n), o
         self._base[self.singles] = offsets[-1] + np.arange(len(self.singles))
 
-        # each matrix block's Schur rows and their runs in their component
-        self.blocks = [(k, _SchurRows(sub[r], d), self.block(r))
-                       for k, (sub, r, (_, d)) in enumerate(zip(subs, block_rows, blocks)) if len(r)]
+        # each matrix block's Schur rows and the matrix of their component
+        self.blocks = []
+        for k, (sub, r, (_, d)) in enumerate(zip(subs, block_rows, blocks)):
+            if len(r):
+                Mc, loc = self.block(r)
+                self.blocks.append((k, _SchurRows(sub[r], d, loc), Mc))
 
         # the cone's entries: per component of two or more rows a dense
         # K x r array, coordinates and rows ascending; those of singleton
@@ -731,30 +717,16 @@ class _SchurPlan:
             r, ks = np.unique(row[e]), np.unique(col[e])
             vals = np.zeros((len(ks), len(r)))
             vals[np.searchsorted(ks, col[e]), np.searchsorted(r, row[e])] = val[e]
-            self.lp_groups.append((vals, ks, self.block(r)))
+            Mc, loc = self.block(r)
+            self.lp_groups.append((vals, ks, Mc, np.ix_(loc, loc)))
         e = comp < 0
         self.lp_singles = (np.searchsorted(self.singles, row[e]), val[e] ** 2, col[e])
 
     def block(self, rows: np.ndarray):
         """The matrix view of the component holding ``rows`` (ascending), and
-        the runs of consecutive positions they take in it.
-
-        Each run is a pair (slice of the component, slice of ``rows``): a
-        term S over those rows adds into the component as
-        ``Mc[ma, mb] += S[ba, bb]`` over every two runs (``_add_runs``),
-        which adds what an ``np.ix_`` scatter adds, in slice operations.
-        Their number grows with the square of the run count, which is at
-        most about m_b/2 when the block's rows alternate with another's.
-        Step V of the benchmark experiment has 7 and 6 runs (11 and 10 at
-        deg_V = 4) in one component; there the slice adds take 1.2 ms
-        (20 ms) per iteration, one fancy-indexed add per run 2.9 ms
-        (111 ms) and the scatter 4.2 ms (90 ms), on one thread.
-        """
+        their positions in it."""
         n, o = self._size[rows[0]], self._base[rows[0]]
-        loc = self._pos[rows]
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(loc) != 1) + 1, [len(loc)]])
-        runs = [(slice(loc[a], loc[a] + (b - a)), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-        return self.flat[o:o + n * n].reshape(n, n), runs
+        return self.flat[o:o + n * n].reshape(n, n), self._pos[rows]
 
     def build(self, Rs: Sequence[np.ndarray], w: np.ndarray) -> None:
         """Form M's lower triangle in ``flat`` for the matrix blocks' scaling
@@ -764,15 +736,15 @@ class _SchurPlan:
         the cone's term, part of each block's), which nothing reads.
         """
         self.flat.fill(0.0)
-        for k, schur_rows, target in self.blocks:
+        for k, schur_rows, Mc in self.blocks:
             R = Rs[k]
-            _add_runs(*target, schur_rows.term(R @ R.T))
+            schur_rows.add(R @ R.T, Mc)
         self.add_lp(w)
 
     def add_lp(self, w: np.ndarray) -> None:
         """Add the nonnegative cone's term A_lp diag(w) A_lp^T into ``flat``."""
-        for vals, coords, target in self.lp_groups:
-            _add_runs(*target, vals.T @ (w[coords, None] * vals))
+        for vals, coords, Mc, at in self.lp_groups:
+            Mc[at] += vals.T @ (w[coords, None] * vals)
         at, squares, coords = self.lp_singles
         self.diag += np.bincount(at, squares * w[coords], len(self.diag))
 

@@ -36,6 +36,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -76,6 +77,9 @@ class SynthesisConfig:
 
     def __post_init__(self):
         self.k_init = tuple(self.k_init)
+        for name in ("deg_V", "deg_k", "deg_lambda", "N1", "N2", "N3", "N4", "rounds"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.rounds < 1:

@@ -106,18 +106,26 @@ class TestScalingProducts:
         R = _factor_with_condition(rng, d, cond)
         W = R @ R.T
         ref = np.tril(A @ _congruence_matrix(W) @ A.T.toarray())
-        whole = _SchurRows(A, d)
-        assert len(whole.bounds) == 1
-        assert _rel_err(np.tril(whole.term(W)), ref) <= 1e-12
+        m = A.shape[0]
+
+        def added(schur_rows):
+            S = np.zeros((m, m))
+            schur_rows.add(W, S)
+            return S
+
+        whole = _SchurRows(A, d, np.arange(m))
+        assert len(whole.chunks) == 1
+        S_whole = added(whole)
+        assert _rel_err(np.tril(S_whole), ref) <= 1e-12
         # in chunks, each entry of the lower triangle keeps its bits, and
-        # above the chunks' squares the term is zero
+        # nothing is added above the chunks' squares
         monkeypatch.setattr(sdp, "SCHUR_CHUNK", 4 * A.nnz)
-        chunked = _SchurRows(A, d)
-        assert len(chunked.bounds) > 5
-        S = chunked.term(W)
-        assert np.array_equal(np.tril(S), np.tril(whole.term(W)))
-        for r0, r1 in chunked.bounds:
-            assert not S[r0:r1, r1:].any()
+        chunked = _SchurRows(A, d, np.arange(m))
+        assert len(chunked.chunks) > 5
+        S = added(chunked)
+        assert np.array_equal(np.tril(S), np.tril(S_whole))
+        for *_, at in chunked.chunks:
+            assert not S[at, at[-1] + 1:].any()
 
     @pytest.mark.parametrize("cond", [1.0e1, 1.0e8])
     def test_hinv_and_winv_match_oracle(self, cond):
@@ -770,8 +778,8 @@ def _interleaved_problem():
     """Two 3x3 blocks whose rows interleave in one component, and a free variable.
 
     Block A is touched by rows 0, 1, 3, 5, 6 and 8, block B by rows 2, 3, 4,
-    7 and 9 (row 3 touches both), so A's rows take 4 runs of consecutive
-    positions in the component and B's 3.  X_A = X_B = I, v = 0 is feasible.
+    7 and 9 (row 3 touches both), so their positions in the component
+    interleave.  X_A = X_B = I, v = 0 is feasible.
     """
     p = SdpProblem()
     A, B = p.add_block(3, "A"), p.add_block(3, "B")
@@ -830,27 +838,33 @@ def test_schur_components_of_disjoint_blocks(monkeypatch):
     assert plan.flat.shape == (16 + 4 + 2,)
 
 
-def test_slice_adds_match_ix_scatter(monkeypatch):
-    # each block's term adds into the component run by run; the sum must
-    # be, bit for bit, that of an np.ix_ scatter in the same block order
+def test_block_terms_sum_to_ix_scatter(monkeypatch):
+    # each block's term adds straight into the component at its rows'
+    # positions, which interleave; the sum must be, bit for bit, that of an
+    # np.ix_ scatter of each term formed alone, in the same block order
     p = _interleaved_problem()
     made = []
+    schur_rows = sdp._SchurRows
 
-    class Recorded(sdp._SchurRows):
-        def term(self, W):
-            S = super().term(W)
-            made.append(S.copy())
-            return S
+    class Recorded(schur_rows):
+        def __init__(self, A_blk, d, loc):
+            super().__init__(A_blk, d, loc)
+            self.alone = schur_rows(A_blk, d, np.arange(len(loc))), loc
+
+        def add(self, W, Mc):
+            super().add(W, Mc)
+            alone, loc = self.alone
+            S = np.zeros((len(loc), len(loc)))
+            alone.add(W, S)
+            made.append((loc, S))
 
     monkeypatch.setattr(sdp, "_SchurRows", Recorded)
     _, plan = _solve_keeping_plan(p, monkeypatch, max_iter=1)
     assert [r.tolist() for r in plan.rows] == [list(range(10))]
-    A = sdp._Preprocessed(p).A_psd.toarray()
-    block_rows = [np.flatnonzero(np.abs(A[:, sl]).sum(axis=1)) for sl in p.block_slices()]
-    assert [len(plan.block(rows)[1]) for rows in block_rows] == [4, 3]
+    assert [loc.tolist() for loc, _ in made] == [[0, 1, 3, 5, 6, 8], [2, 3, 4, 7, 9]]
     ref = np.zeros_like(plan.mats[0])
-    for rows, S in zip(block_rows, made):
-        ref[np.ix_(rows, rows)] += S
+    for loc, S in made:
+        ref[np.ix_(loc, loc)] += S
     assert np.array_equal(plan.mats[0], ref)
 
 
@@ -935,7 +949,7 @@ def test_build_matches_dense_schur_complement(chunk, monkeypatch):
                           [(slice(o, o + width), d) for o, width, d in zip(offsets, widths, dims)])
     assert plan.singles.tolist() == [m]
     if chunk == 64:
-        assert all(len(rows.bounds) > 3 for _, rows, _ in plan.blocks[:2])
+        assert all(len(rows.chunks) > 3 for _, rows, _ in plan.blocks[:2])
     plan.build(Rs, w)
     ref = A[:, :n_lp] * w @ A[:, :n_lp].T
     for o, width, R in zip(offsets, widths, Rs):
@@ -1127,9 +1141,9 @@ def test_fit_lp_rows_form_one_group_inside_their_component(monkeypatch):
     # rows 0-35 carry the multipliers, rows 36-71 only the matrix block
     _, plan = _solve_keeping_plan(_fit_plan_problem(), monkeypatch, max_iter=1)
     assert [len(rows) for rows in plan.rows] == [72] and not len(plan.singles)
-    [(vals, coords, (Mc, runs))] = plan.lp_groups
+    [(vals, coords, Mc, at)] = plan.lp_groups
     assert vals.shape == (30, 36) and Mc.shape == (72, 72)
-    assert runs == [(slice(0, 36), slice(0, 36))]
+    assert [a.ravel().tolist() for a in at] == [list(range(36))] * 2
 
 
 def test_lp_term_of_single_row_groups_matches_scipy_bits():

@@ -2,8 +2,9 @@
 
 Most build programs (step V and step K) or run tiny solves only.  The
 negative-margin test runs alternate up to its first step-V solve, the loop
-test runs it over a stand-in for `_step`, and the step-V regression test
-solves five full step-V programs (about 7 s, one BLAS thread, 2 vCPU).
+test runs it over a stand-in for `_step`, the step-V regression test
+solves seven full step-V programs and the infeasibility test two more, each
+with one added row (about 0.7 s a program, one BLAS thread, 2 vCPU).
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 
 from issynth.consistency import build_data_matrices, ellipsoid_params, solve_overapprox
 from issynth.poly import Polynomial, monomial_basis, parse_poly, variables
-from issynth.sdp import format_trace, validate_solution
+from issynth.sdp import format_trace, smat, validate_solution
 from issynth import synthesis
 from issynth import verify as _verify
 from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
@@ -99,6 +100,18 @@ def test_step_k_compiled_shape(khalil_ell, k_lin):
     assert sum(1 for d in prob.block_dims if d == 1) == 6
 
 
+def _khalil_step_v(seed, k):
+    """Step V's program and legend on the benchmark's experiment (x0 =
+    (0.5, -0.5), T = 30, d_radius 0.05) at collection seed ``seed``, for
+    the controller ``k``."""
+    sys = khalil_system()
+    exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
+                           x0=(0.5, -0.5), seed=seed)
+    ell = solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
+    kp = parse_poly(k, sys.bases.vars)
+    return assemble_theorem1(ell, SynthesisConfig(k_init=(kp,)), {"k": [kp]})
+
+
 @pytest.mark.parametrize("seed, k", [(2, "-x1 - x2"), (9, "-x1 - x2"), (0, "-x2"),
                                      (0, "-2*x2 - x1^2"), (1, "-x2"), (3, "-x2"),
                                      (5, "-2*x2 - x1^2")])
@@ -112,18 +125,33 @@ def test_step_v_ends_optimal(seed, k):
     # iterations) until the free-variable Schur factor came from a QR of
     # L^-1 A_F without a diagonal shift; every case now converges without
     # jitter
-    sys = khalil_system()
-    exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
-                           x0=(0.5, -0.5), seed=seed)
-    ell = solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
-    kp = parse_poly(k, sys.bases.vars)
-    prog, _ = assemble_theorem1(ell, SynthesisConfig(k_init=(kp,)), {"k": [kp]})
-    sol = prog.solve()
+    sol = _khalil_step_v(seed, k)[0].solve()
     detail = f"{sol.sdp.message}\n{format_trace(sol.sdp.trace)}"
     assert sol.status == "optimal", detail
     assert sol.sdp.iterations <= 25, detail
     assert not any(e["jitter"] for e in sol.sdp.trace), detail
     assert validate_solution(sol.problem, sol.sdp)["ok"], detail
+
+
+@pytest.mark.parametrize("seed, floor", [(0, -3.78), (1, -6.86)])
+def test_step_v_above_its_margin_ends_infeasible(seed, floor):
+    # with k = -x1 - x2, step V ends optimal at t = -3.876 (seed 0) and
+    # -6.960 (seed 1); a row t >= floor, about 0.1 above, leaves no feasible
+    # point.  The solve must say so with a Farkas certificate, checked here
+    # from the program's arrays and y alone: b.y > 0, A_free^T y = 0 and
+    # -A_psd^T y in every block's cone
+    prog, legend = _khalil_step_v(seed, "-x1 - x2")
+    prog.add_linear([(legend["t"], 1.0)], floor, ">=")
+    sol = prog.solve()
+    assert sol.status == "infeasible", f"{sol.sdp.message}\n{format_trace(sol.sdp.trace)}"
+    A_psd, A_free, b, _, _ = sol.problem.arrays()
+    y = sol.sdp.y
+    scale = np.linalg.norm(y)
+    assert b @ y > 0.0
+    assert np.linalg.norm(A_free.T @ y) <= 1e-6 * scale
+    z = -(A_psd.T @ y)
+    for cols, d in zip(sol.problem.block_slices(), sol.problem.block_dims):
+        assert np.linalg.eigvalsh(smat(z[cols], d))[0] >= -1e-9 * scale
 
 
 def test_linear_rows_labelled_by_group(khalil_ell, k_lin):
@@ -203,6 +231,15 @@ def test_ellipsoid_without_bases_rejected(khalil_ell, k_lin):
     ({"deg_k": 0}, "degree caps"),
     ({"epsilon": float("nan")}, "epsilon"),
     ({"epsilon": float("inf")}, "epsilon"),
+    ({"deg_V": 2.5}, "deg_V must be an integer"),
+    ({"deg_k": 3.0}, "deg_k must be an integer"),
+    ({"deg_lambda": 4.0}, "deg_lambda must be an integer"),
+    ({"N1": 2.0}, "N1 must be an integer"),
+    ({"N2": "2"}, "N2 must be an integer"),
+    ({"N3": 2.0}, "N3 must be an integer"),
+    ({"N4": 2.5}, "N4 must be an integer"),
+    ({"rounds": 1.5}, "rounds must be an integer"),
+    ({"rounds": float("nan")}, "rounds must be an integer"),
 ])
 def test_config_validation(k_lin, kwargs, match):
     with pytest.raises(ValueError, match=match):
