@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -196,6 +197,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        if not isinstance(k, Integral):
+            raise ValueError(f"exponent must be an integer, got {k!r}")
         if k < 0:
             raise ValueError("negative powers not supported")
         out = Polynomial.constant(self.vars, 1.0)

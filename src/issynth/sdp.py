@@ -14,20 +14,22 @@ matrix entries G[i,j], i <= j, of the symmetric blocks; the row functional
 is  sum_{i<=j} coeff * G[i,j].
 
 The solver is a homogeneous self-dual embedding with Nesterov-Todd scaling
-and a Mehrotra predictor-corrector.  Free variables are handled by
-eliminating rows that touch only free variables up front and carrying the
-rest through an augmented Schur complement solve.  Infeasibility is
+and a Mehrotra predictor-corrector.  Free variables are handled in two
+stages.  Up front, one exact Gauss-Jordan pass over the free columns
+pivots only on the rows without matrix entries: each free variable such a
+row determines is substituted into the other rows and the objective, and
+its column becomes exact zero there (``_Preprocessed``).  The free columns
+left over stay the program's own sparse columns, with those substitutions
+applied; a dependent one is dropped, and none is rotated.  They are
+carried through an augmented Schur complement solve.  Infeasibility is
 reported through the embedding's tau/kappa ratio test.
 
 One path serves every problem shape: without free variables, nonnegative
 coordinates or free-only rows the same arithmetic runs on empty arrays,
-with a special case's bits and speed.  Three branches on whether free
-variables remain are kept.  Without them the free-variable Schur factor
-and its products are skipped; formed empty, they make the six fits of a
-khalil-fit-multi operation 1-3% slower (one BLAS thread).  Only with them
-is a KKT solve refined: refining the fits changes their bits, and two fits
-of that workload's operation 2 would end in 22 and 24 iterations, not 23
-and 25.
+with a special case's bits and speed.  Two branches on ``nf``, whether
+free variables remain, are kept: without them the free-variable Schur
+factor and its products are skipped.  Formed empty, they make the six
+fits of a khalil-fit-multi operation 1-3% slower (one BLAS thread).
 
 The Schur complement M = A H^-1 A^T couples two rows only when they share
 a matrix block or a nonnegative coordinate, so it is block diagonal over
@@ -72,17 +74,26 @@ residual while the matrix part converges: the solve ends ``feasible``
 after 116 iterations, with Schur jitter from iteration 24.  Without the
 shift the Cholesky fails at iteration 24 of collection seed 6,
 k = -x1 - x2.  The QR needs no shift and does not fail; ``_Preprocessed``
-drops the free directions no row sees, so G has full column rank.  The
+drops the dependent free columns, so G has full column rank.  The
 same G serves every KKT solve, and M^-1 A_F is never formed: for
 h = L^-1 g, A_F^T M^-1 g = G^T h, S_F dxF = G^T h + u_F takes two
 triangular solves with R^T, and dy = L^-T (h - G dxF).
 
-When free variables remain, every KKT solve is also refined
-``KKT_REFINE_STEPS`` times: it is solved again with the same factors for
-the residuals of the free-variable equation and of the primal rows.
-Without that, the free-variable dual residual of the synthesis programs
-stalls near 1e-6 and whether such a solve ends ``optimal`` depends on
-rounding.  A component whose Cholesky fails is retried once, with its
+No KKT solve is refined.  Two refinements of each were needed while
+``_Preprocessed`` rotated the free columns by dense SVD bases: each of the
+10 free columns left in step V of the benchmark experiment then touched
+588 of its 938 kept rows, where the program's own touch 4-59.  Without
+refinement, each of the 30 step-V solves at collection seeds 0-9 with
+k = -x1 - x2, -x2 and -2 x2 - x1^2 then took more iterations, 23-93
+against 21-23, and 4 ended only ``feasible`` with Schur jitter; an
+infeasible step V could end ``numerical-failure`` because the free part
+of its dual ray was too large.  With the program's own columns and no
+refinement, every one of the 30 ends ``optimal`` in 21-23 iterations,
+the refined counts, without jitter.  With a row t >= t* + 0.1 or
+t >= t* + 1.0 above its optimum t*, each ends ``infeasible`` with
+|A_F^T y| <= 6.3e-10 |y| (one BLAS thread, 2 vCPU).
+
+A Schur component whose Cholesky fails is retried once, with its
 own diagonal shifted by max(1e-14 * its mean diagonal, 1e-14) (the
 trace's ``jitter``, the largest shift of the iteration); when that fails
 too the solve stalls.  At one BLAS thread and at two, no ellipsoid fit of
@@ -186,8 +197,6 @@ DEFAULT_MAX_ITER = 200
 STEP_FRACTION = 0.98
 MIN_STEP = 1e-10
 INFEAS_RATIO = 1e-6
-# re-solves of each KKT system for its residuals when free variables remain
-KKT_REFINE_STEPS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -833,55 +842,81 @@ def _factor_with_jitter(M: np.ndarray, factor):
 
 
 class _Preprocessed:
-    """Problem after free-only-row elimination and row scaling."""
+    """The problem with its free-only rows eliminated and its rows scaled.
+
+    One Gauss-Jordan pass runs over the free columns and pivots only on
+    the free-only rows, those without matrix entries.  For each free column
+    in turn, the open free-only row of largest magnitude there fixes that
+    variable: it is substituted into every other row and into the
+    objective (row m of ``F``), and the column is set to exact zero outside
+    its pivot row.  A free-only row no pivot takes is left empty, and its
+    rhs must be zero, or the problem is ``inconsistent``.  The free columns
+    no pivot takes stay the program's own columns over the kept rows, with
+    the substitutions applied and never rotated.  A column-pivoted QR finds
+    the dependent ones, which are dropped at value 0: one with a nonzero
+    reduced cost is a free direction no kept row sees that moves the
+    objective, so the problem is ``unbounded_free``.
+    """
 
     def __init__(self, prob: SdpProblem):
+        import scipy.linalg as sla
         import scipy.sparse as sp
 
         A_psd, A_free, b, c_psd, c_free = prob.arrays()
-        psd_nnz = np.diff(A_psd.indptr)
+        m, nf = A_free.shape
         # rows without matrix entries, empty ones too, constrain only v
-        self.free_only_rows = np.flatnonzero(psd_nnz == 0)
-        self.kept_rows = np.flatnonzero(psd_nnz > 0)
-        self.orig_m = prob.n_rows
+        free_only = np.diff(A_psd.indptr) == 0
+        self.kept_rows = np.flatnonzero(~free_only)
+        self.A_free_orig, self.c_free_orig = A_free, c_free
 
-        nf = prob.n_free
-        A_free = A_free.toarray()  # two sparse row selections cost a fit 0.15 ms
-        Rf = A_free[self.free_only_rows]
-        rf = b[self.free_only_rows]
-        # x_free = x_part + N q, with R_f x_free = r_f.  Only U[:, :rank] is
-        # used, so U stays thin; Vt must be square for the null space N, which
-        # the thin form already is unless R_f is wide.  Without such rows Vt
-        # is the identity, and so is N
-        U, sv, Vt = np.linalg.svd(Rf, full_matrices=Rf.shape[0] < nf)
-        tol = max(Rf.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
-        rank = int(np.sum(sv > max(tol, 1e-12)))
-        self.x_part = Vt[:rank].T @ ((U[:, :rank].T @ rf) / sv[:rank])
-        resid = Rf @ self.x_part - rf
-        self.inconsistent = bool(np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(rf)))
-        self.N = Vt[rank:].T  # (nf, nf - rank)
-        self.Rf = Rf
+        # the augmented matrix, written from A_free's entries without a dense
+        # copy of it: the free columns and the rhs as column nf, with the
+        # objective as row m
+        F = np.zeros((m + 1, nf + 1))
+        in_row = np.repeat(np.arange(m), np.diff(A_free.indptr))
+        F[in_row, A_free.indices], F[m, :nf], F[:m, nf] = A_free.data, c_free, b
+        open_rows = np.append(free_only, False)
+        largest = np.abs(A_free.data[free_only[in_row]]).max(initial=0.0)
+        tol = max(max(np.count_nonzero(free_only), nf) * np.finfo(float).eps * largest, 1e-12)
+        pivots = {}  # pivot row: its column
+        for j in range(nf):
+            size = np.abs(F[:, j]) * open_rows
+            i = int(np.argmax(size))
+            if size[i] <= tol:
+                continue
+            hit = np.flatnonzero(F[:, j])
+            hit = hit[hit != i]
+            F[hit] -= (F[hit, j] / F[i, j])[:, None] * F[i]
+            F[hit, j] = 0.0
+            open_rows[i] = False
+            pivots[i] = j
+        self.inconsistent = bool(np.linalg.norm(F[open_rows, -1])
+                                 > 1e-8 * (1.0 + np.linalg.norm(b[free_only])))
+        self.obj_const = -float(F[-1, -1])
+
+        # the kept free columns: the dependent ones by a column-pivoted QR,
+        # each with its reduced cost against the independent ones
+        other = np.setdiff1d(np.arange(nf), list(pivots.values()))
+        R, perm = sla.qr(F[np.ix_(self.kept_rows, other)], mode="r", pivoting=True)
+        d = np.abs(np.diag(R))
+        tol = max(max(R.shape) * np.finfo(float).eps * d.max(initial=0.0), 1e-12)
+        rank = int(np.sum(d > tol))
+        keep, drop = other[perm[:rank]], other[perm[rank:]]
+        reduced = F[-1, drop] - F[-1, keep] @ sla.solve_triangular(R[:rank, :rank], R[:rank, rank:])
+        self.unbounded_free = bool(np.any(np.abs(reduced) > 1e-12))
+        self.free_cols = np.sort(keep)
+
+        # each pivot row, scaled to 1 at its pivot, gives its variable from
+        # the kept ones
+        self.piv_rows = np.fromiter(pivots, np.int64, len(pivots))
+        self.piv_cols = np.fromiter(pivots.values(), np.int64, len(pivots))
+        self.piv_F = F[self.piv_rows] / F[self.piv_rows, self.piv_cols][:, None]
 
         self.A_psd = A_psd[self.kept_rows]
-        A_free_kept = A_free[self.kept_rows]
-        self.A_free = A_free_kept @ self.N
-        self.b = b[self.kept_rows] - A_free_kept @ self.x_part
+        self.A_free = F[np.ix_(self.kept_rows, self.free_cols)]
+        self.b = F[self.kept_rows, -1]
         self.c_psd = c_psd
-        self.obj_const = float(c_free @ self.x_part)
-        self.c_free = self.N.T @ c_free
-        self.c_free_orig = c_free
-        self.A_free_kept_orig = A_free_kept
-
-        # free directions no kept row sees, the null space of A_free: with a
-        # cost they make the problem unbounded, without one they are dropped,
-        # so the free-variable Schur complement is nonsingular
-        _, sv, Vt = np.linalg.svd(np.linalg.qr(self.A_free, mode="r"))
-        tol = max(self.A_free.shape) * np.finfo(float).eps * sv.max(initial=0.0)
-        keep, null = np.split(Vt, [int(np.sum(sv > tol))])
-        self.unbounded_free = bool(np.any(np.abs(null @ self.c_free) > 1e-12))
-        self.N = self.N @ keep.T
-        self.A_free = self.A_free @ keep.T
-        self.c_free = keep @ self.c_free
+        self.c_free = F[-1, self.free_cols]
 
         # row equilibration on the kept rows
         rn = np.sqrt(np.asarray(self.A_psd.multiply(self.A_psd).sum(axis=1)).ravel()
@@ -894,21 +929,27 @@ class _Preprocessed:
         self.b = self.b * self.row_scale
 
     def recover_free(self, q: np.ndarray) -> np.ndarray:
-        return self.x_part + self.N @ q
+        """Every free variable from the kept columns' values q: a dropped
+        column is 0, a pivot column back-substituted through its pivot row."""
+        x = np.zeros(len(self.c_free_orig))
+        x[self.free_cols] = q
+        x[self.piv_cols] = self.piv_F[:, -1] - self.piv_F[:, :-1] @ x
+        return x
 
     def recover_y(self, y_kept: np.ndarray, ray: bool = False) -> np.ndarray:
-        """Duals for all original rows; eliminated rows get least-squares duals.
+        """Duals for all original rows.
 
-        For an improving ray the free-variable dual equation is homogeneous,
-        so the eliminated duals solve Rf^T y = -A_fk^T y_kept instead of
-        matching the free objective coefficients.
+        A pivot row's dual makes its pivot column's dual equation hold,
+        F[P, J]^T y_P = c_J - F[K, J]^T y_K, in one square solve; the other
+        free columns' equations then hold as the kept rows' do.  For an
+        improving ray that equation is homogeneous, so c_J is dropped.  An
+        empty free-only row gets dual 0.
         """
-        y = np.zeros(self.orig_m)
+        y = np.zeros(self.A_free_orig.shape[0])
         y[self.kept_rows] = y_kept * self.row_scale
-        rhs = -self.A_free_kept_orig.T @ y[self.kept_rows]
-        if not ray:
-            rhs = rhs + self.c_free_orig
-        y[self.free_only_rows], *_ = np.linalg.lstsq(self.Rf.T, rhs, rcond=None)
+        rhs = ((0.0 if ray else self.c_free_orig) - self.A_free_orig.T @ y)[self.piv_cols]
+        F_PJ = self.A_free_orig[self.piv_rows][:, self.piv_cols].toarray()
+        y[self.piv_rows] = np.linalg.solve(F_PJ.T, rhs)
         return y
 
 
@@ -919,22 +960,15 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
     """
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER
-    elif max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    elif not isinstance(max_iter, Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     pre = _Preprocessed(prob)
     if pre.inconsistent:
-        return SdpSolution(
-            status="infeasible",
-            objective=None,
-            y=np.zeros(prob.n_rows),
-            message="equality rows without matrix entries are inconsistent",
-        )
+        return SdpSolution("infeasible", None, y=np.zeros(prob.n_rows),
+                           message="equality rows without matrix entries are inconsistent")
     if pre.unbounded_free:
-        return SdpSolution(
-            status="unbounded",
-            objective=None,
-            message="objective depends on a free direction no equality touches",
-        )
+        return SdpSolution("unbounded", None,
+                           message="objective depends on a free direction no equality touches")
 
     dims = prob.block_dims
     slices = prob.block_slices()
@@ -1076,32 +1110,21 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
                 out[cl.cols] = cl.hinv(sc.R, v)
             return out
 
-        def solve_reduced(g, u_F):
-            """(dxF, dy) of [M dy + AF dxF = g; -AF^T dy = u_F]: for h = L^-1 g,
-            S_F dxF = G^T h + u_F and dy = L^-T (h - G dxF)."""
-            h = plan.solve_lower(schur, g, False)
-            if not nf:  # skips the empty products, as the factor above does
-                return np.zeros(0), plan.solve_lower(schur, h, True)
-            dxF = _solve_lower(R_F.T, _solve_lower(R_F.T, G.T @ h + u_F, False), True)
-            return dxF, plan.solve_lower(schur, h - G @ dxF, True)
-
         def solve_kkt(u_K, u_F, u_y):
             """[H dxK - AK^T dy = u_K; -AF^T dy = u_F; AK dxK + AF dxF = u_y].
 
-            dxK = H^-1 (u_K + AK^T dy) keeps the first equation exact; with
-            free variables each refinement solves the last two again for
-            their residuals.
+            dxK = H^-1 (u_K + AK^T dy) keeps the first equation exact.  The
+            last two are M dy + AF dxF = g for g = u_y - AK H^-1 u_K: for
+            h = L^-1 g, S_F dxF = G^T h + u_F and dy = L^-T (h - G dxF).
             """
             Hi_uK = apply_Hinv(u_K)
-            dxF, dy = solve_reduced(u_y - A @ Hi_uK, u_F)
-            dxK = Hi_uK + apply_Hinv(AT @ dy)
-            # refining a solve without free variables changes its bits
-            for _ in range(KKT_REFINE_STEPS if nf else 0):
-                ddxF, ddy = solve_reduced(u_y - A @ dxK - Af @ dxF, u_F + Af.T @ dy)
-                dxF = dxF + ddxF
-                dy = dy + ddy
-                dxK = dxK + apply_Hinv(AT @ ddy)
-            return dxK, dxF, dy
+            h = plan.solve_lower(schur, u_y - A @ Hi_uK, False)
+            dxF = np.zeros(0)
+            if nf:  # skips the empty products, as the factor above does
+                dxF = _solve_lower(R_F.T, _solve_lower(R_F.T, G.T @ h + u_F, False), True)
+                h = h - G @ dxF
+            dy = plan.solve_lower(schur, h, True)
+            return Hi_uK + apply_Hinv(AT @ dy), dxF, dy
 
         # solve for the tau-direction basis (depends on scaling only)
         q_xK, q_xF, q_y = solve_kkt(-c, -cf, b)

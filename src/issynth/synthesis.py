@@ -472,8 +472,11 @@ def _step(ell: ConsistencyEllipsoid, cfg: SynthesisConfig, rnd: int, step: str,
     over.  A step is rejected, with the record's status and diagnostic
     naming why, when the solve is not optimal or feasible, when its Gram
     margin t is negative, when extraction fails, or when the extracted
-    tuple violates the matrix inequality on the sample box.  The result
-    carries no history and no ellipsoid hash; `alternate` adds both.
+    tuple violates the matrix inequality on the sample box.  An
+    ``infeasible`` step's record also carries its dual ray's Farkas check
+    (`verify.check_infeasibility_certificate`) as "certificate", its
+    ``passed`` and ``worst``.  The result carries no history and no
+    ellipsoid hash; `alternate` adds both.
     """
     if step == "V":
         fixed = {"k": list(prev.k if prev else cfg.k_init)}
@@ -484,6 +487,10 @@ def _step(ell: ConsistencyEllipsoid, cfg: SynthesisConfig, rnd: int, step: str,
     sol = prog.solve()
     rec = {"round": rnd, "step": step, "status": sol.status,
            "seconds": round(time.perf_counter() - t0, 3)}
+    if sol.status == "infeasible":
+        # the Farkas alternative, checked from the program and y alone
+        cert = _verify.check_infeasibility_certificate(sol.problem, sol.sdp.y)
+        rec["certificate"] = {"passed": cert.passed, "worst": cert.worst}
     # a SynthesisError rejects the step with the status last set here
     status = sol.status
     try:

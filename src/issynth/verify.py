@@ -25,6 +25,7 @@ import numpy as np
 
 from .consistency import ConsistencyEllipsoid, RegressorBases
 from .poly import Polynomial, squared_norm, variables
+from .sdp import SdpProblem, smat
 from .sos import _monomial_values, gram_polynomial
 
 # Pass thresholds of the checks.  They are constants, not parameters, so an
@@ -41,6 +42,10 @@ KINF_TOL = 1e-9
 CERT_RECON_TOL = 1e-6
 CERT_EIG_TOL = 1e-7
 CERT_MATRIX_TOL = 1e-4
+# Farkas certificate of an infeasible program, relative to |y|: the free
+# part |A_free^T y| and the smallest eigenvalue of each block of -A_psd^T y
+FARKAS_FREE_TOL = 1e-6
+FARKAS_EIG_TOL = 1e-9
 # boundary directions (operator norm 1) among the sampled Upsilon set
 UPSILON_BOUNDARY = 20
 
@@ -495,6 +500,39 @@ def check_certificates(res, ell: ConsistencyEllipsoid,
     return VerificationReport(
         name="certificate_reconstruction", worst=worst, tol=CERT_RECON_TOL,
         n_samples=CERT_SAMPLES, details=details)
+
+
+def check_infeasibility_certificate(problem: SdpProblem, y: np.ndarray) -> VerificationReport:
+    """The Farkas alternative for a program reported ``infeasible``, from its
+    arrays and the dual ray y alone.
+
+    The equalities A_psd x + A_free v = b have no solution with x in the
+    blocks' cones when b.y > 0, A_free^T y = 0 and -A_psd^T y is in every
+    block's cone.  The last two are checked relative to |y|: the free part
+    against FARKAS_FREE_TOL, each block's smallest eigenvalue against
+    -FARKAS_EIG_TOL, rescaled onto the free part's tolerance so one
+    worst/tol pair decides the report.  b.y <= 0 fails outright.
+    """
+    A_psd, A_free, b, _, _ = problem.arrays()
+    y = np.asarray(y, dtype=float)
+    scale = float(np.linalg.norm(y))
+    by = float(b @ y)
+    z = -(A_psd.T @ y)
+    min_eig = min((float(np.linalg.eigvalsh(smat(z[cols], d))[0])
+                   for cols, d in zip(problem.block_slices(), problem.block_dims)),
+                  default=0.0)
+    details = {"b_y": by, "y_norm": scale}
+    if by > 0.0:
+        free = float(np.linalg.norm(A_free.T @ y)) / scale
+        eig = min_eig / scale
+        worst = max(free, -eig * (FARKAS_FREE_TOL / FARKAS_EIG_TOL))
+        details.update(free_residual=free, min_eig=eig)
+    else:
+        worst = np.inf
+        details["reason"] = "b.y is not positive"
+    return VerificationReport(
+        name="infeasibility_certificate", worst=worst, tol=FARKAS_FREE_TOL,
+        n_samples=len(problem.block_dims), details=details)
 
 
 def alpha_poly_in(coeffs: Sequence[float], sq_norm: Polynomial) -> Polynomial:

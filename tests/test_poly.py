@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestArithmetic:
         p = parse_poly("x1 + 1", xy)
         assert p**3 == p * p * p
         assert p**0 == Polynomial.constant(xy, 1.0)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, float("nan"), "2"])
+    def test_pow_rejects_a_non_integer_exponent(self, xy, k):
+        message = f"exponent must be an integer, got {re.escape(repr(k))}"
+        with pytest.raises(ValueError, match=message):
+            parse_poly("x1 + 1", xy) ** k
+
+    def test_pow_rejects_a_negative_exponent(self, xy):
+        with pytest.raises(ValueError, match="negative powers"):
+            parse_poly("x1 + 1", xy) ** -1
+        assert parse_poly("x1 + 1", xy) ** np.int64(2) == parse_poly("x1^2 + 2*x1 + 1", xy)
 
 
 # Reference arithmetic: each operation's raw term dict handed to the

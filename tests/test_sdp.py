@@ -610,6 +610,11 @@ def test_iteration_limit_labels_best_iterate_by_validation():
 def test_solve_options_reject_zero_iterations():
     with pytest.raises(ValueError, match="max_iter"):
         solve_sdp(_stall_problem(), max_iter=0)
+    # a non-integer count is named before any iteration, NaN included
+    for bad in (2.5, float("nan"), 3.0, "3"):
+        message = f"max_iter must be an integer >= 1, got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            solve_sdp(_stall_problem(), max_iter=bad)
 
 
 def test_positional_none_is_the_default_iteration_limit():
@@ -682,11 +687,11 @@ def test_forced_stall_labels_best_iterate_by_validation(message, monkeypatch):
 
 def test_nan_free_variable_factor_ends_as_non_finite_direction(monkeypatch):
     # the free-variable Schur factor is the R of a QR, which returns NaN
-    # for a NaN matrix rather than raising; QR call k + 1 is iteration k's,
-    # after the rank check of the free columns
+    # for a NaN matrix rather than raising; numpy's QR call k is iteration
+    # k's, since the rank check of the free columns is scipy's pivoted QR
     p = _stall_problem()
     real = np.linalg.qr
-    nan = _from_call(4, real, lambda G, mode: np.full((G.shape[1],) * 2, np.nan))
+    nan = _from_call(3, real, lambda G, mode: np.full((G.shape[1],) * 2, np.nan))
     monkeypatch.setattr(np.linalg, "qr", lambda G, mode="reduced": nan(G, mode))
     sol = solve_sdp(p)
     assert (sol.iterations, sol.message) == (3, "non-finite direction")
@@ -1012,9 +1017,10 @@ def test_components_match_union_find_in_order():
     assert unused_groups > 100 and ungrouped_rows > 100
 
 
-def test_free_columns_stay_c_ordered_without_a_dead_column():
-    # a copy of A_free changes step V's bits, so the free columns are
-    # rewritten only when some direction of them is in no kept row
+def test_free_columns_are_the_programs_own_after_substitution():
+    # the free-only row v0 + v1 = 1 fixes v0 = 1 - v1, which is substituted
+    # into row 1 and the objective 3 v0; the other free columns keep their
+    # own entries, unrotated, and v0's column is gone from the kept rows
     p = SdpProblem()
     g = p.add_block(3)
     v = [p.add_free() for _ in range(4)]
@@ -1022,11 +1028,59 @@ def test_free_columns_stay_c_ordered_without_a_dead_column():
     p.add_row([(g, 0, 0, 1.0)], [(v[0], 1.0), (v[2], 1.0)])
     p.add_row([(g, 1, 1, 1.0)], [(v[1], 1.0), (v[3], -1.0)])
     p.add_row([(g, 2, 2, 1.0)], [(v[2], 2.0), (v[3], 1.0)], rhs=1.0)
+    p.set_objective_free(v[0], 3.0)
     pre = sdp._Preprocessed(p)
-    assert pre.free_only_rows.tolist() == [0]
-    assert pre.A_free.shape == (3, 3)
-    assert np.linalg.norm(pre.A_free, axis=0).min() > 1e-14
+    assert (pre.piv_rows.tolist(), pre.piv_cols.tolist()) == ([0], [0])
+    assert pre.free_cols.tolist() == [1, 2, 3]
+    unscaled = pre.A_free / pre.row_scale[:, None]
+    assert np.allclose(unscaled, [[-1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 2.0, 1.0]],
+                       rtol=1e-15, atol=0.0)
+    assert np.allclose(pre.b / pre.row_scale, [-1.0, 0.0, 1.0], rtol=1e-15, atol=0.0)
+    assert pre.c_free.tolist() == [-3.0, 0.0, 0.0] and pre.obj_const == 3.0
     assert pre.A_free.flags.c_contiguous
+    # v0 back-substituted through its pivot row
+    assert pre.recover_free(np.array([0.25, 2.0, -1.0])).tolist() == [0.75, 0.25, 2.0, -1.0]
+
+
+def test_pivot_rows_get_duals_that_close_the_free_equations():
+    # the free variables' dual equations A_free^T y = c_free hold for the
+    # recovered y of every row, pivot rows included.  v1 pivots on row 2,
+    # its largest entry, v2 then on row 1, and row 0 is left as 0 = 0: an
+    # empty free-only row, whose dual is 0
+    p = SdpProblem()
+    g = p.add_block(2)
+    v1, v2 = p.add_free("v1"), p.add_free("v2")
+    p.add_row(free_entries=[(v1, 1.0), (v2, 1.0)], rhs=3.0)
+    p.add_row(free_entries=[(v1, 1.0), (v2, -1.0)], rhs=1.0)
+    p.add_row(free_entries=[(v1, 2.0), (v2, 2.0)], rhs=6.0)
+    p.add_row(psd_entries=[(g, 0, 0, 1.0)], free_entries=[(v1, -1.0)])
+    p.add_row(psd_entries=[(g, 1, 1, 1.0)], free_entries=[(v2, -1.0)])
+    p.add_row(psd_entries=[(g, 0, 1, 2.0)], rhs=1.0)
+    p.set_objective_entry(g, 0, 0, 1.0)
+    p.set_objective_free(v1, 0.5)
+    pre = sdp._Preprocessed(p)
+    assert (pre.piv_rows.tolist(), pre.piv_cols.tolist()) == ([2, 1], [0, 1])
+    assert pre.free_cols.tolist() == [] and not pre.inconsistent
+    sol = solve_sdp(p)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.free, [2.0, 1.0], atol=1e-6)
+    _, A_free, _, _, c_free = p.arrays()
+    assert np.abs(A_free.T @ sol.y - c_free).max() <= 1e-12
+    assert sol.y[0] == 0.0 and sol.y[1] != 0.0 and sol.y[2] != 0.0
+
+
+def test_infeasible_ray_gives_the_free_only_rows_their_duals():
+    # tr X + v = -1 with v = 0 pinned by a free-only row: the ray's free
+    # part vanishes only with the pivot row's dual, recovered with c dropped
+    from test_verify import textbook_infeasible_sdp
+    from issynth.verify import check_infeasibility_certificate
+
+    p = textbook_infeasible_sdp()
+    p.set_objective_free(0, 1.0)
+    sol = solve_sdp(p)
+    assert sol.status == "infeasible", sol.message
+    assert sol.y[1] != 0.0
+    assert check_infeasibility_certificate(p, sol.y).passed
 
 
 def test_free_directions_no_row_sees_are_dropped_or_unbounded():

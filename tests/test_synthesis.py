@@ -3,8 +3,8 @@
 Most build programs (step V and step K) or run tiny solves only.  The
 negative-margin test runs alternate up to its first step-V solve, the loop
 test runs it over a stand-in for `_step`, the step-V regression test
-solves seven full step-V programs and the infeasibility test two more, each
-with one added row (about 0.7 s a program, one BLAS thread, 2 vCPU).
+solves seven full step-V programs and the infeasibility tests four more,
+each with one added row (about 0.7 s a program, one BLAS thread, 2 vCPU).
 """
 
 import hashlib
@@ -100,15 +100,20 @@ def test_step_k_compiled_shape(khalil_ell, k_lin):
     assert sum(1 for d in prob.block_dims if d == 1) == 6
 
 
-def _khalil_step_v(seed, k):
-    """Step V's program and legend on the benchmark's experiment (x0 =
-    (0.5, -0.5), T = 30, d_radius 0.05) at collection seed ``seed``, for
-    the controller ``k``."""
+def _khalil_step_ell(seed):
+    """The ellipsoid of the benchmark's experiment (x0 = (0.5, -0.5),
+    T = 30, d_radius 0.05) at collection seed ``seed``."""
     sys = khalil_system()
     exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
                            x0=(0.5, -0.5), seed=seed)
-    ell = solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
-    kp = parse_poly(k, sys.bases.vars)
+    return solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
+
+
+def _khalil_step_v(seed, k):
+    """Step V's program and legend on the benchmark's experiment at
+    collection seed ``seed``, for the controller ``k``."""
+    ell = _khalil_step_ell(seed)
+    kp = parse_poly(k, ell.bases.vars)
     return assemble_theorem1(ell, SynthesisConfig(k_init=(kp,)), {"k": [kp]})
 
 
@@ -120,11 +125,12 @@ def test_step_v_ends_optimal(seed, k):
     # Seeds 2 and 9 used to end numerical-failure after 128-142 iterations,
     # because s4 had no strictly feasible point until its structurally zero
     # row-0 element was pruned.  (0, -x2) and (1, -x2) ended feasible (37
-    # and 121 iterations, Schur jitter in 12 and 13) until the free-variable
-    # KKT solves were refined.  The last two stalled (168 and 175
-    # iterations) until the free-variable Schur factor came from a QR of
-    # L^-1 A_F without a diagonal shift; every case now converges without
-    # jitter
+    # and 121 iterations, Schur jitter in 12 and 13) while the free columns
+    # were rotated by dense SVD bases and the KKT solves not refined; the
+    # program's own free columns converge without refinement.  The last two
+    # stalled (168 and 175 iterations) until the free-variable Schur factor
+    # came from a QR of L^-1 A_F without a diagonal shift; every case now
+    # converges without jitter
     sol = _khalil_step_v(seed, k)[0].solve()
     detail = f"{sol.sdp.message}\n{format_trace(sol.sdp.trace)}"
     assert sol.status == "optimal", detail
@@ -133,17 +139,22 @@ def test_step_v_ends_optimal(seed, k):
     assert validate_solution(sol.problem, sol.sdp)["ok"], detail
 
 
-@pytest.mark.parametrize("seed, floor", [(0, -3.78), (1, -6.86)])
+@pytest.mark.parametrize("seed, floor", [(0, -3.78), (1, -6.86), (4, -13.917)])
 def test_step_v_above_its_margin_ends_infeasible(seed, floor):
-    # with k = -x1 - x2, step V ends optimal at t = -3.876 (seed 0) and
-    # -6.960 (seed 1); a row t >= floor, about 0.1 above, leaves no feasible
-    # point.  The solve must say so with a Farkas certificate, checked here
-    # from the program's arrays and y alone: b.y > 0, A_free^T y = 0 and
-    # -A_psd^T y in every block's cone
+    # with k = -x1 - x2, step V ends optimal at t = -3.876 (seed 0), -6.960
+    # (seed 1) and -14.017 (seed 4); a row t >= floor, about 0.1 above,
+    # leaves no feasible point.  The solve must say so with a Farkas
+    # certificate, checked here from the program's arrays and y alone:
+    # b.y > 0, A_free^T y = 0 and -A_psd^T y in every block's cone, and by
+    # the same check's oracle.  Seed 4 ended numerical-failure ("tau
+    # collapsed without clean certificate") while the free columns were
+    # rotated by dense SVD bases
     prog, legend = _khalil_step_v(seed, "-x1 - x2")
     prog.add_linear([(legend["t"], 1.0)], floor, ">=")
     sol = prog.solve()
     assert sol.status == "infeasible", f"{sol.sdp.message}\n{format_trace(sol.sdp.trace)}"
+    report = _verify.check_infeasibility_certificate(sol.problem, sol.sdp.y)
+    assert report.passed, report.summary()
     A_psd, A_free, b, _, _ = sol.problem.arrays()
     y = sol.sdp.y
     scale = np.linalg.norm(y)
@@ -152,6 +163,26 @@ def test_step_v_above_its_margin_ends_infeasible(seed, floor):
     z = -(A_psd.T @ y)
     for cols, d in zip(sol.problem.block_slices(), sol.problem.block_dims):
         assert np.linalg.eigvalsh(smat(z[cols], d))[0] >= -1e-9 * scale
+
+
+def test_infeasible_step_records_its_certificate(monkeypatch):
+    # step V with the row t >= -3.78 of the test above (collection seed 0):
+    # the step is rejected as infeasible, and its record carries the
+    # oracle's verdict on the dual ray
+    real = synthesis.assemble_theorem1
+
+    def above_margin(ell, cfg, fixed):
+        prog, legend = real(ell, cfg, fixed)
+        prog.add_linear([(legend["t"], 1.0)], -3.78, ">=")
+        return prog, legend
+
+    monkeypatch.setattr(synthesis, "assemble_theorem1", above_margin)
+    ell = _khalil_step_ell(0)
+    k = parse_poly("-x1 - x2", ell.bases.vars)
+    rec, res = synthesis._step(ell, SynthesisConfig(k_init=(k,)), 1, "V", None)
+    assert res is None and rec["status"] == "infeasible", rec
+    assert rec["certificate"]["passed"], rec
+    assert 0.0 <= rec["certificate"]["worst"] <= _verify.FARKAS_FREE_TOL
 
 
 def test_linear_rows_labelled_by_group(khalil_ell, k_lin):

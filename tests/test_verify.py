@@ -11,11 +11,13 @@ import pytest
 
 from issynth.consistency import ConsistencyEllipsoid, RegressorBases
 from issynth.poly import Polynomial, parse_poly, variables
+from issynth.sdp import SdpProblem
 from issynth.verify import (
     alpha_poly_in,
     alpha_values,
     check_certificates,
     check_dissipation_sampled,
+    check_infeasibility_certificate,
     check_kinf_gates,
     check_lambda_floor,
     check_lemma2_instance,
@@ -369,3 +371,47 @@ def test_alpha_poly_matches_values():
     a = alpha_poly_in(coeffs, sq).eval_many(P)
     b = alpha_values(coeffs, np.sum(P * P, axis=1))
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Farkas certificate of an infeasible program
+
+
+def textbook_infeasible_sdp():
+    """tr X + v = -1, v = 0 and X_01 = 1 for a 2x2 X >= 0: the trace of a
+    PSD matrix cannot be negative.  y = (-1, 1, 0) proves it: b.y = 1,
+    A_free^T y = -1 + 1 = 0 and -A_psd^T y = I."""
+    p = SdpProblem()
+    g = p.add_block(2)
+    v = p.add_free("v")
+    p.add_row([(g, 0, 0, 1.0), (g, 1, 1, 1.0)], [(v, 1.0)], rhs=-1.0)
+    p.add_row(free_entries=[(v, 1.0)])
+    p.add_row([(g, 0, 1, 1.0)], rhs=1.0)
+    return p
+
+
+def test_infeasibility_certificate_passes_the_textbook_ray():
+    rep = check_infeasibility_certificate(textbook_infeasible_sdp(), np.array([-1.0, 1.0, 0.0]))
+    assert rep.passed, rep.summary()
+    assert rep.details["b_y"] == 1.0 and rep.details["free_residual"] == 0.0
+    assert rep.details["min_eig"] == pytest.approx(1.0 / np.sqrt(2.0))
+    # any positive multiple is the same certificate
+    assert check_infeasibility_certificate(textbook_infeasible_sdp(),
+                                           np.array([-1e3, 1e3, 0.0])).passed
+
+
+@pytest.mark.parametrize("y, failing", [
+    ((1.0, -1.0, 0.0), "reason"),      # negated: b.y = -1
+    ((-1.0, 0.0, 0.0), "free"),        # A_free^T y = -1
+    ((-1.0, 1.0, 3.0), "cone"),        # -A_psd^T y = [[1, -1.5], [-1.5, 1]]
+    ((0.0, 0.0, 0.0), "reason"),       # no ray at all
+])
+def test_infeasibility_certificate_rejects_a_broken_ray(y, failing):
+    rep = check_infeasibility_certificate(textbook_infeasible_sdp(), np.array(y))
+    assert not rep.passed, rep.summary()
+    if failing == "reason":
+        assert rep.details["reason"] == "b.y is not positive" and rep.worst == np.inf
+    elif failing == "free":
+        assert rep.details["free_residual"] == pytest.approx(1.0)
+    else:
+        assert rep.details["min_eig"] < -0.1 and rep.details["free_residual"] == 0.0

@@ -10,6 +10,9 @@ what a pure speed-up or refactor must keep.  The outputs:
   ``SdpSolution`` JSON, and the outcome of ``alternate`` on it: the
   ``SynthesisError`` text of a rejected first step verbatim, or else the
   digest of the result's JSON without the history's ``seconds``;
+- the same experiment's step V at collection seed 4 with a row
+  t >= -13.917, 0.1 above its optimal t, which has no feasible point:
+  its ``SdpSolution`` JSON;
 - the six-trajectory fit of khalil-fit-multi seed 0, operations 0-5
   (T = 15 per trajectory from six x0 on the radius-0.8 circle, d_radius
   0.01, trajectory j of operation i collected with a seed from
@@ -27,8 +30,9 @@ When a change alters the bits on purpose, every digest changes, so some
 lines also print the values that show by how much: each ellipsoid's
 log det A_bar, its fit solve's margin and iteration count, and
 |X X A_bar - I|max (X = A_bar^-1/2, which ``ellipsoid_params`` bounds by
-1e-8), step V's status, iteration count and margin t, and each
-closed-loop run's event count and final |x|.
+1e-8), step V's status, iteration count and margin t, the infeasible
+step V's status, iteration count and free part |A_free^T y|/|y| of its
+dual ray, and each closed-loop run's event count and final |x|.
 
 Only public ``issynth`` calls are used.  Like the test suite's
 ``conftest.py``, the tool sets OpenBLAS, OpenMP and MKL to one thread
@@ -81,14 +85,21 @@ def ellipsoid_digest(name: str, ell) -> tuple[str, str, str]:
             f"{fit['iterations']} fit iterations, residual {residual:.2e}")
 
 
-def khalil_step() -> list[tuple[str, str, str]]:
+def step_v(seed: int):
+    """The khalil-step experiment's ellipsoid at collection seed ``seed``,
+    the default synthesis config with k = -x1 - x2, and its step-V program
+    and legend."""
     sys = khalil_system()
     exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
-                           x0=(0.5, -0.5), seed=0)
+                           x0=(0.5, -0.5), seed=seed)
     ell = solve_overapprox(build_data_matrices(collect_dataset(sys, exp)), bases=sys.bases)
     k = parse_poly("-x1 - x2", sys.bases.vars)
     cfg = SynthesisConfig(k_init=(k,))
-    prog, legend = assemble_theorem1(ell, cfg, {"k": [k]})
+    return (ell, cfg, *assemble_theorem1(ell, cfg, {"k": [k]}))
+
+
+def khalil_step() -> list[tuple[str, str, str]]:
+    ell, cfg, prog, legend = step_v(0)
     sol = prog.solve()
     t = float(sol.coeff(legend["t"]))
     try:
@@ -105,6 +116,18 @@ def khalil_step() -> list[tuple[str, str, str]]:
             ("khalil-step step-V solution", digest(sol.sdp.to_json()),
              f"{sol.status}, {sol.sdp.iterations} iterations, t {t:.9g}"),
             ("khalil-step alternate", outcome, "")]
+
+
+def khalil_step_infeasible() -> list[tuple[str, str, str]]:
+    """Step V at collection seed 4 with the row t >= -13.917, 0.1 above its
+    optimum: the solution's digest, status, iterations and |A_free^T y|/|y|."""
+    _, _, prog, legend = step_v(4)
+    prog.add_linear([(legend["t"], 1.0)], -13.917, ">=")
+    sol = prog.solve()
+    A_free, y = sol.problem.arrays()[1], sol.sdp.y
+    free = np.linalg.norm(A_free.T @ y) / np.linalg.norm(y) if y.any() else float("nan")
+    return [("khalil-step seed-4 step-V above its margin", digest(sol.sdp.to_json()),
+             f"{sol.status}, {sol.sdp.iterations} iterations, |A_free^T y|/|y| {free:.2e}")]
 
 
 def khalil_fit_multi(ops: int = 6) -> list[tuple[str, str, str]]:
@@ -153,7 +176,8 @@ def closed_loop(ops: int = 3) -> list[tuple[str, str, str]]:
 
 
 def main() -> None:
-    for name, h, values in khalil_step() + khalil_fit_multi() + closed_loop():
+    for name, h, values in (khalil_step() + khalil_step_infeasible() + khalil_fit_multi()
+                            + closed_loop()):
         print(f"{h}  {name}" + (f" ({values})" if values else ""))
 
 
