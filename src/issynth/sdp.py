@@ -40,22 +40,52 @@ structure.  It finds the components in one pass of scipy's csgraph
 nonnegative coordinates and the matrix blocks) and keeps each component of
 two or more rows as a dense matrix in one buffer, followed by the rows
 that share nothing with another row as one diagonal.  Each iteration it
-forms M's lower triangle there, factors each component on its own with
-LAPACK potrf (``_cholesky``), which reads only that triangle, and solves
-with those factors.  On a problem whose rows form one component and that
-has no free variables this is the same arithmetic, bit for bit, as one
-dense factorization of M.  Every solve with a factor, as in SDPT3 (Toh,
-Todd & Tutuncu 1999), is a pair of triangular solves, LAPACK trtrs
-(``_solve_lower``): M^-1 g = L^-T (L^-1 g).  On step V's 697-row
-component the pair takes 51 us for one right-hand side where LAPACK
-potrs, which solves with the whole factor in one call, takes 128 us; on
-143 rows 4.5 against 7.2 us (one BLAS thread, 2 vCPU).  A term over some
-rows of a component adds into its matrix at those rows' positions there;
-component rows stay ascending, since another order would change the
-Cholesky bits.  Each matrix block adds its term A_b P_b^T (below) straight
-into its component, chunk by chunk of rows, and then the nonnegative cone
-adds its term, through one ``np.ix_`` scatter per component.  Every 1x1
-block is one coordinate x_i >= 0 of that single cone: its scaling is
+forms M's lower triangle there, factors each component on its own and
+solves with those factors.
+
+Inside a component M has zeros too: a row whose only group is one matrix
+block, private to it, couples only with that block's rows.  Call the
+block with the most rows of a component its lead block.  When at least
+half of a component's rows (``PRIVATE_SHARE``) are private to its lead
+block, and not all, its rows are ordered private rows first, then the
+rest, each part ascending, and M = [M11 M12; M21 M22] is factored
+bordered (``_Border``): L11 = potrf(M11), X = L11^-1 M12, formed only on
+the rest rows that touch the lead block, the border, where M12 is not
+zero, and L22 = potrf(M22 - X^T X).  This is the elimination of a chordal
+pattern with two cliques, private rows first (Vandenberghe & Andersen,
+"Chordal graphs and semidefinite optimization", 2015).  Step V's 697-row
+component is its 44-block's 584 rows joined to its 24-block's 178, which
+share 65: 519 private rows and 178 rest rows, 65 of them border.  It
+factors in 68 M flops where one dense potrf spends 113 M, and the plan's
+factorization at iteration 11 of the benchmark's step V takes 3.8 ms
+where the dense one took 5.0 (one BLAS thread, 2 vCPU, medians of 60
+interleaved rounds).  L11 and L22 are factored in place, in buffers of
+their own (``_cholesky_into``), without the copy of its input and the
+zeroing of the copy's other triangle that scipy's potrf wrapper otherwise
+does; the component keeps M, with M22 - X^T X in place of M22, so a retry
+(below) reads each piece unfactored.  Every other component is factored
+whole by LAPACK potrf (``_cholesky``), which reads only the lower
+triangle, its rows ascending: on a problem whose rows form one such
+component and that has no free variables this is the same arithmetic,
+bit for bit, as one dense factorization of M, and every fit keeps its
+bits.  The rule is measured on the fits, whose 143-row component has 36
+rows private to its 14-block: factored bordered anyway (36 private, 57 of
+107 rest rows border), the six fits of khalil-fit-multi's seed 0,
+operations 0-5, take 3.1% longer (median ratio of 40 interleaved rounds,
+slower in 25; one BLAS thread, 2 vCPU), at the same iteration counts.
+
+Every solve with a factor, as in SDPT3 (Toh, Todd & Tutuncu 1999), is a
+pair of triangular solves, LAPACK trtrs (``_solve_lower``):
+M^-1 g = L^-T (L^-1 g); through a bordered factor L^-1 g runs through
+L11, then X, then L22, and L^-T g back.  On a dense 697-row factor the
+pair takes 51 us for one right-hand side where LAPACK potrs, which solves
+with the whole factor in one call, takes 128 us; on 143 rows 4.5 against
+7.2 us (one BLAS thread, 2 vCPU).  A term over some rows of a component
+adds into its matrix at those rows' positions there.  Each matrix block
+adds its term A_b P_b^T (below) straight into its component, chunk by
+chunk of its rows in the component's order, and then the nonnegative
+cone adds its term, through one ``np.ix_`` scatter per component.  Every
+1x1 block is one coordinate x_i >= 0 of that single cone: its scaling is
 elementwise (H^-1 = diag(x/z)) and its step length is a min-ratio test.
 Its term A_lp diag(x/z) A_lp^T is one dense product per component of
 its rows, and a weighted sum of squares for the rows that share nothing,
@@ -93,10 +123,10 @@ the refined counts, without jitter.  With a row t >= t* + 0.1 or
 t >= t* + 1.0 above its optimum t*, each ends ``infeasible`` with
 |A_F^T y| <= 6.3e-10 |y| (one BLAS thread, 2 vCPU).
 
-A Schur component whose Cholesky fails is retried once, with its
-own diagonal shifted by max(1e-14 * its mean diagonal, 1e-14) (the
-trace's ``jitter``, the largest shift of the iteration); when that fails
-too the solve stalls.  At one BLAS thread and at two, no ellipsoid fit of
+A Schur component whose Cholesky fails, or a piece of a bordered one, is
+retried once, with its own diagonal shifted by max(1e-14 * its mean
+diagonal, 1e-14) (the trace's ``jitter``, the largest shift of the
+iteration); when that fails too the solve stalls.  At one BLAS thread and at two, no ellipsoid fit of
 the benchmark's experiment at collection seeds 0-19 or of
 khalil-fit-multi's seed 0, operations 0-19, needs this retry, nor does
 any step V at collection seeds 0-9 with k = -x1 - x2, -x2 or
@@ -446,9 +476,11 @@ def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool) -> np.ndarray:
     LAPACK trtrs on L^T, whose memory is Fortran order when L is C-ordered;
     for L X = B these are the arguments ``scipy.linalg.solve_triangular(L,
     B, lower=True)`` passes for such an L, without its finiteness scans,
-    since solve_sdp checks its directions instead.  The callers pass
-    ``_cholesky``'s factor of a Schur component, and R_F^T for the R_F of
-    the free-variable QR; every solve with a factor is two of these calls.
+    since solve_sdp checks its directions instead.  The callers pass the
+    Cholesky factor of a whole Schur component (``_cholesky``) or of a
+    bordered one's piece (``_cholesky_into``, whose upper triangle trtrs
+    does not read), and R_F^T for the R_F of the free-variable QR; every
+    solve with a factor is two of these calls.
     """
     # this form finds the loaded module in 0.4 us a call, ``from ... import``
     # in 1.0 us; trtrs runs about 1,600 times a step-V solve
@@ -610,6 +642,13 @@ class _SchurRows:
             Mc[at, :cols.shape[0]] += (cols @ (rows @ G).T).T
 
 
+# the share of a Schur component's rows that must be private to its lead
+# block for it to be factored bordered (``_Border``) rather than whole; the
+# fits' component, 36 private rows of 143, factored bordered anyway made
+# six fits 3.1% slower (the module docstring has the measurement)
+PRIVATE_SHARE = 0.5
+
+
 def _max_step_psd(L_inv: np.ndarray, Delta: np.ndarray) -> float:
     """Largest a with  M + a*Delta >= 0  for every block of a class, given
     L^-1 for M = L L^T: -1 over the smallest eigenvalue of L^-1 Delta L^-T,
@@ -665,9 +704,16 @@ class _SchurPlan:
 
     The components (``_components``) of two or more rows are dense
     matrices stored row-major one after another in ``flat`` (``mats``
-    views them, ``rows`` holds their rows ascending); the singleton rows
-    follow as one diagonal, ``diag``.  With a single component of all m
-    rows, ``mats[0]`` is laid out exactly as a dense m x m matrix.
+    views them, ``rows`` holds their rows in the order of their matrix);
+    the singleton rows follow as one diagonal, ``diag``.  A component is
+    factored whole, its rows ascending, unless at least ``PRIVATE_SHARE``
+    of its rows, and not all, are private to its lead block (the matrix
+    block with the most rows there): a row is private when that block is
+    its only group, so it shares no other block and no nonnegative
+    coordinate.  Then those rows come first, the rest follow, each part
+    ascending, and ``borders`` holds the component's ``_Border``, None for
+    a whole one.  With a single whole component of all m rows,
+    ``mats[0]`` is laid out exactly as a dense m x m matrix.
 
     The nonnegative cone's term A_lp diag(w) A_lp^T takes one BLAS product
     per component, vals^T (diag(w) vals) for the dense K x r array ``vals``
@@ -688,31 +734,55 @@ class _SchurPlan:
         # the groups: each nonnegative coordinate, then each matrix block
         row, n_lp = A_lp.indices, len(lp)
         col = np.repeat(np.arange(n_lp), np.diff(A_lp.indptr))
+        member = np.concatenate([row, *block_rows])
         comps = _components(
-            m, np.concatenate([row, *block_rows]),
+            m, member,
             np.concatenate([col, *(np.full(len(r), n_lp + k) for k, r in enumerate(block_rows))]))
-        self.rows = [c for c in comps if len(c) > 1]
+        multi = [c for c in comps if len(c) > 1]
         self.singles = np.array([c[0] for c in comps if len(c) == 1], dtype=np.int64)
+        comp_of = np.full(m, -1)  # each row's component, -1 for a singleton
+        for c, r in enumerate(multi):
+            comp_of[r] = c
+        # each component's lead block, the matrix block with the most rows
+        # there (all of a block's rows lie in one component), and the rows
+        # whose only group is that block
+        lead: dict[int, np.ndarray] = {}
+        for r in block_rows:
+            c = comp_of[r[0]] if len(r) else -1
+            if c >= 0 and len(r) > len(lead.get(c, ())):
+                lead[c] = r
+        groups_of = np.bincount(member, minlength=m)
+        self.rows, self.borders = [], []
+        for c, rows in enumerate(multi):
+            r = lead.get(c, rows[:0])
+            own = r[groups_of[r] == 1]
+            border = None
+            if len(own) < len(rows) <= len(own) / PRIVATE_SHARE:
+                rest = np.setdiff1d(rows, own, assume_unique=True)
+                rows = np.concatenate([own, rest])
+                border = _Border(len(own), np.flatnonzero(np.isin(rest, r)), len(rows))
+            self.rows.append(rows)
+            self.borders.append(border)
         sizes = [len(r) for r in self.rows]
         offsets = np.cumsum([0] + [n * n for n in sizes])
         self.flat = np.zeros(offsets[-1] + len(self.singles))
         self.mats = [self.flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes)]
         self.diag = self.flat[offsets[-1]:]
         # row i is at position _pos[i] of its component of _size[i] rows,
-        # which starts at flat[_base[i]]; comp_of[i] is that component, -1
-        # for a singleton
-        comp_of = np.full(m, -1)
+        # which starts at flat[_base[i]]
         self._size = np.ones(m, np.int64)
         self._pos = np.zeros(m, np.int64)
         self._base = np.empty(m, np.int64)
-        for c, (o, n, r) in enumerate(zip(offsets, sizes, self.rows)):
-            comp_of[r], self._size[r], self._pos[r], self._base[r] = c, n, np.arange(n), o
+        for o, n, r in zip(offsets, sizes, self.rows):
+            self._size[r], self._pos[r], self._base[r] = n, np.arange(n), o
         self._base[self.singles] = offsets[-1] + np.arange(len(self.singles))
 
-        # each matrix block's Schur rows and the matrix of their component
+        # each matrix block's Schur rows, in their component's order, and
+        # the matrix of that component
         self.blocks = []
         for k, (sub, r, (_, d)) in enumerate(zip(subs, block_rows, blocks)):
             if len(r):
+                r = r[np.argsort(self._pos[r], kind="stable")]
                 Mc, loc = self.block(r)
                 self.blocks.append((k, _SchurRows(sub[r], d, loc), Mc))
 
@@ -732,8 +802,8 @@ class _SchurPlan:
         self.lp_singles = (np.searchsorted(self.singles, row[e]), val[e] ** 2, col[e])
 
     def block(self, rows: np.ndarray):
-        """The matrix view of the component holding ``rows`` (ascending), and
-        their positions in it."""
+        """The matrix view of the component holding ``rows``, and their
+        positions in it."""
         n, o = self._size[rows[0]], self._base[rows[0]]
         return self.flat[o:o + n * n].reshape(n, n), self._pos[rows]
 
@@ -758,18 +828,19 @@ class _SchurPlan:
         self.diag += np.bincount(at, squares * w[coords], len(self.diag))
 
     def factor(self):
-        """``(factors, jitter)``: the lower Cholesky factor of each
-        component, C-ordered as ``_cholesky`` gives it, and the square roots
-        of the singleton rows' diagonal (``_positive``).
+        """``(factors, jitter)``: the factor of each component and the
+        square roots of the singleton rows' diagonal (``_positive``).
 
-        Each component is factored by itself first; only a failed
-        factorization shifts that component's diagonal, once
-        (``_factor_with_jitter``), and ``jitter`` is the largest shift.
-        ``factors`` is None when a component fails even shifted.
+        A whole component's factor is its lower Cholesky factor, C-ordered
+        as ``_cholesky`` gives it; a bordered one's is ``_Border.factor``'s.
+        Each matrix is factored by itself first; only a failed factorization
+        shifts that matrix's diagonal, once (``_factor_with_jitter``), and
+        ``jitter`` is the largest shift.  ``factors`` is None when a matrix
+        fails even shifted.
         """
         factors, jitter = [], 0.0
-        for Mc in self.mats:
-            L, j = _factor_with_jitter(Mc, _cholesky)
+        for Mc, border in zip(self.mats, self.borders):
+            L, j = _factor_with_jitter(Mc, _cholesky) if border is None else border.factor(Mc)
             jitter = max(jitter, j)
             if L is None:
                 return None, jitter
@@ -783,11 +854,61 @@ class _SchurPlan:
         L^-T (L^-1 g)."""
         Ls, d = factors
         out = np.empty_like(g)
-        for rows, L in zip(self.rows, Ls):
-            out[rows] = _solve_lower(L, g[rows], transposed)
+        for rows, L, border in zip(self.rows, Ls, self.borders):
+            out[rows] = (_solve_lower(L, g[rows], transposed) if border is None
+                         else border.solve(L, g[rows], transposed))
         s = self.singles
         out[s] = g[s] / (d if g.ndim == 1 else d[:, None])
         return out
+
+
+class _Border:
+    """The bordered factorization of a Schur component whose first ``p``
+    rows are private to its lead block:
+
+        M = [M11 M12; M21 M22] = L L^T,  L = [L11 0; X^T L22],
+
+    L11 = potrf(M11), X = L11^-1 M12 and L22 = potrf(M22 - X^T X).  M12 is
+    zero outside the rest rows that touch the lead block, its border rows,
+    at positions ``at`` among the rest, so X is formed only there.  L11 and
+    L22 are factored in place (``_cholesky_into``) in buffers of their own,
+    which the next iteration's factor overwrites.
+    """
+
+    def __init__(self, p: int, at: np.ndarray, n: int):
+        self.p, self.at = p, at
+        self._border = np.ix_(p + at, p + at)
+        self._L11, self._L22 = np.empty((p, p)), np.empty((n - p, n - p))
+
+    def factor(self, Mc: np.ndarray):
+        """``((L11, X, L22), jitter)`` of the component's matrix ``Mc``, or
+        None for the factor when a piece fails even shifted.
+
+        Each piece is shifted only when it fails by itself, as a whole
+        component is, and ``jitter`` is the larger shift.  M22 - X^T X
+        replaces M22 in ``Mc``, so a retry reads it unfactored.
+        """
+        p = self.p
+        L11, jitter = _factor_with_jitter(Mc[:p, :p], functools.partial(_cholesky_into, self._L11))
+        if L11 is None:
+            return None, jitter
+        X = _solve_lower(L11, Mc[p + self.at, :p].T, False)
+        Mc[self._border] -= X.T @ X
+        L22, j = _factor_with_jitter(Mc[p:, p:], functools.partial(_cholesky_into, self._L22))
+        return (None if L22 is None else (L11, X, L22)), max(jitter, j)
+
+    def solve(self, factor, g: np.ndarray, transposed: bool) -> np.ndarray:
+        """L^-1 g, or L^-T g when ``transposed``, for the component's
+        ``factor`` and its rows ``g`` of a right-hand side."""
+        L11, X, L22 = factor
+        p, at = self.p, self.at
+        if transposed:
+            u = _solve_lower(L22, g[p:], True)
+            return np.concatenate([_solve_lower(L11, g[:p] - X @ u[at], True), u])
+        h = _solve_lower(L11, g[:p], False)
+        rest = g[p:].copy()
+        rest[at] -= X.T @ h
+        return np.concatenate([h, _solve_lower(L22, rest, False)])
 
 
 def _cholesky(M: np.ndarray) -> np.ndarray:
@@ -795,14 +916,29 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
 
     LAPACK potrf factors M^T, whose memory is Fortran order when M is
     C-ordered, as U^T U from its upper triangle, which is M's lower one, and
-    U^T is L in C order.  A matrix that is not positive definite raises
-    ``LinAlgError``.  A NaN matrix does not: OpenBLAS's potrf, like numpy's
-    Cholesky, returns a NaN factor, and the solve ends at its non-finite
-    direction.
+    U^T is L in C order.  This call leaves M as it is: scipy's wrapper
+    factors a copy and zeroes the copy's other triangle.  A matrix that is
+    not positive definite raises ``LinAlgError``.  A NaN matrix does not:
+    OpenBLAS's potrf, like numpy's Cholesky, returns a NaN factor, and the
+    solve ends at its non-finite direction.
     """
+    return _potrf(M, False)
+
+
+def _cholesky_into(out: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``_cholesky(M)`` factored in place in the C-ordered buffer ``out``,
+    which is returned: M is copied in and potrf overwrites the lower
+    triangle with L, bit for bit ``_cholesky``'s, and leaves the copy's
+    upper triangle, which no triangular solve reads."""
+    np.copyto(out, M)
+    return _potrf(out, True)
+
+
+def _potrf(M: np.ndarray, in_place: bool) -> np.ndarray:
+    """The call behind ``_cholesky`` and ``_cholesky_into``."""
     import scipy.linalg.lapack as lapack
 
-    U, info = lapack.dpotrf(M.T, lower=0)
+    U, info = lapack.dpotrf(M.T, lower=0, overwrite_a=in_place, clean=not in_place)
     if info > 0:
         raise np.linalg.LinAlgError(f"not positive definite: leading minor {info}")
     if info:
@@ -820,9 +956,11 @@ def _positive(d: np.ndarray) -> np.ndarray:
 def _factor_with_jitter(M: np.ndarray, factor):
     """``(factor(M), jitter)``, shifting M's diagonal in place only when factor fails.
 
-    ``M`` is one component's matrix or, with ``_positive``, the singleton
-    rows' diagonal.  After M itself one shift is tried, 1e-14 times its mean
-    diagonal and at least 1e-14; when that fails too the factor is None.
+    ``M`` is a whole component's matrix, a view of a bordered one's piece
+    (which ``_cholesky_into`` copies before it factors) or, with
+    ``_positive``, the singleton rows' diagonal; factor leaves M as it is.
+    After M itself one shift is tried, 1e-14 times its mean diagonal and at
+    least 1e-14; when that fails too the factor is None.
     """
     try:
         return factor(M), 0.0
@@ -850,7 +988,8 @@ class _Preprocessed:
     variable: it is substituted into every other row and into the
     objective (row m of ``F``), and the column is set to exact zero outside
     its pivot row.  A free-only row no pivot takes is left empty, and its
-    rhs must be zero, or the problem is ``inconsistent``.  The free columns
+    rhs must be zero, or the problem is ``inconsistent``, with a dual ray
+    built on that row (``inconsistency_ray``).  The free columns
     no pivot takes stay the program's own columns over the kept rows, with
     the substitutions applied and never rotated.  A column-pivoted QR finds
     the dependent ones, which are dropped at value 0: one with a nonzero
@@ -892,6 +1031,10 @@ class _Preprocessed:
             pivots[i] = j
         self.inconsistent = bool(np.linalg.norm(F[open_rows, -1])
                                  > 1e-8 * (1.0 + np.linalg.norm(b[free_only])))
+        # the open row with the largest leftover rhs and that rhs's sign,
+        # which an inconsistency ray is built on
+        i = int(np.argmax(np.abs(F[:, -1]) * open_rows))
+        self.worst_open = (i, float(np.sign(F[i, -1])))
         self.obj_const = -float(F[-1, -1])
 
         # the kept free columns: the dependent ones by a column-pivoted QR,
@@ -947,6 +1090,24 @@ class _Preprocessed:
         """
         y = np.zeros(self.A_free_orig.shape[0])
         y[self.kept_rows] = y_kept * self.row_scale
+        return self._with_pivot_duals(y, ray)
+
+    def inconsistency_ray(self) -> np.ndarray:
+        """A dual ray for ``inconsistent`` free-only rows: +-1 on the open
+        row with the largest leftover rhs, signed so that b.y is that
+        |rhs|, and the pivot rows' duals as ``recover_y`` gives a ray's.
+
+        The pivot rows' duals undo the elimination that left the open row
+        its rhs, so A_free^T y is that row's eliminated free part, zero, and
+        A_psd^T y is zero, as no free-only row has matrix entries.
+        """
+        i, sign = self.worst_open
+        y = np.zeros(self.A_free_orig.shape[0])
+        y[i] = sign
+        return self._with_pivot_duals(y, True)
+
+    def _with_pivot_duals(self, y: np.ndarray, ray: bool) -> np.ndarray:
+        """y with its pivot rows' duals set by ``recover_y``'s square solve."""
         rhs = ((0.0 if ray else self.c_free_orig) - self.A_free_orig.T @ y)[self.piv_cols]
         F_PJ = self.A_free_orig[self.piv_rows][:, self.piv_cols].toarray()
         y[self.piv_rows] = np.linalg.solve(F_PJ.T, rhs)
@@ -964,7 +1125,7 @@ def solve_sdp(prob: SdpProblem, max_iter: int | None = None) -> SdpSolution:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     pre = _Preprocessed(prob)
     if pre.inconsistent:
-        return SdpSolution("infeasible", None, y=np.zeros(prob.n_rows),
+        return SdpSolution("infeasible", None, y=pre.inconsistency_ray(),
                            message="equality rows without matrix entries are inconsistent")
     if pre.unbounded_free:
         return SdpSolution("unbounded", None,

@@ -21,6 +21,7 @@ from issynth.sdp import (
     svec_indices,
     validate_solution,
 )
+from issynth.verify import check_infeasibility_certificate
 
 
 def _congruence_matrix(Q: np.ndarray) -> np.ndarray:
@@ -350,6 +351,9 @@ class TestKnownProblems:
         p.add_row(free_entries=[(v, 1.0)], rhs=2.0)
         sol = solve_sdp(p)
         assert sol.status == "infeasible"
+        # the ray of the elimination: v = 2 minus v = 1 reads 0 = 1
+        assert sol.y.tolist() == [-1.0, 1.0]
+        assert check_infeasibility_certificate(p, sol.y).passed
 
     @pytest.mark.parametrize("rhs, status", [(0.0, "optimal"), (1.0, "infeasible")])
     def test_empty_row(self, rhs, status):
@@ -372,6 +376,8 @@ class TestKnownProblems:
             assert sol.iterations == 0
             assert "inconsistent" in sol.message
             assert "free variable" not in sol.message
+            assert sol.y.tolist() == [0.0, 1.0]
+            assert check_infeasibility_certificate(p, sol.y).passed
 
     def test_free_only_rows_eliminated(self):
         # v1 + v2 = 3, v1 - v2 = 1 pin the free part exactly
@@ -805,24 +811,17 @@ def _interleaved_problem():
 def _solve_keeping_plan(p, monkeypatch, max_iter=None, one_component=False):
     """solve_sdp(p, max_iter) and the _SchurPlan it built; ``one_component``
     adds a group of all rows, so M is factored densely as a whole."""
-    made = []
     components = sdp._components
-
-    class Kept(sdp._SchurPlan):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
 
     def joined(m, rows, groups):
         return components(m, np.concatenate([rows, np.arange(m)]),
                           np.concatenate([groups, np.full(m, groups.max() + 1)]))
 
     with monkeypatch.context() as mp:
-        mp.setattr(sdp, "_SchurPlan", Kept)
         if one_component:
             mp.setattr(sdp, "_components", joined)
-        sol = solve_sdp(p, max_iter)
-    return sol, made[0]
+        sol, [plan] = _plans_of(mp, lambda: solve_sdp(p, max_iter))
+    return sol, plan
 
 
 def _assembled(plan):
@@ -846,7 +845,10 @@ def test_schur_components_of_disjoint_blocks(monkeypatch):
 def test_block_terms_sum_to_ix_scatter(monkeypatch):
     # each block's term adds straight into the component at its rows'
     # positions, which interleave; the sum must be, bit for bit, that of an
-    # np.ix_ scatter of each term formed alone, in the same block order
+    # np.ix_ scatter of each term formed alone, in the same block order.
+    # Rows 0, 1, 5, 6 and 8 touch only block A, half the component, so they
+    # come first and the component is factored bordered; the rest follow,
+    # ascending, and row 3, which touches both blocks, borders them
     p = _interleaved_problem()
     made = []
     schur_rows = sdp._SchurRows
@@ -865,8 +867,10 @@ def test_block_terms_sum_to_ix_scatter(monkeypatch):
 
     monkeypatch.setattr(sdp, "_SchurRows", Recorded)
     _, plan = _solve_keeping_plan(p, monkeypatch, max_iter=1)
-    assert [r.tolist() for r in plan.rows] == [list(range(10))]
-    assert [loc.tolist() for loc, _ in made] == [[0, 1, 3, 5, 6, 8], [2, 3, 4, 7, 9]]
+    assert [r.tolist() for r in plan.rows] == [[0, 1, 5, 6, 8, 2, 3, 4, 7, 9]]
+    [border] = plan.borders
+    assert (border.p, border.at.tolist()) == (5, [1])
+    assert [loc.tolist() for loc, _ in made] == [[0, 1, 2, 3, 4, 6], [5, 6, 7, 8, 9]]
     ref = np.zeros_like(plan.mats[0])
     for loc, S in made:
         ref[np.ix_(loc, loc)] += S
@@ -918,6 +922,175 @@ def test_plan_solve_lower_with_singleton_rows():
             assert _rel_err(got, sla.solve_triangular(L, g, lower=True, trans=trans)) <= 1e-14
             d = np.sqrt(np.diag(M)[2:])
             assert np.array_equal(got[2:], g[2:] / (d if g.ndim == 1 else d[:, None]))
+
+
+# ---------------------------------------------------------------------------
+# bordered factorization of a component its lead block's own rows dominate
+
+
+def _plans_of(monkeypatch, call):
+    """``call()``'s result and every _SchurPlan it built, in order."""
+    made = []
+
+    class Kept(sdp._SchurPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "_SchurPlan", Kept)
+        out = call()
+    return out, made
+
+
+@pytest.fixture(scope="module")
+def khalil_step_plans():
+    """The Schur plans of the benchmark experiment's ellipsoid fit (x0 =
+    (0.5, -0.5), T = 30, d_radius 0.05, collection seed 0) and of its
+    step V with k = -x1 - x2, after one iteration."""
+    from issynth.consistency import build_data_matrices, solve_overapprox
+    from issynth.poly import parse_poly
+    from issynth.simulate import ExperimentConfig, collect_dataset, khalil_system
+    from issynth.synthesis import SynthesisConfig, assemble_theorem1
+
+    sys = khalil_system()
+    exp = ExperimentConfig(T=30, sample_spacing=0.05, u_bound=1.0, d_radius=0.05,
+                           x0=(0.5, -0.5), seed=0)
+    data = build_data_matrices(collect_dataset(sys, exp))
+    with pytest.MonkeyPatch.context() as mp:
+        ell, fits = _plans_of(mp, lambda: solve_overapprox(data, bases=sys.bases))
+        k = parse_poly("-x1 - x2", sys.bases.vars)
+        prog, _ = assemble_theorem1(ell, SynthesisConfig(k_init=(k,)), {"k": [k]})
+        _, [step_v] = _plans_of(mp, lambda: solve_sdp(prog.compile()[0], 1))
+    return fits, step_v
+
+
+def test_step_v_component_is_factored_bordered(khalil_step_plans):
+    # the 44-block's 584 rows and the 24-block's 178 share 65: the 519 the
+    # 44-block has alone come first, then the 178, of which 65 border them.
+    # The 15- and 5-blocks' components have no rest rows and stay whole
+    _, plan = khalil_step_plans
+    assert [len(r) for r in plan.rows] == [697, 12, 70]
+    border, *whole = plan.borders
+    assert whole == [None, None]
+    assert (border.p, len(border.at)) == (519, 65)
+    rows = plan.rows[0]
+    assert np.all(np.diff(rows[:519]) > 0) and np.all(np.diff(rows[519:]) > 0)
+    assert all(np.all(np.diff(r) > 0) for r in plan.rows[1:])
+
+
+def test_khalil_step_fit_component_stays_whole(khalil_step_plans):
+    # 36 of the fit's 143 rows are its 14-block's alone, a minority: one
+    # dense factor, rows ascending, as before the bordered factorization
+    fits, _ = khalil_step_plans
+    assert fits
+    for plan in fits:
+        assert [r.tolist() for r in plan.rows] == [list(range(143))]
+        assert plan.borders == [None]
+
+
+def _bordered_problem_plan(rng):
+    """A plan of one 60-row component, rows shuffled: 40 rows touch only a
+    9-block, 10 touch it and a 6-block, and 10 touch the 6-block and a
+    nonnegative coordinate; built for random scalings."""
+    dims, n_lp, m = (9, 6), 4, 60
+    widths = [svec_dim(d) for d in dims]
+    offsets = np.cumsum([n_lp] + widths)
+    A = np.zeros((m, offsets[-1]))
+    for i in range(m):
+        if i < 50:
+            A[i, offsets[0] + rng.choice(widths[0], size=6, replace=False)] = rng.standard_normal(6)
+        if i >= 40:
+            A[i, offsets[1] + rng.choice(widths[1], size=3, replace=False)] = rng.standard_normal(3)
+        if i >= 50:
+            A[i, rng.integers(n_lp)] = rng.standard_normal()
+    A = A[rng.permutation(m)]
+    plan = sdp._SchurPlan(sp.csr_matrix(A), np.arange(n_lp),
+                          [(slice(o, o + width), d) for o, width, d in zip(offsets, widths, dims)])
+    plan.build([_factor_with_condition(rng, d, 10.0) for d in dims],
+               10.0 ** rng.uniform(-1.0, 1.0, n_lp))
+    return plan
+
+
+def test_bordered_factor_matches_dense_solves():
+    # the pieces make the Cholesky factor of the component in its order, so
+    # L^-1 g and L^-T g match the dense factor's, and L^-T (L^-1 g) = M^-1 g
+    rng = np.random.default_rng(6)
+    plan = _bordered_problem_plan(rng)
+    [rows] = plan.rows
+    [border] = plan.borders
+    assert border.p == 40 and len(border.at) == 10
+    # the plan forms the lower triangle in the component's order
+    Mc = np.tril(plan.mats[0]) + np.tril(plan.mats[0], -1).T
+    M = np.empty_like(Mc)
+    M[np.ix_(rows, rows)] = Mc
+    L = np.linalg.cholesky(Mc)
+    factors, jitter = plan.factor()
+    assert jitter == 0.0
+    for g in (rng.standard_normal(60), rng.standard_normal((60, 4))):
+        for transposed, trans in ((False, "N"), (True, "T")):
+            got = plan.solve_lower(factors, g, transposed)
+            ref = sla.solve_triangular(L, g[rows], lower=True, trans=trans)
+            assert got.shape == g.shape
+            assert _rel_err(got[rows], ref) <= 1e-10
+        got = plan.solve_lower(factors, plan.solve_lower(factors, g, False), True)
+        assert _rel_err(got, np.linalg.solve(M, g)) <= 1e-10
+
+
+def test_cholesky_into_factors_in_place():
+    # the buffer is the factor, its lower triangle bit for bit _cholesky's
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 72):
+        G = rng.standard_normal((n, n))
+        M = G @ G.T + n * np.eye(n)
+        out = np.empty((n, n))
+        L = sdp._cholesky_into(out, M)
+        assert np.shares_memory(L, out) and L.flags.c_contiguous
+        assert np.array_equal(np.tril(L), sdp._cholesky(M))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        sdp._cholesky_into(np.empty((3, 3)), np.diag([1.0, -1.0, 2.0]))
+
+
+@pytest.mark.parametrize("piece", [0, 1])
+def test_failed_bordered_piece_is_shifted_once(piece, monkeypatch):
+    # the interleaved problem's component is factored bordered; failing the
+    # first factorization of M11 (piece 0) or of M22 - X^T X (piece 1)
+    # retries that piece once, on its own diagonal shifted by
+    # max(1e-14 * its mean diagonal, 1e-14), which the trace records
+    into = sdp._cholesky_into
+    calls = []
+
+    def fail_once(out, M):
+        calls.append(M.copy())
+        if len(calls) == piece + 1:
+            raise np.linalg.LinAlgError("forced")
+        return into(out, M)
+
+    monkeypatch.setattr(sdp, "_cholesky_into", fail_once)
+    sol = solve_sdp(_interleaved_problem())
+    monkeypatch.undo()
+    assert sol.status == "optimal", sol.message
+    failed, retried = calls[piece], calls[piece + 1]
+    assert [len(c) for c in calls[:3]] == [5, 5, 5]
+    jitter = sol.trace[0]["jitter"]
+    assert jitter == max(np.diag(failed).sum() / 5 * 1e-14, 1e-14)
+    assert np.array_equal(retried, failed + jitter * np.eye(5))
+    assert all(e["jitter"] == 0.0 for e in sol.trace[1:-1])
+
+
+def test_bordered_factorization_fails_after_one_shift(monkeypatch):
+    # an M11 that fails shifted too stops the solve, as a whole component does
+    calls = []
+
+    def fail(out, M):
+        calls.append(M.copy())
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(sdp, "_cholesky_into", fail)
+    sol = solve_sdp(_interleaved_problem())
+    assert (sol.iterations, sol.message) == (1, "Schur complement factorization failed")
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], calls[0] + sol.trace[0]["jitter"] * np.eye(5))
 
 
 def _congruence_by_smat(W):
@@ -1192,12 +1365,17 @@ def test_lp_term_of_a_fit_matches_scipy_bits():
 
 
 def test_fit_lp_rows_form_one_group_inside_their_component(monkeypatch):
-    # rows 0-35 carry the multipliers, rows 36-71 only the matrix block
+    # rows 0-35 carry the multipliers, rows 36-71 only the matrix block:
+    # those are half the component, so they come first, the multiplier
+    # rows sit at positions 36-71 and all of them border the block's own
     _, plan = _solve_keeping_plan(_fit_plan_problem(), monkeypatch, max_iter=1)
-    assert [len(rows) for rows in plan.rows] == [72] and not len(plan.singles)
+    assert [r.tolist() for r in plan.rows] == [list(range(36, 72)) + list(range(36))]
+    assert not len(plan.singles)
+    [border] = plan.borders
+    assert (border.p, border.at.tolist()) == (36, list(range(36)))
     [(vals, coords, Mc, at)] = plan.lp_groups
     assert vals.shape == (30, 36) and Mc.shape == (72, 72)
-    assert [a.ravel().tolist() for a in at] == [list(range(36))] * 2
+    assert [a.ravel().tolist() for a in at] == [list(range(36, 72))] * 2
 
 
 def test_lp_term_of_single_row_groups_matches_scipy_bits():
